@@ -172,3 +172,16 @@ def test_cli_positions_replay(tmp_path):
     assert (out1 / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
     pos = read_positions_csv(out1 / "positions.csv")
     assert len(pos) == 100
+
+
+def test_cli_positions_with_nan_rejected(tmp_path, capsys):
+    pos = tmp_path / "pos.csv"
+    rows = [f"{i},{i * 0.5:.1f},{i * 0.5:.1f}" for i in range(100)]
+    rows[37] = "37,nan,18.5"
+    pos.write_text("id,x,y\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    code = run_cli(
+        ["--preset", "ch2-scenario1", "--protocol", "leach", "--rounds", "1",
+         "--out", str(tmp_path / "o"), "--positions", str(pos)]
+    )
+    assert code == 1
+    assert "node 37" in capsys.readouterr().err

@@ -73,6 +73,9 @@ def test_select_above_direction():
 
 def test_select_empty_falls_back_to_max_energy():
     net = deploy(3, 100.0, (50.0, 175.0), seed=1, initial_energy=0.5)
+    selected, forced = select_provisional(net, LEACH, 0, FakeRng([0.9, 0.9, 0.9]))
+    assert selected == [0]  # equal energies: the lowest id wins
+    assert forced
     net.nodes[1].energy = 0.4
     net.nodes[0].energy = 0.3
     net.nodes[2].energy = 0.2
@@ -174,17 +177,16 @@ def test_equidistant_member_joins_lower_id():
 
 
 def test_type2_uncovered_node_self_promotes():
-    # node 2 sits farther than r_max from any possible head
+    # nodes 2 and 3 sit farther than r_max from any possible head
     params = ProtocolParams(kind="type2fl", p=0.95, r_min=5.0, r_max=20.0)
     net = network_from_positions(
-        [(0.0, 0.0), (5.0, 0.0), (90.0, 90.0)], 100.0, (50.0, 50.0)
+        [(0.0, 0.0), (5.0, 0.0), (90.0, 90.0), (90.0, 0.0), (3.0, 0.0)], 100.0, (50.0, 50.0)
     )
-    plan = run_protocol_round(net, params, engines(), 1, FakeRng([0.99, 0.2, 0.2]), RADIO)
-    heads = {c.head for c in plan.clusters}
-    assert 2 in heads
-    orphan = next(c for c in plan.clusters if c.head == 2)
-    assert orphan.members == []
-    assert plan.orphan_fallbacks >= 1
+    rng = FakeRng([0.99, 0.2, 0.2, 0.2, 0.2])
+    plan = run_protocol_round(net, params, engines(), 1, rng, RADIO)
+    # finals first, then orphan singletons in ascending id; members in ascending id
+    assert [(c.head, c.members) for c in plan.clusters] == [(0, [1, 4]), (2, []), (3, [])]
+    assert plan.orphan_fallbacks == 2
 
 
 # --- routing ----------------------------------------------------------------------------
