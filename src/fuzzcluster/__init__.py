@@ -39,7 +39,6 @@ from .fis2 import (
 )
 from .network import (
     Network,
-    Node,
     deploy,
     neighbor_count,
     network_from_positions,

@@ -19,7 +19,6 @@ from .csvio import (
 )
 from .fis1 import default_rulebase1
 from .fis2 import default_rulebase2
-from .network import deploy, network_from_positions
 from .protocols import KIND_FUZZY_UNEQUAL, KIND_TYPE2
 from .simulator import run_simulation
 
@@ -70,6 +69,7 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.dump_fis_surface:
             _dump_surface(cfg, out)
+            return 0
 
         results = []
         for k in range(args.seeds):
@@ -85,16 +85,7 @@ def main(argv: list[str] | None = None) -> int:
             write_metrics_csv(result, out / f"metrics{suffix}.csv")
             if args.dump_clusters:
                 write_clusters_csv(collected, out / f"clusters{suffix}.csv")
-            net = (
-                network_from_positions(
-                    run_cfg.positions, run_cfg.area_side, run_cfg.bs_pos, run_cfg.initial_energy
-                )
-                if run_cfg.positions is not None
-                else deploy(
-                    run_cfg.n, run_cfg.area_side, run_cfg.bs_pos, run_cfg.seed, run_cfg.initial_energy
-                )
-            )
-            write_positions_csv(net, out / f"positions{suffix}.csv")
+            write_positions_csv(result.positions, out / f"positions{suffix}.csv")
             print(
                 f"seed={result.seed} protocol={result.protocol} "
                 f"fnd={result.fnd} hnd={result.hnd} lnd={result.lnd}"

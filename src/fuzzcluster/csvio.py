@@ -10,9 +10,10 @@ import csv
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .fis1 import RuleBase1, eval_fis1
 from .fis2 import RuleBase2, eval_t2fis
-from .network import Network
 from .simulator import RoundMetrics, SimResult
 
 METRICS_HEADER = ("round", "alive", "dead", "total_j", "avg_j", "ch_count")
@@ -74,12 +75,13 @@ def write_summary_csv(results: Iterable[SimResult], path: str | Path) -> None:
             )
 
 
-def write_positions_csv(net: Network, path: str | Path) -> None:
+def write_positions_csv(positions: np.ndarray, path: str | Path) -> None:
+    """(n, 2) positions, one row per node id."""
     fh, w = _open_writer(path)
     with fh:
         w.writerow(("id", "x", "y"))
-        for nd in net.nodes:
-            w.writerow((nd.id, fmt(nd.x), fmt(nd.y)))
+        for i, (x, y) in enumerate(positions.tolist()):
+            w.writerow((i, fmt(x), fmt(y)))
 
 
 def read_positions_csv(path: str | Path) -> list[tuple[float, float]]:
@@ -87,14 +89,19 @@ def read_positions_csv(path: str | Path) -> list[tuple[float, float]]:
     rows: dict[int, tuple[float, float]] = {}
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = tuple(next(reader))
-        if header != ("id", "x", "y"):
-            raise ValueError(f"unexpected positions header {header}")
+        header = next(reader, [])
+        if header != ["id", "x", "y"]:
+            raise ValueError(f"{path}: line 1: expected header id,x,y, got {','.join(header)!r}")
         for row in reader:
-            nid = int(row[0])
+            where = f"{path}: line {reader.line_num}"
+            try:
+                nid, x, y = row
+                nid, x, y = int(nid), float(x), float(y)
+            except ValueError:
+                raise ValueError(f"{where}: expected id,x,y, got {','.join(row)!r}") from None
             if nid in rows:
-                raise ValueError(f"duplicate node id {nid} in positions file")
-            rows[nid] = (float(row[1]), float(row[2]))
+                raise ValueError(f"{where}: duplicate node id {nid}")
+            rows[nid] = (x, y)
     if sorted(rows) != list(range(len(rows))):
         raise ValueError("positions file must list node ids 0..n-1")
     return [rows[i] for i in range(len(rows))]

@@ -364,11 +364,13 @@ RULES_27: tuple[tuple[str, str, str, str, str], ...] = (
 MfOverrides = Mapping[str, Mapping[str, MembershipFunction]]
 
 
-def _apply_overrides(
+def apply_overrides(
     name: str,
     terms: tuple[tuple[str, MembershipFunction], ...],
     overrides: MfOverrides | None,
 ) -> LinguisticVariable:
+    """A [0, 1] variable over the stock terms, with any per-term membership
+    overrides given for this variable name swapped in."""
     if overrides and name in overrides:
         per_term = dict(overrides[name])
         known = {t for t, _ in terms}
@@ -384,11 +386,11 @@ def default_rulebase1(
     rules: Sequence[tuple[str, str, str, str, str]] | None = None,
 ) -> RuleBase1:
     """The stock radius/chance rule base; breakpoints and rules are overridable."""
-    distance = _apply_overrides("distance", three_level_terms(DISTANCE_TERMS), mf_overrides)
-    energy = _apply_overrides("energy", three_level_terms(ENERGY_TERMS), mf_overrides)
-    conc = _apply_overrides("concentration", three_level_terms(CONCENTRATION_TERMS), mf_overrides)
-    radius = _apply_overrides("radius", even_terms(RADIUS_TERMS), mf_overrides)
-    chance = _apply_overrides("chance", even_terms(CHANCE_TERMS), mf_overrides)
+    distance = apply_overrides("distance", three_level_terms(DISTANCE_TERMS), mf_overrides)
+    energy = apply_overrides("energy", three_level_terms(ENERGY_TERMS), mf_overrides)
+    conc = apply_overrides("concentration", three_level_terms(CONCENTRATION_TERMS), mf_overrides)
+    radius = apply_overrides("radius", even_terms(RADIUS_TERMS), mf_overrides)
+    chance = apply_overrides("chance", even_terms(CHANCE_TERMS), mf_overrides)
 
     table = tuple(rules) if rules is not None else RULES_27
     combos = {(d, e, c) for d, e, c, _, _ in table}

@@ -16,6 +16,7 @@ from .fis1 import (
     LinguisticVariable,
     MembershipFunction,
     MfOverrides,
+    apply_overrides,
     even_terms,
     mf_centroid,
     mf_eval,
@@ -205,15 +206,7 @@ def default_rulebase2(
     blurs = dict(blur_overrides or {})
 
     def build_var(name: str, labels: tuple[str, ...]):
-        terms = three_level_terms(labels)
-        if mf_overrides and name in mf_overrides:
-            per_term = dict(mf_overrides[name])
-            known = {t for t, _ in terms}
-            for t in per_term:
-                if t not in known:
-                    raise ValueError(f"{name}: unknown term {t!r} in membership override")
-            terms = tuple((t, per_term.get(t, mf)) for t, mf in terms)
-        var = LinguisticVariable(name, (0.0, 1.0), terms)
+        var = apply_overrides(name, three_level_terms(labels), mf_overrides)
         b = blurs.get(name, blur)
         imfs = {t: make_fou(mf, b, var.domain) for t, mf in var.terms}
         return var, imfs

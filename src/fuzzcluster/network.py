@@ -1,56 +1,48 @@
-"""Node state, seeded uniform deployment and normalized protocol inputs."""
+"""Network state as per-node arrays, seeded uniform deployment and normalized
+protocol inputs."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .rng import Xorshift64Star
-
-ROLE_MEMBER = "member"
-ROLE_PROVISIONAL = "provisional_ch"
-ROLE_FINAL = "final_ch"
-
-
-@dataclass
-class Node:
-    id: int
-    x: float
-    y: float
-    energy: float
-    alive: bool = True
-    role: str = field(default=ROLE_MEMBER)
 
 
 class Network:
     """Static geometry (positions never move after deployment) plus per-node
-    mutable energy/liveness state owned by a single simulation run."""
+    residual ``energy`` and ``alive`` arrays, indexed by node id and owned by
+    a single simulation run."""
 
     def __init__(
         self,
-        nodes: list[Node],
+        positions: ArrayLike,
         bs_pos: tuple[float, float],
         area_side: float,
         initial_energy: float,
     ):
-        if not nodes:
+        pos = np.array(positions, dtype=float)
+        if pos.size == 0:
             raise ValueError("network needs at least one node")
+        if pos.ndim != 2 or pos.shape[1] != 2:
+            raise ValueError(f"positions must be an (n, 2) array, got shape {pos.shape}")
         if area_side <= 0.0:
             raise ValueError("area_side must be positive")
         if initial_energy <= 0.0:
             raise ValueError("initial_energy must be positive")
-        for i, nd in enumerate(nodes):
-            if nd.id != i:
-                raise ValueError("node ids must be 0..n-1 in order")
-            if not (0.0 <= nd.x <= area_side and 0.0 <= nd.y <= area_side):
-                raise ValueError(f"node {i} at ({nd.x}, {nd.y}) outside [0, {area_side}]^2")
-        self.nodes = nodes
+        # written as "not inside" so that NaN coordinates are rejected too
+        outside = np.flatnonzero(~((pos >= 0.0) & (pos <= area_side)).all(axis=1))
+        if len(outside):
+            i = outside[0]
+            raise ValueError(f"node {i} at ({pos[i, 0]}, {pos[i, 1]}) outside [0, {area_side}]^2")
+        self.n = len(pos)
         self.bs_pos = (float(bs_pos[0]), float(bs_pos[1]))
         self.area_side = float(area_side)
         self.initial_energy = float(initial_energy)
+        self.energy = np.full(self.n, self.initial_energy)
+        self.alive = np.ones(self.n, dtype=bool)
 
-        pos = np.array([[nd.x, nd.y] for nd in nodes], dtype=float)
         diff = pos[:, None, :] - pos[None, :, :]
         self.positions = pos
         self.dist = np.sqrt((diff ** 2).sum(axis=-1))
@@ -60,19 +52,9 @@ class Network:
         self.dist.setflags(write=False)
         self.bs_dist.setflags(write=False)
 
-    @property
-    def n(self) -> int:
-        return len(self.nodes)
-
-    def alive_ids(self) -> list[int]:
-        return [nd.id for nd in self.nodes if nd.alive]
-
-    def alive_mask(self) -> np.ndarray:
-        return np.array([nd.alive for nd in self.nodes])
-
     def total_energy(self) -> float:
         # exact summation: round-trip accounting is checked at 1e-12 relative
-        return math.fsum(nd.energy for nd in self.nodes)
+        return math.fsum(self.energy)
 
 
 def deploy_from_rng(
@@ -85,8 +67,8 @@ def deploy_from_rng(
     """Uniform deployment consuming 2n draws (x then y, ascending node id)."""
     if n < 1:
         raise ValueError("need at least one node")
-    nodes = [Node(i, rng.random() * m, rng.random() * m, initial_energy) for i in range(n)]
-    return Network(nodes, bs_pos, m, initial_energy)
+    positions = [(rng.random() * m, rng.random() * m) for _ in range(n)]
+    return Network(positions, bs_pos, m, initial_energy)
 
 
 def deploy(
@@ -101,43 +83,33 @@ def deploy(
 
 
 def network_from_positions(
-    positions: list[tuple[float, float]],
+    positions: ArrayLike,
     m: float,
     bs_pos: tuple[float, float],
     initial_energy: float = 1.0,
 ) -> Network:
     """Replay an exact topology from (x, y) pairs ordered by node id."""
-    nodes = [Node(i, float(x), float(y), initial_energy) for i, (x, y) in enumerate(positions)]
-    return Network(nodes, bs_pos, m, initial_energy)
+    return Network(positions, bs_pos, m, initial_energy)
 
 
-def neighbor_count(
-    net: Network, node_id: int, radius: float, alive_mask: np.ndarray | None = None
-) -> int:
-    """Alive nodes other than node_id within Euclidean distance <= radius.
-    Callers evaluating many nodes against one snapshot may pass a precomputed
-    alive mask."""
+def neighbor_count(net: Network, node_id: int, radius: float) -> int:
+    """Alive nodes other than node_id within Euclidean distance <= radius."""
     if radius <= 0.0:
         raise ValueError("radius must be positive")
-    if alive_mask is None:
-        alive_mask = net.alive_mask()
-    mask = (net.dist[node_id] <= radius) & alive_mask
+    mask = (net.dist[node_id] <= radius) & net.alive
     mask[node_id] = False
     return int(mask.sum())
 
 
-def normalize_inputs(
-    net: Network, node_id: int, nbr_radius: float, alive_mask: np.ndarray | None = None
-) -> tuple[float, float, float]:
+def normalize_inputs(net: Network, node_id: int, nbr_radius: float) -> tuple[float, float, float]:
     """(db, re, conc) in [0, 1]: BS distance over the network maximum, residual
     energy fraction, and neighbor count relative to the uniform-density
     expectation inside nbr_radius (clamped at 1)."""
-    nd = net.nodes[node_id]
-    if not nd.alive:
+    if not net.alive[node_id]:
         raise ValueError(f"node {node_id} is dead")
     db = net.bs_dist[node_id] / net.d_max if net.d_max > 0.0 else 0.0
-    re = min(1.0, max(0.0, nd.energy / net.initial_energy))
+    re = min(1.0, max(0.0, net.energy[node_id] / net.initial_energy))
     density = net.n / (net.area_side * net.area_side)
     expected = density * math.pi * nbr_radius * nbr_radius
-    conc = min(1.0, neighbor_count(net, node_id, nbr_radius, alive_mask) / expected)
+    conc = min(1.0, neighbor_count(net, node_id, nbr_radius) / expected)
     return float(db), float(re), float(conc)

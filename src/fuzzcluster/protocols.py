@@ -21,7 +21,7 @@ import numpy as np
 from .energy import RadioParams, rx_energy, threshold_distance, tx_energy
 from .fis1 import DegenerateOutputError, RuleBase1, eval_fis1
 from .fis2 import RuleBase2, eval_t2fis
-from .network import ROLE_FINAL, ROLE_MEMBER, ROLE_PROVISIONAL, Network, normalize_inputs
+from .network import Network, normalize_inputs
 from .rng import Xorshift64Star
 
 KIND_LEACH = "leach"
@@ -112,18 +112,16 @@ def select_provisional(
     else:
         th = params.p
     selected = []
-    for nd in net.nodes:
-        if not nd.alive:
-            continue
+    for i in np.flatnonzero(net.alive).tolist():
         draw = rng.random()
         if (params.direction == DIRECTION_BELOW and draw < th) or (
             params.direction == DIRECTION_ABOVE and draw > th
         ):
-            selected.append(nd.id)
+            selected.append(i)
     if selected:
         return selected, False
-    best = max((nd for nd in net.nodes if nd.alive), key=lambda nd: (nd.energy, -nd.id))
-    return [best.id], True
+    # argmax returns the first maximum, so equal energies go to the lowest id
+    return [int(np.argmax(np.where(net.alive, net.energy, -np.inf)))], True
 
 
 def compute_radius_chance(
@@ -181,23 +179,22 @@ def assign_members(
     heads within r_max and self-promotes uncovered nodes into singleton
     clusters; the other kinds join the nearest head unconditionally."""
     clusters = {fid: Cluster(fid, [], frad, fch) for fid, frad, fch in finals}
-    orphans = 0
-    head_ids = list(clusters.keys())
-    for nd in net.nodes:
-        if not nd.alive or nd.id in clusters:
-            continue
-        if kind == KIND_TYPE2:
-            eligible = [h for h in head_ids if net.dist[nd.id, h] <= r_max]
-            if not eligible:
-                clusters[nd.id] = Cluster(nd.id, [], 0.0, 0.0)
-                nd.role = ROLE_FINAL
-                orphans += 1
-                continue
-        else:
-            eligible = head_ids
-        best = min(eligible, key=lambda h: (net.dist[nd.id, h], h))
-        clusters[best].members.append(nd.id)
-    return list(clusters.values()), orphans
+    # argmin returns the first minimum, so sorted heads break ties to the lowest id
+    heads = np.array(sorted(clusters), dtype=np.intp)
+    joining = net.alive.copy()
+    joining[heads] = False
+    joiners = np.flatnonzero(joining)
+    d = net.dist[np.ix_(joiners, heads)]
+    if kind == KIND_TYPE2:
+        d = np.where(d <= r_max, d, np.inf)
+    best = d.argmin(axis=1)
+    covered = np.isfinite(d.min(axis=1))
+    for m, h in zip(joiners[covered].tolist(), heads[best[covered]].tolist()):
+        clusters[h].members.append(m)
+    orphans = joiners[~covered].tolist()
+    for o in orphans:
+        clusters[o] = Cluster(o, [], 0.0, 0.0)
+    return list(clusters.values()), len(orphans)
 
 
 def build_routes(
@@ -226,25 +223,20 @@ def run_protocol_round(
 ) -> RoundPlan:
     """Elect, compete, join and route for one round; prices control traffic
     but leaves all energy deduction to the simulator."""
-    if not any(nd.alive for nd in net.nodes):
+    if not net.alive.any():
         raise ValueError("no alive nodes")
-    for nd in net.nodes:
-        nd.role = ROLE_MEMBER
 
     control = np.zeros(net.n)
-    alive_mask = net.alive_mask()
 
     def broadcast(sender: int, rng_m: float) -> None:
         control[sender] += tx_energy(radio, radio.ctrl_bits, rng_m)
-        heard = (net.dist[sender] <= rng_m) & alive_mask
+        heard = (net.dist[sender] <= rng_m) & net.alive
         heard[sender] = False
         control[heard] += rx_energy(radio, radio.ctrl_bits)
 
     provisional_ids, forced = select_provisional(net, params, round_index - 1, rng)
     orphan_fallbacks = 1 if forced else 0
     fis_fallbacks = 0
-    for pid in provisional_ids:
-        net.nodes[pid].role = ROLE_PROVISIONAL
 
     if params.kind == KIND_LEACH:
         finals = [(pid, 0.0, 0.0) for pid in provisional_ids]
@@ -253,7 +245,7 @@ def run_protocol_round(
         nbr_radius = params.nbr_radius or threshold_distance(radio)
         candidates = []
         for pid in provisional_ids:
-            inputs = normalize_inputs(net, pid, nbr_radius, alive_mask)
+            inputs = normalize_inputs(net, pid, nbr_radius)
             radius, chance, fell_back = compute_radius_chance(inputs, engines, params)
             if fell_back:
                 fis_fallbacks += 1
@@ -264,8 +256,6 @@ def run_protocol_round(
         finals = compete_final_chs(candidates, net)
         announce_range = None
 
-    for fid, _, _ in finals:
-        net.nodes[fid].role = ROLE_FINAL
     if params.control_traffic:
         for fid, frad, _ in finals:
             broadcast(fid, announce_range if announce_range is not None else frad)

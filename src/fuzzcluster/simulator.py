@@ -10,7 +10,7 @@ import numpy as np
 from .energy import RadioParams, agg_energy, rx_energy, tx_energy
 from .fis1 import RuleBase1, default_rulebase1
 from .fis2 import RuleBase2, default_rulebase2
-from .network import ROLE_MEMBER, Network, deploy_from_rng, network_from_positions
+from .network import Network, deploy_from_rng, network_from_positions
 from .protocols import (
     KIND_FUZZY_UNEQUAL,
     KIND_TYPE2,
@@ -96,6 +96,7 @@ class SimResult:
     hnd_energy: float | None
     seed: int
     protocol: str
+    positions: np.ndarray  # (n, 2) deployment the run used, ordered by node id
 
 
 def build_engines(cfg: SimConfig) -> Engines:
@@ -133,18 +134,9 @@ def apply_round_energy(net: Network, plan: RoundPlan, radio: RadioParams) -> np.
             spend[hop] += rx_energy(radio, bits) * packets
             incoming[hop] += packets
 
-    drained = np.zeros(net.n)
-    for nd in net.nodes:
-        cost = spend[nd.id]
-        if cost <= 0.0 or not nd.alive:
-            continue
-        take = min(nd.energy, cost)
-        nd.energy -= take
-        drained[nd.id] = take
-        if nd.energy <= 0.0:
-            nd.energy = 0.0
-            nd.alive = False
-            nd.role = ROLE_MEMBER
+    drained = np.where(net.alive, np.minimum(net.energy, spend), 0.0)
+    net.energy -= drained
+    net.alive &= net.energy > 0.0
     return drained
 
 
@@ -196,7 +188,7 @@ def run_simulation(
     else:
         net = deploy_from_rng(cfg.n, cfg.area_side, cfg.bs_pos, rng, cfg.initial_energy)
     for nid, e in cfg.energy_overrides.items():
-        net.nodes[nid].energy = e
+        net.energy[nid] = e
     engines = build_engines(cfg)
 
     rounds: list[RoundMetrics] = []
@@ -205,7 +197,7 @@ def run_simulation(
         if on_round is not None:
             on_round(r, plan)
         drained = apply_round_energy(net, plan, cfg.radio)
-        alive = sum(1 for nd in net.nodes if nd.alive)
+        alive = int(net.alive.sum())
         total = net.total_energy()
         rounds.append(
             RoundMetrics(
@@ -233,4 +225,5 @@ def run_simulation(
         hnd_energy=_mean_dissipation(rounds, hnd, cfg.n),
         seed=cfg.seed,
         protocol=cfg.protocol.kind,
+        positions=net.positions,
     )

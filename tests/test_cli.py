@@ -1,5 +1,6 @@
 import csv
 
+import numpy as np
 import pytest
 
 from fuzzcluster.cli import main
@@ -20,7 +21,7 @@ def run_cli(args):
 
 
 def _result(rounds, fnd=None, hnd=None, lnd=None, seed=1):
-    return SimResult(rounds, fnd, hnd, lnd, None, None, seed, "leach")
+    return SimResult(rounds, fnd, hnd, lnd, None, None, seed, "leach", np.zeros((0, 2)))
 
 
 def test_metrics_roundtrip(tmp_path):
@@ -132,6 +133,7 @@ def test_cli_dump_fis_surface_type1(tmp_path):
     rows = list(csv.reader(open(out / "fis_surface.csv")))
     assert rows[0] == ["db", "re", "conc", "radius_norm", "chance"]
     assert len(rows) == 1 + 21 * 21 * 21
+    assert sorted(p.name for p in out.iterdir()) == ["fis_surface.csv"]  # no simulation ran
 
 
 def test_cli_dump_fis_surface_rejected_for_leach(tmp_path, capsys):
@@ -185,3 +187,19 @@ def test_cli_positions_with_nan_rejected(tmp_path, capsys):
     )
     assert code == 1
     assert "node 37" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [("", 1), ("id,x,y\n0,1.0,2.0\n1,3.0\n", 3)],
+    ids=["empty", "short-row"],
+)
+def test_cli_malformed_positions_file(tmp_path, capsys, text, line):
+    pos = tmp_path / "pos.csv"
+    pos.write_text(text, encoding="utf-8")
+    code = run_cli(
+        ["--preset", "ch2-scenario1", "--rounds", "1", "--out", str(tmp_path / "o"),
+         "--positions", str(pos)]
+    )
+    assert code == 1
+    assert f"{pos}: line {line}:" in capsys.readouterr().err

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from fuzzcluster.network import (
     Network,
-    Node,
     deploy,
     neighbor_count,
     network_from_positions,
@@ -48,7 +47,7 @@ def test_rng_unit_interval():
 def test_deploy_deterministic():
     a = deploy(50, 100.0, (50.0, 175.0), seed=9)
     b = deploy(50, 100.0, (50.0, 175.0), seed=9)
-    assert all(n1.x == n2.x and n1.y == n2.y for n1, n2 in zip(a.nodes, b.nodes))
+    assert np.array_equal(a.positions, b.positions)
 
 
 def test_deploy_single_node_dmax():
@@ -58,15 +57,13 @@ def test_deploy_single_node_dmax():
 
 def test_deploy_seed42_mean_x_sane():
     net = deploy(100, 100.0, (50.0, 175.0), seed=42)
-    mean_x = sum(nd.x for nd in net.nodes) / net.n
+    mean_x = net.positions[:, 0].mean()
     assert 35.0 <= mean_x <= 65.0
 
 
 def test_deploy_positions_within_area():
     net = deploy(200, 100.0, (50.0, 50.0), seed=5)
-    for nd in net.nodes:
-        assert 0.0 <= nd.x <= 100.0
-        assert 0.0 <= nd.y <= 100.0
+    assert ((net.positions >= 0.0) & (net.positions <= 100.0)).all()
 
 
 def test_positions_immutable():
@@ -82,9 +79,11 @@ def test_network_rejects_out_of_area_positions():
         network_from_positions([(0.0, 0.0), (120.0, 10.0)], 100.0, (50.0, 50.0))
 
 
-def test_network_rejects_bad_ids():
-    with pytest.raises(ValueError, match="ids"):
-        Network([Node(1, 0.0, 0.0, 1.0)], (0.0, 0.0), 10.0, 1.0)
+def test_network_rejects_bad_shape():
+    with pytest.raises(ValueError, match="at least one node"):
+        Network([], (0.0, 0.0), 10.0, 1.0)
+    with pytest.raises(ValueError, match=r"\(n, 2\)"):
+        Network([(0.0, 0.0, 0.0)], (0.0, 0.0), 10.0, 1.0)
 
 
 # --- geometry queries ----------------------------------------------------------------
@@ -111,7 +110,7 @@ def test_neighbor_count_covers_whole_area():
 
 def test_neighbor_count_excludes_dead():
     net = line_net()
-    net.nodes[0].alive = False
+    net.alive[0] = False
     assert neighbor_count(net, 1, 15.0) == 1
 
 
@@ -153,7 +152,7 @@ def test_concentration_clamped_at_one():
 
 def test_dead_node_rejected():
     net = deploy(5, 100.0, (50.0, 50.0), seed=1)
-    net.nodes[2].alive = False
+    net.alive[2] = False
     with pytest.raises(ValueError, match="dead"):
         normalize_inputs(net, 2, 20.0)
 
@@ -163,12 +162,12 @@ def test_dead_node_rejected():
 def test_normalized_inputs_bounded(seed):
     net = deploy(40, 100.0, (50.0, 175.0), seed=seed, initial_energy=0.5)
     rng = Xorshift64Star(seed + 1)
-    for nd in net.nodes:
-        nd.energy = rng.random() * 0.5
-        if nd.energy == 0.0:
-            nd.energy = 0.1
-    for nd in net.nodes:
-        db, re, conc = normalize_inputs(net, nd.id, 30.0)
+    for i in range(net.n):
+        net.energy[i] = rng.random() * 0.5
+        if net.energy[i] == 0.0:
+            net.energy[i] = 0.1
+    for i in range(net.n):
+        db, re, conc = normalize_inputs(net, i, 30.0)
         assert 0.0 <= db <= 1.0
         assert 0.0 <= re <= 1.0
         assert 0.0 <= conc <= 1.0

@@ -12,6 +12,7 @@ from fuzzcluster.protocols import (
     DIRECTION_ABOVE,
     Engines,
     ProtocolParams,
+    assign_members,
     build_routes,
     ch_threshold,
     compete_final_chs,
@@ -76,9 +77,7 @@ def test_select_empty_falls_back_to_max_energy():
     selected, forced = select_provisional(net, LEACH, 0, FakeRng([0.9, 0.9, 0.9]))
     assert selected == [0]  # equal energies: the lowest id wins
     assert forced
-    net.nodes[1].energy = 0.4
-    net.nodes[0].energy = 0.3
-    net.nodes[2].energy = 0.2
+    net.energy[:] = [0.3, 0.4, 0.2]
     selected, forced = select_provisional(net, LEACH, 0, FakeRng([0.9, 0.9, 0.9]))
     assert selected == [1]
     assert forced
@@ -86,7 +85,7 @@ def test_select_empty_falls_back_to_max_energy():
 
 def test_select_skips_dead_nodes():
     net = deploy(3, 100.0, (50.0, 175.0), seed=1, initial_energy=0.5)
-    net.nodes[0].alive = False
+    net.alive[0] = False
     rng = FakeRng([0.01, 0.9])  # draws belong to nodes 1 and 2
     selected, _ = select_provisional(net, LEACH, 0, rng)
     assert selected == [1]
@@ -174,6 +173,9 @@ def test_equidistant_member_joins_lower_id():
     by_head = {c.head: c for c in plan.clusters}
     assert 2 in by_head[0].members
     assert by_head[1].members == []
+    # the tie goes to the lower id whatever the competition order; clusters keep that order
+    clusters, _ = assign_members(net, [(1, 30.0, 0.9), (0, 30.0, 0.5)], "fuzzy_unequal", 40.0)
+    assert [(c.head, c.members) for c in clusters] == [(1, []), (0, [2])]
 
 
 def test_type2_uncovered_node_self_promotes():
@@ -243,7 +245,7 @@ def test_partition_property_all_protocols():
                 seen.append(c.head)
                 seen.extend(c.members)
                 assert c.head not in c.members
-            assert sorted(seen) == net.alive_ids()
+            assert sorted(seen) == np.flatnonzero(net.alive).tolist()
 
 
 def test_final_ch_separation_fuzzy():
@@ -335,9 +337,9 @@ def test_params_validation():
 def oracle_fuzzy_round(net, params, rng, radio):
     """Straight-line re-implementation of one unequal-clustering round."""
     th = ch_threshold(params.p, 0)
-    provisionals = [nd.id for nd in net.nodes if nd.alive and rng.random() < th]
+    provisionals = [i for i in range(net.n) if net.alive[i] and rng.random() < th]
     if not provisionals:
-        provisionals = [max(net.nodes, key=lambda nd: nd.energy).id]
+        provisionals = [max(range(net.n), key=lambda i: net.energy[i])]
     rb = default_rulebase1()
     nbr = threshold_distance(radio)
     cands = []
@@ -350,11 +352,11 @@ def oracle_fuzzy_round(net, params, rng, radio):
         if all(net.dist[cand[0], f[0]] > max(cand[1], f[1]) for f in finals):
             finals.append(cand)
     partition = {fid: [] for fid, _, _ in finals}
-    for nd in net.nodes:
-        if not nd.alive or nd.id in partition:
+    for i in range(net.n):
+        if not net.alive[i] or i in partition:
             continue
-        best = min(partition, key=lambda h: (net.dist[nd.id, h], h))
-        partition[best].append(nd.id)
+        best = min(partition, key=lambda h: (net.dist[i, h], h))
+        partition[best].append(i)
     return {h: sorted(m) for h, m in partition.items()}
 
 

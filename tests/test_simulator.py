@@ -70,12 +70,12 @@ def test_round_energy_relay_forwarding():
 
 def test_clamp_drains_everything_and_kills():
     net = network_from_positions([(0.0, 40.0), (0.0, 90.0)], 100.0, (0.0, 0.0))
-    net.nodes[1].energy = 1e-9
+    net.energy[1] = 1e-9
     plan = plan_for(net, [Cluster(0, [1], 30.0, 0.5)], {0: None})
     spend = apply_round_energy(net, plan, RADIO)
     assert spend[1] == pytest.approx(1e-9, rel=1e-15)
-    assert net.nodes[1].energy == 0.0
-    assert not net.nodes[1].alive
+    assert net.energy[1] == 0.0
+    assert not net.alive[1]
 
 
 def test_spend_matches_residual_delta():
