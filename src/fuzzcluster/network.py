@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.typing import ArrayLike
 
 from .rng import Xorshift64Star
 
@@ -17,7 +16,7 @@ class Network:
 
     def __init__(
         self,
-        positions: ArrayLike,
+        positions: np.typing.ArrayLike,
         bs_pos: tuple[float, float],
         area_side: float,
         initial_energy: float,
@@ -83,7 +82,7 @@ def deploy(
 
 
 def network_from_positions(
-    positions: ArrayLike,
+    positions: np.typing.ArrayLike,
     m: float,
     bs_pos: tuple[float, float],
     initial_energy: float = 1.0,
