@@ -33,7 +33,7 @@ from .fis2 import (
     RuleBase2,
     default_rulebase2,
     eval_t2fis,
-    firing_interval,
+    firing_intervals,
     km_type_reduce,
     make_fou,
 )

@@ -39,23 +39,32 @@ def write_metrics_csv(result: SimResult, path: str | Path) -> None:
 
 
 def read_metrics_csv(path: str | Path) -> list[RoundMetrics]:
+    """Rows of a metrics file; a malformed file raises ValueError naming the
+    file and the line."""
     out = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = tuple(next(reader))
+        header = tuple(next(reader, ()))
         if header != METRICS_HEADER:
-            raise ValueError(f"unexpected metrics header {header}")
+            expected = ",".join(METRICS_HEADER)
+            raise ValueError(f"{path}: line 1: expected header {expected}, got {','.join(header)!r}")
         for row in reader:
-            out.append(
-                RoundMetrics(
-                    round=int(row[0]),
-                    alive=int(row[1]),
-                    dead=int(row[2]),
-                    total_j=float(row[3]),
-                    avg_j=float(row[4]),
-                    ch_count=int(row[5]),
+            try:
+                rnd, alive, dead, total_j, avg_j, ch_count = row
+                m = RoundMetrics(
+                    round=int(rnd),
+                    alive=int(alive),
+                    dead=int(dead),
+                    total_j=float(total_j),
+                    avg_j=float(avg_j),
+                    ch_count=int(ch_count),
                 )
-            )
+            except ValueError:
+                raise ValueError(
+                    f"{path}: line {reader.line_num}: expected {len(METRICS_HEADER)} fields "
+                    f"{','.join(METRICS_HEADER)}, got {','.join(row)!r}"
+                ) from None
+            out.append(m)
     return out
 
 
@@ -130,25 +139,31 @@ def cluster_rows(round_index: int, clusters, routes) -> list[tuple]:
 
 
 def write_fis1_surface(rb: RuleBase1, samples: int, path: str | Path, grid: int = 21) -> None:
-    """(db, re, conc) -> (radius_norm, chance) over a uniform grid."""
+    """(db, re, conc) -> (radius_norm, chance) over a uniform grid, one engine
+    call per db value."""
     fh, w = _open_writer(path)
     with fh:
         w.writerow(("db", "re", "conc", "radius_norm", "chance"))
         steps = [i / (grid - 1) for i in range(grid)]
+        re = np.repeat(steps, grid)
+        conc = np.tile(steps, grid)
         for db in steps:
-            for re in steps:
-                for conc in steps:
-                    out = eval_fis1(rb, {"distance": db, "energy": re, "concentration": conc}, samples)
-                    w.writerow((fmt(db), fmt(re), fmt(conc), fmt(out["radius"]), fmt(out["chance"])))
+            inputs = {"distance": np.full(len(re), db), "energy": re, "concentration": conc}
+            out = eval_fis1(rb, inputs, samples)
+            rows = zip(re.tolist(), conc.tolist(), out["radius"].tolist(), out["chance"].tolist())
+            for row in rows:
+                w.writerow((fmt(db), *map(fmt, row)))
 
 
 def write_fis2_surface(rb: RuleBase2, path: str | Path, grid: int = 101) -> None:
-    """(db, re) -> (radius_norm, chance) over a uniform grid."""
+    """(db, re) -> (radius_norm, chance) over a uniform grid, one engine call
+    per db value."""
     fh, w = _open_writer(path)
     with fh:
         w.writerow(("db", "re", "radius_norm", "chance"))
         steps = [i / (grid - 1) for i in range(grid)]
+        re = np.array(steps)
         for db in steps:
-            for re in steps:
-                radius, chance = eval_t2fis(rb, db, re)
-                w.writerow((fmt(db), fmt(re), fmt(radius), fmt(chance)))
+            radius, chance = eval_t2fis(rb, np.full(grid, db), re)
+            for row in zip(steps, radius.tolist(), chance.tolist()):
+                w.writerow((fmt(db), *map(fmt, row)))

@@ -13,6 +13,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 DEFAULT_SAMPLES = 1001
+# Points per inference block in eval_fis1: a block holds ROW_CHUNK x samples
+# floats per output (125 KiB at 1001 samples) however many points are asked
+# for. Three such blocks are alive at the peak; at 32 points they raised the
+# peak resident size of a surface dump by about 1 MB (3%).
+ROW_CHUNK = 16
 
 
 class DegenerateOutputError(ValueError):
@@ -51,25 +56,26 @@ def trapezoidal(a: float, b: float, c: float, d: float) -> MembershipFunction:
     return MembershipFunction("trap", (float(a), float(b), float(c), float(d)))
 
 
-def mf_eval(mf: MembershipFunction, x: float) -> float:
-    """Membership degree at x; exact at breakpoints, zero outside the support."""
-    if mf.kind == "tri":
-        a, b, c = mf.points
-        if x < a or x > c:
-            return 0.0
-        if x == b:
-            return 1.0
-        if x < b:
-            return (x - a) / (b - a)
-        return (c - x) / (c - b)
-    a, b, c, d = mf.points
-    if x < a or x > d:
-        return 0.0
-    if b <= x <= c:
-        return 1.0
-    if x < b:
-        return (x - a) / (b - a)
-    return (d - x) / (d - c)
+def mf_degrees(mfs: Sequence[MembershipFunction], x: np.ndarray) -> np.ndarray:
+    """Membership of each point of the 1-D array x in each set, as a
+    (sets, points) array; exact at breakpoints, zero outside the support.
+
+    A triangle (a, b, c) is evaluated as the trapezoid (a, b, b, c), which is
+    the same formula step for step. The formula runs under np.where, not
+    np.interp, whose interpolation rounds differently; zero-width edges divide
+    by zero (or overflow) only in branches that np.where discards."""
+    pts = [mf.points if mf.kind == "trap" else (*mf.points[:2], *mf.points[1:]) for mf in mfs]
+    a, b, c, d = np.array(pts).T[:, :, None]
+    with np.errstate(all="ignore"):
+        y = np.where(x < b, (x - a) / (b - a), (d - x) / (d - c))
+        y = np.where((b <= x) & (x <= c), 1.0, y)
+        return np.where((x < a) | (x > d), 0.0, y)
+
+
+def mf_eval(mf: MembershipFunction, x: float | np.ndarray) -> float | np.ndarray:
+    """Membership degree at x, a float or a 1-D array of points (then an array)."""
+    y = mf_degrees((mf,), np.atleast_1d(np.asarray(x, dtype=float)))[0]
+    return float(y[0]) if np.ndim(x) == 0 else y
 
 
 def _vertices(mf: MembershipFunction) -> tuple[list[float], list[float]]:
@@ -205,7 +211,8 @@ class RuleBase1:
         return hit
 
     def _output_samples(self, out_idx: int, samples: int):
-        """Sample grid, per-term sample matrix and per-rule consequent indices."""
+        """Sample grid, per-term sample matrix, per-rule consequent indices and
+        per-term [start, stop) span of the samples where the term is nonzero."""
         key = (out_idx, samples)
         hit = self._cache.get(key)
         if hit is not None:
@@ -216,13 +223,16 @@ class RuleBase1:
         mat = np.stack([mf_sample(mf, xs) for _, mf in var.terms])
         names = list(var.term_names)
         idx = np.array([names.index(r.consequents[out_idx]) for r in self.rules])
-        self._cache[key] = (xs, mat, idx)
-        return xs, mat, idx
+        nonzero = [np.flatnonzero(row) for row in mat]
+        spans = [(int(nz[0]), int(nz[-1]) + 1) if len(nz) else (0, 0) for nz in nonzero]
+        self._cache[key] = (xs, mat, idx, spans)
+        return xs, mat, idx, spans
 
 
 @dataclass(frozen=True, eq=False)
 class AggregatedFuzzySet:
-    """Mamdani output before defuzzification, sampled at cell midpoints."""
+    """Mamdani output before defuzzification, sampled at cell midpoints: one
+    sample vector, or one row of samples per input point."""
 
     lo: float
     hi: float
@@ -230,60 +240,112 @@ class AggregatedFuzzySet:
     xs: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.mu.ndim != 1 or len(self.mu) < 1:
-            raise ValueError("need a 1-D sample vector")
+        if self.mu.ndim not in (1, 2) or self.mu.shape[-1] < 1:
+            raise ValueError("need a sample vector or one row of samples per point")
         if float(self.mu.min()) < 0.0 or float(self.mu.max()) > 1.0:
             raise ValueError("samples must lie in [0, 1]")
+        n = self.mu.shape[-1]
         if self.xs is None:
-            n = len(self.mu)
             grid = self.lo + (np.arange(n) + 0.5) * (self.hi - self.lo) / n
             object.__setattr__(self, "xs", grid)
-        elif len(self.xs) != len(self.mu):
+        elif len(self.xs) != n:
             raise ValueError("sample grid and membership vector disagree in length")
 
 
 def infer_mamdani(
-    rb: RuleBase1, inputs: Mapping[str, float], samples: int = DEFAULT_SAMPLES
+    rb: RuleBase1, inputs: Mapping[str, float | np.ndarray], samples: int = DEFAULT_SAMPLES
 ) -> dict[str, AggregatedFuzzySet]:
-    """Min-AND firing, clip implication, pointwise-max aggregation per output."""
-    degrees = []
+    """Min-AND firing, clip implication, pointwise-max aggregation per output.
+
+    Inputs are floats, or equal-length arrays of m points; each output set then
+    holds an (m, samples) block, so callers with many points pass them in
+    chunks (eval_fis1 does)."""
+    cols = []
     for var in rb.inputs:
         if var.name not in inputs:
             raise ValueError(f"missing input variable {var.name!r}")
-        x = inputs[var.name]
+        x = np.asarray(inputs[var.name], dtype=float)
         lo, hi = var.domain
-        if not lo <= x <= hi:
-            raise ValueError(f"{var.name}: input {x} outside domain [{lo}, {hi}]")
-        degrees.append(np.array([mf_eval(mf, x) for _, mf in var.terms]))
+        bad = ~((x >= lo) & (x <= hi))
+        if bad.any():
+            raise ValueError(f"{var.name}: input {x[bad][0]} outside domain [{lo}, {hi}]")
+        cols.append(x)
+    scalar = all(x.ndim == 0 for x in cols)
+    # term-major throughout: degrees (terms, m), firing (rules, m)
+    degrees = [
+        mf_degrees([mf for _, mf in var.terms], np.atleast_1d(x)) for var, x in zip(rb.inputs, cols)
+    ]
     ante_idx = rb._antecedent_indices()
     firing = degrees[0][ante_idx[0]]
     for deg, idx in zip(degrees[1:], ante_idx[1:]):
         firing = np.minimum(firing, deg[idx])
     out = {}
     for j, var in enumerate(rb.outputs):
-        xs, mat, idx = rb._output_samples(j, samples)
+        xs, mat, idx, spans = rb._output_samples(j, samples)
         # max over rules of min(f_r, term(x)) == max over terms of
-        # min(max f over the term's rules, term(x)); far fewer rows
-        term_fire = np.zeros(len(var.terms))
+        # min(max f over the term's rules, term(x)), one block per fired term
+        # over the samples where the term is nonzero, never an (m, terms,
+        # samples) tensor. Outside that span the clip is zero, so skipping it
+        # changes at most the sign of a zero sample, which moves no
+        # center-of-area bit.
+        term_fire = np.zeros((len(var.terms), firing.shape[1]))
         np.maximum.at(term_fire, idx, firing)
-        agg = np.minimum(term_fire[:, None], mat).max(axis=0)
-        out[var.name] = AggregatedFuzzySet(var.domain[0], var.domain[1], agg, xs)
+        agg = np.zeros((firing.shape[1], samples))
+        for t in np.flatnonzero(term_fire.any(axis=1)):
+            lo, hi = spans[t]
+            part = agg[:, lo:hi]
+            np.maximum(part, np.minimum(term_fire[t][:, None], mat[t, lo:hi]), out=part)
+        mu = agg[0] if scalar else agg
+        out[var.name] = AggregatedFuzzySet(var.domain[0], var.domain[1], mu, xs)
     return out
 
 
-def defuzz_coa(fset: AggregatedFuzzySet) -> float:
-    """Center of area by the midpoint rule over the sampled curve."""
-    total = float(fset.mu.sum())
-    if total <= 0.0:
+def defuzz_coa(fset: AggregatedFuzzySet) -> float | np.ndarray:
+    """Center of area by the midpoint rule over the sampled curve.
+
+    One curve gives a float and raises DegenerateOutputError when it has no
+    area; a block of rows gives an array with NaN in the rows without area.
+    Row sums over a C-contiguous block add in the same pairwise order as the
+    sum of one vector, so each row equals its one-curve result bit for bit."""
+    mu = np.atleast_2d(fset.mu)
+    total = mu.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coa = np.where(total > 0.0, (mu * fset.xs).sum(axis=1) / total, np.nan)
+    if fset.mu.ndim == 2:
+        return coa
+    if np.isnan(coa[0]):
         raise DegenerateOutputError("aggregated set has zero area")
-    return float((fset.mu * fset.xs).sum() / total)
+    return float(coa[0])
 
 
 def eval_fis1(
-    rb: RuleBase1, inputs: Mapping[str, float], samples: int = DEFAULT_SAMPLES
-) -> dict[str, float]:
-    """Fuzzify, infer and defuzzify every output variable."""
-    return {name: defuzz_coa(fset) for name, fset in infer_mamdani(rb, inputs, samples).items()}
+    rb: RuleBase1, inputs: Mapping[str, float | np.ndarray], samples: int = DEFAULT_SAMPLES
+) -> dict[str, float] | dict[str, np.ndarray]:
+    """Fuzzify, infer and defuzzify every output variable.
+
+    Inputs are floats, or equal-length arrays of points: each output is then
+    an array, NaN in every output at the points where any output has no area.
+    Float inputs give floats and raise DegenerateOutputError instead. Points
+    go through inference ROW_CHUNK at a time, which bounds the sampled blocks
+    at ROW_CHUNK x samples."""
+    cols = {name: np.asarray(x, dtype=float) for name, x in inputs.items()}
+    scalar = all(x.ndim == 0 for x in cols.values())
+    cols = {name: np.atleast_1d(x) for name, x in cols.items()}
+    m = max((len(x) for x in cols.values()), default=1)
+    out = {var.name: np.empty(m) for var in rb.outputs}
+    for s in range(0, m, ROW_CHUNK):
+        part = {name: x[s : s + ROW_CHUNK] for name, x in cols.items()}
+        for name, fset in infer_mamdani(rb, part, samples).items():
+            out[name][s : s + ROW_CHUNK] = defuzz_coa(fset)
+    # a point is degenerate as a whole, as the one-point call raises for it
+    dead = np.logical_or.reduce([np.isnan(v) for v in out.values()])
+    for v in out.values():
+        v[dead] = np.nan
+    if not scalar:
+        return out
+    if dead[0]:
+        raise DegenerateOutputError("aggregated set has zero area")
+    return {name: float(v[0]) for name, v in out.items()}
 
 
 # --- default vocabulary -----------------------------------------------------

@@ -7,9 +7,10 @@ rule firings to an interval whose midpoint is the crisp output.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .fis1 import (
     DegenerateOutputError,
@@ -19,7 +20,7 @@ from .fis1 import (
     apply_overrides,
     even_terms,
     mf_centroid,
-    mf_eval,
+    mf_degrees,
     three_level_terms,
 )
 
@@ -34,8 +35,22 @@ class IntervalMF:
     upper: MembershipFunction
     lower_scale: float = 1.0
 
-    def interval(self, x: float) -> tuple[float, float]:
-        return (self.lower_scale * mf_eval(self.lower, x), mf_eval(self.upper, x))
+    def interval(self, x: float | np.ndarray) -> tuple:
+        """(lower, upper) membership at x, a float or a 1-D array of points."""
+        lower, upper = interval_degrees((self,), np.atleast_1d(np.asarray(x, dtype=float)))
+        if np.ndim(x) == 0:
+            return float(lower[0, 0]), float(upper[0, 0])
+        return lower[0], upper[0]
+
+
+def interval_degrees(
+    imfs: Sequence[IntervalMF], x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper membership of each point of the 1-D array x in each
+    footprint: two (footprints, points) arrays from one membership evaluation."""
+    deg = mf_degrees([f.lower for f in imfs] + [f.upper for f in imfs], x)
+    scale = np.array([[f.lower_scale] for f in imfs])
+    return scale * deg[: len(imfs)], deg[len(imfs) :]
 
 
 def make_fou(
@@ -58,27 +73,31 @@ def make_fou(
 
 @dataclass(frozen=True)
 class FiringInterval:
-    lower: float
-    upper: float
+    """Firing bounds of one rule (floats), or of every rule at every point as
+    (points, rules) arrays."""
+
+    lower: float | np.ndarray
+    upper: float | np.ndarray
 
     def __post_init__(self):
-        if not 0.0 <= self.lower <= self.upper <= 1.0:
+        if not np.all((0.0 <= self.lower) & (self.lower <= self.upper) & (self.upper <= 1.0)):
             raise ValueError(f"bad firing interval [{self.lower}, {self.upper}]")
 
 
 @dataclass(frozen=True)
 class ReducedInterval:
-    """Type-reduced output interval; the crisp output is its midpoint."""
+    """Type-reduced output interval, floats or one entry per point; the crisp
+    output is its midpoint."""
 
-    lo: float
-    hi: float
+    lo: float | np.ndarray
+    hi: float | np.ndarray
 
     def __post_init__(self):
-        if self.lo > self.hi + 1e-12:
+        if np.any(self.lo > self.hi + 1e-12):
             raise ValueError(f"reduced interval inverted: [{self.lo}, {self.hi}]")
 
     @property
-    def midpoint(self) -> float:
+    def midpoint(self) -> float | np.ndarray:
         return 0.5 * (self.lo + self.hi)
 
 
@@ -111,61 +130,94 @@ class RuleBase2:
                 raise ValueError(f"rule {r} references an unknown antecedent term")
 
 
-def firing_interval(
-    rule: Rule2,
-    db: float,
-    re: float,
+def firing_intervals(
+    rules: Sequence[Rule2],
+    db: np.ndarray,
+    re: np.ndarray,
     distance_mfs: Mapping[str, IntervalMF],
     energy_mfs: Mapping[str, IntervalMF],
 ) -> FiringInterval:
-    """Product t-norm of the two antecedent membership intervals."""
-    dl, du = distance_mfs[rule.distance].interval(db)
-    el, eu = energy_mfs[rule.energy].interval(re)
-    return FiringInterval(dl * el, du * eu)
+    """Product t-norm of each rule's two antecedent membership intervals, as
+    (points, rules) arrays for 1-D arrays of points db and re. Each antecedent
+    term is evaluated once, however many rules share it."""
+    d_terms = list(dict.fromkeys(r.distance for r in rules))
+    e_terms = list(dict.fromkeys(r.energy for r in rules))
+    dl, du = interval_degrees([distance_mfs[t] for t in d_terms], db)
+    el, eu = interval_degrees([energy_mfs[t] for t in e_terms], re)
+    di = [d_terms.index(r.distance) for r in rules]
+    ei = [e_terms.index(r.energy) for r in rules]
+    return FiringInterval((dl[di] * el[ei]).T, (du[di] * eu[ei]).T)
 
 
-def _km_endpoint(fl: list[float], fu: list[float], w: list[float], left: bool) -> float:
-    """One Karnik-Mendel endpoint; weights already sorted ascending."""
+def _sum_rows(a: np.ndarray) -> np.ndarray:
+    """Row sums added left to right with a leading 0.0, exactly as Python's
+    sum() adds a list; ndarray.sum adds pairwise and can differ in the last
+    bit. add.accumulate is sequential, and adding 0.0 last gives sum()'s
+    sign of an all-zero total."""
+    return np.add.accumulate(a, axis=1)[:, -1] + 0.0
+
+
+def _km_endpoint(fl: np.ndarray, fu: np.ndarray, w: np.ndarray, left: bool) -> np.ndarray:
+    """One Karnik-Mendel endpoint per row of (points, rules) firing bounds,
+    weights sorted ascending. Every row takes the iterations and breaks of the
+    one-point loop: a row stops when its switch point repeats or its
+    denominator reaches zero, and keeps its last ratio."""
     k_rules = len(w)
-    f = [0.5 * (a + b) for a, b in zip(fl, fu)]
-    y = sum(fi * wi for fi, wi in zip(f, w)) / sum(f)
-    prev_split = -1
-    for _ in range(k_rules + 1):
-        split = min(max(bisect_right(w, y), 1), k_rules - 1)
-        if split == prev_split:
-            break
-        prev_split = split
-        if left:
-            f = fu[:split] + fl[split:]
-        else:
-            f = fl[:split] + fu[split:]
-        den = sum(f)
-        if den <= 0.0:
-            break
-        y = sum(fi * wi for fi, wi in zip(f, w)) / den
+    f = 0.5 * (fl + fu)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = _sum_rows(f * w) / _sum_rows(f)
+        prev_split = np.full(len(y), -1)
+        active = np.ones(len(y), dtype=bool)
+        below = np.arange(k_rules)
+        for _ in range(k_rules + 1):
+            split = np.minimum(np.maximum(np.searchsorted(w, y, side="right"), 1), k_rules - 1)
+            active &= split != prev_split
+            if not active.any():
+                break
+            prev_split = split
+            first = below < split[:, None]
+            f = np.where(first, fu, fl) if left else np.where(first, fl, fu)
+            den = _sum_rows(f)
+            active &= den > 0.0
+            y = np.where(active, _sum_rows(f * w) / den, y)
     return y
 
 
 def km_type_reduce(
-    firings: Sequence[FiringInterval], weights: Sequence[float]
+    firings: FiringInterval | Sequence[FiringInterval], weights: Sequence[float]
 ) -> ReducedInterval:
     """Minimum and maximum of the weighted firing ratio over all per-rule
-    choices inside the firing intervals (iterative switch-point search)."""
-    if len(firings) != len(weights):
+    choices inside the firing intervals (iterative switch-point search).
+
+    ``firings`` is one FiringInterval of (points, rules) arrays, reduced to an
+    interval of arrays with NaN at the points where every upper firing is
+    zero; or one float FiringInterval per rule, reduced to a float interval
+    that raises DegenerateOutputError instead."""
+    scalar = not isinstance(firings, FiringInterval)
+    if scalar:
+        fl = np.array([[f.lower for f in firings]], dtype=float)
+        fu = np.array([[f.upper for f in firings]], dtype=float)
+    else:
+        fl, fu = firings.lower, firings.upper
+    if fl.shape[1] != len(weights):
         raise ValueError("firings and weights must pair up")
-    if not firings:
+    if not len(weights):
         raise ValueError("need at least one rule firing")
-    order = sorted(range(len(weights)), key=lambda i: weights[i])
-    fl = [firings[i].lower for i in order]
-    fu = [firings[i].upper for i in order]
-    w = [float(weights[i]) for i in order]
-    if max(fu) <= 0.0:
-        raise DegenerateOutputError("all rule firings are zero")
+    w = np.asarray(weights, dtype=float)
+    order = np.argsort(w, kind="stable")  # tied weights keep rule order
+    w, fl, fu = w[order], fl[:, order], fu[:, order]
     if len(w) == 1:
-        return ReducedInterval(w[0], w[0])
-    lo = _km_endpoint(fl, fu, w, left=True)
-    hi = _km_endpoint(fl, fu, w, left=False)
-    return ReducedInterval(lo, hi)
+        lo = hi = np.full(len(fl), w[0])
+    else:
+        lo = _km_endpoint(fl, fu, w, left=True)
+        hi = _km_endpoint(fl, fu, w, left=False)
+    dead = ~(fu.max(axis=1) > 0.0)
+    lo, hi = np.where(dead, np.nan, lo), np.where(dead, np.nan, hi)
+    if not scalar:
+        return ReducedInterval(lo, hi)
+    if dead[0]:
+        raise DegenerateOutputError("all rule firings are zero")
+    return ReducedInterval(float(lo[0]), float(hi[0]))
 
 
 # --- default vocabulary -----------------------------------------------------
@@ -227,12 +279,28 @@ def default_rulebase2(
     return RuleBase2(distance, energy, distance_mfs, energy_mfs, tuple(rule_objs))
 
 
-def eval_t2fis(rb: RuleBase2, db: float, re: float) -> tuple[float, float]:
-    """Crisp (radius_norm, chance) from normalized BS distance and residual energy."""
+def eval_t2fis(
+    rb: RuleBase2, db: float | np.ndarray, re: float | np.ndarray
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
+    """Crisp (radius_norm, chance) from normalized BS distance and residual energy.
+
+    db and re are floats, or equal-length arrays of points: the outputs are
+    then arrays, NaN at the points where every rule fired at zero. Floats
+    give floats and raise DegenerateOutputError instead."""
+    cols = []
     for name, x in (("db", db), ("re", re)):
-        if not 0.0 <= x <= 1.0:
-            raise ValueError(f"{name}={x} outside [0, 1]")
-    firings = [firing_interval(r, db, re, rb.distance_mfs, rb.energy_mfs) for r in rb.rules]
+        x = np.asarray(x, dtype=float)
+        bad = ~((x >= 0.0) & (x <= 1.0))
+        if bad.any():
+            raise ValueError(f"{name}={x[bad][0]} outside [0, 1]")
+        cols.append(x)
+    scalar = all(x.ndim == 0 for x in cols)
+    db_rows, re_rows = np.broadcast_arrays(*map(np.atleast_1d, cols))
+    firings = firing_intervals(rb.rules, db_rows, re_rows, rb.distance_mfs, rb.energy_mfs)
     radius = km_type_reduce(firings, [r.w_radius for r in rb.rules]).midpoint
     chance = km_type_reduce(firings, [r.w_chance for r in rb.rules]).midpoint
-    return radius, chance
+    if not scalar:
+        return radius, chance
+    if np.isnan(radius[0]):
+        raise DegenerateOutputError("all rule firings are zero")
+    return float(radius[0]), float(chance[0])

@@ -8,6 +8,10 @@ import numpy as np
 
 from .rng import Xorshift64Star
 
+# Ids per block when counting neighbors: a block copies ROW_CHUNK rows of the
+# n x n distance matrix (250 KiB at 1000 nodes), however many ids are asked for.
+ROW_CHUNK = 32
+
 
 class Network:
     """Static geometry (positions never move after deployment) plus per-node
@@ -42,9 +46,17 @@ class Network:
         self.energy = np.full(self.n, self.initial_energy)
         self.alive = np.ones(self.n, dtype=bool)
 
-        diff = pos[:, None, :] - pos[None, :, :]
+        # one axis at a time, squared and summed in place: the same bits as
+        # summing an (n, n, 2) tensor of squared differences, with two n x n
+        # arrays alive at the peak instead of five
+        dist = np.subtract.outer(pos[:, 0], pos[:, 0])
+        dist *= dist
+        dy = np.subtract.outer(pos[:, 1], pos[:, 1])
+        dy *= dy
+        dist += dy
+        del dy
         self.positions = pos
-        self.dist = np.sqrt((diff ** 2).sum(axis=-1))
+        self.dist = np.sqrt(dist, out=dist)
         self.bs_dist = np.sqrt(((pos - np.array(self.bs_pos)) ** 2).sum(axis=-1))
         self.d_max = float(self.bs_dist.max())
         self.positions.setflags(write=False)
@@ -91,24 +103,38 @@ def network_from_positions(
     return Network(positions, bs_pos, m, initial_energy)
 
 
-def neighbor_count(net: Network, node_id: int, radius: float) -> int:
-    """Alive nodes other than node_id within Euclidean distance <= radius."""
+def neighbor_count(net: Network, node_id: int | np.ndarray, radius: float) -> int | np.ndarray:
+    """Alive nodes other than node_id within Euclidean distance <= radius: an
+    int for one id, an array for an array of ids."""
     if radius <= 0.0:
         raise ValueError("radius must be positive")
-    mask = (net.dist[node_id] <= radius) & net.alive
-    mask[node_id] = False
-    return int(mask.sum())
+    ids = np.atleast_1d(np.asarray(node_id, dtype=np.intp))
+    counts = np.empty(len(ids), dtype=np.intp)
+    # ROW_CHUNK rows of dist at a time, not a len(ids) x n copy
+    for s in range(0, len(ids), ROW_CHUNK):
+        part = ids[s : s + ROW_CHUNK]
+        mask = (net.dist[part] <= radius) & net.alive
+        mask[np.arange(len(part)), part] = False
+        counts[s : s + ROW_CHUNK] = mask.sum(axis=1)
+    return int(counts[0]) if np.ndim(node_id) == 0 else counts
 
 
-def normalize_inputs(net: Network, node_id: int, nbr_radius: float) -> tuple[float, float, float]:
+def normalize_inputs(
+    net: Network, node_id: int | np.ndarray, nbr_radius: float
+) -> tuple[float, float, float] | tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(db, re, conc) in [0, 1]: BS distance over the network maximum, residual
     energy fraction, and neighbor count relative to the uniform-density
-    expectation inside nbr_radius (clamped at 1)."""
-    if not net.alive[node_id]:
-        raise ValueError(f"node {node_id} is dead")
-    db = net.bs_dist[node_id] / net.d_max if net.d_max > 0.0 else 0.0
-    re = min(1.0, max(0.0, net.energy[node_id] / net.initial_energy))
+    expectation inside nbr_radius (clamped at 1). Floats for one id, arrays
+    for an array of ids."""
+    ids = np.atleast_1d(np.asarray(node_id, dtype=np.intp))
+    dead = ids[~net.alive[ids]]
+    if len(dead):
+        raise ValueError(f"node {dead[0]} is dead")
+    db = net.bs_dist[ids] / net.d_max if net.d_max > 0.0 else np.zeros(len(ids))
+    re = np.minimum(1.0, np.maximum(0.0, net.energy[ids] / net.initial_energy))
     density = net.n / (net.area_side * net.area_side)
     expected = density * math.pi * nbr_radius * nbr_radius
-    conc = min(1.0, neighbor_count(net, node_id, nbr_radius) / expected)
-    return float(db), float(re), float(conc)
+    conc = np.minimum(1.0, neighbor_count(net, ids, nbr_radius) / expected)
+    if np.ndim(node_id) == 0:
+        return float(db[0]), float(re[0]), float(conc[0])
+    return db, re, conc

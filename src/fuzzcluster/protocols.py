@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import RadioParams, rx_energy, threshold_distance, tx_energy
-from .fis1 import DegenerateOutputError, RuleBase1, eval_fis1
+from .fis1 import RuleBase1, eval_fis1
 from .fis2 import RuleBase2, eval_t2fis
 from .network import Network, normalize_inputs
 from .rng import Xorshift64Star
@@ -125,30 +125,34 @@ def select_provisional(
 
 
 def compute_radius_chance(
-    inputs: tuple[float, float, float], engines: Engines, params: ProtocolParams
-) -> tuple[float, float, bool]:
-    """Map normalized (db, re, conc) to (radius in meters, chance). A degenerate
-    engine output falls back to the domain midpoint and flags the event."""
-    db, re, conc = inputs
-    fallback = False
-    try:
-        if params.kind == KIND_TYPE2:
-            if engines.rules2 is None:
-                raise ValueError("type2fl requires a type-2 rule base")
-            r_norm, chance = eval_t2fis(engines.rules2, db, re)
-        else:
-            if engines.rules1 is None:
-                raise ValueError("fuzzy_unequal requires a type-1 rule base")
-            out = eval_fis1(
-                engines.rules1,
-                {"distance": db, "energy": re, "concentration": conc},
-                engines.coa_samples,
-            )
-            r_norm, chance = out["radius"], out["chance"]
-    except DegenerateOutputError:
-        r_norm, chance = 0.5, 0.5
-        fallback = True
+    inputs: tuple, engines: Engines, params: ProtocolParams
+) -> tuple[float, float, bool] | tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Map normalized (db, re, conc) to (radius in meters, chance, fell_back).
+
+    The inputs are floats, or equal-length arrays with one entry per candidate,
+    sized in one engine call; the outputs follow suit. A point where the
+    engine output is degenerate falls back to the domain midpoint on its own
+    and is flagged."""
+    db, re, conc = (np.atleast_1d(x) for x in inputs)
+    if params.kind == KIND_TYPE2:
+        if engines.rules2 is None:
+            raise ValueError("type2fl requires a type-2 rule base")
+        r_norm, chance = eval_t2fis(engines.rules2, db, re)
+    else:
+        if engines.rules1 is None:
+            raise ValueError("fuzzy_unequal requires a type-1 rule base")
+        out = eval_fis1(
+            engines.rules1,
+            {"distance": db, "energy": re, "concentration": conc},
+            engines.coa_samples,
+        )
+        r_norm, chance = out["radius"], out["chance"]
+    fallback = np.isnan(r_norm) | np.isnan(chance)
+    r_norm = np.where(fallback, 0.5, r_norm)
+    chance = np.where(fallback, 0.5, chance)
     radius = params.r_min + r_norm * (params.r_max - params.r_min)
+    if np.ndim(inputs[0]) == 0:
+        return float(radius[0]), float(chance[0]), bool(fallback[0])
     return radius, chance, fallback
 
 
@@ -243,13 +247,10 @@ def run_protocol_round(
         announce_range = params.r_max
     else:
         nbr_radius = params.nbr_radius or threshold_distance(radio)
-        candidates = []
-        for pid in provisional_ids:
-            inputs = normalize_inputs(net, pid, nbr_radius)
-            radius, chance, fell_back = compute_radius_chance(inputs, engines, params)
-            if fell_back:
-                fis_fallbacks += 1
-            candidates.append((pid, radius, chance))
+        inputs = normalize_inputs(net, np.array(provisional_ids, dtype=np.intp), nbr_radius)
+        radius, chance, fell_back = compute_radius_chance(inputs, engines, params)
+        fis_fallbacks = int(fell_back.sum())
+        candidates = list(zip(provisional_ids, radius.tolist(), chance.tolist()))
         if params.control_traffic:
             for pid, radius, _ in candidates:
                 broadcast(pid, radius)

@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -43,6 +44,23 @@ def test_metrics_roundtrip(tmp_path):
         )
         assert rt.total_j == orig.total_j  # full-precision scientific notation
         assert rt.avg_j == orig.avg_j
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("", 1),
+        ("round,alive,dead,total_j\n", 1),
+        ("round,alive,dead,total_j,avg_j,ch_count\n1,100,0,5.0e+01,5.0e-01,6\n2,99,1\n", 3),
+        ("round,alive,dead,total_j,avg_j,ch_count\n1,100,0,fifty,5.0e-01,6\n", 2),
+    ],
+    ids=["empty", "bad-header", "short-row", "bad-number"],
+)
+def test_read_metrics_malformed_file_names_file_and_line(tmp_path, text, line):
+    path = tmp_path / "m.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line {line}:")):
+        read_metrics_csv(path)
 
 
 def test_summary_absent_events_empty_fields(tmp_path):

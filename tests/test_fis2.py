@@ -15,7 +15,7 @@ from fuzzcluster.fis2 import (
     Rule2,
     default_rulebase2,
     eval_t2fis,
-    firing_interval,
+    firing_intervals,
     km_type_reduce,
     make_fou,
     output_weights,
@@ -97,17 +97,20 @@ def test_firing_interval_products():
     dist = {"d": IntervalMF(triangular(0, 1, 2), triangular(0, 5 / 7, 2))}
     energy = {"e": IntervalMF(triangular(0, 1, 2), triangular(0, 2 / 3, 2))}
     rule = Rule2("d", "e", "medium", "medium", 0.5, 0.5)
-    fi = firing_interval(rule, 0.5, 0.4, dist, energy)
-    assert fi.lower == pytest.approx(0.20, abs=1e-12)
-    assert fi.upper == pytest.approx(0.42, abs=1e-12)
+    fi = firing_intervals([rule], np.array([0.5]), np.array([0.4]), dist, energy)
+    assert fi.lower.shape == fi.upper.shape == (1, 1)
+    assert fi.lower[0, 0] == pytest.approx(0.20, abs=1e-12)
+    assert fi.upper[0, 0] == pytest.approx(0.42, abs=1e-12)
 
 
 def test_firing_interval_annihilator_and_identity():
     zero = {"t": IntervalMF(triangular(0, 0.1, 0.2), triangular(0, 0.1, 0.2))}
     one = {"t": IntervalMF(triangular(0, 0.5, 1), triangular(0, 0.5, 1))}
     rule = Rule2("t", "t", "medium", "medium", 0.5, 0.5)
-    assert firing_interval(rule, 0.9, 0.5, zero, one) == FiringInterval(0.0, 0.0)
-    assert firing_interval(rule, 0.5, 0.5, one, one) == FiringInterval(1.0, 1.0)
+    fi = firing_intervals([rule], np.array([0.9]), np.array([0.5]), zero, one)
+    assert (fi.lower[0, 0], fi.upper[0, 0]) == (0.0, 0.0)
+    fi = firing_intervals([rule], np.array([0.5]), np.array([0.5]), one, one)
+    assert (fi.lower[0, 0], fi.upper[0, 0]) == (1.0, 1.0)
 
 
 def test_firing_interval_validation():

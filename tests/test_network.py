@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzcluster.network import (
+    ROW_CHUNK,
     Network,
     deploy,
     neighbor_count,
@@ -171,3 +172,38 @@ def test_normalized_inputs_bounded(seed):
         assert 0.0 <= db <= 1.0
         assert 0.0 <= re <= 1.0
         assert 0.0 <= conc <= 1.0
+
+
+def test_dist_matches_difference_tensor_bit_for_bit():
+    net = deploy(300, 100.0, (50.0, 175.0), seed=9)
+    pos = net.positions
+    diff = pos[:, None, :] - pos[None, :, :]
+    assert net.dist.tobytes() == np.sqrt((diff**2).sum(axis=-1)).tobytes()
+
+
+@pytest.mark.parametrize("count", [1, ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, 3 * ROW_CHUNK + 5])
+def test_batch_inputs_match_one_node_formula(count):
+    net = deploy(150, 100.0, (50.0, 175.0), seed=4, initial_energy=0.5)
+    rng = Xorshift64Star(8)
+    net.energy[:] = [0.05 + rng.random() * 0.5 for _ in range(net.n)]  # some above initial
+    net.alive[::7] = False
+    ids = np.flatnonzero(net.alive)[::-1][:count]  # unsorted ids
+    db, re, conc = normalize_inputs(net, ids, 25.0)
+    counts = neighbor_count(net, ids, 25.0)
+    expected = net.n / (net.area_side**2) * math.pi * 25.0 * 25.0
+    for k, i in enumerate(ids.tolist()):
+        others = [j for j in range(net.n) if j != i and net.alive[j] and net.dist[i, j] <= 25.0]
+        assert counts[k] == neighbor_count(net, i, 25.0) == len(others)
+        want = (
+            net.bs_dist[i] / net.d_max,
+            min(1.0, max(0.0, net.energy[i] / net.initial_energy)),
+            min(1.0, len(others) / expected),
+        )
+        assert (db[k], re[k], conc[k]) == normalize_inputs(net, i, 25.0) == want
+
+
+def test_batch_inputs_name_the_first_dead_node():
+    net = deploy(10, 100.0, (50.0, 50.0), seed=1)
+    net.alive[[3, 6]] = False
+    with pytest.raises(ValueError, match="node 6 is dead"):
+        normalize_inputs(net, np.array([1, 6, 3]), 20.0)
