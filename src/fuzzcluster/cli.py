@@ -17,10 +17,8 @@ from .csvio import (
     write_positions_csv,
     write_summary_csv,
 )
-from .fis1 import default_rulebase1
-from .fis2 import default_rulebase2
 from .protocols import KIND_FUZZY_UNEQUAL, KIND_TYPE2
-from .simulator import run_simulation
+from .simulator import build_engines, run_simulation
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,12 +96,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _dump_surface(cfg, out: Path) -> None:
+    engines = build_engines(cfg)
     if cfg.protocol.kind == KIND_FUZZY_UNEQUAL:
-        rb = cfg.rules1 or default_rulebase1()
-        write_fis1_surface(rb, cfg.coa_samples, out / "fis_surface.csv")
+        write_fis1_surface(engines.rules1, engines.coa_samples, out / "fis_surface.csv")
     elif cfg.protocol.kind == KIND_TYPE2:
-        rb = cfg.rules2 or default_rulebase2(cfg.blur, cfg.blur_overrides)
-        write_fis2_surface(rb, out / "fis_surface.csv")
+        write_fis2_surface(engines.rules2, out / "fis_surface.csv")
     else:
         raise ConfigError("--dump-fis-surface requires a fuzzy protocol (fuzzy-unequal or type2fl)")
 

@@ -13,6 +13,7 @@ from .energy import RadioParams
 from .fis1 import (
     CHANCE_TERMS,
     CONCENTRATION_TERMS,
+    DEFAULT_SAMPLES,
     DISTANCE_TERMS,
     ENERGY_TERMS,
     RADIUS_TERMS,
@@ -22,6 +23,7 @@ from .fis1 import (
     trapezoidal,
 )
 from .fis2 import (
+    DEFAULT_BLUR,
     T2_CHANCE_TERMS,
     T2_DISTANCE_TERMS,
     T2_ENERGY_TERMS,
@@ -37,7 +39,6 @@ class ConfigError(ValueError):
 
 
 PROTOCOL_NAMES = {"leach": "leach", "fuzzy-unequal": "fuzzy_unequal", "type2fl": "type2fl"}
-_KIND_TO_NAME = {v: k for k, v in PROTOCOL_NAMES.items()}
 
 _REQUIRED = (
     "nodes",
@@ -343,10 +344,10 @@ def config_from_pairs(pairs: dict[str, str]) -> SimConfig:
     seed = _as_int(plain, "seed") if "seed" in plain else 1
     if seed < 0:
         raise ConfigError("seed: must be nonnegative")
-    coa_samples = _as_int(plain, "coa_samples") if "coa_samples" in plain else 1001
+    coa_samples = _as_int(plain, "coa_samples") if "coa_samples" in plain else DEFAULT_SAMPLES
     if coa_samples < 3:
         raise ConfigError("coa_samples: must be at least 3")
-    blur = _as_float(plain, "blur") if "blur" in plain else 0.2
+    blur = _as_float(plain, "blur") if "blur" in plain else DEFAULT_BLUR
     if not 0.0 <= blur < 1.0:
         raise ConfigError("blur: must lie in [0, 1)")
     for var, b in blurs.items():
@@ -377,7 +378,7 @@ def config_from_pairs(pairs: dict[str, str]) -> SimConfig:
     rules2_table = _collect_rules(rules2_raw, 9, 4, "rule2")
 
     custom1 = bool(mf1 or rules1_table)
-    custom2 = bool(mf2 or rules2_table or w_radius or w_chance or blurs or blur != 0.2)
+    custom2 = bool(mf2 or rules2_table or w_radius or w_chance or blurs or blur != DEFAULT_BLUR)
     try:
         rules1 = default_rulebase1(mf1 or None, rules1_table) if custom1 else None
         rules2 = (
@@ -406,7 +407,3 @@ def config_from_pairs(pairs: dict[str, str]) -> SimConfig:
     )
     cfg.validate()
     return cfg
-
-
-def protocol_display_name(kind: str) -> str:
-    return _KIND_TO_NAME[kind]

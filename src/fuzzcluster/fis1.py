@@ -21,7 +21,7 @@ ROW_CHUNK = 16
 
 
 class DegenerateOutputError(ValueError):
-    """No output mass: every rule fired at zero, nothing to defuzzify."""
+    """A membership function without area, so without a centroid."""
 
 
 @dataclass(frozen=True)
@@ -43,9 +43,6 @@ class MembershipFunction:
     @property
     def support(self) -> tuple[float, float]:
         return (self.points[0], self.points[-1])
-
-    def __call__(self, x: float) -> float:
-        return mf_eval(self, x)
 
 
 def triangular(a: float, b: float, c: float) -> MembershipFunction:
@@ -72,10 +69,9 @@ def mf_degrees(mfs: Sequence[MembershipFunction], x: np.ndarray) -> np.ndarray:
         return np.where((x < a) | (x > d), 0.0, y)
 
 
-def mf_eval(mf: MembershipFunction, x: float | np.ndarray) -> float | np.ndarray:
-    """Membership degree at x, a float or a 1-D array of points (then an array)."""
-    y = mf_degrees((mf,), np.atleast_1d(np.asarray(x, dtype=float)))[0]
-    return float(y[0]) if np.ndim(x) == 0 else y
+def mf_eval(mf: MembershipFunction, x: np.typing.ArrayLike) -> np.ndarray:
+    """Membership degree at each point of x (a float is one point)."""
+    return mf_degrees((mf,), np.atleast_1d(np.asarray(x, dtype=float)))[0]
 
 
 def _vertices(mf: MembershipFunction) -> tuple[list[float], list[float]]:
@@ -150,12 +146,6 @@ class LinguisticVariable:
             if t == name:
                 return mf
         raise KeyError(f"{self.name} has no term {name!r}")
-
-    def degrees(self, x: float) -> dict[str, float]:
-        lo, hi = self.domain
-        if not lo <= x <= hi:
-            raise ValueError(f"{self.name}: input {x} outside domain [{lo}, {hi}]")
-        return {t: mf_eval(mf, x) for t, mf in self.terms}
 
     def peak(self, name: str) -> float:
         """Representative point of a term: triangle apex or plateau midpoint."""
@@ -232,7 +222,7 @@ class RuleBase1:
 @dataclass(frozen=True, eq=False)
 class AggregatedFuzzySet:
     """Mamdani output before defuzzification, sampled at cell midpoints: one
-    sample vector, or one row of samples per input point."""
+    row of samples per input point."""
 
     lo: float
     hi: float
@@ -240,11 +230,11 @@ class AggregatedFuzzySet:
     xs: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.mu.ndim not in (1, 2) or self.mu.shape[-1] < 1:
-            raise ValueError("need a sample vector or one row of samples per point")
+        if self.mu.ndim != 2 or self.mu.shape[1] < 1:
+            raise ValueError("need one row of samples per point")
         if float(self.mu.min()) < 0.0 or float(self.mu.max()) > 1.0:
             raise ValueError("samples must lie in [0, 1]")
-        n = self.mu.shape[-1]
+        n = self.mu.shape[1]
         if self.xs is None:
             grid = self.lo + (np.arange(n) + 0.5) * (self.hi - self.lo) / n
             object.__setattr__(self, "xs", grid)
@@ -253,28 +243,25 @@ class AggregatedFuzzySet:
 
 
 def infer_mamdani(
-    rb: RuleBase1, inputs: Mapping[str, float | np.ndarray], samples: int = DEFAULT_SAMPLES
+    rb: RuleBase1, inputs: Mapping[str, np.typing.ArrayLike], samples: int = DEFAULT_SAMPLES
 ) -> dict[str, AggregatedFuzzySet]:
     """Min-AND firing, clip implication, pointwise-max aggregation per output.
 
-    Inputs are floats, or equal-length arrays of m points; each output set then
-    holds an (m, samples) block, so callers with many points pass them in
-    chunks (eval_fis1 does)."""
+    Inputs are equal-length arrays of m points (a float is one point); each
+    output set holds an (m, samples) block, so callers with many points pass
+    them in chunks (eval_fis1 does)."""
     cols = []
     for var in rb.inputs:
         if var.name not in inputs:
             raise ValueError(f"missing input variable {var.name!r}")
-        x = np.asarray(inputs[var.name], dtype=float)
+        x = np.atleast_1d(np.asarray(inputs[var.name], dtype=float))
         lo, hi = var.domain
         bad = ~((x >= lo) & (x <= hi))
         if bad.any():
             raise ValueError(f"{var.name}: input {x[bad][0]} outside domain [{lo}, {hi}]")
         cols.append(x)
-    scalar = all(x.ndim == 0 for x in cols)
     # term-major throughout: degrees (terms, m), firing (rules, m)
-    degrees = [
-        mf_degrees([mf for _, mf in var.terms], np.atleast_1d(x)) for var, x in zip(rb.inputs, cols)
-    ]
+    degrees = [mf_degrees([mf for _, mf in var.terms], x) for var, x in zip(rb.inputs, cols)]
     ante_idx = rb._antecedent_indices()
     firing = degrees[0][ante_idx[0]]
     for deg, idx in zip(degrees[1:], ante_idx[1:]):
@@ -295,57 +282,42 @@ def infer_mamdani(
             lo, hi = spans[t]
             part = agg[:, lo:hi]
             np.maximum(part, np.minimum(term_fire[t][:, None], mat[t, lo:hi]), out=part)
-        mu = agg[0] if scalar else agg
-        out[var.name] = AggregatedFuzzySet(var.domain[0], var.domain[1], mu, xs)
+        out[var.name] = AggregatedFuzzySet(var.domain[0], var.domain[1], agg, xs)
     return out
 
 
-def defuzz_coa(fset: AggregatedFuzzySet) -> float | np.ndarray:
-    """Center of area by the midpoint rule over the sampled curve.
-
-    One curve gives a float and raises DegenerateOutputError when it has no
-    area; a block of rows gives an array with NaN in the rows without area.
-    Row sums over a C-contiguous block add in the same pairwise order as the
-    sum of one vector, so each row equals its one-curve result bit for bit."""
-    mu = np.atleast_2d(fset.mu)
-    total = mu.sum(axis=1)
+def defuzz_coa(fset: AggregatedFuzzySet) -> np.ndarray:
+    """Center of area of each row by the midpoint rule over the sampled
+    curve, NaN in the rows without area. Row sums over a C-contiguous block
+    add in the same pairwise order as the sum of one vector, so each row
+    equals its one-curve result bit for bit."""
+    total = fset.mu.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        coa = np.where(total > 0.0, (mu * fset.xs).sum(axis=1) / total, np.nan)
-    if fset.mu.ndim == 2:
-        return coa
-    if np.isnan(coa[0]):
-        raise DegenerateOutputError("aggregated set has zero area")
-    return float(coa[0])
+        return np.where(total > 0.0, (fset.mu * fset.xs).sum(axis=1) / total, np.nan)
 
 
 def eval_fis1(
-    rb: RuleBase1, inputs: Mapping[str, float | np.ndarray], samples: int = DEFAULT_SAMPLES
-) -> dict[str, float] | dict[str, np.ndarray]:
-    """Fuzzify, infer and defuzzify every output variable.
+    rb: RuleBase1, inputs: Mapping[str, np.typing.ArrayLike], samples: int = DEFAULT_SAMPLES
+) -> dict[str, np.ndarray]:
+    """Fuzzify, infer and defuzzify every output variable at equal-length
+    arrays of points (a float, or any one-point input, is broadcast).
 
-    Inputs are floats, or equal-length arrays of points: each output is then
-    an array, NaN in every output at the points where any output has no area.
-    Float inputs give floats and raise DegenerateOutputError instead. Points
-    go through inference ROW_CHUNK at a time, which bounds the sampled blocks
-    at ROW_CHUNK x samples."""
-    cols = {name: np.asarray(x, dtype=float) for name, x in inputs.items()}
-    scalar = all(x.ndim == 0 for x in cols.values())
-    cols = {name: np.atleast_1d(x) for name, x in cols.items()}
+    Each output is an array, NaN in every output at the points where any
+    output has no area. Points go through inference ROW_CHUNK at a time,
+    which bounds the sampled blocks at ROW_CHUNK x samples."""
+    cols = (np.atleast_1d(np.asarray(x, dtype=float)) for x in inputs.values())
+    cols = dict(zip(inputs, np.broadcast_arrays(*cols)))
     m = max((len(x) for x in cols.values()), default=1)
     out = {var.name: np.empty(m) for var in rb.outputs}
     for s in range(0, m, ROW_CHUNK):
         part = {name: x[s : s + ROW_CHUNK] for name, x in cols.items()}
         for name, fset in infer_mamdani(rb, part, samples).items():
             out[name][s : s + ROW_CHUNK] = defuzz_coa(fset)
-    # a point is degenerate as a whole, as the one-point call raises for it
+    # a point is degenerate as a whole: NaN in one output is NaN in all
     dead = np.logical_or.reduce([np.isnan(v) for v in out.values()])
     for v in out.values():
         v[dead] = np.nan
-    if not scalar:
-        return out
-    if dead[0]:
-        raise DegenerateOutputError("aggregated set has zero area")
-    return {name: float(v[0]) for name, v in out.items()}
+    return out
 
 
 # --- default vocabulary -----------------------------------------------------

@@ -13,7 +13,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .fis1 import (
-    DegenerateOutputError,
     LinguisticVariable,
     MembershipFunction,
     MfOverrides,
@@ -25,6 +24,8 @@ from .fis1 import (
 )
 
 DEFAULT_BLUR = 0.2
+# How far a reduced interval's lo may pass its hi before it counts as inverted.
+INVERSION_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -35,11 +36,9 @@ class IntervalMF:
     upper: MembershipFunction
     lower_scale: float = 1.0
 
-    def interval(self, x: float | np.ndarray) -> tuple:
-        """(lower, upper) membership at x, a float or a 1-D array of points."""
+    def interval(self, x: np.typing.ArrayLike) -> tuple[np.ndarray, np.ndarray]:
+        """(lower, upper) membership at each point of x (a float is one point)."""
         lower, upper = interval_degrees((self,), np.atleast_1d(np.asarray(x, dtype=float)))
-        if np.ndim(x) == 0:
-            return float(lower[0, 0]), float(upper[0, 0])
         return lower[0], upper[0]
 
 
@@ -73,11 +72,10 @@ def make_fou(
 
 @dataclass(frozen=True)
 class FiringInterval:
-    """Firing bounds of one rule (floats), or of every rule at every point as
-    (points, rules) arrays."""
+    """Firing bounds of every rule at every point, as (points, rules) arrays."""
 
-    lower: float | np.ndarray
-    upper: float | np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
 
     def __post_init__(self):
         if not np.all((0.0 <= self.lower) & (self.lower <= self.upper) & (self.upper <= 1.0)):
@@ -86,18 +84,18 @@ class FiringInterval:
 
 @dataclass(frozen=True)
 class ReducedInterval:
-    """Type-reduced output interval, floats or one entry per point; the crisp
-    output is its midpoint."""
+    """Type-reduced output interval, one entry per point; the crisp output is
+    its midpoint."""
 
-    lo: float | np.ndarray
-    hi: float | np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
 
     def __post_init__(self):
-        if np.any(self.lo > self.hi + 1e-12):
+        if np.any(self.lo > self.hi + INVERSION_SLACK):
             raise ValueError(f"reduced interval inverted: [{self.lo}, {self.hi}]")
 
     @property
-    def midpoint(self) -> float | np.ndarray:
+    def midpoint(self) -> np.ndarray:
         return 0.5 * (self.lo + self.hi)
 
 
@@ -183,22 +181,14 @@ def _km_endpoint(fl: np.ndarray, fu: np.ndarray, w: np.ndarray, left: bool) -> n
     return y
 
 
-def km_type_reduce(
-    firings: FiringInterval | Sequence[FiringInterval], weights: Sequence[float]
-) -> ReducedInterval:
+def km_type_reduce(firings: FiringInterval, weights: Sequence[float]) -> ReducedInterval:
     """Minimum and maximum of the weighted firing ratio over all per-rule
-    choices inside the firing intervals (iterative switch-point search).
+    choices inside the firing intervals (iterative switch-point search), per
+    point of (points, rules) firings.
 
-    ``firings`` is one FiringInterval of (points, rules) arrays, reduced to an
-    interval of arrays with NaN at the points where every upper firing is
-    zero; or one float FiringInterval per rule, reduced to a float interval
-    that raises DegenerateOutputError instead."""
-    scalar = not isinstance(firings, FiringInterval)
-    if scalar:
-        fl = np.array([[f.lower for f in firings]], dtype=float)
-        fu = np.array([[f.upper for f in firings]], dtype=float)
-    else:
-        fl, fu = firings.lower, firings.upper
+    A point is NaN at both ends where every upper firing is zero, or where
+    rounding inverts its interval (subnormal firings can)."""
+    fl, fu = firings.lower, firings.upper
     if fl.shape[1] != len(weights):
         raise ValueError("firings and weights must pair up")
     if not len(weights):
@@ -211,13 +201,8 @@ def km_type_reduce(
     else:
         lo = _km_endpoint(fl, fu, w, left=True)
         hi = _km_endpoint(fl, fu, w, left=False)
-    dead = ~(fu.max(axis=1) > 0.0)
-    lo, hi = np.where(dead, np.nan, lo), np.where(dead, np.nan, hi)
-    if not scalar:
-        return ReducedInterval(lo, hi)
-    if dead[0]:
-        raise DegenerateOutputError("all rule firings are zero")
-    return ReducedInterval(float(lo[0]), float(hi[0]))
+    dead = ~(fu.max(axis=1) > 0.0) | (lo > hi + INVERSION_SLACK)
+    return ReducedInterval(np.where(dead, np.nan, lo), np.where(dead, np.nan, hi))
 
 
 # --- default vocabulary -----------------------------------------------------
@@ -280,27 +265,26 @@ def default_rulebase2(
 
 
 def eval_t2fis(
-    rb: RuleBase2, db: float | np.ndarray, re: float | np.ndarray
-) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
-    """Crisp (radius_norm, chance) from normalized BS distance and residual energy.
+    rb: RuleBase2, db: np.typing.ArrayLike, re: np.typing.ArrayLike
+) -> tuple[np.ndarray, np.ndarray]:
+    """Crisp (radius_norm, chance) from normalized BS distance and residual
+    energy, at equal-length arrays of points (a float, or any one-point input,
+    is broadcast).
 
-    db and re are floats, or equal-length arrays of points: the outputs are
-    then arrays, NaN at the points where every rule fired at zero. Floats
-    give floats and raise DegenerateOutputError instead."""
+    NaN in both outputs marks a degenerate point: every rule fired at zero,
+    or either reduced interval came out inverted."""
     cols = []
     for name, x in (("db", db), ("re", re)):
-        x = np.asarray(x, dtype=float)
+        x = np.atleast_1d(np.asarray(x, dtype=float))
         bad = ~((x >= 0.0) & (x <= 1.0))
         if bad.any():
             raise ValueError(f"{name}={x[bad][0]} outside [0, 1]")
         cols.append(x)
-    scalar = all(x.ndim == 0 for x in cols)
-    db_rows, re_rows = np.broadcast_arrays(*map(np.atleast_1d, cols))
+    db_rows, re_rows = np.broadcast_arrays(*cols)
     firings = firing_intervals(rb.rules, db_rows, re_rows, rb.distance_mfs, rb.energy_mfs)
     radius = km_type_reduce(firings, [r.w_radius for r in rb.rules]).midpoint
     chance = km_type_reduce(firings, [r.w_chance for r in rb.rules]).midpoint
-    if not scalar:
-        return radius, chance
-    if np.isnan(radius[0]):
-        raise DegenerateOutputError("all rule firings are zero")
-    return float(radius[0]), float(chance[0])
+    dead = np.isnan(radius) | np.isnan(chance)
+    radius[dead] = np.nan
+    chance[dead] = np.nan
+    return radius, chance

@@ -103,12 +103,12 @@ def network_from_positions(
     return Network(positions, bs_pos, m, initial_energy)
 
 
-def neighbor_count(net: Network, node_id: int | np.ndarray, radius: float) -> int | np.ndarray:
-    """Alive nodes other than node_id within Euclidean distance <= radius: an
-    int for one id, an array for an array of ids."""
+def neighbor_count(net: Network, ids: np.typing.ArrayLike, radius: float) -> np.ndarray:
+    """Per id, the alive nodes other than it within Euclidean distance <= radius
+    (an int is one id)."""
     if radius <= 0.0:
         raise ValueError("radius must be positive")
-    ids = np.atleast_1d(np.asarray(node_id, dtype=np.intp))
+    ids = np.atleast_1d(np.asarray(ids, dtype=np.intp))
     counts = np.empty(len(ids), dtype=np.intp)
     # ROW_CHUNK rows of dist at a time, not a len(ids) x n copy
     for s in range(0, len(ids), ROW_CHUNK):
@@ -116,17 +116,16 @@ def neighbor_count(net: Network, node_id: int | np.ndarray, radius: float) -> in
         mask = (net.dist[part] <= radius) & net.alive
         mask[np.arange(len(part)), part] = False
         counts[s : s + ROW_CHUNK] = mask.sum(axis=1)
-    return int(counts[0]) if np.ndim(node_id) == 0 else counts
+    return counts
 
 
 def normalize_inputs(
-    net: Network, node_id: int | np.ndarray, nbr_radius: float
-) -> tuple[float, float, float] | tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(db, re, conc) in [0, 1]: BS distance over the network maximum, residual
-    energy fraction, and neighbor count relative to the uniform-density
-    expectation inside nbr_radius (clamped at 1). Floats for one id, arrays
-    for an array of ids."""
-    ids = np.atleast_1d(np.asarray(node_id, dtype=np.intp))
+    net: Network, ids: np.typing.ArrayLike, nbr_radius: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per id (an int is one id), (db, re, conc) in [0, 1]: BS distance over
+    the network maximum, residual energy fraction, and neighbor count relative
+    to the uniform-density expectation inside nbr_radius (clamped at 1)."""
+    ids = np.atleast_1d(np.asarray(ids, dtype=np.intp))
     dead = ids[~net.alive[ids]]
     if len(dead):
         raise ValueError(f"node {dead[0]} is dead")
@@ -135,6 +134,4 @@ def normalize_inputs(
     density = net.n / (net.area_side * net.area_side)
     expected = density * math.pi * nbr_radius * nbr_radius
     conc = np.minimum(1.0, neighbor_count(net, ids, nbr_radius) / expected)
-    if np.ndim(node_id) == 0:
-        return float(db[0]), float(re[0]), float(conc[0])
     return db, re, conc

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import RadioParams, rx_energy, threshold_distance, tx_energy
-from .fis1 import RuleBase1, eval_fis1
+from .fis1 import DEFAULT_SAMPLES, RuleBase1, eval_fis1
 from .fis2 import RuleBase2, eval_t2fis
 from .network import Network, normalize_inputs
 from .rng import Xorshift64Star
@@ -68,7 +68,7 @@ class Engines:
 
     rules1: RuleBase1 | None = None
     rules2: RuleBase2 | None = None
-    coa_samples: int = 1001
+    coa_samples: int = DEFAULT_SAMPLES
 
 
 @dataclass
@@ -126,14 +126,13 @@ def select_provisional(
 
 def compute_radius_chance(
     inputs: tuple, engines: Engines, params: ProtocolParams
-) -> tuple[float, float, bool] | tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Map normalized (db, re, conc) to (radius in meters, chance, fell_back).
 
-    The inputs are floats, or equal-length arrays with one entry per candidate,
-    sized in one engine call; the outputs follow suit. A point where the
-    engine output is degenerate falls back to the domain midpoint on its own
-    and is flagged."""
-    db, re, conc = (np.atleast_1d(x) for x in inputs)
+    The inputs are equal-length arrays with one entry per candidate, sized in
+    one engine call. A point where the engine output is degenerate falls back
+    to the domain midpoint on its own and is flagged."""
+    db, re, conc = inputs
     if params.kind == KIND_TYPE2:
         if engines.rules2 is None:
             raise ValueError("type2fl requires a type-2 rule base")
@@ -151,8 +150,6 @@ def compute_radius_chance(
     r_norm = np.where(fallback, 0.5, r_norm)
     chance = np.where(fallback, 0.5, chance)
     radius = params.r_min + r_norm * (params.r_max - params.r_min)
-    if np.ndim(inputs[0]) == 0:
-        return float(radius[0]), float(chance[0]), bool(fallback[0])
     return radius, chance, fallback
 
 

@@ -31,6 +31,3 @@ class Xorshift64Star:
     def random(self) -> float:
         """Uniform float in [0, 1) with 53-bit resolution."""
         return (self.next_u64() >> 11) * 2.0 ** -53
-
-    def uniform(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.random()

@@ -8,8 +8,8 @@ from typing import Callable
 import numpy as np
 
 from .energy import RadioParams, agg_energy, rx_energy, tx_energy
-from .fis1 import RuleBase1, default_rulebase1
-from .fis2 import RuleBase2, default_rulebase2
+from .fis1 import DEFAULT_SAMPLES, RuleBase1, default_rulebase1
+from .fis2 import DEFAULT_BLUR, RuleBase2, default_rulebase2
 from .network import Network, deploy_from_rng, network_from_positions
 from .protocols import (
     KIND_FUZZY_UNEQUAL,
@@ -32,8 +32,8 @@ class SimConfig:
     protocol: ProtocolParams
     max_rounds: int = 5000
     seed: int = 1
-    coa_samples: int = 1001
-    blur: float = 0.2
+    coa_samples: int = DEFAULT_SAMPLES
+    blur: float = DEFAULT_BLUR
     blur_overrides: dict[str, float] = field(default_factory=dict)
     rules1: RuleBase1 | None = None
     rules2: RuleBase2 | None = None

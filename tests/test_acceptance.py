@@ -65,7 +65,7 @@ def test_criterion_01_coa_matches_closed_form_oracle():
             hs[int(rng.integers(0, len(hs)))] = max(float(hs.max()), 0.2)
             grid = (np.arange(1001) + 0.5) / 1001
             mu = np.interp(grid, xs, hs)
-            got = defuzz_coa(AggregatedFuzzySet(0.0, 1.0, mu, grid))
+            got = defuzz_coa(AggregatedFuzzySet(0.0, 1.0, mu[None], grid))[0]
             want = closed_form(list(zip(xs, hs)))
             assert abs(got - want) <= 1e-4, (got, want)
         assert time.perf_counter() - start < 1.0
@@ -81,18 +81,18 @@ def test_criterion_02_km_matches_exhaustive_enumeration():
             fu[int(rng.integers(0, k))] = max(float(fu.max()), 0.05)
             fl = rng.uniform(0, 1, k) * fu
             w = rng.uniform(0, 1, k)
-            firings = [FiringInterval(float(a), float(b)) for a, b in zip(fl, fu)]
+            firings = FiringInterval(fl[None], fu[None])
             lo_bf, hi_bf = float("inf"), float("-inf")
-            for combo in itertools.product(*[(f.lower, f.upper) for f in firings]):
+            for combo in itertools.product(*zip(fl.tolist(), fu.tolist())):
                 den = sum(combo)
                 if den <= 0.0:
                     continue
                 y = sum(f * wi for f, wi in zip(combo, w)) / den
                 lo_bf, hi_bf = min(lo_bf, y), max(hi_bf, y)
             ri = km_type_reduce(firings, list(w))
-            assert ri.lo <= ri.hi
-            assert abs(ri.lo - lo_bf) <= 1e-9
-            assert abs(ri.hi - hi_bf) <= 1e-9
+            assert ri.lo[0] <= ri.hi[0]
+            assert abs(ri.lo[0] - lo_bf) <= 1e-9
+            assert abs(ri.hi[0] - hi_bf) <= 1e-9
         assert time.perf_counter() - start < 5.0
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzcluster.fis1 import DegenerateOutputError, mf_eval, triangular
+from fuzzcluster.fis1 import mf_eval, triangular
 from fuzzcluster.fis2 import (
     RULES_9,
     T2_CHANCE_TERMS,
@@ -22,11 +22,17 @@ from fuzzcluster.fis2 import (
 )
 
 
+def one_point(lower, upper):
+    """Firing bounds of one point, one entry per rule."""
+    return FiringInterval(np.array([lower], dtype=float), np.array([upper], dtype=float))
+
+
 def km_bruteforce(firings, weights):
-    """Exhaustive 2^K enumeration over interval endpoints (exact: the weighted
-    ratio is monotone in each coordinate, so extrema sit at endpoints)."""
+    """Exhaustive 2^K enumeration over the interval endpoints of a one-point
+    firing (exact: the weighted ratio is monotone in each coordinate, so
+    extrema sit at endpoints)."""
     lo, hi = float("inf"), float("-inf")
-    choices = [(f.lower, f.upper) for f in firings]
+    choices = list(zip(firings.lower[0].tolist(), firings.upper[0].tolist()))
     for combo in itertools.product(*choices):
         den = sum(combo)
         if den <= 0.0:
@@ -42,7 +48,7 @@ def random_instance(rng, k=None):
     fu[int(rng.integers(0, k))] = max(fu.max(), 0.05)  # at least one positive upper
     fl = rng.uniform(0.0, 1.0, k) * fu
     weights = rng.uniform(0.0, 1.0, k)
-    return [FiringInterval(float(a), float(b)) for a, b in zip(fl, fu)], list(weights)
+    return one_point(fl, fu), list(weights)
 
 
 # --- footprint construction ----------------------------------------------------
@@ -115,37 +121,37 @@ def test_firing_interval_annihilator_and_identity():
 
 def test_firing_interval_validation():
     with pytest.raises(ValueError):
-        FiringInterval(0.5, 0.4)
+        one_point([0.5], [0.4])
     with pytest.raises(ValueError):
-        FiringInterval(-0.1, 0.5)
+        one_point([-0.1], [0.5])
 
 
 # --- type reduction ---------------------------------------------------------------
 
 
 def test_km_degenerate_intervals_reduce_to_weighted_centroid():
-    firings = [FiringInterval(0.3, 0.3), FiringInterval(0.6, 0.6), FiringInterval(0.1, 0.1)]
+    firings = one_point([0.3, 0.6, 0.1], [0.3, 0.6, 0.1])
     weights = [0.2, 0.5, 0.9]
     expected = (0.3 * 0.2 + 0.6 * 0.5 + 0.1 * 0.9) / (0.3 + 0.6 + 0.1)
     ri = km_type_reduce(firings, weights)
-    assert ri.lo == pytest.approx(expected, abs=1e-12)
-    assert ri.hi == pytest.approx(expected, abs=1e-12)
+    assert ri.lo[0] == pytest.approx(expected, abs=1e-12)
+    assert ri.hi[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_km_two_rule_hand_case():
-    ri = km_type_reduce([FiringInterval(0.2, 0.4), FiringInterval(0.6, 0.8)], [0.3, 0.9])
-    assert ri.lo == pytest.approx(0.66, abs=1e-12)
-    assert ri.hi == pytest.approx(0.78, abs=1e-12)
+    ri = km_type_reduce(one_point([0.2, 0.6], [0.4, 0.8]), [0.3, 0.9])
+    assert ri.lo[0] == pytest.approx(0.66, abs=1e-12)
+    assert ri.hi[0] == pytest.approx(0.78, abs=1e-12)
 
 
 def test_km_single_rule_returns_weight():
-    ri = km_type_reduce([FiringInterval(0.1, 0.9)], [0.4])
-    assert ri.lo == ri.hi == 0.4
+    ri = km_type_reduce(one_point([0.1], [0.9]), [0.4])
+    assert ri.lo[0] == ri.hi[0] == 0.4
 
 
 def test_km_all_zero_firings_degenerate():
-    with pytest.raises(DegenerateOutputError):
-        km_type_reduce([FiringInterval(0.0, 0.0)] * 3, [0.1, 0.5, 0.9])
+    ri = km_type_reduce(one_point([0.0] * 3, [0.0] * 3), [0.1, 0.5, 0.9])
+    assert np.isnan([ri.lo[0], ri.hi[0]]).all()
 
 
 def test_km_matches_bruteforce_on_random_instances():
@@ -154,9 +160,9 @@ def test_km_matches_bruteforce_on_random_instances():
         firings, weights = random_instance(rng)
         lo_bf, hi_bf = km_bruteforce(firings, weights)
         ri = km_type_reduce(firings, weights)
-        assert ri.lo == pytest.approx(lo_bf, abs=1e-9)
-        assert ri.hi == pytest.approx(hi_bf, abs=1e-9)
-        assert ri.lo <= ri.hi + 1e-12
+        assert ri.lo[0] == pytest.approx(lo_bf, abs=1e-9)
+        assert ri.hi[0] == pytest.approx(hi_bf, abs=1e-9)
+        assert ri.lo[0] <= ri.hi[0] + 1e-12
 
 
 @given(st.integers(0, 100_000))
@@ -166,8 +172,8 @@ def test_km_bruteforce_property(seed):
     firings, weights = random_instance(rng)
     lo_bf, hi_bf = km_bruteforce(firings, weights)
     ri = km_type_reduce(firings, weights)
-    assert ri.lo == pytest.approx(lo_bf, abs=1e-9)
-    assert ri.hi == pytest.approx(hi_bf, abs=1e-9)
+    assert ri.lo[0] == pytest.approx(lo_bf, abs=1e-9)
+    assert ri.hi[0] == pytest.approx(hi_bf, abs=1e-9)
 
 
 @given(st.integers(0, 100_000))
@@ -175,16 +181,14 @@ def test_km_bruteforce_property(seed):
 def test_km_monotone_inclusion_under_widening(seed):
     rng = np.random.default_rng(seed)
     firings, weights = random_instance(rng)
-    shrink = rng.uniform(0.0, 1.0, len(firings))
-    grow = rng.uniform(0.0, 1.0, len(firings))
-    widened = [
-        FiringInterval(f.lower * s, f.upper + (1.0 - f.upper) * g)
-        for f, s, g in zip(firings, shrink, grow)
-    ]
+    shrink = rng.uniform(0.0, 1.0, len(weights))
+    grow = rng.uniform(0.0, 1.0, len(weights))
+    fl, fu = firings.lower, firings.upper
+    widened = FiringInterval(fl * shrink, fu + (1.0 - fu) * grow)
     a = km_type_reduce(firings, weights)
     b = km_type_reduce(widened, weights)
-    assert b.lo <= a.lo + 1e-12
-    assert b.hi >= a.hi - 1e-12
+    assert b.lo[0] <= a.lo[0] + 1e-12
+    assert b.hi[0] >= a.hi[0] - 1e-12
 
 
 @given(st.integers(0, 100_000))
@@ -192,7 +196,7 @@ def test_km_midpoint_within_weight_range(seed):
     rng = np.random.default_rng(seed)
     firings, weights = random_instance(rng)
     ri = km_type_reduce(firings, weights)
-    assert min(weights) - 1e-12 <= ri.midpoint <= max(weights) + 1e-12
+    assert min(weights) - 1e-12 <= ri.midpoint[0] <= max(weights) + 1e-12
 
 
 # --- whole-engine behaviour --------------------------------------------------------
