@@ -4,6 +4,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class RadioParams:
@@ -29,11 +31,22 @@ def threshold_distance(p: RadioParams) -> float:
     return math.sqrt(p.eps_fs / p.eps_mp)
 
 
-def tx_energy(p: RadioParams, bits: float, d: float) -> float:
-    """Cost of transmitting `bits` over distance d (two-regime amplifier)."""
-    if d <= threshold_distance(p):
-        return bits * p.e_elec + bits * p.eps_fs * d * d
-    return bits * p.e_elec + bits * p.eps_mp * d ** 4
+def tx_energy(p: RadioParams, bits: float, d: np.typing.ArrayLike) -> np.ndarray:
+    """Cost of transmitting `bits` over each distance in d (two-regime
+    amplifier); a float is a one-point array.
+
+    Beyond d0 the fourth power is Python's float power (libm ``pow``) on each
+    entry: numpy's array ``d ** 4`` differs from it in the last bit for some
+    distances, and the priced outputs are pinned to the libm bits."""
+    d = np.atleast_1d(np.asarray(d, dtype=float))
+    out = bits * p.e_elec + bits * p.eps_fs * d * d
+    # "not within d0" so that a NaN distance takes the multipath branch, as the
+    # one-distance comparison did
+    far = ~(d <= threshold_distance(p))
+    if far.any():
+        d4 = np.array([x**4 for x in d[far].tolist()])
+        out[far] = bits * p.e_elec + bits * p.eps_mp * d4
+    return out
 
 
 def rx_energy(p: RadioParams, bits: float) -> float:
@@ -41,9 +54,11 @@ def rx_energy(p: RadioParams, bits: float) -> float:
     return bits * p.e_elec
 
 
-def agg_energy(p: RadioParams, bits: float, n_signals: int) -> float:
-    """Cost of aggregating n_signals packets of `bits` each."""
-    if n_signals < 0:
+def agg_energy(p: RadioParams, bits: float, n_signals: np.typing.ArrayLike) -> np.ndarray:
+    """Cost of aggregating n_signals packets of `bits` each, per entry of
+    n_signals (an int is one entry)."""
+    n_signals = np.atleast_1d(np.asarray(n_signals))
+    if (n_signals < 0).any():
         raise ValueError("n_signals must be nonnegative")
     return p.e_da * bits * n_signals
 

@@ -8,8 +8,9 @@ import numpy as np
 
 from .rng import Xorshift64Star
 
-# Ids per block when counting neighbors: a block copies ROW_CHUNK rows of the
-# n x n distance matrix (250 KiB at 1000 nodes), however many ids are asked for.
+# Rows per block when counting neighbors, pricing control messages and routing:
+# a block copies ROW_CHUNK rows of the n x n distance matrix (250 KiB at 1000
+# nodes), however many ids are asked for.
 ROW_CHUNK = 32
 
 

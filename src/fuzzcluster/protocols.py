@@ -14,14 +14,16 @@ them, resolve the competition, join members, plan routes):
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .energy import RadioParams, rx_energy, threshold_distance, tx_energy
 from .fis1 import DEFAULT_SAMPLES, RuleBase1, eval_fis1
 from .fis2 import RuleBase2, eval_t2fis
-from .network import Network, normalize_inputs
+from .network import ROW_CHUNK, Network, normalize_inputs
 from .rng import Xorshift64Star
 
 KIND_LEACH = "leach"
@@ -108,16 +110,10 @@ def select_provisional(
     rotating threshold, above-mode against the constant p. An empty selection
     promotes the alive node with the most residual energy."""
     if params.direction == DIRECTION_BELOW:
-        th = ch_threshold(params.p, r)
+        th, elected = ch_threshold(params.p, r), operator.lt
     else:
-        th = params.p
-    selected = []
-    for i in np.flatnonzero(net.alive).tolist():
-        draw = rng.random()
-        if (params.direction == DIRECTION_BELOW and draw < th) or (
-            params.direction == DIRECTION_ABOVE and draw > th
-        ):
-            selected.append(i)
+        th, elected = params.p, operator.gt
+    selected = [i for i in np.flatnonzero(net.alive).tolist() if elected(rng.random(), th)]
     if selected:
         return selected, False
     # argmax returns the first maximum, so equal energies go to the lowest id
@@ -159,14 +155,18 @@ def compete_final_chs(
     """Greedy competition in descending chance (ascending id breaks ties): a
     candidate survives unless an already-final head sits within either of the
     pair's competition radii."""
+    if not candidates:
+        return []
+    ids, rad, chance = (np.array(col) for col in zip(*candidates))
+    blocked = np.zeros(len(candidates), dtype=bool)
     finals: list[tuple[int, float, float]] = []
-    for cand in sorted(candidates, key=lambda c: (-c[2], c[0])):
-        cid, crad, _ = cand
-        clear = all(
-            net.dist[cid, fid] > crad and net.dist[cid, fid] > frad for fid, frad, _ in finals
-        )
-        if clear:
-            finals.append(cand)
+    # one dist row per kept head, never a candidates x candidates matrix
+    for k in np.lexsort((ids, -chance)).tolist():
+        if blocked[k]:
+            continue
+        finals.append(candidates[k])
+        d = net.dist[ids[k], ids]
+        blocked |= (d <= rad[k]) | (d <= rad)
     return finals
 
 
@@ -204,14 +204,76 @@ def build_routes(
     """Next hop per head: the sink when within d0 (or always, for LEACH),
     otherwise the nearest other head strictly closer to the sink; heads with
     no sink-ward peer go direct. Strict progress keeps the route graph acyclic."""
-    routes: dict[int, int | None] = {}
-    for h in head_ids:
-        if direct_only or net.bs_dist[h] <= d0:
-            routes[h] = None
-            continue
-        closer = [o for o in head_ids if o != h and net.bs_dist[o] < net.bs_dist[h]]
-        routes[h] = min(closer, key=lambda o: (net.dist[h, o], o)) if closer else None
+    routes: dict[int, int | None] = dict.fromkeys(head_ids)
+    if direct_only:
+        return routes
+    # argmin returns the first minimum, so sorted heads break ties to the lowest id
+    heads = np.array(sorted(routes), dtype=np.intp)
+    head_bs = net.bs_dist[heads]
+    far = heads[head_bs > d0]
+    for s in range(0, len(far), ROW_CHUNK):
+        rows = far[s : s + ROW_CHUNK]
+        closer = head_bs < net.bs_dist[rows, None]
+        d = np.where(closer, net.dist[np.ix_(rows, heads)], np.inf)
+        best = heads[d.argmin(axis=1)]
+        for h, hop, ok in zip(rows.tolist(), best.tolist(), closer.any(axis=1).tolist()):
+            if ok:
+                routes[h] = hop
     return routes
+
+
+def cluster_arrays(clusters: list[Cluster]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(heads, sizes, members) of a cluster list: head ids and member counts in
+    list order, and every member id, cluster after cluster."""
+    heads = np.fromiter((c.head for c in clusters), np.intp, len(clusters))
+    sizes = np.fromiter((len(c.members) for c in clusters), np.intp, len(clusters))
+    members = np.fromiter(chain.from_iterable(c.members for c in clusters), np.intp)
+    return heads, sizes, members
+
+
+def price_control(
+    control: np.ndarray,
+    net: Network,
+    radio: RadioParams,
+    senders: np.ndarray,
+    ranges: np.ndarray,
+    send_group: np.ndarray,
+    members: np.ndarray,
+    member_heads: np.ndarray,
+    join_group: np.ndarray,
+) -> None:
+    """Add a round's control messages to ``control``, ROW_CHUNK groups at a
+    time.
+
+    Messages come in numbered groups, sent in ascending group order (both group
+    arrays ascending). In a group, each join costs its member one transmission
+    over its distance to its head and the head one reception; then the group's
+    broadcast (at most one) costs its sender one transmission over its range
+    and every other alive node within that range one reception. Each cost is
+    its own addition to its node, in message order: ``np.add.at`` adds in
+    input order, so the sums round exactly as when the messages are priced one
+    at a time."""
+    n_groups = int(max(send_group.max(initial=-1), join_group.max(initial=-1))) + 1
+    bits = radio.ctrl_bits
+    rx = rx_energy(radio, bits)
+    for g in range(0, n_groups, ROW_CHUNK):
+        s0, s1 = np.searchsorted(send_group, (g, g + ROW_CHUNK))
+        j0, j1 = np.searchsorted(join_group, (g, g + ROW_CHUNK))
+        snd, m, h = senders[s0:s1], members[j0:j1], member_heads[j0:j1]
+        heard = (net.dist[snd] <= ranges[s0:s1, None]) & net.alive
+        heard[np.arange(len(snd)), snd] = True  # stands for the sender's own tx
+        # row-major: broadcast after broadcast, in message order
+        rows, nodes = np.nonzero(heard)
+        tx = tx_energy(radio, bits, np.concatenate((ranges[s0:s1], net.dist[m, h])))
+        cost = np.where(nodes == snd[rows], tx[rows], rx)
+        if len(m):
+            # a group's joins (sequence 2g) come before its broadcast (2g + 1)
+            jseq = 2 * join_group[j0:j1]
+            seq = np.concatenate((2 * send_group[s0:s1][rows] + 1, jseq, jseq))
+            order = np.argsort(seq, kind="stable")
+            nodes = np.concatenate((nodes, m, h))[order]
+            cost = np.concatenate((cost, tx[s1 - s0 :], np.full(len(h), rx)))[order]
+        np.add.at(control, nodes, cost)
 
 
 def run_protocol_round(
@@ -223,56 +285,61 @@ def run_protocol_round(
     radio: RadioParams,
 ) -> RoundPlan:
     """Elect, compete, join and route for one round; prices control traffic
-    but leaves all energy deduction to the simulator."""
+    but leaves all energy deduction to the simulator.
+
+    Control traffic, in the order it is sent: each candidate's announcement
+    over its competition radius (ascending id), each final head's announcement
+    (competition order), then per cluster each member's join request to its
+    head followed by the head's schedule broadcast. LEACH has no candidate
+    phase and announces over r_max."""
     if not net.alive.any():
         raise ValueError("no alive nodes")
-
-    control = np.zeros(net.n)
-
-    def broadcast(sender: int, rng_m: float) -> None:
-        control[sender] += tx_energy(radio, radio.ctrl_bits, rng_m)
-        heard = (net.dist[sender] <= rng_m) & net.alive
-        heard[sender] = False
-        control[heard] += rx_energy(radio, radio.ctrl_bits)
 
     provisional_ids, forced = select_provisional(net, params, round_index - 1, rng)
     orphan_fallbacks = 1 if forced else 0
     fis_fallbacks = 0
+    leach = params.kind == KIND_LEACH
 
-    if params.kind == KIND_LEACH:
+    if leach:
         finals = [(pid, 0.0, 0.0) for pid in provisional_ids]
-        announce_range = params.r_max
+        ids, radius = np.zeros(0, dtype=np.intp), np.zeros(0)  # no candidate announcements
     else:
         nbr_radius = params.nbr_radius or threshold_distance(radio)
-        inputs = normalize_inputs(net, np.array(provisional_ids, dtype=np.intp), nbr_radius)
+        ids = np.array(provisional_ids, dtype=np.intp)
+        inputs = normalize_inputs(net, ids, nbr_radius)
         radius, chance, fell_back = compute_radius_chance(inputs, engines, params)
         fis_fallbacks = int(fell_back.sum())
-        candidates = list(zip(provisional_ids, radius.tolist(), chance.tolist()))
-        if params.control_traffic:
-            for pid, radius, _ in candidates:
-                broadcast(pid, radius)
-        finals = compete_final_chs(candidates, net)
-        announce_range = None
-
-    if params.control_traffic:
-        for fid, frad, _ in finals:
-            broadcast(fid, announce_range if announce_range is not None else frad)
+        finals = compete_final_chs(list(zip(provisional_ids, radius.tolist(), chance.tolist())), net)
 
     clusters, orphans = assign_members(net, finals, params.kind, params.r_max)
     orphan_fallbacks += orphans
 
+    control = np.zeros(net.n)
     if params.control_traffic:
-        for c in clusters:
-            for m in c.members:
-                control[m] += tx_energy(radio, radio.ctrl_bits, net.dist[m, c.head])
-                control[c.head] += rx_energy(radio, radio.ctrl_bits)
-            if c.members and (c.radius > 0.0 or announce_range is not None):
-                broadcast(c.head, announce_range if announce_range is not None else c.radius)
+        fids, frad, _ = (np.array(col) for col in zip(*finals))
+        heads, sizes, members = cluster_arrays(clusters)
+        radii = np.array([c.radius for c in clusters])
+        if leach:
+            frad, radii = np.full(len(finals), params.r_max), np.full(len(clusters), params.r_max)
+        # type2fl orphans (radius 0, no members) send no schedule
+        schedules = np.flatnonzero((sizes > 0) & (radii > 0.0))
+        first = len(ids) + len(finals)  # the first cluster's group
+        price_control(
+            control,
+            net,
+            radio,
+            senders=np.concatenate((ids, fids, heads[schedules])),
+            ranges=np.concatenate((radius, frad, radii[schedules])),
+            send_group=np.concatenate((np.arange(first), first + schedules)),
+            members=members,
+            member_heads=np.repeat(heads, sizes),
+            join_group=np.repeat(np.arange(first, first + len(clusters)), sizes),
+        )
 
     routes = build_routes(
         [c.head for c in clusters],
         net,
         threshold_distance(radio),
-        direct_only=params.kind == KIND_LEACH,
+        direct_only=leach,
     )
     return RoundPlan(clusters, routes, control, orphan_fallbacks, fis_fallbacks)

@@ -17,6 +17,7 @@ from .protocols import (
     Engines,
     ProtocolParams,
     RoundPlan,
+    cluster_arrays,
     run_protocol_round,
 )
 from .rng import Xorshift64Star
@@ -116,23 +117,43 @@ def apply_round_energy(net: Network, plan: RoundPlan, radio: RadioParams) -> np.
     rx+tx per forwarded packet, and the plan's control costs are added on top.
     Nodes drain at most what they hold (clamp at zero) and a drained node is
     dead from the next round on. Returns the per-node energy actually drained."""
-    spend = plan.control_spend.copy()
     bits = radio.packet_bits
-    for c in plan.clusters:
-        for m in c.members:
-            spend[m] += tx_energy(radio, bits, net.dist[m, c.head])
-        spend[c.head] += rx_energy(radio, bits) * len(c.members)
-        spend[c.head] += agg_energy(radio, bits, len(c.members) + 1)
+    rx = rx_energy(radio, bits)
+    heads, sizes, members = cluster_arrays(plan.clusters)
 
-    incoming: dict[int, int] = {c.head: 0 for c in plan.clusters}
-    for head in sorted(incoming, key=lambda h: (-net.bs_dist[h], h)):
-        packets = 1 + incoming[head]
+    # Packets flow sink-ward, farthest head first. Only the integer packet
+    # counts need a loop; it lists each sender's hop and, after it, the next
+    # head's reception of the same packets.
+    sending = heads[np.lexsort((heads, -net.bs_dist[heads]))].tolist()
+    incoming = dict.fromkeys(sending, 0)
+    hop_d, hop_nodes, sender, packets, received = [], [], [], [], []
+    for i, head in enumerate(sending):
         hop = plan.routes.get(head)
-        d = net.bs_dist[head] if hop is None else net.dist[head, hop]
-        spend[head] += tx_energy(radio, bits, d) * packets
+        p = 1 + incoming[head]
+        hop_d.append(net.bs_dist[head] if hop is None else net.dist[head, hop])
+        hop_nodes.append(head)
+        sender.append(i)
+        packets.append(p)
+        received.append(False)
         if hop is not None:
-            spend[hop] += rx_energy(radio, bits) * packets
-            incoming[hop] += packets
+            incoming[hop] += p
+            hop_nodes.append(hop)
+            sender.append(i)
+            packets.append(p)
+            received.append(True)
+
+    member_d = net.dist[members, np.repeat(heads, sizes)]
+    tx = tx_energy(radio, bits, np.concatenate((member_d, hop_d)))
+    hop_cost = np.where(received, rx, tx[len(members) :][sender]) * packets
+    # One addition per cost, per node in the order the costs arise: a
+    # member's uplink; a head's reception and aggregation, then the relayed
+    # packets it receives, then its own hop (a head is never a member).
+    spend = plan.control_spend.copy()
+    np.add.at(
+        spend,
+        np.concatenate((members, heads, heads, hop_nodes)),
+        np.concatenate((tx[: len(members)], rx * sizes, agg_energy(radio, bits, sizes + 1), hop_cost)),
+    )
 
     drained = np.where(net.alive, np.minimum(net.energy, spend), 0.0)
     net.energy -= drained

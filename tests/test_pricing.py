@@ -1,0 +1,212 @@
+"""Array round bookkeeping against the one-message-at-a-time reference, bit
+for bit.
+
+Competition, routing, control pricing and energy application run as array
+work in blocks; every node's costs must still be added one at a time in the
+order the reference adds them, so that every control and drained value keeps
+its exact bits.
+"""
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fuzzcluster.config import parse_config
+from fuzzcluster.energy import RadioParams, threshold_distance, tx_energy
+from fuzzcluster.fis1 import default_rulebase1
+from fuzzcluster.fis2 import default_rulebase2
+from fuzzcluster.network import ROW_CHUNK, deploy, deploy_from_rng, network_from_positions
+from fuzzcluster.protocols import (
+    KIND_FUZZY_UNEQUAL,
+    KIND_LEACH,
+    KIND_TYPE2,
+    KINDS,
+    Engines,
+    ProtocolParams,
+    build_routes,
+    ch_threshold,
+    compete_final_chs,
+    run_protocol_round,
+)
+from fuzzcluster.rng import Xorshift64Star
+from fuzzcluster.simulator import apply_round_energy, build_engines
+from pricing_reference import (
+    apply_round_energy_ref,
+    build_routes_ref,
+    compete_final_chs_ref,
+    run_protocol_round_ref,
+    tx_energy_ref,
+)
+
+CH2 = RadioParams(
+    e_elec=50e-9, eps_fs=10e-12, eps_mp=0.0013e-12, e_da=5e-9, packet_bits=4000, ctrl_bits=200
+)
+CH3 = RadioParams(
+    e_elec=50e-9, eps_fs=10e-12, eps_mp=0.0010e-12, e_da=5e-9, packet_bits=4000, ctrl_bits=200
+)
+ENGINES = Engines(default_rulebase1(), default_rulebase2(), coa_samples=101)
+EPOCH_END = 20  # with p = 0.05 the rotating threshold is 1 on round 20: every node stands
+
+
+def same_bits(got, want) -> bool:
+    return np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
+def both_rounds(net, params, r, seed, radio=CH2):
+    """The package's round and energy application beside the reference's, from
+    the same network state and draws; returns (plan, drained, ref plan, ref drained)."""
+    energy, alive = net.energy.copy(), net.alive.copy()
+    plan = run_protocol_round(net, params, ENGINES, r, Xorshift64Star(seed), radio)
+    drained = apply_round_energy(net, plan, radio)
+    after = net.energy.copy(), net.alive.copy()
+    net.energy[:], net.alive[:] = energy, alive
+    ref = run_protocol_round_ref(net, params, ENGINES, r, Xorshift64Star(seed), radio)
+    ref_drained = apply_round_energy_ref(net, ref, radio)
+    assert same_bits(after[0], net.energy) and (after[1] == net.alive).all()
+    return plan, drained, ref, ref_drained
+
+
+def assert_same_round(plan, drained, ref, ref_drained):
+    assert [(c.head, c.members, c.radius, c.chance) for c in plan.clusters] == [
+        (c.head, c.members, c.radius, c.chance) for c in ref.clusters
+    ]
+    assert list(plan.routes.items()) == list(ref.routes.items())
+    assert (plan.orphan_fallbacks, plan.fis_fallbacks) == (ref.orphan_fallbacks, ref.fis_fallbacks)
+    assert same_bits(plan.control_spend, ref.control_spend)
+    assert same_bits(drained, ref_drained)
+
+
+def network(n, area, seed, dead=(), low_energy=(), snap=None):
+    """A seeded deployment with the sink above the field. ``snap`` moves every
+    node to the nearest multiple of snap metres: equal distances everywhere,
+    to the sink too, so that every tie-break is exercised."""
+    net = deploy(n, area, (area / 2, 1.75 * area), seed)
+    if snap is not None:
+        net = network_from_positions(np.round(net.positions / snap) * snap, area, net.bs_pos)
+    for i in low_energy:
+        net.energy[i] = 1e-4  # drains within the round: the clamp must match too
+    for i in dead:
+        net.energy[i] = 0.0
+        net.alive[i] = False
+    return net
+
+
+@st.composite
+def round_cases(draw):
+    n = draw(st.integers(2, 3 * ROW_CHUNK + 3))
+    area = draw(st.sampled_from([100.0, 300.0]))  # 300 m: ranges and hops beyond d0
+    dead = draw(st.lists(st.integers(0, n - 1), max_size=n // 2, unique=True))
+    low = draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True))
+    r_min = draw(st.sampled_from([1.0, 10.0, 30.0]))
+    r_max = r_min * draw(st.sampled_from([1.5, 4.0, 8.0]))
+    params = ProtocolParams(
+        kind=draw(st.sampled_from(KINDS)),
+        p=0.05,
+        r_min=r_min,
+        r_max=r_max,
+        control_traffic=draw(st.booleans()),
+    )
+    r = draw(st.one_of(st.just(EPOCH_END), st.integers(1, 45)))
+    snap = draw(st.sampled_from([None, area / 6]))
+    return network(n, area, draw(st.integers(0, 2**31)), dead, low, snap), params, r
+
+
+@settings(max_examples=150, deadline=None)
+@given(round_cases(), st.integers(0, 2**31))
+def test_round_matches_one_message_reference(case, seed):
+    net, params, r = case
+    assert_same_round(*both_rounds(net, params, r, seed))
+
+
+GRID = 50.0
+DIAGONAL = math.sqrt(2 * GRID * GRID)  # the bits of a one-cell diagonal in dist
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_competition_and_routes_break_ties_as_reference(data):
+    # nodes on a 50 m grid (several may share a point), radii and d0 equal to
+    # grid distances, and few chance levels: ties in chance, in distance and
+    # in distance to the sink, and distances exactly on a radius
+    cells = data.draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=2, max_size=40))
+    net = network_from_positions([(GRID * x, GRID * y) for x, y in cells], 300.0, (150.0, 525.0))
+    candidates = data.draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, len(cells) - 1),
+                st.sampled_from([0.0, GRID, DIAGONAL, 2 * GRID, 1e3]),
+                st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+            ),
+            min_size=1,
+            unique_by=lambda c: c[0],
+        )
+    )
+    assert compete_final_chs(candidates, net) == compete_final_chs_ref(candidates, net)
+    heads = [c[0] for c in candidates]
+    d0 = data.draw(st.sampled_from([0.0, GRID, 87.7, 1e3]))
+    assert list(build_routes(heads, net, d0).items()) == list(
+        build_routes_ref(heads, net, d0).items()
+    )
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("control", [True, False], ids=["control", "no-control"])
+def test_epoch_end_round_with_dead_nodes_beyond_d0(kind, control):
+    # 3 blocks of broadcasts and more, ranges and sink hops in multipath
+    net = network(3 * ROW_CHUNK + 7, 300.0, 4, dead=range(0, 40, 3), low_energy=(5, 50))
+    params = ProtocolParams(kind=kind, p=0.05, r_min=30.0, r_max=120.0, control_traffic=control)
+    alive = net.alive.sum()
+    plan, drained, ref, ref_drained = both_rounds(net, params, EPOCH_END, 9)
+    assert_same_round(plan, drained, ref, ref_drained)
+    d0 = threshold_distance(CH2)
+    assert max(net.bs_dist[c.head] for c in plan.clusters) > d0
+    if kind == KIND_LEACH:
+        assert len(plan.clusters) == alive  # every alive node broadcasts
+    else:
+        assert max(c.radius for c in plan.clusters) > d0
+    assert plan.control_spend.any() == control
+
+
+def test_type2_orphans_send_no_schedule():
+    net = network(60, 300.0, 2, dead=(3, 4))
+    params = ProtocolParams(kind=KIND_TYPE2, p=0.05, r_min=5.0, r_max=20.0)
+    plan, drained, ref, ref_drained = both_rounds(net, params, 3, 1, CH3)
+    assert_same_round(plan, drained, ref, ref_drained)
+    orphans = [c for c in plan.clusters if c.radius == 0.0]
+    assert len(orphans) == plan.orphan_fallbacks > 0
+
+
+@pytest.mark.parametrize("radio", [CH2, CH3], ids=["ch2", "ch3"])
+def test_tx_energy_array_matches_one_distance_formula(radio):
+    # numpy's array d ** 4 differs from libm pow in the last bit for a few
+    # percent of distances, so 20,000 of them beyond d0 tell the two apart
+    d0 = threshold_distance(radio)
+    edges = [0.0, d0, np.nextafter(d0, 0.0), np.nextafter(d0, np.inf), 3 * d0]
+    d = np.concatenate((edges, np.random.default_rng(7).uniform(0.0, 12 * d0, 24_000)))
+    for bits in (radio.ctrl_bits, radio.packet_bits, 1):
+        want = [tx_energy_ref(radio, bits, x) for x in d.tolist()]
+        assert same_bits(tx_energy(radio, bits, d), want)
+        assert same_bits(tx_energy(radio, bits, d0), [want[1]])
+
+
+def test_epoch_end_round_memory_stays_bounded():
+    # every one of 1000 alive nodes is a fuzzy-unequal candidate: pricing and
+    # competition must work a block or a dist row at a time, never a
+    # candidates x candidates or candidates x n array
+    cfg = parse_config("ch2-scenario2")
+    assert cfg.protocol.kind == KIND_FUZZY_UNEQUAL and cfg.n == 1000
+    assert ch_threshold(cfg.protocol.p, EPOCH_END - 1) == 1.0
+    rng = Xorshift64Star(1)
+    net = deploy_from_rng(cfg.n, cfg.area_side, cfg.bs_pos, rng, cfg.initial_energy)
+    engines = build_engines(cfg)
+    tracemalloc.start()
+    try:
+        plan = run_protocol_round(net, cfg.protocol, engines, EPOCH_END, rng, cfg.radio)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert plan.clusters
+    assert peak < 2 * 2**20
