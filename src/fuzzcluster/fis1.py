@@ -16,7 +16,10 @@ DEFAULT_SAMPLES = 1001
 # Points per inference block in eval_fis1: a block holds ROW_CHUNK x samples
 # floats per output (125 KiB at 1001 samples) however many points are asked
 # for. Three such blocks are alive at the peak; at 32 points they raised the
-# peak resident size of a surface dump by about 1 MB (3%).
+# peak resident size of a surface dump by about 1 MB (3%). Each output gets a
+# block of its own: one block for two outputs is over glibc malloc's 128 KiB
+# mmap threshold, and on a ch2-scenario1 run its pages were faulted in again
+# at almost every chunk (60,000 minor faults a run against 26,000).
 ROW_CHUNK = 16
 
 
@@ -53,25 +56,34 @@ def trapezoidal(a: float, b: float, c: float, d: float) -> MembershipFunction:
     return MembershipFunction("trap", (float(a), float(b), float(c), float(d)))
 
 
+def _breakpoints(mfs: Sequence[MembershipFunction]) -> np.ndarray:
+    """(a, d, b - a, d - c) of each set as the trapezoid (a, b, c, d), in a
+    (4, sets, 1) array; a triangle (a, b, c) is the trapezoid (a, b, b, c)."""
+    pts = [mf.points if mf.kind == "trap" else (*mf.points[:2], *mf.points[1:]) for mf in mfs]
+    a, b, c, d = np.array(pts, dtype=float).reshape(-1, 4).T[:, :, None]
+    return np.array([a, d, b - a, d - c])
+
+
+def _trap_degrees(bp: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Membership at x of the sets with breakpoints bp (from _breakpoints),
+    x broadcast against a (sets, 1) column; exact at breakpoints, zero
+    outside the support.
+
+    The rising edge (x - a) / (b - a) is below 1 only left of the plateau
+    and the falling edge (d - x) / (d - c) only right of it, so clipping the
+    smaller of the two to [0, 1] gives each piece's own quotient, with no
+    interpolation to round differently. A zero-width edge divides to +-inf,
+    or to NaN on its own breakpoint, where fmin takes the other edge or 1."""
+    a, d, rise, fall = bp
+    with np.errstate(all="ignore"):
+        y = np.fmin((x - a) / rise, (d - x) / fall)
+    return np.maximum(np.fmin(y, 1.0, out=y), 0.0, out=out)
+
+
 def mf_degrees(mfs: Sequence[MembershipFunction], x: np.ndarray) -> np.ndarray:
     """Membership of each point of the 1-D array x in each set, as a
-    (sets, points) array; exact at breakpoints, zero outside the support.
-
-    A triangle (a, b, c) is evaluated as the trapezoid (a, b, b, c), which is
-    the same formula step for step. The formula runs under np.where, not
-    np.interp, whose interpolation rounds differently; zero-width edges divide
-    by zero (or overflow) only in branches that np.where discards."""
-    pts = [mf.points if mf.kind == "trap" else (*mf.points[:2], *mf.points[1:]) for mf in mfs]
-    a, b, c, d = np.array(pts).T[:, :, None]
-    with np.errstate(all="ignore"):
-        y = np.where(x < b, (x - a) / (b - a), (d - x) / (d - c))
-        y = np.where((b <= x) & (x <= c), 1.0, y)
-        return np.where((x < a) | (x > d), 0.0, y)
-
-
-def mf_eval(mf: MembershipFunction, x: np.typing.ArrayLike) -> np.ndarray:
-    """Membership degree at each point of x (a float is one point)."""
-    return mf_degrees((mf,), np.atleast_1d(np.asarray(x, dtype=float)))[0]
+    (sets, points) array."""
+    return _trap_degrees(_breakpoints(mfs), x)
 
 
 def _vertices(mf: MembershipFunction) -> tuple[list[float], list[float]]:
@@ -168,7 +180,7 @@ class RuleBase1:
     inputs: tuple[LinguisticVariable, ...]
     outputs: tuple[LinguisticVariable, ...]
     rules: tuple[Rule1, ...]
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         for rule in self.rules:
@@ -200,23 +212,70 @@ class RuleBase1:
             self._cache["ante"] = hit
         return hit
 
-    def _output_samples(self, out_idx: int, samples: int):
-        """Sample grid, per-term sample matrix, per-rule consequent indices and
-        per-term [start, stop) span of the samples where the term is nonzero."""
-        key = (out_idx, samples)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        var = self.outputs[out_idx]
-        lo, hi = var.domain
-        xs = lo + (np.arange(samples) + 0.5) * (hi - lo) / samples
-        mat = np.stack([mf_sample(mf, xs) for _, mf in var.terms])
-        names = list(var.term_names)
-        idx = np.array([names.index(r.consequents[out_idx]) for r in self.rules])
-        nonzero = [np.flatnonzero(row) for row in mat]
-        spans = [(int(nz[0]), int(nz[-1]) + 1) if len(nz) else (0, 0) for nz in nonzero]
-        self._cache[key] = (xs, mat, idx, spans)
-        return xs, mat, idx, spans
+    def _plan(self, samples: int) -> _MamdaniPlan:
+        hit = self._cache.get(samples)
+        if hit is None:
+            hit = self._cache[samples] = _MamdaniPlan.build(self, samples)
+        return hit
+
+
+@dataclass(frozen=True, eq=False)
+class _MamdaniPlan:
+    """What inference reuses for every block of points. Input terms are
+    numbered across all inputs and output terms across all outputs, in
+    declaration order; one more input term that is zero everywhere and one
+    more output term without rules pad the tables.
+
+    ``cover[o, k, s]`` is the k-th output term of output o that is nonzero
+    at COA sample s, or the pad term where fewer terms overlap. Along s it
+    is constant over runs of ``run_len`` samples; ``run_terms`` keeps one
+    entry per run."""
+
+    domains: np.ndarray  # (2, inputs, 1): lo and hi of each input
+    term_input: np.ndarray  # (input terms,): the input each term reads
+    bp: np.ndarray  # (4, input terms, 1): see _breakpoints
+    term_ante: np.ndarray  # (inputs, k, output terms + 1): antecedent terms of each term's rules
+    run_terms: np.ndarray  # (outputs, depth, runs)
+    run_len: np.ndarray  # (runs,)
+    cover_mu: np.ndarray  # (outputs, depth, samples): membership of each cover term
+    xs: np.ndarray  # (outputs, samples): COA sample grid of each output
+
+    @classmethod
+    def build(cls, rb: RuleBase1, samples: int) -> _MamdaniPlan:
+        sizes = [len(var.terms) for var in rb.inputs]
+        zero_term = sum(sizes)
+        # per input, the global input term of each rule's antecedent, and of the pad rule
+        ante = np.array(rb._antecedent_indices(), int).reshape(len(sizes), len(rb.rules))
+        ante = np.c_[ante + np.cumsum([0, *sizes[:-1]])[:, None], np.full(len(sizes), zero_term)]
+        term_rules, xs, mats = [], [], []
+        for o, var in enumerate(rb.outputs):
+            names = [r.consequents[o] for r in rb.rules]
+            term_rules += [[r for r, c in enumerate(names) if c == t] for t in var.term_names]
+            lo, hi = var.domain
+            xs.append(lo + (np.arange(samples) + 0.5) * (hi - lo) / samples)
+            mats.append(np.array([mf_sample(mf, xs[-1]) for _, mf in var.terms]))
+        pad = len(term_rules)
+        width = max(map(len, term_rules), default=0) or 1
+        term_rules = [rs + [len(rb.rules)] * (width - len(rs)) for rs in [*term_rules, []]]
+        # per output and sample, the terms nonzero there in ascending order, then pads
+        ids = np.full((len(rb.outputs), max(map(len, mats), default=0), samples), pad)
+        first = 0
+        for o, mat in enumerate(mats):
+            ids[o, : len(mat)] = np.where(mat > 0.0, np.arange(first, first + len(mat))[:, None], pad)
+            first += len(mat)
+        cover = np.sort(ids, axis=1)[:, : max(1, (ids < pad).sum(axis=1).max(initial=0))]
+        mat = np.concatenate([*mats, np.zeros((1, samples))])
+        starts = np.flatnonzero(np.r_[True, (cover[:, :, 1:] != cover[:, :, :-1]).any(axis=(0, 1))])
+        return cls(
+            domains=np.array([var.domain for var in rb.inputs], float).T[:, :, None],
+            term_input=np.repeat(np.arange(len(sizes)), sizes),
+            bp=_breakpoints([mf for var in rb.inputs for _, mf in var.terms]),
+            term_ante=np.ascontiguousarray(ante[:, term_rules].transpose(0, 2, 1)),
+            run_terms=cover[:, :, starts],
+            run_len=np.diff(np.r_[starts, samples]),
+            cover_mu=mat[cover, np.arange(samples)],
+            xs=np.array(xs).reshape(len(rb.outputs), samples),
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,6 +289,8 @@ class AggregatedFuzzySet:
     xs: np.ndarray | None = None
 
     def __post_init__(self):
+        # defuzz_coa sums rows bit for bit only in C order
+        object.__setattr__(self, "mu", np.ascontiguousarray(self.mu))
         if self.mu.ndim != 2 or self.mu.shape[1] < 1:
             raise ValueError("need one row of samples per point")
         if float(self.mu.min()) < 0.0 or float(self.mu.max()) > 1.0:
@@ -250,39 +311,36 @@ def infer_mamdani(
     Inputs are equal-length arrays of m points (a float is one point); each
     output set holds an (m, samples) block, so callers with many points pass
     them in chunks (eval_fis1 does)."""
-    cols = []
     for var in rb.inputs:
         if var.name not in inputs:
             raise ValueError(f"missing input variable {var.name!r}")
-        x = np.atleast_1d(np.asarray(inputs[var.name], dtype=float))
-        lo, hi = var.domain
-        bad = ~((x >= lo) & (x <= hi))
-        if bad.any():
-            raise ValueError(f"{var.name}: input {x[bad][0]} outside domain [{lo}, {hi}]")
-        cols.append(x)
-    # term-major throughout: degrees (terms, m), firing (rules, m)
-    degrees = [mf_degrees([mf for _, mf in var.terms], x) for var, x in zip(rb.inputs, cols)]
-    ante_idx = rb._antecedent_indices()
-    firing = degrees[0][ante_idx[0]]
-    for deg, idx in zip(degrees[1:], ante_idx[1:]):
-        firing = np.minimum(firing, deg[idx])
+    plan = rb._plan(samples)
+    x = np.array([inputs[var.name] for var in rb.inputs], dtype=float).reshape(len(rb.inputs), -1)
+    lo, hi = plan.domains
+    inside = (x >= lo) & (x <= hi)
+    if not inside.all():
+        i, j = np.argwhere(~inside)[0]
+        (lo, hi), name = rb.inputs[i].domain, rb.inputs[i].name
+        raise ValueError(f"{name}: input {x[i, j]} outside domain [{lo}, {hi}]")
+    # degrees (input terms + 1, m), the last row the zero term; each output
+    # term fires at the max over its rules of their min-AND
+    degrees = np.zeros((len(plan.term_input) + 1, x.shape[1]))
+    _trap_degrees(plan.bp, x.take(plan.term_input, axis=0), out=degrees[:-1])
+    term_fire = degrees.take(plan.term_ante, axis=0).min(axis=0).max(axis=0)
+    # max over rules of min(f_r, term(x)) == max over terms of min(max f over
+    # the term's rules, term(x)), and only the terms in the cover of a sample
+    # can be nonzero there: one level of the cover at a time, each firing
+    # repeated over its runs of samples. min and max round nothing, so the
+    # order of the terms cannot move a bit.
+    runs = term_fire.take(plan.run_terms, axis=0).swapaxes(-1, -2)  # (outputs, depth, m, runs)
     out = {}
-    for j, var in enumerate(rb.outputs):
-        xs, mat, idx, spans = rb._output_samples(j, samples)
-        # max over rules of min(f_r, term(x)) == max over terms of
-        # min(max f over the term's rules, term(x)), one block per fired term
-        # over the samples where the term is nonzero, never an (m, terms,
-        # samples) tensor. Outside that span the clip is zero, so skipping it
-        # changes at most the sign of a zero sample, which moves no
-        # center-of-area bit.
-        term_fire = np.zeros((len(var.terms), firing.shape[1]))
-        np.maximum.at(term_fire, idx, firing)
-        agg = np.zeros((firing.shape[1], samples))
-        for t in np.flatnonzero(term_fire.any(axis=1)):
-            lo, hi = spans[t]
-            part = agg[:, lo:hi]
-            np.maximum(part, np.minimum(term_fire[t][:, None], mat[t, lo:hi]), out=part)
-        out[var.name] = AggregatedFuzzySet(var.domain[0], var.domain[1], agg, xs)
+    for o, var in enumerate(rb.outputs):
+        agg = None
+        for level, cover_mu in zip(runs[o], plan.cover_mu[o]):
+            clip = np.repeat(level, plan.run_len, axis=-1)
+            np.minimum(clip, cover_mu, out=clip)
+            agg = clip if agg is None else np.maximum(agg, clip, out=agg)
+        out[var.name] = AggregatedFuzzySet(*var.domain, agg, plan.xs[o])
     return out
 
 
@@ -292,8 +350,7 @@ def defuzz_coa(fset: AggregatedFuzzySet) -> np.ndarray:
     add in the same pairwise order as the sum of one vector, so each row
     equals its one-curve result bit for bit."""
     total = fset.mu.sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(total > 0.0, (fset.mu * fset.xs).sum(axis=1) / total, np.nan)
+    return (fset.mu * fset.xs).sum(axis=1) / np.where(total > 0.0, total, np.nan)
 
 
 def eval_fis1(
@@ -308,16 +365,16 @@ def eval_fis1(
     cols = (np.atleast_1d(np.asarray(x, dtype=float)) for x in inputs.values())
     cols = dict(zip(inputs, np.broadcast_arrays(*cols)))
     m = max((len(x) for x in cols.values()), default=1)
-    out = {var.name: np.empty(m) for var in rb.outputs}
+    out = np.empty((len(rb.outputs), m))
     for s in range(0, m, ROW_CHUNK):
         part = {name: x[s : s + ROW_CHUNK] for name, x in cols.items()}
-        for name, fset in infer_mamdani(rb, part, samples).items():
-            out[name][s : s + ROW_CHUNK] = defuzz_coa(fset)
+        # the comprehension drops each block before the next one is built
+        coa = [defuzz_coa(f) for f in infer_mamdani(rb, part, samples).values()]
+        for row, values in zip(out, coa):
+            row[s : s + ROW_CHUNK] = values
     # a point is degenerate as a whole: NaN in one output is NaN in all
-    dead = np.logical_or.reduce([np.isnan(v) for v in out.values()])
-    for v in out.values():
-        v[dead] = np.nan
-    return out
+    out[:, np.isnan(out).any(axis=0)] = np.nan
+    return dict(zip(rb.output_names, out))
 
 
 # --- default vocabulary -----------------------------------------------------

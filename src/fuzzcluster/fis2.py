@@ -36,11 +36,6 @@ class IntervalMF:
     upper: MembershipFunction
     lower_scale: float = 1.0
 
-    def interval(self, x: np.typing.ArrayLike) -> tuple[np.ndarray, np.ndarray]:
-        """(lower, upper) membership at each point of x (a float is one point)."""
-        lower, upper = interval_degrees((self,), np.atleast_1d(np.asarray(x, dtype=float)))
-        return lower[0], upper[0]
-
 
 def interval_degrees(
     imfs: Sequence[IntervalMF], x: np.ndarray

@@ -210,11 +210,14 @@ def build_routes(
     # argmin returns the first minimum, so sorted heads break ties to the lowest id
     heads = np.array(sorted(routes), dtype=np.intp)
     head_bs = net.bs_dist[heads]
-    far = heads[head_bs > d0]
+    if head_bs.max(initial=d0) <= d0:
+        return routes
+    far = np.flatnonzero(head_bs > d0)  # positions in heads
     for s in range(0, len(far), ROW_CHUNK):
-        rows = far[s : s + ROW_CHUNK]
-        closer = head_bs < net.bs_dist[rows, None]
-        d = np.where(closer, net.dist[np.ix_(rows, heads)], np.inf)
+        part = far[s : s + ROW_CHUNK]
+        rows = heads[part]
+        closer = head_bs < head_bs[part, None]
+        d = np.where(closer, net.dist[rows[:, None], heads], np.inf)
         best = heads[d.argmin(axis=1)]
         for h, hop, ok in zip(rows.tolist(), best.tolist(), closer.any(axis=1).tolist()):
             if ok:

@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import mf_at
 from fuzzcluster.cli import main as cli_main
 from fuzzcluster.config import parse_config
 from fuzzcluster.energy import RadioParams, threshold_distance, tx_energy
@@ -19,7 +20,6 @@ from fuzzcluster.fis1 import (
     AggregatedFuzzySet,
     default_rulebase1,
     defuzz_coa,
-    mf_eval,
 )
 from fuzzcluster.fis2 import RULES_9, FiringInterval, default_rulebase2, eval_t2fis, km_type_reduce
 from fuzzcluster.protocols import ch_threshold, run_protocol_round
@@ -104,7 +104,7 @@ def test_criterion_03_type2_collapses_to_type1_at_blur_zero():
                 radius, chance = eval_t2fis(rb, float(db), float(re))
                 num_r = num_c = den = 0.0
                 for rule in rb.rules:
-                    f = mf_eval(rb.distance_base.term(rule.distance), db) * mf_eval(
+                    f = mf_at(rb.distance_base.term(rule.distance), db) * mf_at(
                         rb.energy_base.term(rule.energy), re
                     )
                     num_r += f * rule.w_radius

@@ -17,9 +17,14 @@ from fuzzcluster.fis1 import (
     ROW_CHUNK,
     RULES_27,
     DegenerateOutputError,
+    LinguisticVariable,
+    Rule1,
     RuleBase1,
     default_rulebase1,
     eval_fis1,
+    even_terms,
+    mf_sample,
+    three_level_terms,
     trapezoidal,
     triangular,
 )
@@ -62,6 +67,20 @@ T2_MF_OVERRIDES = (
     {"energy": {"low": trapezoidal(0.0, 0.0, 0.0, 0.4), "adv": trapezoidal(0.6, 1.0, 1.0, 1.0)}},
     {"energy": {"med": trapezoidal(0.2, 0.2, 0.8, 0.8)}},
 )
+# Wide output terms: three radius terms, and three chance terms, are nonzero
+# at some COA samples.
+DEEP_OUTPUT_COVER = {
+    "radius": {"medium": trapezoidal(0.1, 0.3, 0.7, 0.9)},
+    "chance": {"avg": trapezoidal(0.0, 0.2, 0.8, 1.0)},
+}
+# No radius term is nonzero on (0.0612, 0.0617): too narrow for the coverage
+# check of LinguisticVariable, wide enough to hold COA samples.
+OUTPUT_GAP = {
+    "radius": {
+        "very_small": trapezoidal(0.0, 0.0, 0.05, 0.0612),
+        "small": triangular(0.0617, 0.125, 0.25),
+    }
+}
 T1_MF_OVERRIDES = (
     None,
     {"distance": {"close": trapezoidal(0.0, 0.0, 0.3, 0.3), "far": triangular(0.3, 0.3, 0.8)}},
@@ -73,6 +92,8 @@ T1_MF_OVERRIDES = (
     },
     {"energy": {"avg": trapezoidal(0.2, 0.2, 0.8, 0.8)}},
     {"chance": {"very_poor": trapezoidal(0.0, 0.0, 0.05, 0.05)}},
+    DEEP_OUTPUT_COVER,
+    OUTPUT_GAP,
 )
 
 
@@ -204,19 +225,67 @@ def t1_cases(draw):
     inputs = {
         var.name: draw(st.lists(points(edges), min_size=n, max_size=n)) for var in rb.inputs
     }
-    return rb, inputs, draw(st.sampled_from([3, 1001]))
+    return rb, inputs, draw(st.sampled_from([3, 4, 1000, 1001]))
 
 
 @given(t1_cases())
 @settings(max_examples=100, deadline=None)
 def test_fis1_batch_matches_one_point_reference(case):
-    rb, inputs, samples = case
+    assert_fis1_matches_reference(*case)
+
+
+def assert_fis1_matches_reference(rb, inputs, samples):
     names = [var.name for var in rb.inputs]
     rows = [dict(zip(names, p)) for p in zip(*(inputs[n] for n in names))]
     want = [reference_rows(eval_fis1_ref, rb, row, samples) for row in rows]
     got = eval_fis1(rb, {k: np.array(v) for k, v in inputs.items()}, samples)
     for var in rb.outputs:
         assert same_bits(got[var.name], [NAN if w is None else w[var.name] for w in want])
+
+
+def output_cover(rb, samples):
+    """Per output, how many of its terms are nonzero at each COA sample."""
+    xs = (np.arange(samples) + 0.5) / samples
+    return {var.name: sum(mf_sample(mf, xs) > 0.0 for _, mf in var.terms) for var in rb.outputs}
+
+
+def test_t1_overrides_stack_output_terms_and_leave_gaps():
+    deep = output_cover(default_rulebase1(DEEP_OUTPUT_COVER), 1001)
+    assert deep["radius"].max() == deep["chance"].max() == 3
+    for samples in (1000, 1001):
+        assert output_cover(default_rulebase1(OUTPUT_GAP), samples)["radius"].min() == 0
+
+
+@st.composite
+def t1_built_cases(draw, n_inputs, n_outputs):
+    """A rule base built directly: n_inputs inputs of 2-5 terms, n_outputs
+    outputs of 2-9 terms and 1-40 rules drawn with repeats, so some terms
+    have no rule and some antecedents have several."""
+    labels = [f"t{i}" for i in range(9)]
+
+    def variable(name, sizes):
+        n = draw(sizes)
+        shoulders = n == 3 and draw(st.booleans())
+        terms = three_level_terms(labels[:3]) if shoulders else even_terms(labels[:n])
+        return LinguisticVariable(name, (0.0, 1.0), terms)
+
+    ins = tuple(variable(f"in{i}", st.integers(2, 5)) for i in range(n_inputs))
+    outs = tuple(variable(f"out{j}", st.integers(2, 9)) for j in range(n_outputs))
+    antecedents = st.tuples(*(st.sampled_from(var.term_names) for var in ins))
+    consequents = st.tuples(*(st.sampled_from(var.term_names) for var in outs))
+    rules = draw(st.lists(st.builds(Rule1, antecedents, consequents), min_size=1, max_size=40))
+    rb = RuleBase1(ins, outs, tuple(rules))
+    edges = {p for var in ins for _, mf in var.terms for p in mf.points}
+    n = draw(BATCH_SIZES)
+    inputs = {var.name: draw(st.lists(points(edges), min_size=n, max_size=n)) for var in ins}
+    return rb, inputs, draw(st.sampled_from([3, 4, 1000, 1001]))
+
+
+@pytest.mark.parametrize("n_inputs,n_outputs", [(4, 2), (2, 1), (1, 3)])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_built_fis1_batch_matches_one_point_reference(n_inputs, n_outputs, data):
+    assert_fis1_matches_reference(*data.draw(t1_built_cases(n_inputs, n_outputs)))
 
 
 def test_fis1_broadcasts_one_point_input_over_every_chunk():

@@ -1,8 +1,12 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mf_at
 from fuzzcluster.fis1 import (
     CHANCE_TERMS,
     RADIUS_TERMS,
@@ -15,7 +19,6 @@ from fuzzcluster.fis1 import (
     defuzz_coa,
     eval_fis1,
     infer_mamdani,
-    mf_eval,
     mf_sample,
     trapezoidal,
     triangular,
@@ -40,33 +43,33 @@ def centroid_oracle(verts):
 
 
 def test_triangle_peak():
-    assert mf_eval(triangular(0.2, 0.5, 0.8), 0.5) == 1.0
+    assert mf_at(triangular(0.2, 0.5, 0.8), 0.5) == 1.0
 
 
 def test_triangle_rising_edge_hand_value():
     # (0.35 - 0.2) / (0.5 - 0.2)
-    assert mf_eval(triangular(0.2, 0.5, 0.8), 0.35) == pytest.approx(0.5, abs=1e-12)
+    assert mf_at(triangular(0.2, 0.5, 0.8), 0.35) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_trapezoid_outside_support():
-    assert mf_eval(trapezoidal(0.6, 0.8, 1.0, 1.0), 0.1) == 0.0
+    assert mf_at(trapezoidal(0.6, 0.8, 1.0, 1.0), 0.1) == 0.0
 
 
 def test_breakpoints_exact():
     tri = triangular(0.2, 0.5, 0.8)
-    assert mf_eval(tri, 0.2) == 0.0
-    assert mf_eval(tri, 0.5) == 1.0
-    assert mf_eval(tri, 0.8) == 0.0
+    assert mf_at(tri, 0.2) == 0.0
+    assert mf_at(tri, 0.5) == 1.0
+    assert mf_at(tri, 0.8) == 0.0
     trap = trapezoidal(0.1, 0.3, 0.6, 0.9)
-    assert mf_eval(trap, 0.1) == 0.0
-    assert mf_eval(trap, 0.3) == 1.0
-    assert mf_eval(trap, 0.6) == 1.0
-    assert mf_eval(trap, 0.9) == 0.0
+    assert mf_at(trap, 0.1) == 0.0
+    assert mf_at(trap, 0.3) == 1.0
+    assert mf_at(trap, 0.6) == 1.0
+    assert mf_at(trap, 0.9) == 0.0
 
 
 def test_shoulder_plateau_at_domain_edges():
-    assert mf_eval(trapezoidal(0.0, 0.0, 0.2, 0.4), 0.0) == 1.0
-    assert mf_eval(trapezoidal(0.6, 0.8, 1.0, 1.0), 1.0) == 1.0
+    assert mf_at(trapezoidal(0.0, 0.0, 0.2, 0.4), 0.0) == 1.0
+    assert mf_at(trapezoidal(0.6, 0.8, 1.0, 1.0), 1.0) == 1.0
 
 
 def test_malformed_breakpoints_rejected():
@@ -86,7 +89,7 @@ def valid_mfs(draw):
 
 @given(valid_mfs(), st.floats(0, 1))
 def test_mf_eval_bounded(mf, x):
-    assert 0.0 <= mf_eval(mf, x) <= 1.0
+    assert 0.0 <= mf_at(mf, x) <= 1.0
 
 
 @given(valid_mfs())
@@ -97,7 +100,7 @@ def test_mf_piecewise_linear_between_breakpoints(mf):
         if b - a < 1e-6:
             continue
         xs = np.linspace(a + (b - a) * 0.1, b - (b - a) * 0.1, 5)
-        ys = mf_eval(mf, xs)
+        ys = mf_at(mf, xs)
         slopes = np.diff(ys) / np.diff(xs)
         assert np.allclose(slopes, slopes[0], atol=1e-7)
 
@@ -106,7 +109,7 @@ def test_mf_piecewise_linear_between_breakpoints(mf):
 def test_mf_sample_matches_scalar_eval(mf):
     xs = np.linspace(0, 1, 97)
     sampled = mf_sample(mf, xs)
-    assert np.allclose(sampled, mf_eval(mf, xs), atol=1e-12)
+    assert np.allclose(sampled, mf_at(mf, xs), atol=1e-12)
 
 
 # --- linguistic variables -----------------------------------------------------
@@ -234,6 +237,14 @@ def test_coa_two_equal_lobes():
     assert defuzz_coa(AggregatedFuzzySet(0.0, 1.0, lobes[None]))[0] == pytest.approx(0.5, abs=1e-9)
 
 
+def test_coa_of_fortran_ordered_samples_matches_c_order():
+    # a column-major block sums its rows in another order, which moves last bits
+    mu = np.random.default_rng(7).uniform(0.0, 1.0, (16, 1001))
+    c_order = defuzz_coa(AggregatedFuzzySet(0.0, 1.0, mu))
+    f_order = defuzz_coa(AggregatedFuzzySet(0.0, 1.0, np.asfortranarray(mu)))
+    assert f_order.tobytes() == c_order.tobytes()
+
+
 @given(st.integers(0, 10_000), st.floats(0.01, 1.0))
 def test_coa_scale_invariance(seed, k):
     rng = np.random.default_rng(seed)
@@ -256,7 +267,7 @@ def test_coa_within_hull_of_fired_consequents(seed):
     aggs = infer_mamdani(rb, x)
     firing = {
         rule: min(
-            mf_eval(var.term(t), x[var.name]) for var, t in zip(rb.inputs, rule.antecedents)
+            mf_at(var.term(t), x[var.name]) for var, t in zip(rb.inputs, rule.antecedents)
         )
         for rule in rb.rules
     }
@@ -302,6 +313,40 @@ def test_outputs_stay_normalized(db, re, conc):
     out = eval_fis1(rb, {"distance": db, "energy": re, "concentration": conc})
     assert 0.0 <= out["radius"] <= 1.0
     assert 0.0 <= out["chance"] <= 1.0
+
+
+# Peak traced allocation of one eval_fis1 call on a fresh rule base, so its
+# cached tables count too: 441 points is a fis1 surface dump, 100 an epoch-end
+# round of ch2-scenario1. The previous engine peaked at 678 kB and 672 kB; the
+# bound keeps per-chunk blocks and caches from growing the resident size.
+PEAK_BOUND = 768 * 1024
+
+
+@pytest.mark.parametrize("n", [441, 100])
+def test_eval_peak_memory_is_bounded(n):
+    rb = default_rulebase1()
+    x = np.linspace(0.0, 1.0, n)
+    tracemalloc.start()
+    try:
+        eval_fis1(rb, {"distance": x, "energy": x[::-1], "concentration": (3 * x) % 1.0}, 1001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= PEAK_BOUND
+
+
+def test_replaced_rule_base_builds_its_own_tables():
+    rb = default_rulebase1()
+    x = {"distance": [0.1, 0.6], "energy": [0.9, 0.3], "concentration": [0.5, 0.2]}
+    eval_fis1(rb, x)  # fills rb's cached tables
+    swapped = dataclasses.replace(
+        rb,
+        outputs=rb.outputs[::-1],
+        rules=tuple(Rule1(r.antecedents, r.consequents[::-1]) for r in rb.rules),
+    )
+    got = eval_fis1(swapped, x)
+    for var in rb.outputs:
+        assert got[var.name].tobytes() == eval_fis1(rb, x)[var.name].tobytes()
 
 
 def test_eval_deterministic():

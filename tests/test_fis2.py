@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzcluster.fis1 import mf_eval, triangular
+from conftest import interval_at, mf_at
+from fuzzcluster.fis1 import triangular
 from fuzzcluster.fis2 import (
     RULES_9,
     T2_CHANCE_TERMS,
@@ -58,13 +59,13 @@ def test_fou_blur_zero_degenerates():
     base = triangular(0.2, 0.5, 0.8)
     imf = make_fou(base, 0.0)
     for x in np.linspace(0, 1, 33):
-        lo, hi = imf.interval(x)
-        assert lo == hi == mf_eval(base, x)
+        lo, hi = interval_at(imf, x)
+        assert lo == hi == mf_at(base, x)
 
 
 def test_fou_lower_peak_scaled():
     imf = make_fou(triangular(0.2, 0.5, 0.8), 0.2)
-    lo, hi = imf.interval(0.5)
+    lo, hi = interval_at(imf, 0.5)
     assert lo == pytest.approx(0.8, abs=1e-12)
     assert hi == 1.0
 
@@ -91,7 +92,7 @@ def test_fou_bad_blur_rejected():
 def test_fou_pointwise_ordering(blur, pts, x):
     a, b, c = pts
     imf = make_fou(triangular(a, b, c), blur)
-    lo, hi = imf.interval(x)
+    lo, hi = interval_at(imf, x)
     assert 0.0 <= lo <= hi <= 1.0
 
 
@@ -239,7 +240,7 @@ def height_type1_oracle(rb, db, re):
     weighted-mean defuzzification."""
     num_r = num_c = den = 0.0
     for rule in rb.rules:
-        f = mf_eval(rb.distance_base.term(rule.distance), db) * mf_eval(
+        f = mf_at(rb.distance_base.term(rule.distance), db) * mf_at(
             rb.energy_base.term(rule.energy), re
         )
         num_r += f * rule.w_radius
