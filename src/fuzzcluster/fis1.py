@@ -362,18 +362,20 @@ def eval_fis1(
     Each output is an array, NaN in every output at the points where any
     output has no area. Points go through inference ROW_CHUNK at a time,
     which bounds the sampled blocks at ROW_CHUNK x samples."""
-    cols = (np.atleast_1d(np.asarray(x, dtype=float)) for x in inputs.values())
-    cols = dict(zip(inputs, np.broadcast_arrays(*cols)))
-    m = max((len(x) for x in cols.values()), default=1)
-    out = np.empty((len(rb.outputs), m))
-    for s in range(0, m, ROW_CHUNK):
-        part = {name: x[s : s + ROW_CHUNK] for name, x in cols.items()}
+    names = list(inputs)
+    cols = np.empty((len(names), max((np.size(x) for x in inputs.values()), default=1)))
+    for row, x in zip(cols, inputs.values()):
+        row[:] = x  # a one-point input is broadcast
+    out = np.empty((len(rb.outputs), cols.shape[1]))
+    for s in range(0, cols.shape[1], ROW_CHUNK):
+        part = dict(zip(names, cols[:, s : s + ROW_CHUNK]))
         # the comprehension drops each block before the next one is built
-        coa = [defuzz_coa(f) for f in infer_mamdani(rb, part, samples).values()]
-        for row, values in zip(out, coa):
-            row[s : s + ROW_CHUNK] = values
+        out[:, s : s + ROW_CHUNK] = [
+            defuzz_coa(f) for f in infer_mamdani(rb, part, samples).values()
+        ]
     # a point is degenerate as a whole: NaN in one output is NaN in all
-    out[:, np.isnan(out).any(axis=0)] = np.nan
+    if np.isnan(out).any():
+        out[:, np.isnan(out).any(axis=0)] = np.nan
     return dict(zip(rb.output_names, out))
 
 

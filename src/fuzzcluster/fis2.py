@@ -26,6 +26,10 @@ from .fis1 import (
 DEFAULT_BLUR = 0.2
 # How far a reduced interval's lo may pass its hi before it counts as inverted.
 INVERSION_SLACK = 1e-12
+# Firings per (rules, rows) block of the Karnik-Mendel loop. Its largest
+# temporary holds two floats per firing (96 KiB), below glibc malloc's 128 KiB
+# mmap threshold, so no block is mapped and faulted in afresh.
+KM_BLOCK = 6144
 
 
 @dataclass(frozen=True)
@@ -142,60 +146,87 @@ def firing_intervals(
     return FiringInterval((dl[di] * el[ei]).T, (du[di] * eu[ei]).T)
 
 
-def _sum_rows(a: np.ndarray) -> np.ndarray:
-    """Row sums added left to right with a leading 0.0, exactly as Python's
-    sum() adds a list; ndarray.sum adds pairwise and can differ in the last
-    bit. add.accumulate is sequential, and adding 0.0 last gives sum()'s
-    sign of an all-zero total."""
-    return np.add.accumulate(a, axis=1)[:, -1] + 0.0
+def _sum_rules(a: np.ndarray) -> np.ndarray:
+    """Sums over axis 0 (the rules), added in rule order after a leading 0.0,
+    exactly as Python's sum() adds a list; ndarray.sum can add pairwise and
+    differ in the last bit."""
+    total = a[0] + 0.0
+    for row in a[1:]:
+        total += row
+    return total
 
 
-def _km_endpoint(fl: np.ndarray, fu: np.ndarray, w: np.ndarray, left: bool) -> np.ndarray:
-    """One Karnik-Mendel endpoint per row of (points, rules) firing bounds,
-    weights sorted ascending. Every row takes the iterations and breaks of the
-    one-point loop: a row stops when its switch point repeats or its
-    denominator reaches zero, and keeps its last ratio."""
+def _km_rows(first: np.ndarray, second: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Karnik-Mendel endpoints of stacked rows: ``first`` and ``second`` are
+    (rules, ...) firings in ascending weight order, rules below a row's split
+    taking ``first`` and the rest ``second``; ``w`` broadcasts against them.
+
+    Every row takes the iterations and breaks of the one-point loop: it stops
+    when its split repeats or its denominator reaches zero, keeping its last
+    ratio, or after rules + 1 iterations. A split equal to the one of two
+    iterations back (and not the last one) comes with the ratio of two
+    iterations back, so the row alternates from there on; it stops at once
+    with the ratio of the loop's last iteration's parity."""
     k_rules = len(w)
-    f = 0.5 * (fl + fu)
+    rank = np.arange(k_rules).reshape((-1,) + (1,) * first.ndim)
+    # each weighted firing beside its firing: one sum gives numerator and denominator
+    first, second = (np.stack((f * w, f), axis=1) for f in (first, second))
     with np.errstate(divide="ignore", invalid="ignore"):
-        y = _sum_rows(f * w) / _sum_rows(f)
-        prev_split = np.full(len(y), -1)
-        active = np.ones(len(y), dtype=bool)
-        below = np.arange(k_rules)
-        for _ in range(k_rules + 1):
-            split = np.minimum(np.maximum(np.searchsorted(w, y, side="right"), 1), k_rules - 1)
-            active &= split != prev_split
+        f = 0.5 * (first[:, 1] + second[:, 1])
+        y = _sum_rules(f * w) / _sum_rules(f)
+        y_back = y  # the ratio of two iterations back
+        last = back = np.full(y.shape, -1)
+        active = np.ones(y.shape, dtype=bool)
+        for it in range(k_rules + 1):
+            # for ascending w, searchsorted(w, y, side="right"), NaN included
+            split = np.minimum(np.maximum(k_rules - (w > y).sum(axis=0), 1), k_rules - 1)
+            active &= split != last
+            cycled = active & (split == back)
+            if (k_rules - it) % 2 == 0:
+                y = np.where(cycled, y_back, y)
+            active &= ~cycled
             if not active.any():
                 break
-            prev_split = split
-            first = below < split[:, None]
-            f = np.where(first, fu, fl) if left else np.where(first, fl, fu)
-            den = _sum_rows(f)
+            back, last = last, split
+            num, den = _sum_rules(np.where(rank < split, first, second))
             active &= den > 0.0
-            y = np.where(active, _sum_rows(f * w) / den, y)
+            y_back, y = y, np.where(active, num / den, y)
     return y
 
 
-def km_type_reduce(firings: FiringInterval, weights: Sequence[float]) -> ReducedInterval:
+def km_type_reduce(firings: FiringInterval, weights: np.typing.ArrayLike) -> ReducedInterval:
     """Minimum and maximum of the weighted firing ratio over all per-rule
     choices inside the firing intervals (iterative switch-point search), per
-    point of (points, rules) firings.
+    output and point: (points, rules) firings and (outputs, rules) weights
+    give (outputs, points) ends.
 
     A point is NaN at both ends where every upper firing is zero, or where
     rounding inverts its interval (subnormal firings can)."""
     fl, fu = firings.lower, firings.upper
-    if fl.shape[1] != len(weights):
-        raise ValueError("firings and weights must pair up")
-    if not len(weights):
-        raise ValueError("need at least one rule firing")
     w = np.asarray(weights, dtype=float)
-    order = np.argsort(w, kind="stable")  # tied weights keep rule order
-    w, fl, fu = w[order], fl[:, order], fu[:, order]
-    if len(w) == 1:
-        lo = hi = np.full(len(fl), w[0])
+    if w.ndim != 2 or w.shape[1] != fl.shape[1]:
+        raise ValueError("firings and weights must pair up")
+    n_out, k_rules = w.shape
+    if not k_rules:
+        raise ValueError("need at least one rule firing")
+    order = np.argsort(w, axis=1, kind="stable")  # tied weights keep rule order
+    w = w[np.arange(n_out)[:, None], order]
+    n = len(fl)
+    if k_rules == 1:
+        lo = hi = np.repeat(w, n, axis=1)
     else:
-        lo = _km_endpoint(fl, fu, w, left=True)
-        hi = _km_endpoint(fl, fu, w, left=False)
+        # rows (lower end | upper end, output, point), stacked rule-major;
+        # the lower end takes the upper firings below its split
+        pick = np.stack((order.T + k_rules, order.T), axis=1)  # (rules, ends, outputs)
+        ends = np.empty((2, n_out, n))
+        step = max(1, KM_BLOCK // (k_rules * 2 * n_out))
+        for s in range(0, n, step):
+            # rule-major: every rule's lower firings, then every rule's upper
+            g = np.concatenate((fl[s : s + step], fu[s : s + step]), axis=1).T
+            first = g.take(pick, axis=0)
+            second = g.take(pick[:, ::-1], axis=0)
+            ends[:, :, s : s + step] = _km_rows(first, second, w.T[:, None, :, None])
+        lo, hi = ends
     dead = ~(fu.max(axis=1) > 0.0) | (lo > hi + INVERSION_SLACK)
     return ReducedInterval(np.where(dead, np.nan, lo), np.where(dead, np.nan, hi))
 
@@ -277,9 +308,7 @@ def eval_t2fis(
         cols.append(x)
     db_rows, re_rows = np.broadcast_arrays(*cols)
     firings = firing_intervals(rb.rules, db_rows, re_rows, rb.distance_mfs, rb.energy_mfs)
-    radius = km_type_reduce(firings, [r.w_radius for r in rb.rules]).midpoint
-    chance = km_type_reduce(firings, [r.w_chance for r in rb.rules]).midpoint
-    dead = np.isnan(radius) | np.isnan(chance)
-    radius[dead] = np.nan
-    chance[dead] = np.nan
-    return radius, chance
+    weights = [[r.w_radius for r in rb.rules], [r.w_chance for r in rb.rules]]
+    out = km_type_reduce(firings, weights).midpoint
+    out[:, np.isnan(out).any(axis=0)] = np.nan  # NaN in one output is NaN in both
+    return out[0], out[1]

@@ -265,8 +265,9 @@ def price_control(
         snd, m, h = senders[s0:s1], members[j0:j1], member_heads[j0:j1]
         heard = (net.dist[snd] <= ranges[s0:s1, None]) & net.alive
         heard[np.arange(len(snd)), snd] = True  # stands for the sender's own tx
-        # row-major: broadcast after broadcast, in message order
-        rows, nodes = np.nonzero(heard)
+        # row-major: broadcast after broadcast, in message order (the same
+        # indices as np.nonzero, which is slower on 2-D masks)
+        rows, nodes = np.divmod(np.flatnonzero(heard), heard.shape[1])
         tx = tx_energy(radio, bits, np.concatenate((ranges[s0:s1], net.dist[m, h])))
         cost = np.where(nodes == snd[rows], tx[rows], rx)
         if len(m):

@@ -89,10 +89,10 @@ def test_criterion_02_km_matches_exhaustive_enumeration():
                     continue
                 y = sum(f * wi for f, wi in zip(combo, w)) / den
                 lo_bf, hi_bf = min(lo_bf, y), max(hi_bf, y)
-            ri = km_type_reduce(firings, list(w))
-            assert ri.lo[0] <= ri.hi[0]
-            assert abs(ri.lo[0] - lo_bf) <= 1e-9
-            assert abs(ri.hi[0] - hi_bf) <= 1e-9
+            ri = km_type_reduce(firings, [list(w)])
+            assert ri.lo[0, 0] <= ri.hi[0, 0]
+            assert abs(ri.lo[0, 0] - lo_bf) <= 1e-9
+            assert abs(ri.hi[0, 0] - hi_bf) <= 1e-9
         assert time.perf_counter() - start < 5.0
 
 

@@ -5,13 +5,16 @@ and NaN where it raised DegenerateOutputError or found its reduced interval
 inverted.
 """
 import dataclasses
+from bisect import bisect_right
+from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from engine_reference import eval_fis1_ref, eval_t2fis_ref, km_ref
+from fuzzcluster import fis2
 from fuzzcluster.energy import RadioParams
 from fuzzcluster.fis1 import (
     ROW_CHUNK,
@@ -36,6 +39,7 @@ from fuzzcluster.fis2 import (
     FiringInterval,
     default_rulebase2,
     eval_t2fis,
+    firing_intervals,
     km_type_reduce,
     make_fou,
 )
@@ -188,17 +192,149 @@ def test_km_batch_matches_one_point_reference(seed, k, m):
     fl = fu * rng.uniform(0.0, 1.0, (m, k)) * (rng.uniform(size=(m, k)) < 0.8)
     # ties keep rule order; -0.0 and negative weights pin the sign of zero sums
     weights = rng.choice([-0.5, -0.0, 0.1, 0.4, 0.9], size=k).tolist()
-    got = km_type_reduce(FiringInterval(fl, fu), weights)
+    got = km_type_reduce(FiringInterval(fl, fu), [weights])
     want = [reference_rows(km_ref, lo, up, weights) or (NAN, NAN) for lo, up in zip(fl, fu)]
-    assert same_bits(got.lo, [w[0] for w in want])
-    assert same_bits(got.hi, [w[1] for w in want])
+    assert same_bits(got.lo[0], [w[0] for w in want])
+    assert same_bits(got.hi[0], [w[1] for w in want])
 
 
 def test_km_scalar_call_rejects_mismatched_and_empty_firings():
     with pytest.raises(ValueError, match="pair up"):
-        km_type_reduce(FiringInterval(np.array([[0.1]]), np.array([[0.2]])), [0.1, 0.2])
+        km_type_reduce(FiringInterval(np.array([[0.1]]), np.array([[0.2]])), [[0.1, 0.2]])
     with pytest.raises(ValueError, match="at least one"):
-        km_type_reduce(FiringInterval(np.zeros((1, 0)), np.zeros((1, 0))), [])
+        km_type_reduce(FiringInterval(np.zeros((1, 0)), np.zeros((1, 0))), [[]])
+
+
+# --- Karnik-Mendel rows that alternate between two splits --------------------------
+
+
+def km_trace(lower, upper, weights, left):
+    """The (split, ratio) steps of the one-point Karnik-Mendel loop for one end,
+    in the loop's order: the iteration of engine_reference, step by step."""
+    order = sorted(range(len(weights)), key=lambda i: weights[i])
+    fl, fu, w = ([float(a[i]) for i in order] for a in (lower, upper, weights))
+    f = [0.5 * (a + b) for a, b in zip(fl, fu)]
+    y = sum(fi * wi for fi, wi in zip(f, w)) / sum(f) if sum(f) > 0.0 else NAN
+    steps, prev = [], -1
+    for _ in range(len(w) + 1):
+        split = min(max(bisect_right(w, y), 1), len(w) - 1)
+        if split == prev:
+            break
+        prev = split
+        f = fu[:split] + fl[split:] if left else fl[:split] + fu[split:]
+        if sum(f) <= 0.0:
+            break
+        y = sum(fi * wi for fi, wi in zip(f, w)) / sum(f)
+        steps.append((split, y))
+    return steps
+
+
+def cycle_start(steps):
+    """The first iteration whose split is the one of two iterations back, or None."""
+    splits = [split for split, _ in steps]
+    return next((t for t in range(2, len(splits)) if splits[t] == splits[t - 2]), None)
+
+
+def assert_km_matches_reference(fl, fu, weights):
+    got = km_type_reduce(FiringInterval(fl, fu), weights)
+    for o, w in enumerate(weights):
+        want = [reference_rows(km_ref, lo, up, w) or (NAN, NAN) for lo, up in zip(fl, fu)]
+        assert same_bits(got.lo[o], [v[0] for v in want])
+        assert same_bits(got.hi[o], [v[1] for v in want])
+
+
+# On the default rule base, the radius lower end at this point alternates
+# between splits 7 and 5 until the loop runs out.
+CH3_CYCLE = (0.41265308619028174, 1.0)
+
+
+def test_km_default_rule_base_two_cycle_matches_reference():
+    rb = default_rulebase2()
+    db, re = np.array([CH3_CYCLE[0]]), np.array([CH3_CYCLE[1]])
+    firings = firing_intervals(rb.rules, db, re, rb.distance_mfs, rb.energy_mfs)
+    weights = [[r.w_radius for r in rb.rules], [r.w_chance for r in rb.rules]]
+    steps = km_trace(firings.lower[0], firings.upper[0], weights[0], left=True)
+    assert [split for split, _ in steps] == [7, 5] * 5
+    assert steps[-1][1] != steps[-2][1]
+    assert_km_matches_reference(firings.lower, firings.upper, weights)
+    radius, chance = eval_t2fis(rb, db, re)
+    assert same_bits([radius[0], chance[0]], eval_t2fis_ref(rb, *CH3_CYCLE))
+
+
+def test_km_two_cycle_stops_the_loop_early(monkeypatch):
+    # The initial ratio takes two sums and each iteration one: the cycling row
+    # stops at its third split instead of holding the call to rules + 1 iterations.
+    rb = default_rulebase2()
+    calls = []
+    real_sum = fis2._sum_rules
+    monkeypatch.setattr(fis2, "_sum_rules", lambda a: calls.append(1) or real_sum(a))
+    eval_t2fis(rb, *CH3_CYCLE)
+    assert len(calls) == 4
+
+
+# (lower, upper, weights, lower end?), 0.05-grid firings that 2-cycle from the
+# second or third iteration, with an odd or even number of iterations left.
+TWO_CYCLES = {
+    "t2-odd": ([0.5, 0.3, 0.05], [0.55, 0.4, 1.0], [0.1, 0.5, 0.7], False),
+    "t2-even": ([0.3, 0.55, 0.3, 0.25], [0.35, 0.6, 0.3, 0.7], [0.4, 0.7, 0.8, 1.0], True),
+    "t3-odd": ([0.2, 0.15, 0.1, 0.0], [0.2, 0.25, 0.1, 0.5], [0.0, 0.1, 0.3, 0.9], True),
+    "t3-even": (
+        [0.15, 0.0, 0.05, 0.0, 0.1],
+        [0.95, 0.0, 0.7, 0.15, 0.1],
+        [0.1, 0.2, 0.3, 0.4, 0.9],
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWO_CYCLES))
+def test_km_two_cycle_ends_on_the_last_iterations_parity(name):
+    lower, upper, weights, left = TWO_CYCLES[name]
+    steps = km_trace(lower, upper, weights, left)
+    start = cycle_start(steps)
+    assert f"t{start}-{'even' if (len(weights) - start) % 2 == 0 else 'odd'}" == name
+    assert steps[start - 1][1] != steps[start - 2][1]  # the two ratios differ
+    assert_km_matches_reference(np.array([lower]), np.array([upper]), [weights])
+    # the same row among rows that stop at once, and under a second output
+    fl = np.array([lower, upper, [0.0] * len(lower)])
+    fu = np.array([upper, upper, upper])
+    assert_km_matches_reference(fl, fu, [weights, weights[::-1]])
+
+
+@st.composite
+def km_grid_cases(draw):
+    """Firings on a 0.05 grid and weights on a 0.1 grid with ties: rows whose
+    ratio lands on a weight can alternate between two splits."""
+    k = draw(st.integers(2, 11))
+    m = draw(st.integers(1, 40))
+    n_out = draw(st.integers(1, 3))
+    grid = st.lists(st.integers(0, 20), min_size=2 * k, max_size=2 * k)
+    ends = np.array(draw(st.lists(grid, min_size=m, max_size=m)), dtype=float).reshape(m, 2, k) / 20
+    tied = st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0])
+    weights = draw(st.lists(st.lists(tied, min_size=k, max_size=k), min_size=n_out, max_size=n_out))
+    return ends.min(axis=1), ends.max(axis=1), weights
+
+
+def has_cycling_row(case):
+    fl, fu, weights = case
+    return any(
+        cycle_start(km_trace(lo, up, w, left)) is not None
+        for lo, up in zip(fl, fu)
+        for w in weights
+        for left in (True, False)
+    )
+
+
+@given(km_grid_cases())
+@settings(max_examples=150, deadline=None)
+def test_km_grid_rows_match_one_point_reference(case):
+    assert_km_matches_reference(*case)
+
+
+def test_km_grid_cases_reach_cycling_rows():
+    # generation only: shrinking the example found would take seconds
+    quick = settings(database=None, phases=[Phase.generate])
+    assert has_cycling_row(find(km_grid_cases(), has_cycling_row, settings=quick, random=Random(7)))
 
 
 def test_t2_batch_rejects_points_outside_unit_interval():

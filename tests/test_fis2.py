@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -134,25 +135,25 @@ def test_km_degenerate_intervals_reduce_to_weighted_centroid():
     firings = one_point([0.3, 0.6, 0.1], [0.3, 0.6, 0.1])
     weights = [0.2, 0.5, 0.9]
     expected = (0.3 * 0.2 + 0.6 * 0.5 + 0.1 * 0.9) / (0.3 + 0.6 + 0.1)
-    ri = km_type_reduce(firings, weights)
-    assert ri.lo[0] == pytest.approx(expected, abs=1e-12)
-    assert ri.hi[0] == pytest.approx(expected, abs=1e-12)
+    ri = km_type_reduce(firings, [weights])
+    assert ri.lo[0, 0] == pytest.approx(expected, abs=1e-12)
+    assert ri.hi[0, 0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_km_two_rule_hand_case():
-    ri = km_type_reduce(one_point([0.2, 0.6], [0.4, 0.8]), [0.3, 0.9])
-    assert ri.lo[0] == pytest.approx(0.66, abs=1e-12)
-    assert ri.hi[0] == pytest.approx(0.78, abs=1e-12)
+    ri = km_type_reduce(one_point([0.2, 0.6], [0.4, 0.8]), [[0.3, 0.9]])
+    assert ri.lo[0, 0] == pytest.approx(0.66, abs=1e-12)
+    assert ri.hi[0, 0] == pytest.approx(0.78, abs=1e-12)
 
 
 def test_km_single_rule_returns_weight():
-    ri = km_type_reduce(one_point([0.1], [0.9]), [0.4])
-    assert ri.lo[0] == ri.hi[0] == 0.4
+    ri = km_type_reduce(one_point([0.1], [0.9]), [[0.4]])
+    assert ri.lo[0, 0] == ri.hi[0, 0] == 0.4
 
 
 def test_km_all_zero_firings_degenerate():
-    ri = km_type_reduce(one_point([0.0] * 3, [0.0] * 3), [0.1, 0.5, 0.9])
-    assert np.isnan([ri.lo[0], ri.hi[0]]).all()
+    ri = km_type_reduce(one_point([0.0] * 3, [0.0] * 3), [[0.1, 0.5, 0.9]])
+    assert np.isnan([ri.lo[0, 0], ri.hi[0, 0]]).all()
 
 
 def test_km_matches_bruteforce_on_random_instances():
@@ -160,10 +161,10 @@ def test_km_matches_bruteforce_on_random_instances():
     for _ in range(200):
         firings, weights = random_instance(rng)
         lo_bf, hi_bf = km_bruteforce(firings, weights)
-        ri = km_type_reduce(firings, weights)
-        assert ri.lo[0] == pytest.approx(lo_bf, abs=1e-9)
-        assert ri.hi[0] == pytest.approx(hi_bf, abs=1e-9)
-        assert ri.lo[0] <= ri.hi[0] + 1e-12
+        ri = km_type_reduce(firings, [weights])
+        assert ri.lo[0, 0] == pytest.approx(lo_bf, abs=1e-9)
+        assert ri.hi[0, 0] == pytest.approx(hi_bf, abs=1e-9)
+        assert ri.lo[0, 0] <= ri.hi[0, 0] + 1e-12
 
 
 @given(st.integers(0, 100_000))
@@ -172,9 +173,9 @@ def test_km_bruteforce_property(seed):
     rng = np.random.default_rng(seed)
     firings, weights = random_instance(rng)
     lo_bf, hi_bf = km_bruteforce(firings, weights)
-    ri = km_type_reduce(firings, weights)
-    assert ri.lo[0] == pytest.approx(lo_bf, abs=1e-9)
-    assert ri.hi[0] == pytest.approx(hi_bf, abs=1e-9)
+    ri = km_type_reduce(firings, [weights])
+    assert ri.lo[0, 0] == pytest.approx(lo_bf, abs=1e-9)
+    assert ri.hi[0, 0] == pytest.approx(hi_bf, abs=1e-9)
 
 
 @given(st.integers(0, 100_000))
@@ -186,18 +187,18 @@ def test_km_monotone_inclusion_under_widening(seed):
     grow = rng.uniform(0.0, 1.0, len(weights))
     fl, fu = firings.lower, firings.upper
     widened = FiringInterval(fl * shrink, fu + (1.0 - fu) * grow)
-    a = km_type_reduce(firings, weights)
-    b = km_type_reduce(widened, weights)
-    assert b.lo[0] <= a.lo[0] + 1e-12
-    assert b.hi[0] >= a.hi[0] - 1e-12
+    a = km_type_reduce(firings, [weights])
+    b = km_type_reduce(widened, [weights])
+    assert b.lo[0, 0] <= a.lo[0, 0] + 1e-12
+    assert b.hi[0, 0] >= a.hi[0, 0] - 1e-12
 
 
 @given(st.integers(0, 100_000))
 def test_km_midpoint_within_weight_range(seed):
     rng = np.random.default_rng(seed)
     firings, weights = random_instance(rng)
-    ri = km_type_reduce(firings, weights)
-    assert min(weights) - 1e-12 <= ri.midpoint[0] <= max(weights) + 1e-12
+    ri = km_type_reduce(firings, [weights])
+    assert min(weights) - 1e-12 <= ri.midpoint[0, 0] <= max(weights) + 1e-12
 
 
 # --- whole-engine behaviour --------------------------------------------------------
@@ -274,6 +275,24 @@ def test_eval_rejects_inputs_outside_unit_interval():
         eval_t2fis(rb, 1.2, 0.5)
     with pytest.raises(ValueError):
         eval_t2fis(rb, 0.5, -0.1)
+
+
+# Every (rules, rows) block of the Karnik-Mendel loop stays below glibc
+# malloc's 128 KiB mmap threshold; this bound keeps a 1000-point call from
+# holding whole-batch stacks of firings.
+PEAK_BOUND = 768 * 1024
+
+
+def test_eval_peak_memory_is_bounded():
+    rb = default_rulebase2()
+    x = np.linspace(0.0, 1.0, 1000)
+    tracemalloc.start()
+    try:
+        eval_t2fis(rb, x, (3 * x) % 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= PEAK_BOUND
 
 
 # --- rule base shape ------------------------------------------------------------------
