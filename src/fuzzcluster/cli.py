@@ -76,7 +76,7 @@ def main(argv: list[str] | None = None) -> int:
             collected: list[tuple] = []
 
             def collect(rnd, plan, sink=collected):
-                sink.extend(cluster_rows(rnd, plan.clusters, plan.routes))
+                sink.extend(cluster_rows(rnd, plan))
 
             result = run_simulation(run_cfg, on_round=collect if args.dump_clusters else None)
             results.append(result)

@@ -6,6 +6,7 @@ immediately; every error names the offending field.
 """
 from __future__ import annotations
 
+import math
 import os
 from typing import Mapping
 
@@ -146,11 +147,19 @@ def _parse_lines(text: str, origin: str) -> dict[str, str]:
     return pairs
 
 
-def _as_float(pairs: Mapping[str, str], key: str) -> float:
+def _finite(key: str, text: str) -> float:
+    """``text`` as a finite float; a ConfigError naming ``key`` otherwise."""
     try:
-        return float(pairs[key])
+        v = float(text)
     except ValueError:
-        raise ConfigError(f"{key}: not a number: {pairs[key]!r}") from None
+        raise ConfigError(f"{key}: not a number: {text.strip()!r}") from None
+    if not math.isfinite(v):
+        raise ConfigError(f"{key}: not a finite number: {text.strip()!r}")
+    return v
+
+
+def _as_float(pairs: Mapping[str, str], key: str) -> float:
+    return _finite(key, pairs[key])
 
 
 def _as_int(pairs: Mapping[str, str], key: str) -> int:
@@ -171,10 +180,7 @@ def _as_bool(pairs: Mapping[str, str], key: str) -> bool:
 
 def _parse_mf(key: str, value: str) -> MembershipFunction:
     shape, _, rest = value.partition(":")
-    try:
-        pts = [float(x) for x in rest.split(",")]
-    except ValueError:
-        raise ConfigError(f"{key}: bad breakpoint list {rest!r}") from None
+    pts = [_finite(key, x) for x in rest.split(",")]
     try:
         if shape == "tri" and len(pts) == 3:
             return triangular(*pts)
@@ -190,18 +196,17 @@ def _parse_energy_overrides(value: str) -> dict[int, float]:
     for item in value.split(","):
         nid_s, _, e_s = item.partition(":")
         try:
-            nid, e = int(nid_s), float(e_s)
+            nid = int(nid_s)
         except ValueError:
             raise ConfigError(f"energy_overrides: bad entry {item.strip()!r}") from None
-        out[nid] = e
+        if nid in out:
+            raise ConfigError(f"energy_overrides: node {nid} listed twice")
+        out[nid] = _finite("energy_overrides", e_s)
     return out
 
 
 def _parse_weights(key: str, value: str, terms: tuple[str, ...]) -> dict[str, float]:
-    try:
-        ws = [float(x) for x in value.split(",")]
-    except ValueError:
-        raise ConfigError(f"{key}: bad weight list {value!r}") from None
+    ws = [_finite(key, x) for x in value.split(",")]
     if len(ws) != len(terms):
         raise ConfigError(f"{key}: expected {len(terms)} weights, got {len(ws)}")
     for w in ws:
@@ -236,10 +241,7 @@ def _split_dynamic(pairs: dict[str, str]):
         elif parts[0] == "blur" and len(parts) == 2:
             if parts[1] not in _T2_VARS:
                 raise ConfigError(f"{key}: unknown variable {parts[1]!r}")
-            try:
-                blurs[parts[1]] = float(value)
-            except ValueError:
-                raise ConfigError(f"{key}: not a number: {value!r}") from None
+            blurs[parts[1]] = _finite(key, value)
         else:
             raise ConfigError(f"unknown key {key!r}")
     return plain, mf1, mf2, rules1, rules2, blurs

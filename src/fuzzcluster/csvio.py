@@ -7,6 +7,7 @@ round-trip bit-exactly.
 from __future__ import annotations
 
 import csv
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -127,14 +128,16 @@ def write_clusters_csv(rows: Sequence[tuple], path: str | Path) -> None:
             )
 
 
-def cluster_rows(round_index: int, clusters, routes) -> list[tuple]:
+def cluster_rows(round_index: int, plan) -> list[tuple]:
+    """A round's rows for ``write_clusters_csv``, in cluster order: one per
+    member, or one with no member for a head without members."""
+    heads, members = plan.heads.tolist(), plan.members.tolist()
+    sizes, ends = plan.sizes.tolist(), np.cumsum(plan.sizes).tolist()
     rows = []
-    for c in clusters:
-        hop = routes.get(c.head)
-        if not c.members:
-            rows.append((round_index, c.head, None, c.radius, hop))
-        for m in c.members:
-            rows.append((round_index, c.head, m, c.radius, hop))
+    for head, n, end, radius, k in zip(heads, sizes, ends, plan.radius.tolist(), plan.next_hop.tolist()):
+        hop = None if k < 0 else heads[k]
+        mine = members[end - n : end] or [None]
+        rows.extend(zip(repeat(round_index), repeat(head), mine, repeat(radius), repeat(hop)))
     return rows
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -83,13 +82,36 @@ class Cluster:
 
 @dataclass
 class RoundPlan:
-    """Everything one round decided, priced later by the simulator."""
+    """Everything one round decided, priced later by the simulator.
 
-    clusters: list[Cluster]
-    routes: dict[int, int | None]  # head id -> next-hop head id, None = sink
+    The per-cluster arrays run in cluster order: the finals in competition
+    order, then type2fl orphans in ascending id."""
+
+    heads: np.ndarray  # head id per cluster
+    radius: np.ndarray  # competition radius in m; 0 for LEACH heads and orphans
+    chance: np.ndarray  # head chance; 0 for LEACH heads and orphans
+    sizes: np.ndarray  # member count per cluster
+    members: np.ndarray  # member ids, cluster after cluster, ascending in each
+    next_hop: np.ndarray  # position in heads of each head's next hop, -1 = sink
     control_spend: np.ndarray  # per-node control-traffic cost in J
     orphan_fallbacks: int = 0
     fis_fallbacks: int = 0
+
+    @property
+    def clusters(self) -> list[Cluster]:
+        """The clusters as Python objects, in cluster order."""
+        members, heads, sizes = self.members.tolist(), self.heads.tolist(), self.sizes.tolist()
+        ends = np.cumsum(self.sizes).tolist()
+        return [
+            Cluster(h, members[e - n : e], r, c)
+            for h, n, e, r, c in zip(heads, sizes, ends, self.radius.tolist(), self.chance.tolist())
+        ]
+
+    @property
+    def routes(self) -> dict[int, int | None]:
+        """Head id -> next-hop head id (None = sink), in cluster order."""
+        heads = self.heads.tolist()
+        return {h: None if k < 0 else heads[k] for h, k in zip(heads, self.next_hop.tolist())}
 
 
 def ch_threshold(p: float, r: int) -> float:
@@ -150,88 +172,74 @@ def compute_radius_chance(
 
 
 def compete_final_chs(
-    candidates: list[tuple[int, float, float]], net: Network
-) -> list[tuple[int, float, float]]:
+    ids: np.ndarray, radius: np.ndarray, chance: np.ndarray, net: Network
+) -> np.ndarray:
     """Greedy competition in descending chance (ascending id breaks ties): a
     candidate survives unless an already-final head sits within either of the
-    pair's competition radii."""
-    if not candidates:
-        return []
-    ids, rad, chance = (np.array(col) for col in zip(*candidates))
-    blocked = np.zeros(len(candidates), dtype=bool)
-    finals: list[tuple[int, float, float]] = []
+    pair's competition radii. Returns the finals' positions in the candidate
+    arrays, in competition order."""
+    blocked = np.zeros(len(ids), dtype=bool)
+    finals: list[int] = []
     # one dist row per kept head, never a candidates x candidates matrix
     for k in np.lexsort((ids, -chance)).tolist():
         if blocked[k]:
             continue
-        finals.append(candidates[k])
+        finals.append(k)
         d = net.dist[ids[k], ids]
-        blocked |= (d <= rad[k]) | (d <= rad)
-    return finals
+        blocked |= (d <= radius[k]) | (d <= radius)
+    return np.array(finals, dtype=np.intp)
 
 
 def assign_members(
-    net: Network,
-    finals: list[tuple[int, float, float]],
-    kind: str,
-    r_max: float,
-) -> tuple[list[Cluster], int]:
-    """Join every alive non-head node to a head. type2fl restricts joining to
-    heads within r_max and self-promotes uncovered nodes into singleton
-    clusters; the other kinds join the nearest head unconditionally."""
-    clusters = {fid: Cluster(fid, [], frad, fch) for fid, frad, fch in finals}
+    net: Network, finals: np.ndarray, kind: str, r_max: float
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], int]:
+    """Join every alive non-head node to its nearest final head; type2fl joins
+    only within r_max and self-promotes uncovered nodes into singleton clusters
+    after the finals. Returns ((heads, sizes, members, order), orphan count),
+    the clusters as in ``RoundPlan`` and ``order`` sorting ``heads`` by id."""
     # argmin returns the first minimum, so sorted heads break ties to the lowest id
-    heads = np.array(sorted(clusters), dtype=np.intp)
+    order = np.argsort(finals)
     joining = net.alive.copy()
-    joining[heads] = False
+    joining[finals] = False
     joiners = np.flatnonzero(joining)
-    d = net.dist[np.ix_(joiners, heads)]
+    d = net.dist[np.ix_(joiners, finals[order])]
     if kind == KIND_TYPE2:
         d = np.where(d <= r_max, d, np.inf)
-    best = d.argmin(axis=1)
+    cluster = order[d.argmin(axis=1)]
     covered = np.isfinite(d.min(axis=1))
-    for m, h in zip(joiners[covered].tolist(), heads[best[covered]].tolist()):
-        clusters[h].members.append(m)
-    orphans = joiners[~covered].tolist()
-    for o in orphans:
-        clusters[o] = Cluster(o, [], 0.0, 0.0)
-    return list(clusters.values()), len(orphans)
+    cluster, orphans = cluster[covered], joiners[~covered]
+    # joiners ascend, so a stable sort keeps each cluster's members ascending
+    members = joiners[covered][np.argsort(cluster, kind="stable")]
+    heads = np.concatenate((finals, orphans))
+    sizes = np.bincount(cluster, minlength=len(heads))
+    if len(orphans):
+        # orphans ascend and are no final's id: merge them into the finals' sort
+        at = np.searchsorted(finals[order], orphans)
+        order = np.insert(order, at, np.arange(len(finals), len(heads)))
+    return (heads, sizes, members, order), len(orphans)
 
 
 def build_routes(
-    head_ids: list[int], net: Network, d0: float, direct_only: bool = False
-) -> dict[int, int | None]:
-    """Next hop per head: the sink when within d0 (or always, for LEACH),
+    heads: np.ndarray, order: np.ndarray, net: Network, d0: float, direct_only: bool = False
+) -> np.ndarray:
+    """Next hop per head as a position in ``heads`` (``order`` sorts them by
+    id), -1 for the sink: the sink when within d0 (or always, for LEACH),
     otherwise the nearest other head strictly closer to the sink; heads with
     no sink-ward peer go direct. Strict progress keeps the route graph acyclic."""
-    routes: dict[int, int | None] = dict.fromkeys(head_ids)
+    next_hop = np.full(len(heads), -1, dtype=np.intp)
     if direct_only:
-        return routes
+        return next_hop
     # argmin returns the first minimum, so sorted heads break ties to the lowest id
-    heads = np.array(sorted(routes), dtype=np.intp)
-    head_bs = net.bs_dist[heads]
-    if head_bs.max(initial=d0) <= d0:
-        return routes
-    far = np.flatnonzero(head_bs > d0)  # positions in heads
+    ranked = heads[order]
+    head_bs = net.bs_dist[ranked]
+    far = np.flatnonzero(head_bs > d0)  # positions in ranked
     for s in range(0, len(far), ROW_CHUNK):
         part = far[s : s + ROW_CHUNK]
-        rows = heads[part]
         closer = head_bs < head_bs[part, None]
-        d = np.where(closer, net.dist[rows[:, None], heads], np.inf)
-        best = heads[d.argmin(axis=1)]
-        for h, hop, ok in zip(rows.tolist(), best.tolist(), closer.any(axis=1).tolist()):
-            if ok:
-                routes[h] = hop
-    return routes
-
-
-def cluster_arrays(clusters: list[Cluster]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(heads, sizes, members) of a cluster list: head ids and member counts in
-    list order, and every member id, cluster after cluster."""
-    heads = np.fromiter((c.head for c in clusters), np.intp, len(clusters))
-    sizes = np.fromiter((len(c.members) for c in clusters), np.intp, len(clusters))
-    members = np.fromiter(chain.from_iterable(c.members for c in clusters), np.intp)
-    return heads, sizes, members
+        d = np.where(closer, net.dist[ranked[part, None], ranked], np.inf)
+        relays = closer.any(axis=1)
+        next_hop[order[part[relays]]] = order[d.argmin(axis=1)[relays]]
+    return next_hop
 
 
 def price_control(
@@ -299,51 +307,45 @@ def run_protocol_round(
     if not net.alive.any():
         raise ValueError("no alive nodes")
 
-    provisional_ids, forced = select_provisional(net, params, round_index - 1, rng)
-    orphan_fallbacks = 1 if forced else 0
+    provisional, forced = select_provisional(net, params, round_index - 1, rng)
+    ids = np.array(provisional, dtype=np.intp)
     fis_fallbacks = 0
     leach = params.kind == KIND_LEACH
 
     if leach:
-        finals = [(pid, 0.0, 0.0) for pid in provisional_ids]
-        ids, radius = np.zeros(0, dtype=np.intp), np.zeros(0)  # no candidate announcements
+        finals, radius, chance = ids, np.zeros(len(ids)), np.zeros(len(ids))
+        ids, cand_radius = ids[:0], radius[:0]  # no candidate announcements
     else:
         nbr_radius = params.nbr_radius or threshold_distance(radio)
-        ids = np.array(provisional_ids, dtype=np.intp)
         inputs = normalize_inputs(net, ids, nbr_radius)
-        radius, chance, fell_back = compute_radius_chance(inputs, engines, params)
+        cand_radius, chance, fell_back = compute_radius_chance(inputs, engines, params)
         fis_fallbacks = int(fell_back.sum())
-        finals = compete_final_chs(list(zip(provisional_ids, radius.tolist(), chance.tolist())), net)
+        won = compete_final_chs(ids, cand_radius, chance, net)
+        finals, radius, chance = ids[won], cand_radius[won], chance[won]
 
-    clusters, orphans = assign_members(net, finals, params.kind, params.r_max)
-    orphan_fallbacks += orphans
+    (heads, sizes, members, order), orphans = assign_members(net, finals, params.kind, params.r_max)
+    radius, chance = (np.concatenate((x, np.zeros(orphans))) for x in (radius, chance))
+    k = len(finals)  # the finals' announcements are heads[:k]
 
     control = np.zeros(net.n)
     if params.control_traffic:
-        fids, frad, _ = (np.array(col) for col in zip(*finals))
-        heads, sizes, members = cluster_arrays(clusters)
-        radii = np.array([c.radius for c in clusters])
-        if leach:
-            frad, radii = np.full(len(finals), params.r_max), np.full(len(clusters), params.r_max)
+        ranges = np.full(len(heads), params.r_max) if leach else radius
         # type2fl orphans (radius 0, no members) send no schedule
-        schedules = np.flatnonzero((sizes > 0) & (radii > 0.0))
-        first = len(ids) + len(finals)  # the first cluster's group
+        schedules = np.flatnonzero((sizes > 0) & (ranges > 0.0))
+        first = len(ids) + k  # the first cluster's group
         price_control(
             control,
             net,
             radio,
-            senders=np.concatenate((ids, fids, heads[schedules])),
-            ranges=np.concatenate((radius, frad, radii[schedules])),
+            senders=np.concatenate((ids, heads[:k], heads[schedules])),
+            ranges=np.concatenate((cand_radius, ranges[:k], ranges[schedules])),
             send_group=np.concatenate((np.arange(first), first + schedules)),
             members=members,
             member_heads=np.repeat(heads, sizes),
-            join_group=np.repeat(np.arange(first, first + len(clusters)), sizes),
+            join_group=np.repeat(np.arange(first, first + len(heads)), sizes),
         )
 
-    routes = build_routes(
-        [c.head for c in clusters],
-        net,
-        threshold_distance(radio),
-        direct_only=leach,
+    next_hop = build_routes(heads, order, net, threshold_distance(radio), direct_only=leach)
+    return RoundPlan(
+        heads, radius, chance, sizes, members, next_hop, control, int(forced) + orphans, fis_fallbacks
     )
-    return RoundPlan(clusters, routes, control, orphan_fallbacks, fis_fallbacks)

@@ -17,7 +17,6 @@ from .protocols import (
     Engines,
     ProtocolParams,
     RoundPlan,
-    cluster_arrays,
     run_protocol_round,
 )
 from .rng import Xorshift64Star
@@ -119,39 +118,33 @@ def apply_round_energy(net: Network, plan: RoundPlan, radio: RadioParams) -> np.
     dead from the next round on. Returns the per-node energy actually drained."""
     bits = radio.packet_bits
     rx = rx_energy(radio, bits)
-    heads, sizes, members = cluster_arrays(plan.clusters)
+    heads, sizes, members, next_hop = plan.heads, plan.sizes, plan.members, plan.next_hop
 
-    # Packets flow sink-ward, farthest head first. Only the integer packet
-    # counts need a loop; it lists each sender's hop and, after it, the next
-    # head's reception of the same packets.
-    sending = heads[np.lexsort((heads, -net.bs_dist[heads]))].tolist()
-    incoming = dict.fromkeys(sending, 0)
-    hop_d, hop_nodes, sender, packets, received = [], [], [], [], []
-    for i, head in enumerate(sending):
-        hop = plan.routes.get(head)
-        p = 1 + incoming[head]
-        hop_d.append(net.bs_dist[head] if hop is None else net.dist[head, hop])
-        hop_nodes.append(head)
-        sender.append(i)
-        packets.append(p)
-        received.append(False)
-        if hop is not None:
-            incoming[hop] += p
-            hop_nodes.append(hop)
-            sender.append(i)
-            packets.append(p)
-            received.append(True)
+    # Packets flow sink-ward, farthest head first: every hop is strictly
+    # closer to the sink, so a head has all its relayed packets before it
+    # sends. Only the integer packet counts need a loop.
+    sending = np.lexsort((heads, -net.bs_dist[heads]))
+    packets = [1] * len(heads)  # by position in heads
+    hops = next_hop.tolist()
+    for i in sending.tolist():
+        if hops[i] >= 0:
+            packets[hops[i]] += packets[i]
+    packets = np.array(packets)
+    relays = sending[next_hop[sending] >= 0]  # senders to a head, in sending order
 
     member_d = net.dist[members, np.repeat(heads, sizes)]
+    # a sink hop (-1) reads the last head's distance, which np.where discards
+    hop_d = np.where(next_hop < 0, net.bs_dist[heads], net.dist[heads, heads[next_hop]])
     tx = tx_energy(radio, bits, np.concatenate((member_d, hop_d)))
-    hop_cost = np.where(received, rx, tx[len(members) :][sender]) * packets
     # One addition per cost, per node in the order the costs arise: a
     # member's uplink; a head's reception and aggregation, then the relayed
-    # packets it receives, then its own hop (a head is never a member).
+    # packets it receives in sending order, then its own hop (a head is never
+    # a member).
+    hop_cost = np.concatenate((rx * packets[relays], tx[len(members) :] * packets))
     spend = plan.control_spend.copy()
     np.add.at(
         spend,
-        np.concatenate((members, heads, heads, hop_nodes)),
+        np.concatenate((members, heads, heads, heads[next_hop[relays]], heads)),
         np.concatenate((tx[: len(members)], rx * sizes, agg_energy(radio, bits, sizes + 1), hop_cost)),
     )
 
@@ -227,7 +220,7 @@ def run_simulation(
                 dead=cfg.n - alive,
                 total_j=total,
                 avg_j=total / alive if alive else 0.0,
-                ch_count=len(plan.clusters),
+                ch_count=len(plan.heads),
                 orphan_fallbacks=plan.orphan_fallbacks,
                 fis_fallbacks=plan.fis_fallbacks,
                 spent_j=math.fsum(drained),

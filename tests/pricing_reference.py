@@ -1,12 +1,14 @@
 """One-message-at-a-time reference round for the array bookkeeping tests.
 
-These are the competition, routing, control pricing and energy application
-as they were written before array bookkeeping: one Python addition per
-message, per member uplink and per hop, and the one-distance radio formula.
-The array code must reproduce them bit for bit, so keep this file as it is
-when the package's bookkeeping changes.
+These are the competition, joining, routing, control pricing and energy
+application as they were written before array bookkeeping: one loop per
+decision, one Python addition per message, per member uplink and per hop,
+and the one-distance radio formula. The array code must reproduce them bit
+for bit, so keep this file as it is when the package's bookkeeping changes.
 """
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,11 +16,27 @@ from fuzzcluster.energy import threshold_distance
 from fuzzcluster.network import normalize_inputs
 from fuzzcluster.protocols import (
     KIND_LEACH,
-    RoundPlan,
-    assign_members,
+    KIND_TYPE2,
     compute_radius_chance,
     select_provisional,
 )
+
+
+@dataclass
+class RefCluster:
+    head: int
+    members: list[int]
+    radius: float
+    chance: float
+
+
+@dataclass
+class RefPlan:
+    clusters: list[RefCluster]  # in cluster order
+    routes: dict  # head id -> next-hop head id, None = sink
+    control_spend: np.ndarray
+    orphan_fallbacks: int
+    fis_fallbacks: int
 
 
 def tx_energy_ref(p, bits, d):
@@ -41,6 +59,23 @@ def compete_final_chs_ref(candidates, net):
         if clear:
             finals.append(cand)
     return finals
+
+
+def assign_members_ref(net, finals, kind, r_max):
+    """Each alive non-head node joins its nearest final, the lowest id on a
+    tie; type2fl joins only a final within r_max, and a node with none becomes
+    a singleton cluster after the finals, in ascending id."""
+    clusters = [RefCluster(fid, [], frad, fch) for fid, frad, fch in finals]
+    orphans = []
+    for i in range(net.n):
+        if not net.alive[i] or any(i == fid for fid, _, _ in finals):
+            continue
+        reach = [c for c in clusters if kind != KIND_TYPE2 or net.dist[i, c.head] <= r_max]
+        if reach:
+            min(reach, key=lambda c: (net.dist[i, c.head], c.head)).members.append(i)
+        else:
+            orphans.append(RefCluster(i, [], 0.0, 0.0))
+    return clusters + orphans, len(orphans)
 
 
 def build_routes_ref(head_ids, net, d0, direct_only=False):
@@ -89,7 +124,7 @@ def run_protocol_round_ref(net, params, engines, round_index, rng, radio):
         for fid, frad, _ in finals:
             broadcast(fid, announce_range if announce_range is not None else frad)
 
-    clusters, orphans = assign_members(net, finals, params.kind, params.r_max)
+    clusters, orphans = assign_members_ref(net, finals, params.kind, params.r_max)
     orphan_fallbacks += orphans
 
     if params.control_traffic:
@@ -106,7 +141,7 @@ def run_protocol_round_ref(net, params, engines, round_index, rng, radio):
         threshold_distance(radio),
         direct_only=params.kind == KIND_LEACH,
     )
-    return RoundPlan(clusters, routes, control, orphan_fallbacks, fis_fallbacks)
+    return RefPlan(clusters, routes, control, orphan_fallbacks, fis_fallbacks)
 
 
 def apply_round_energy_ref(net, plan, radio):

@@ -1,19 +1,26 @@
 """What the benchmark in perfbench/ relies on in the package.
 
 perfbench/tracer.py wraps package functions by module and name for --trace 1,
-and perfbench/probe.py ends a surface dump at its first engine call by
-replacing the engine names that csvio holds. A refactor that renames or
-bypasses any of them breaks the benchmark without failing another test.
+perfbench/probe.py ends a surface dump at its first engine call by
+replacing the engine names that csvio holds, and perfbench/worker.py captures
+each round through the plan's ``clusters`` and ``routes`` views for the checks
+in perfbench/checks.py. A refactor that renames or bypasses any of them breaks
+the benchmark without failing another test.
 """
 import importlib
 import importlib.util
+import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from fuzzcluster import csvio
+from fuzzcluster.config import parse_config
 from fuzzcluster.fis1 import default_rulebase1
 from fuzzcluster.fis2 import default_rulebase2
+from fuzzcluster.protocols import KINDS
+from fuzzcluster.simulator import run_simulation
 
 _spec = importlib.util.spec_from_file_location(
     "perfbench_tracer", Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -27,6 +34,23 @@ _spec.loader.exec_module(tracer)
 )
 def test_traced_function_resolves(module, name):
     assert callable(getattr(importlib.import_module(module), name))
+
+
+def test_traced_round_counters_stay_plain_numbers():
+    # the tracer's hooks read len(compete_final_chs(...)), its first argument,
+    # and assign_members(...)[1] as the orphan count; metrics go out as JSON
+    cfg = parse_config("ch3")
+    cfg = replace(cfg, protocol=replace(cfg.protocol, r_max=15.0), max_rounds=5)
+    t = tracer.Tracer()
+    t.install()
+    try:
+        result = run_simulation(cfg)
+    finally:
+        t.uninstall()
+    metrics = t.layer_metrics()
+    json.dumps(metrics)
+    assert metrics["protocols.orphans"] == sum(m.orphan_fallbacks for m in result.rounds) > 0
+    assert 0 < metrics["protocols.heads"] < metrics["protocols.candidates"]
 
 
 class FirstEngineCall(Exception):
@@ -52,3 +76,22 @@ def test_surface_writer_calls_engine_before_any_data_row(tmp_path, monkeypatch, 
     with pytest.raises(FirstEngineCall):
         write(path)
     assert len(path.read_text(encoding="utf-8").splitlines()) <= 1  # the header at most
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_plan_views_have_the_types_the_worker_pickles(kind):
+    # the worker pickles (c.head, c.radius, c.members) and plan.routes; the
+    # checks index with the heads and test members for truth
+    cfg = parse_config("ch3")
+    cfg = replace(cfg, protocol=replace(cfg.protocol, kind=kind), max_rounds=3)
+    plans = []
+    run_simulation(cfg, on_round=lambda r, plan: plans.append(plan))
+    assert len(plans) == 3
+    for plan in plans:
+        clusters = plan.clusters
+        assert len(clusters) == len(plan.heads)
+        for c in clusters:
+            assert type(c.head) is int and type(c.radius) is float and type(c.members) is list
+            assert all(type(m) is int for m in c.members)
+        assert set(plan.routes) == set(plan.heads.tolist())
+        assert all(hop is None or type(hop) is int for hop in plan.routes.values())

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from fuzzcluster.config import PRESETS, ConfigError, parse_config
@@ -134,6 +136,31 @@ def test_energy_overrides_parsed(tmp_path):
 def test_energy_override_unknown_node(tmp_path):
     with pytest.raises(ConfigError, match="node 99"):
         parse_config(write_cfg(tmp_path, BASE + "energy_overrides = 99:0.1\n"))
+
+
+@pytest.mark.parametrize(
+    "line,field",
+    [
+        ("initial_energy_j = nan", "initial_energy_j"),
+        ("area_m = nan", "area_m"),
+        ("bs_x = nan", "bs_x"),
+        ("e_elec_nj = inf", "e_elec_nj"),
+        ("r_max_m = inf", "r_max_m"),
+        ("nbr_radius_m = inf", "nbr_radius_m"),
+        ("p = nan", "p"),
+        ("blur = nan", "blur"),
+        ("energy_overrides = 3:nan", "energy_overrides"),
+        ("energy_overrides = 3:0.1, 3:0.2", "energy_overrides: node 3"),
+        ("mf1.distance.close = tri:0,inf,1", "mf1.distance.close"),
+        ("w.radius = 0.1,0.2,nan,0.6,0.8,0.9", "w.radius"),
+        ("blur.energy = -inf", "blur.energy"),
+    ],
+)
+def test_non_finite_and_repeated_values_name_their_key(tmp_path, line, field):
+    key = line.split(" = ")[0]
+    text = "".join(row for row in BASE.splitlines(keepends=True) if not row.startswith(key + " "))
+    with pytest.raises(ConfigError, match=rf"^{re.escape(field)}[: ]"):
+        parse_config(write_cfg(tmp_path, text + line + "\n"))
 
 
 # --- engine overrides -----------------------------------------------------------

@@ -55,7 +55,7 @@ def test_outputs_match_golden_digests(tmp_path, preset, protocol, seed):
         cfg = replace(cfg, energy_overrides=WEAK_NODES)
     rows: list[tuple] = []
     result = run_simulation(
-        cfg, on_round=lambda r, plan: rows.extend(cluster_rows(r, plan.clusters, plan.routes))
+        cfg, on_round=lambda r, plan: rows.extend(cluster_rows(r, plan))
     )
     assert result.fnd is not None
     write_metrics_csv(result, tmp_path / "metrics.csv")

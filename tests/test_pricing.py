@@ -144,10 +144,13 @@ def test_competition_and_routes_break_ties_as_reference(data):
             unique_by=lambda c: c[0],
         )
     )
-    assert compete_final_chs(candidates, net) == compete_final_chs_ref(candidates, net)
-    heads = [c[0] for c in candidates]
+    ids, radius, chance = (np.array(col) for col in zip(*candidates))
+    won = compete_final_chs(ids, radius, chance, net).tolist()
+    assert [candidates[k] for k in won] == compete_final_chs_ref(candidates, net)
+    heads = ids.tolist()
     d0 = data.draw(st.sampled_from([0.0, GRID, 87.7, 1e3]))
-    assert list(build_routes(heads, net, d0).items()) == list(
+    next_hop = build_routes(ids, np.argsort(ids), net, d0).tolist()
+    assert [(h, None if k < 0 else heads[k]) for h, k in zip(heads, next_hop)] == list(
         build_routes_ref(heads, net, d0).items()
     )
 

@@ -127,29 +127,31 @@ def test_close_high_high_chance_lands_in_very_strong():
 # --- competition ----------------------------------------------------------------------
 
 
+def final_ids(candidates, net):
+    """Ids of the (id, radius, chance) candidates that win, in competition order."""
+    ids, radius, chance = (np.array(col) for col in zip(*candidates))
+    return ids[compete_final_chs(ids, radius, chance, net)].tolist()
+
+
 def test_competition_higher_chance_wins():
     net = network_from_positions([(0.0, 0.0), (10.0, 0.0)], 100.0, (50.0, 50.0))
-    finals = compete_final_chs([(0, 30.0, 0.7), (1, 30.0, 0.5)], net)
-    assert [f[0] for f in finals] == [0]
+    assert final_ids([(0, 30.0, 0.7), (1, 30.0, 0.5)], net) == [0]
 
 
 def test_competition_disjoint_radii_keep_both():
     net = network_from_positions([(0.0, 0.0), (80.0, 0.0)], 100.0, (50.0, 50.0))
-    finals = compete_final_chs([(0, 30.0, 0.7), (1, 30.0, 0.5)], net)
-    assert sorted(f[0] for f in finals) == [0, 1]
+    assert sorted(final_ids([(0, 30.0, 0.7), (1, 30.0, 0.5)], net)) == [0, 1]
 
 
 def test_competition_tie_breaks_to_lower_id():
     net = network_from_positions([(0.0, 0.0), (10.0, 0.0)], 100.0, (50.0, 50.0))
-    finals = compete_final_chs([(1, 30.0, 0.5), (0, 30.0, 0.5)], net)
-    assert [f[0] for f in finals] == [0]
+    assert final_ids([(1, 30.0, 0.5), (0, 30.0, 0.5)], net) == [0]
 
 
 def test_competition_either_radius_suppresses():
     # 20 m apart: loser's 30 m radius covers the pair even though the winner's doesn't
     net = network_from_positions([(0.0, 0.0), (20.0, 0.0)], 100.0, (50.0, 50.0))
-    finals = compete_final_chs([(0, 5.0, 0.9), (1, 30.0, 0.5)], net)
-    assert [f[0] for f in finals] == [0]
+    assert final_ids([(0, 5.0, 0.9), (1, 30.0, 0.5)], net) == [0]
 
 
 # --- joining ----------------------------------------------------------------------------
@@ -174,8 +176,11 @@ def test_equidistant_member_joins_lower_id():
     assert 2 in by_head[0].members
     assert by_head[1].members == []
     # the tie goes to the lower id whatever the competition order; clusters keep that order
-    clusters, _ = assign_members(net, [(1, 30.0, 0.9), (0, 30.0, 0.5)], "fuzzy_unequal", 40.0)
-    assert [(c.head, c.members) for c in clusters] == [(1, []), (0, [2])]
+    (heads, sizes, members, order), orphans = assign_members(
+        net, np.array([1, 0]), "fuzzy_unequal", 40.0
+    )
+    assert (heads.tolist(), sizes.tolist(), members.tolist()) == ([1, 0], [0, 1], [2])
+    assert (order.tolist(), orphans) == ([1, 0], 0)
 
 
 def test_type2_uncovered_node_self_promotes():
@@ -194,10 +199,16 @@ def test_type2_uncovered_node_self_promotes():
 # --- routing ----------------------------------------------------------------------------
 
 
+def next_hops(heads, net, **kw):
+    """build_routes over these head ids: each head's next hop as a position
+    in heads, -1 for the sink."""
+    heads = np.array(heads)
+    return build_routes(heads, np.argsort(heads), net, threshold_distance(RADIO), **kw).tolist()
+
+
 def test_route_direct_within_threshold():
     net = network_from_positions([(0.0, 40.0)], 200.0, (0.0, 0.0))
-    routes = build_routes([0], net, threshold_distance(RADIO))
-    assert routes == {0: None}
+    assert next_hops([0], net) == [-1]
 
 
 def test_route_relays_through_closer_head():
@@ -206,21 +217,17 @@ def test_route_relays_through_closer_head():
     x1 = math.sqrt(100.0**2 - y1**2)
     net = network_from_positions([(0.0, 150.0), (x1, y1)], 200.0, (0.0, 0.0))
     assert net.dist[0, 1] == pytest.approx(60.0, abs=1e-9)
-    routes = build_routes([0, 1], net, threshold_distance(RADIO))
-    assert routes[0] == 1
-    assert routes[1] is None
+    assert next_hops([0, 1], net) == [1, -1]
 
 
 def test_route_single_head_goes_direct():
     net = network_from_positions([(0.0, 150.0)], 200.0, (0.0, 0.0))
-    routes = build_routes([0], net, threshold_distance(RADIO))
-    assert routes == {0: None}
+    assert next_hops([0], net) == [-1]
 
 
 def test_leach_routes_always_direct():
     net = network_from_positions([(0.0, 150.0), (0.0, 100.0)], 200.0, (0.0, 0.0))
-    routes = build_routes([0, 1], net, threshold_distance(RADIO), direct_only=True)
-    assert routes == {0: None, 1: None}
+    assert next_hops([0, 1], net, direct_only=True) == [-1, -1]
 
 
 # --- whole rounds -------------------------------------------------------------------------

@@ -1,9 +1,9 @@
-import numpy as np
 import pytest
 
+from conftest import plan_from
 from fuzzcluster.energy import RadioParams
 from fuzzcluster.network import network_from_positions
-from fuzzcluster.protocols import Cluster, ProtocolParams, RoundPlan
+from fuzzcluster.protocols import Cluster, ProtocolParams
 from fuzzcluster.simulator import (
     RoundMetrics,
     SimConfig,
@@ -29,17 +29,13 @@ def scenario1(kind="leach", **kw):
     )
 
 
-def plan_for(net, clusters, routes):
-    return RoundPlan(clusters, routes, np.zeros(net.n))
-
-
 # --- energy application -------------------------------------------------------
 
 
 def test_round_energy_hand_case():
     # head at 40 m from the sink, one member 50 m from the head, control off
     net = network_from_positions([(0.0, 40.0), (0.0, 90.0)], 100.0, (0.0, 0.0))
-    plan = plan_for(net, [Cluster(0, [1], 30.0, 0.5)], {0: None})
+    plan = plan_from(net, [Cluster(0, [1], 30.0, 0.5)], {0: None})
     spend = apply_round_energy(net, plan, RADIO)
     assert spend[1] == pytest.approx(3.0e-4, rel=1e-12)  # tx(4000, 50)
     # rx(4000) + agg(4000, 2 signals) + tx(4000, 40)
@@ -48,7 +44,7 @@ def test_round_energy_hand_case():
 
 def test_round_energy_lone_head():
     net = network_from_positions([(0.0, 40.0)], 100.0, (0.0, 0.0))
-    plan = plan_for(net, [Cluster(0, [], 30.0, 0.5)], {0: None})
+    plan = plan_from(net, [Cluster(0, [], 30.0, 0.5)], {0: None})
     spend = apply_round_energy(net, plan, RADIO)
     assert spend[0] == pytest.approx(2.0e-5 + 2.64e-4, rel=1e-12)  # agg(1 signal) + tx
 
@@ -56,7 +52,7 @@ def test_round_energy_lone_head():
 def test_round_energy_relay_forwarding():
     # head 0 relays through head 1; relay pays rx + tx for the forwarded packet
     net = network_from_positions([(0.0, 150.0), (0.0, 90.0)], 200.0, (0.0, 0.0))
-    plan = plan_for(
+    plan = plan_from(
         net, [Cluster(0, [], 30.0, 0.5), Cluster(1, [], 30.0, 0.5)], {0: 1, 1: None}
     )
     spend = apply_round_energy(net, plan, RADIO)
@@ -71,7 +67,7 @@ def test_round_energy_relay_forwarding():
 def test_clamp_drains_everything_and_kills():
     net = network_from_positions([(0.0, 40.0), (0.0, 90.0)], 100.0, (0.0, 0.0))
     net.energy[1] = 1e-9
-    plan = plan_for(net, [Cluster(0, [1], 30.0, 0.5)], {0: None})
+    plan = plan_from(net, [Cluster(0, [1], 30.0, 0.5)], {0: None})
     spend = apply_round_energy(net, plan, RADIO)
     assert spend[1] == pytest.approx(1e-9, rel=1e-15)
     assert net.energy[1] == 0.0
@@ -83,7 +79,7 @@ def test_spend_matches_residual_delta():
         [(0.0, 40.0), (0.0, 90.0), (30.0, 40.0)], 100.0, (0.0, 0.0)
     )
     before = net.total_energy()
-    plan = plan_for(net, [Cluster(0, [1, 2], 30.0, 0.5)], {0: None})
+    plan = plan_from(net, [Cluster(0, [1, 2], 30.0, 0.5)], {0: None})
     spend = apply_round_energy(net, plan, RADIO)
     assert spend.sum() == pytest.approx(before - net.total_energy(), rel=1e-12)
 
