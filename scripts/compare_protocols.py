@@ -30,19 +30,21 @@ def main() -> int:
     ap.add_argument("--out", default="results")
     args = ap.parse_args()
 
-    base = parse_config(args.preset)
+    try:
+        if args.seeds < 1:
+            raise ValueError("seeds: must be at least 1")
+        base = replace(parse_config(args.preset), max_rounds=args.rounds, seed=args.seed0)
+        base.validate()
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     rows = []
     for kind in PROTOCOLS:
         for k in range(args.seeds):
-            cfg = replace(
-                base,
-                protocol=replace(base.protocol, kind=kind),
-                max_rounds=args.rounds,
-                seed=args.seed0 + k,
-            )
+            cfg = replace(base, protocol=replace(base.protocol, kind=kind), seed=args.seed0 + k)
             r = run_simulation(cfg)
             rows.append((kind, r.seed, r.fnd, r.hnd, r.lnd, r.fnd_energy, r.hnd_energy))
             print(f"{kind:14s} seed={r.seed:3d} fnd={r.fnd} hnd={r.hnd} lnd={r.lnd}")

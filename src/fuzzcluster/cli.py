@@ -49,12 +49,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.protocol:
             cfg = replace(cfg, protocol=replace(cfg.protocol, kind=PROTOCOL_NAMES[args.protocol]))
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("seed: must be nonnegative")
             cfg = cfg.with_seed(args.seed)
         if args.rounds is not None:
-            if args.rounds < 1:
-                raise ConfigError("rounds: must be at least 1")
             cfg = replace(cfg, max_rounds=args.rounds)
         if args.seeds < 1:
             raise ConfigError("seeds: must be at least 1")

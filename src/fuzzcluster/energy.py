@@ -1,4 +1,4 @@
-"""First-order radio energy model and analytic cluster-geometry formulas."""
+"""First-order radio energy model."""
 from __future__ import annotations
 
 import math
@@ -20,10 +20,11 @@ class RadioParams:
 
     def __post_init__(self):
         for name in ("e_elec", "eps_fs", "eps_mp", "e_da"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-        if self.packet_bits < 1 or self.ctrl_bits < 1:
-            raise ValueError("packet_bits and ctrl_bits must be at least 1")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name}: must be positive and finite")
+        for name in ("packet_bits", "ctrl_bits"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name}: must be at least 1, got {getattr(self, name)}")
 
 
 def threshold_distance(p: RadioParams) -> float:
@@ -61,32 +62,3 @@ def agg_energy(p: RadioParams, bits: float, n_signals: np.typing.ArrayLike) -> n
     if (n_signals < 0).any():
         raise ValueError("n_signals must be nonnegative")
     return p.e_da * bits * n_signals
-
-
-@dataclass(frozen=True)
-class ClusterStats:
-    mean_sq_dist_to_ch: float
-    mean_dist_to_bs: float
-    ch_spacing: float
-
-
-def analytic_cluster_stats(m: float, k: int) -> ClusterStats:
-    """Uniform-deployment expectations for K equal circular clusters in an
-    M x M field: E[d^2] to the head, mean head-to-sink distance, head spacing."""
-    if m <= 0.0 or k < 1:
-        raise ValueError("need m > 0 and k >= 1")
-    return ClusterStats(
-        mean_sq_dist_to_ch=m * m / (2.0 * math.pi * k),
-        mean_dist_to_bs=0.765 * m / 2.0,
-        ch_spacing=2.0 * m / math.sqrt(math.pi * k),
-    )
-
-
-def optimal_cluster_count(p: RadioParams, m: float, n_nodes: int, d_to_bs: float) -> float:
-    """Energy-minimizing cluster count for the two-regime radio (real-valued;
-    callers round)."""
-    if m <= 0.0 or n_nodes < 0 or d_to_bs <= 0.0:
-        raise ValueError("need m > 0, n_nodes >= 0, d_to_bs > 0")
-    return (m / (d_to_bs * d_to_bs)) * math.sqrt(n_nodes / (2.0 * math.pi)) * math.sqrt(
-        p.eps_fs / p.eps_mp
-    )

@@ -194,10 +194,6 @@ class RuleBase1:
                 var.term(term)
 
     @property
-    def input_names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.inputs)
-
-    @property
     def output_names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.outputs)
 

@@ -235,6 +235,7 @@ def km_type_reduce(firings: FiringInterval, weights: np.typing.ArrayLike) -> Red
 
 T2_DISTANCE_TERMS = ("proximate", "moderate", "far")
 T2_ENERGY_TERMS = ("low", "med", "adv")
+T2_INPUT_TERMS = {"distance": T2_DISTANCE_TERMS, "energy": T2_ENERGY_TERMS}
 T2_RADIUS_TERMS = ("very_small", "small", "medium_small", "medium", "large", "very_large")
 T2_CHANCE_TERMS = ("very_weak", "weak", "medium", "higher_medium", "strong", "very_strong")
 

@@ -14,6 +14,7 @@ them, resolve the competition, join members, plan routes):
 """
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -46,15 +47,20 @@ class ProtocolParams:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown protocol kind {self.kind!r}")
+            raise ValueError(f"kind: unknown protocol {self.kind!r}")
         if not 0.0 < self.p < 1.0:
-            raise ValueError(f"p must lie in (0, 1), got {self.p}")
+            raise ValueError(f"p: must lie in (0, 1), got {self.p}")
+        if not 0.0 < self.r_max < math.inf:
+            raise ValueError(f"r_max: must be positive and finite, got {self.r_max}")
         if not 0.0 < self.r_min < self.r_max:
-            raise ValueError(f"need 0 < r_min < r_max, got ({self.r_min}, {self.r_max})")
-        if self.nbr_radius is not None and self.nbr_radius <= 0.0:
-            raise ValueError("nbr_radius must be positive")
+            raise ValueError(f"r_min: must lie in (0, r_max = {self.r_max}), got {self.r_min}")
+        if self.nbr_radius is not None and not 0.0 < self.nbr_radius < math.inf:
+            raise ValueError(f"nbr_radius: must be positive and finite, got {self.nbr_radius}")
         if self.threshold_direction not in (None, DIRECTION_BELOW, DIRECTION_ABOVE):
-            raise ValueError(f"bad threshold_direction {self.threshold_direction!r}")
+            raise ValueError(
+                f"threshold_direction: must be {DIRECTION_BELOW!r} or {DIRECTION_ABOVE!r}, "
+                f"got {self.threshold_direction!r}"
+            )
 
     @property
     def direction(self) -> str:

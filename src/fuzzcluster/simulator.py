@@ -9,7 +9,7 @@ import numpy as np
 
 from .energy import RadioParams, agg_energy, rx_energy, tx_energy
 from .fis1 import DEFAULT_SAMPLES, RuleBase1, default_rulebase1
-from .fis2 import DEFAULT_BLUR, RuleBase2, default_rulebase2
+from .fis2 import DEFAULT_BLUR, T2_INPUT_TERMS, RuleBase2, default_rulebase2
 from .network import Network, deploy_from_rng, network_from_positions
 from .protocols import (
     KIND_FUZZY_UNEQUAL,
@@ -41,29 +41,37 @@ class SimConfig:
     positions: list[tuple[float, float]] | None = None
 
     def validate(self) -> None:
+        """Raise a ValueError whose message starts with the first bad field."""
         if self.n < 1:
-            raise ValueError("n must be at least 1")
-        if self.area_side <= 0.0:
-            raise ValueError("area_side must be positive")
-        if self.initial_energy <= 0.0:
-            raise ValueError("initial_energy must be positive")
+            raise ValueError(f"n: must be at least 1, got {self.n}")
+        if not 0.0 < self.area_side < math.inf:
+            raise ValueError(f"area_side: must be positive and finite, got {self.area_side}")
+        if not all(math.isfinite(c) for c in self.bs_pos):
+            raise ValueError(f"bs_pos: must be finite, got {self.bs_pos}")
+        if not 0.0 < self.initial_energy < math.inf:
+            raise ValueError(
+                f"initial_energy: must be positive and finite, got {self.initial_energy}"
+            )
         if self.max_rounds < 1:
-            raise ValueError("max_rounds must be at least 1")
+            raise ValueError(f"max_rounds: must be at least 1, got {self.max_rounds}")
         if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+            raise ValueError(f"seed: must be nonnegative, got {self.seed}")
         if self.coa_samples < 3:
-            raise ValueError("coa_samples must be at least 3")
+            raise ValueError(f"coa_samples: must be at least 3, got {self.coa_samples}")
         if not 0.0 <= self.blur < 1.0:
-            raise ValueError("blur must lie in [0, 1)")
+            raise ValueError(f"blur: must lie in [0, 1), got {self.blur}")
+        for var, b in self.blur_overrides.items():
+            if var not in T2_INPUT_TERMS:
+                raise ValueError(f"blur_overrides.{var}: unknown variable {var!r}")
+            if not 0.0 <= b < 1.0:
+                raise ValueError(f"blur_overrides.{var}: must lie in [0, 1), got {b}")
         for nid, e in self.energy_overrides.items():
             if not 0 <= nid < self.n:
-                raise ValueError(f"energy override for unknown node {nid}")
-            if e <= 0.0:
-                raise ValueError(f"energy override for node {nid} must be positive")
+                raise ValueError(f"energy_overrides: node {nid} outside 0..{self.n - 1}")
+            if not 0.0 < e < math.inf:
+                raise ValueError(f"energy_overrides: node {nid} energy must be positive and finite")
         if self.positions is not None and len(self.positions) != self.n:
-            raise ValueError(
-                f"positions file lists {len(self.positions)} nodes, config says {self.n}"
-            )
+            raise ValueError(f"positions: {len(self.positions)} nodes listed, n is {self.n}")
 
     def with_seed(self, seed: int) -> "SimConfig":
         return replace(self, seed=seed)

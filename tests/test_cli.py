@@ -1,5 +1,8 @@
 import csv
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,6 +113,32 @@ def test_cli_bad_config_returns_nonzero(tmp_path, capsys):
 def test_cli_missing_config_file(tmp_path, capsys):
     code = run_cli(["--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "flag,value,field", [("--rounds", "0", "max_rounds"), ("--seed", "-1", "seed")]
+)
+def test_cli_out_of_range_override_names_the_field(tmp_path, capsys, flag, value, field):
+    code = run_cli(["--preset", "ch3", flag, value, "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+
+@pytest.mark.parametrize(
+    "flag,value,field",
+    [("--seeds", "0", "seeds"), ("--rounds", "0", "max_rounds"), ("--seed0", "-1", "seed")],
+)
+def test_compare_protocols_rejects_bad_options(tmp_path, flag, value, field):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "compare_protocols.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), flag, value, "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: {field}: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_batch_seeds(tmp_path):

@@ -154,6 +154,23 @@ def test_energy_override_unknown_node(tmp_path):
         ("mf1.distance.close = tri:0,inf,1", "mf1.distance.close"),
         ("w.radius = 0.1,0.2,nan,0.6,0.8,0.9", "w.radius"),
         ("blur.energy = -inf", "blur.energy"),
+        ("nodes = 0", "nodes"),
+        ("area_m = 0", "area_m"),
+        ("initial_energy_j = 0", "initial_energy_j"),
+        ("e_elec_nj = 0", "e_elec_nj"),
+        ("packet_bits = 0", "packet_bits"),
+        ("p = 1.5", "p"),
+        ("r_min_m = 50\nr_max_m = 40", "r_min_m"),
+        ("nbr_radius_m = 0", "nbr_radius_m"),
+        ("max_rounds = 0", "max_rounds"),
+        ("seed = -1", "seed"),
+        ("coa_samples = 2", "coa_samples"),
+        ("blur = 1", "blur"),
+        ("blur.energy = 1", "blur.energy"),
+        ("blur.foo = 0.1", "blur.foo"),
+        ("energy_overrides = 99:0.1", "energy_overrides"),
+        ("energy_overrides = 3:0", "energy_overrides"),
+        ("threshold_direction = sideways", "threshold_direction"),
     ],
 )
 def test_non_finite_and_repeated_values_name_their_key(tmp_path, line, field):

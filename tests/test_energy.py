@@ -1,5 +1,3 @@
-import math
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,8 +5,6 @@ from hypothesis import strategies as st
 from fuzzcluster.energy import (
     RadioParams,
     agg_energy,
-    analytic_cluster_stats,
-    optimal_cluster_count,
     rx_energy,
     threshold_distance,
     tx_energy,
@@ -87,35 +83,6 @@ def test_tx_plus_rx_linear_in_bits(bits, d):
 def test_threshold_identity():
     d0 = threshold_distance(CH2)
     assert d0 * d0 * CH2.eps_mp == pytest.approx(CH2.eps_fs, rel=1e-12)
-
-
-def test_cluster_stats_hand_values():
-    stats = analytic_cluster_stats(100.0, 5)
-    assert stats.mean_sq_dist_to_ch == pytest.approx(10000.0 / (10.0 * math.pi), rel=1e-12)
-    assert stats.mean_dist_to_bs == pytest.approx(38.25, rel=1e-12)
-    assert analytic_cluster_stats(100.0, 1).ch_spacing == pytest.approx(
-        200.0 / math.sqrt(math.pi), rel=1e-12
-    )
-
-
-def test_optimal_cluster_count_hand_value():
-    k = optimal_cluster_count(CH2, 100.0, 100, 38.25)
-    expected = (100.0 / 38.25**2) * math.sqrt(100.0 / (2 * math.pi)) * math.sqrt(
-        CH2.eps_fs / CH2.eps_mp
-    )
-    assert k == pytest.approx(expected, rel=1e-12)
-    assert k == pytest.approx(23.92, abs=0.01)
-
-
-def test_optimal_cluster_count_scaling_and_degenerate():
-    doubled = RadioParams(
-        CH2.e_elec, 2 * CH2.eps_fs, CH2.eps_mp, CH2.e_da, CH2.packet_bits, CH2.ctrl_bits
-    )
-    base = optimal_cluster_count(CH2, 100.0, 100, 38.25)
-    assert optimal_cluster_count(doubled, 100.0, 100, 38.25) == pytest.approx(
-        base * math.sqrt(2), rel=1e-12
-    )
-    assert optimal_cluster_count(CH2, 100.0, 0, 38.25) == 0.0
 
 
 def test_radio_params_validation():

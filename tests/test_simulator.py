@@ -1,3 +1,7 @@
+import math
+import re
+from dataclasses import asdict, replace
+
 import pytest
 
 from conftest import plan_from
@@ -201,3 +205,44 @@ def test_config_validation_errors():
     cfg = scenario1("leach", max_rounds=0)
     with pytest.raises(ValueError):
         cfg.validate()
+
+
+def _bad_field_cases():
+    """(build, field): build() must raise a ValueError that starts with 'field:'."""
+    protocol = dict(kind="leach", p=0.05, r_min=10.0, r_max=40.0)
+    for v in (math.nan, math.inf, -math.inf):
+        sim = {
+            "area_side": {"area_side": v},
+            "initial_energy": {"initial_energy": v},
+            "blur": {"blur": v},
+            "bs_pos": {"bs_pos": (v, 0.0)},
+            "energy_overrides": {"energy_overrides": {3: v}},
+            "blur_overrides.energy": {"blur_overrides": {"energy": v}},
+        }
+        for field, kw in sim.items():
+            yield pytest.param(
+                lambda kw=kw: replace(scenario1("leach"), **kw).validate(), field,
+                id=f"SimConfig-{field}-{v}",
+            )
+        for field in ("p", "r_min", "r_max", "nbr_radius"):
+            yield pytest.param(
+                lambda kw={**protocol, field: v}: ProtocolParams(**kw), field,
+                id=f"ProtocolParams-{field}-{v}",
+            )
+        for field in ("e_elec", "eps_fs", "eps_mp", "e_da"):
+            yield pytest.param(
+                lambda kw={**asdict(RADIO), field: v}: RadioParams(**kw), field,
+                id=f"RadioParams-{field}-{v}",
+            )
+    for var, b in (("foo", 0.1), ("energy", 2.0)):
+        yield pytest.param(
+            lambda blurs={var: b}: scenario1("type2fl", blur_overrides=blurs).validate(),
+            f"blur_overrides.{var}",
+            id=f"SimConfig-blur_overrides.{var}-{b}",
+        )
+
+
+@pytest.mark.parametrize("build,field", _bad_field_cases())
+def test_config_validation_errors_name_the_field(build, field):
+    with pytest.raises(ValueError, match=rf"^{re.escape(field)}:"):
+        build()
