@@ -274,39 +274,15 @@ class _MamdaniPlan:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class AggregatedFuzzySet:
-    """Mamdani output before defuzzification, sampled at cell midpoints: one
-    row of samples per input point."""
-
-    lo: float
-    hi: float
-    mu: np.ndarray
-    xs: np.ndarray | None = None
-
-    def __post_init__(self):
-        # defuzz_coa sums rows bit for bit only in C order
-        object.__setattr__(self, "mu", np.ascontiguousarray(self.mu))
-        if self.mu.ndim != 2 or self.mu.shape[1] < 1:
-            raise ValueError("need one row of samples per point")
-        if float(self.mu.min()) < 0.0 or float(self.mu.max()) > 1.0:
-            raise ValueError("samples must lie in [0, 1]")
-        n = self.mu.shape[1]
-        if self.xs is None:
-            grid = self.lo + (np.arange(n) + 0.5) * (self.hi - self.lo) / n
-            object.__setattr__(self, "xs", grid)
-        elif len(self.xs) != n:
-            raise ValueError("sample grid and membership vector disagree in length")
-
-
 def infer_mamdani(
     rb: RuleBase1, inputs: Mapping[str, np.typing.ArrayLike], samples: int = DEFAULT_SAMPLES
-) -> dict[str, AggregatedFuzzySet]:
+) -> dict[str, np.ndarray]:
     """Min-AND firing, clip implication, pointwise-max aggregation per output.
 
-    Inputs are equal-length arrays of m points (a float is one point); each
-    output set holds an (m, samples) block, so callers with many points pass
-    them in chunks (eval_fis1 does)."""
+    Inputs are equal-length arrays of m points (a float is one point). Each
+    output name maps to an (m, samples) block, one row of the aggregated set
+    per point sampled at the cell midpoints of the output's domain, so
+    callers with many points pass them in chunks (eval_fis1 does)."""
     for var in rb.inputs:
         if var.name not in inputs:
             raise ValueError(f"missing input variable {var.name!r}")
@@ -336,17 +312,18 @@ def infer_mamdani(
             clip = np.repeat(level, plan.run_len, axis=-1)
             np.minimum(clip, cover_mu, out=clip)
             agg = clip if agg is None else np.maximum(agg, clip, out=agg)
-        out[var.name] = AggregatedFuzzySet(*var.domain, agg, plan.xs[o])
+        out[var.name] = agg
     return out
 
 
-def defuzz_coa(fset: AggregatedFuzzySet) -> np.ndarray:
-    """Center of area of each row by the midpoint rule over the sampled
-    curve, NaN in the rows without area. Row sums over a C-contiguous block
-    add in the same pairwise order as the sum of one vector, so each row
-    equals its one-curve result bit for bit."""
-    total = fset.mu.sum(axis=1)
-    return (fset.mu * fset.xs).sum(axis=1) / np.where(total > 0.0, total, np.nan)
+def defuzz_coa(mu: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Center of area of each row of the (points, samples) block mu, sampled
+    at the grid xs, by the midpoint rule, NaN in the rows without area. Row
+    sums over a C-contiguous block add in the same pairwise order as the sum
+    of one vector, so each row equals its one-curve result bit for bit."""
+    mu = np.ascontiguousarray(mu)
+    total = mu.sum(axis=1)
+    return (mu * xs).sum(axis=1) / np.where(total > 0.0, total, np.nan)
 
 
 def eval_fis1(
@@ -363,11 +340,12 @@ def eval_fis1(
     for row, x in zip(cols, inputs.values()):
         row[:] = x  # a one-point input is broadcast
     out = np.empty((len(rb.outputs), cols.shape[1]))
+    grids = rb._plan(samples).xs
     for s in range(0, cols.shape[1], ROW_CHUNK):
         part = dict(zip(names, cols[:, s : s + ROW_CHUNK]))
         # the comprehension drops each block before the next one is built
         out[:, s : s + ROW_CHUNK] = [
-            defuzz_coa(f) for f in infer_mamdani(rb, part, samples).values()
+            defuzz_coa(mu, xs) for mu, xs in zip(infer_mamdani(rb, part, samples).values(), grids)
         ]
     # a point is degenerate as a whole: NaN in one output is NaN in all
     if np.isnan(out).any():

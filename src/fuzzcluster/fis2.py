@@ -41,14 +41,13 @@ class IntervalMF:
     lower_scale: float = 1.0
 
 
-def interval_degrees(
-    imfs: Sequence[IntervalMF], x: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def interval_degrees(imfs: Sequence[IntervalMF], x: np.ndarray) -> np.ndarray:
     """Lower and upper membership of each point of the 1-D array x in each
-    footprint: two (footprints, points) arrays from one membership evaluation."""
+    footprint: a (2, footprints, points) array from one membership evaluation."""
     deg = mf_degrees([f.lower for f in imfs] + [f.upper for f in imfs], x)
-    scale = np.array([[f.lower_scale] for f in imfs])
-    return scale * deg[: len(imfs)], deg[len(imfs) :]
+    deg = deg.reshape(2, len(imfs), -1)
+    deg[0] *= np.array([[f.lower_scale] for f in imfs])
+    return deg
 
 
 def make_fou(
@@ -67,35 +66,6 @@ def make_fou(
     pts[-1] = min(hi, pts[-1] + pad)
     upper = MembershipFunction(base.kind, tuple(pts))
     return IntervalMF(base, upper, 1.0 - blur)
-
-
-@dataclass(frozen=True)
-class FiringInterval:
-    """Firing bounds of every rule at every point, as (points, rules) arrays."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        if not np.all((0.0 <= self.lower) & (self.lower <= self.upper) & (self.upper <= 1.0)):
-            raise ValueError(f"bad firing interval [{self.lower}, {self.upper}]")
-
-
-@dataclass(frozen=True)
-class ReducedInterval:
-    """Type-reduced output interval, one entry per point; the crisp output is
-    its midpoint."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def __post_init__(self):
-        if np.any(self.lo > self.hi + INVERSION_SLACK):
-            raise ValueError(f"reduced interval inverted: [{self.lo}, {self.hi}]")
-
-    @property
-    def midpoint(self) -> np.ndarray:
-        return 0.5 * (self.lo + self.hi)
 
 
 @dataclass(frozen=True)
@@ -133,17 +103,18 @@ def firing_intervals(
     re: np.ndarray,
     distance_mfs: Mapping[str, IntervalMF],
     energy_mfs: Mapping[str, IntervalMF],
-) -> FiringInterval:
-    """Product t-norm of each rule's two antecedent membership intervals, as
-    (points, rules) arrays for 1-D arrays of points db and re. Each antecedent
-    term is evaluated once, however many rules share it."""
+) -> np.ndarray:
+    """Product t-norm of each rule's two antecedent membership intervals at
+    1-D arrays of points db and re: a (2, rules, points) array of lower and
+    upper firings. Each antecedent term is evaluated once, however many rules
+    share it."""
     d_terms = list(dict.fromkeys(r.distance for r in rules))
     e_terms = list(dict.fromkeys(r.energy for r in rules))
-    dl, du = interval_degrees([distance_mfs[t] for t in d_terms], db)
-    el, eu = interval_degrees([energy_mfs[t] for t in e_terms], re)
+    d = interval_degrees([distance_mfs[t] for t in d_terms], db)
+    e = interval_degrees([energy_mfs[t] for t in e_terms], re)
     di = [d_terms.index(r.distance) for r in rules]
     ei = [e_terms.index(r.energy) for r in rules]
-    return FiringInterval((dl[di] * el[ei]).T, (du[di] * eu[ei]).T)
+    return d[:, di] * e[:, ei]
 
 
 def _sum_rules(a: np.ndarray) -> np.ndarray:
@@ -194,26 +165,29 @@ def _km_rows(first: np.ndarray, second: np.ndarray, w: np.ndarray) -> np.ndarray
     return y
 
 
-def km_type_reduce(firings: FiringInterval, weights: np.typing.ArrayLike) -> ReducedInterval:
+def km_type_reduce(firings: np.ndarray, weights: np.typing.ArrayLike) -> np.ndarray:
     """Minimum and maximum of the weighted firing ratio over all per-rule
     choices inside the firing intervals (iterative switch-point search), per
-    output and point: (points, rules) firings and (outputs, rules) weights
-    give (outputs, points) ends.
+    output and point: (2, rules, points) lower and upper firings and
+    (outputs, rules) weights give a (2, outputs, points) array of low and
+    high ends.
 
     A point is NaN at both ends where every upper firing is zero, or where
     rounding inverts its interval (subnormal firings can)."""
-    fl, fu = firings.lower, firings.upper
+    fl, fu = firings
+    if not np.all((0.0 <= fl) & (fl <= fu) & (fu <= 1.0)):
+        raise ValueError(f"bad firing interval [{fl}, {fu}]")
     w = np.asarray(weights, dtype=float)
-    if w.ndim != 2 or w.shape[1] != fl.shape[1]:
+    if w.ndim != 2 or w.shape[1] != len(fl):
         raise ValueError("firings and weights must pair up")
     n_out, k_rules = w.shape
     if not k_rules:
         raise ValueError("need at least one rule firing")
     order = np.argsort(w, axis=1, kind="stable")  # tied weights keep rule order
     w = w[np.arange(n_out)[:, None], order]
-    n = len(fl)
+    n = firings.shape[2]
     if k_rules == 1:
-        lo = hi = np.repeat(w, n, axis=1)
+        ends = np.broadcast_to(w, (2, n_out, n))
     else:
         # rows (lower end | upper end, output, point), stacked rule-major;
         # the lower end takes the upper firings below its split
@@ -221,14 +195,14 @@ def km_type_reduce(firings: FiringInterval, weights: np.typing.ArrayLike) -> Red
         ends = np.empty((2, n_out, n))
         step = max(1, KM_BLOCK // (k_rules * 2 * n_out))
         for s in range(0, n, step):
-            # rule-major: every rule's lower firings, then every rule's upper
-            g = np.concatenate((fl[s : s + step], fu[s : s + step]), axis=1).T
+            # a view, rule-major: every rule's lower firings, then every rule's upper
+            g = firings[:, :, s : s + step].reshape(2 * k_rules, -1)
             first = g.take(pick, axis=0)
             second = g.take(pick[:, ::-1], axis=0)
             ends[:, :, s : s + step] = _km_rows(first, second, w.T[:, None, :, None])
-        lo, hi = ends
-    dead = ~(fu.max(axis=1) > 0.0) | (lo > hi + INVERSION_SLACK)
-    return ReducedInterval(np.where(dead, np.nan, lo), np.where(dead, np.nan, hi))
+    lo, hi = ends
+    dead = ~(fu.max(axis=0) > 0.0) | (lo > hi + INVERSION_SLACK)
+    return np.where(dead, np.nan, ends)
 
 
 # --- default vocabulary -----------------------------------------------------
@@ -300,16 +274,15 @@ def eval_t2fis(
 
     NaN in both outputs marks a degenerate point: every rule fired at zero,
     or either reduced interval came out inverted."""
-    cols = []
-    for name, x in (("db", db), ("re", re)):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        bad = ~((x >= 0.0) & (x <= 1.0))
+    x = np.empty((2, max(np.size(db), np.size(re))))
+    x[0], x[1] = db, re  # a one-point input is broadcast
+    for name, row in zip(("db", "re"), x):
+        bad = ~((row >= 0.0) & (row <= 1.0))
         if bad.any():
-            raise ValueError(f"{name}={x[bad][0]} outside [0, 1]")
-        cols.append(x)
-    db_rows, re_rows = np.broadcast_arrays(*cols)
-    firings = firing_intervals(rb.rules, db_rows, re_rows, rb.distance_mfs, rb.energy_mfs)
+            raise ValueError(f"{name}={row[bad][0]} outside [0, 1]")
+    firings = firing_intervals(rb.rules, x[0], x[1], rb.distance_mfs, rb.energy_mfs)
     weights = [[r.w_radius for r in rb.rules], [r.w_chance for r in rb.rules]]
-    out = km_type_reduce(firings, weights).midpoint
+    lo, hi = km_type_reduce(firings, weights)
+    out = 0.5 * (lo + hi)
     out[:, np.isnan(out).any(axis=0)] = np.nan  # NaN in one output is NaN in both
     return out[0], out[1]

@@ -8,9 +8,9 @@ import numpy as np
 
 from .rng import Xorshift64Star
 
-# Rows per block when counting neighbors, pricing control messages and routing:
-# a block copies ROW_CHUNK rows of the n x n distance matrix (250 KiB at 1000
-# nodes), however many ids are asked for.
+# Rows per block when building the distance matrix, counting neighbors, pricing
+# control messages and routing: a block holds ROW_CHUNK rows of the n x n
+# distance matrix (250 KiB at 1000 nodes), however many ids are asked for.
 ROW_CHUNK = 32
 
 
@@ -31,11 +31,13 @@ class Network:
             raise ValueError("network needs at least one node")
         if pos.ndim != 2 or pos.shape[1] != 2:
             raise ValueError(f"positions must be an (n, 2) array, got shape {pos.shape}")
-        if area_side <= 0.0:
-            raise ValueError("area_side must be positive")
-        if initial_energy <= 0.0:
-            raise ValueError("initial_energy must be positive")
-        # written as "not inside" so that NaN coordinates are rejected too
+        # each rule below is written as "not inside", so that NaN fails it too
+        if not 0.0 < area_side < math.inf:
+            raise ValueError(f"area_side must be positive and finite, got {area_side}")
+        if not 0.0 < initial_energy < math.inf:
+            raise ValueError(f"initial_energy must be positive and finite, got {initial_energy}")
+        if not all(math.isfinite(c) for c in bs_pos):
+            raise ValueError(f"bs_pos must be finite, got {bs_pos}")
         outside = np.flatnonzero(~((pos >= 0.0) & (pos <= area_side)).all(axis=1))
         if len(outside):
             i = outside[0]
@@ -47,17 +49,18 @@ class Network:
         self.energy = np.full(self.n, self.initial_energy)
         self.alive = np.ones(self.n, dtype=bool)
 
-        # one axis at a time, squared and summed in place: the same bits as
-        # summing an (n, n, 2) tensor of squared differences, with two n x n
-        # arrays alive at the peak instead of five
-        dist = np.subtract.outer(pos[:, 0], pos[:, 0])
-        dist *= dist
-        dy = np.subtract.outer(pos[:, 1], pos[:, 1])
-        dy *= dy
-        dist += dy
-        del dy
+        # ROW_CHUNK rows at a time, one axis after the other, squared and
+        # summed in place: the same bits as summing an (n, n, 2) tensor of
+        # squared differences, with one n x n array alive at the peak
+        self.dist = np.empty((self.n, self.n))
+        for s in range(0, self.n, ROW_CHUNK):
+            block = np.subtract.outer(pos[s : s + ROW_CHUNK, 0], pos[:, 0])
+            block *= block
+            dy = np.subtract.outer(pos[s : s + ROW_CHUNK, 1], pos[:, 1])
+            dy *= dy
+            block += dy
+            np.sqrt(block, out=self.dist[s : s + ROW_CHUNK])
         self.positions = pos
-        self.dist = np.sqrt(dist, out=dist)
         self.bs_dist = np.sqrt(((pos - np.array(self.bs_pos)) ** 2).sum(axis=-1))
         self.d_max = float(self.bs_dist.max())
         self.positions.setflags(write=False)

@@ -15,13 +15,8 @@ from conftest import mf_at
 from fuzzcluster.cli import main as cli_main
 from fuzzcluster.config import parse_config
 from fuzzcluster.energy import RadioParams, threshold_distance, tx_energy
-from fuzzcluster.fis1 import (
-    RULES_27,
-    AggregatedFuzzySet,
-    default_rulebase1,
-    defuzz_coa,
-)
-from fuzzcluster.fis2 import RULES_9, FiringInterval, default_rulebase2, eval_t2fis, km_type_reduce
+from fuzzcluster.fis1 import RULES_27, default_rulebase1, defuzz_coa
+from fuzzcluster.fis2 import RULES_9, default_rulebase2, eval_t2fis, km_type_reduce
 from fuzzcluster.protocols import ch_threshold, run_protocol_round
 from fuzzcluster.simulator import build_engines, run_simulation
 from fuzzcluster.network import deploy
@@ -65,7 +60,7 @@ def test_criterion_01_coa_matches_closed_form_oracle():
             hs[int(rng.integers(0, len(hs)))] = max(float(hs.max()), 0.2)
             grid = (np.arange(1001) + 0.5) / 1001
             mu = np.interp(grid, xs, hs)
-            got = defuzz_coa(AggregatedFuzzySet(0.0, 1.0, mu[None], grid))[0]
+            got = defuzz_coa(mu[None], grid)[0]
             want = closed_form(list(zip(xs, hs)))
             assert abs(got - want) <= 1e-4, (got, want)
         assert time.perf_counter() - start < 1.0
@@ -81,7 +76,7 @@ def test_criterion_02_km_matches_exhaustive_enumeration():
             fu[int(rng.integers(0, k))] = max(float(fu.max()), 0.05)
             fl = rng.uniform(0, 1, k) * fu
             w = rng.uniform(0, 1, k)
-            firings = FiringInterval(fl[None], fu[None])
+            firings = np.array([fl, fu])[:, :, None]
             lo_bf, hi_bf = float("inf"), float("-inf")
             for combo in itertools.product(*zip(fl.tolist(), fu.tolist())):
                 den = sum(combo)
@@ -89,10 +84,10 @@ def test_criterion_02_km_matches_exhaustive_enumeration():
                     continue
                 y = sum(f * wi for f, wi in zip(combo, w)) / den
                 lo_bf, hi_bf = min(lo_bf, y), max(hi_bf, y)
-            ri = km_type_reduce(firings, [list(w)])
-            assert ri.lo[0, 0] <= ri.hi[0, 0]
-            assert abs(ri.lo[0, 0] - lo_bf) <= 1e-9
-            assert abs(ri.hi[0, 0] - hi_bf) <= 1e-9
+            lo, hi = km_type_reduce(firings, [list(w)])[:, 0, 0]
+            assert lo <= hi
+            assert abs(lo - lo_bf) <= 1e-9
+            assert abs(hi - hi_bf) <= 1e-9
         assert time.perf_counter() - start < 5.0
 
 

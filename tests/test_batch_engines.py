@@ -36,7 +36,6 @@ from fuzzcluster.fis2 import (
     T2_CHANCE_TERMS,
     T2_DISTANCE_TERMS,
     T2_RADIUS_TERMS,
-    FiringInterval,
     default_rulebase2,
     eval_t2fis,
     firing_intervals,
@@ -192,17 +191,17 @@ def test_km_batch_matches_one_point_reference(seed, k, m):
     fl = fu * rng.uniform(0.0, 1.0, (m, k)) * (rng.uniform(size=(m, k)) < 0.8)
     # ties keep rule order; -0.0 and negative weights pin the sign of zero sums
     weights = rng.choice([-0.5, -0.0, 0.1, 0.4, 0.9], size=k).tolist()
-    got = km_type_reduce(FiringInterval(fl, fu), [weights])
+    got = km_type_reduce(np.array([fl.T, fu.T]), [weights])
     want = [reference_rows(km_ref, lo, up, weights) or (NAN, NAN) for lo, up in zip(fl, fu)]
-    assert same_bits(got.lo[0], [w[0] for w in want])
-    assert same_bits(got.hi[0], [w[1] for w in want])
+    assert same_bits(got[0, 0], [w[0] for w in want])
+    assert same_bits(got[1, 0], [w[1] for w in want])
 
 
 def test_km_scalar_call_rejects_mismatched_and_empty_firings():
     with pytest.raises(ValueError, match="pair up"):
-        km_type_reduce(FiringInterval(np.array([[0.1]]), np.array([[0.2]])), [[0.1, 0.2]])
+        km_type_reduce(np.array([[[0.1]], [[0.2]]]), [[0.1, 0.2]])
     with pytest.raises(ValueError, match="at least one"):
-        km_type_reduce(FiringInterval(np.zeros((1, 0)), np.zeros((1, 0))), [[]])
+        km_type_reduce(np.zeros((2, 0, 1)), [[]])
 
 
 # --- Karnik-Mendel rows that alternate between two splits --------------------------
@@ -236,11 +235,12 @@ def cycle_start(steps):
 
 
 def assert_km_matches_reference(fl, fu, weights):
-    got = km_type_reduce(FiringInterval(fl, fu), weights)
+    """KM of (points, rules) firings against the one-point reference, point by point."""
+    got = km_type_reduce(np.array([fl.T, fu.T]), weights)
     for o, w in enumerate(weights):
         want = [reference_rows(km_ref, lo, up, w) or (NAN, NAN) for lo, up in zip(fl, fu)]
-        assert same_bits(got.lo[o], [v[0] for v in want])
-        assert same_bits(got.hi[o], [v[1] for v in want])
+        assert same_bits(got[0, o], [v[0] for v in want])
+        assert same_bits(got[1, o], [v[1] for v in want])
 
 
 # On the default rule base, the radius lower end at this point alternates
@@ -253,10 +253,11 @@ def test_km_default_rule_base_two_cycle_matches_reference():
     db, re = np.array([CH3_CYCLE[0]]), np.array([CH3_CYCLE[1]])
     firings = firing_intervals(rb.rules, db, re, rb.distance_mfs, rb.energy_mfs)
     weights = [[r.w_radius for r in rb.rules], [r.w_chance for r in rb.rules]]
-    steps = km_trace(firings.lower[0], firings.upper[0], weights[0], left=True)
+    fl, fu = firings.transpose(0, 2, 1)
+    steps = km_trace(fl[0], fu[0], weights[0], left=True)
     assert [split for split, _ in steps] == [7, 5] * 5
     assert steps[-1][1] != steps[-2][1]
-    assert_km_matches_reference(firings.lower, firings.upper, weights)
+    assert_km_matches_reference(fl, fu, weights)
     radius, chance = eval_t2fis(rb, db, re)
     assert same_bits([radius[0], chance[0]], eval_t2fis_ref(rb, *CH3_CYCLE))
 

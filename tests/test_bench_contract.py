@@ -13,9 +13,10 @@ import json
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fuzzcluster import csvio
+from fuzzcluster import csvio, fis1, fis2
 from fuzzcluster.config import parse_config
 from fuzzcluster.fis1 import default_rulebase1
 from fuzzcluster.fis2 import default_rulebase2
@@ -34,6 +35,23 @@ _spec.loader.exec_module(tracer)
 )
 def test_traced_function_resolves(module, name):
     assert callable(getattr(importlib.import_module(module), name))
+
+
+def test_engine_stages_are_called_through_their_modules(monkeypatch):
+    # the tracer times fis1.infer, fis1.defuzz and fis2.km by wrapping these
+    # module names: a stage inlined into its engine would read 0 s there
+    calls = {}
+    for mod, name in ((fis1, "infer_mamdani"), (fis1, "defuzz_coa"), (fis2, "km_type_reduce")):
+        def counted(*args, _real=getattr(mod, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(mod, name, counted)
+    x = np.linspace(0.0, 1.0, 40)
+    fis1.eval_fis1(default_rulebase1(), {"distance": x, "energy": x, "concentration": x})
+    assert calls == {"infer_mamdani": 3, "defuzz_coa": 6}  # 16-point chunks, 2 outputs each
+    fis2.eval_t2fis(default_rulebase2(), x, x)
+    assert calls["km_type_reduce"] == 1
 
 
 def test_traced_round_counters_stay_plain_numbers():

@@ -11,7 +11,6 @@ from fuzzcluster.fis1 import (
     CHANCE_TERMS,
     RADIUS_TERMS,
     RULES_27,
-    AggregatedFuzzySet,
     LinguisticVariable,
     Rule1,
     RuleBase1,
@@ -159,22 +158,23 @@ def _tiny_rulebase(rules):
 
 def test_no_rule_fires_gives_zero_aggregate():
     rb = _tiny_rulebase((Rule1(("lo",), ("low",)),))
-    agg = infer_mamdani(rb, {"x": np.array([1.0])})["y"]  # "lo" has zero membership at 1.0
-    assert np.all(agg.mu == 0.0)
-    assert np.isnan(defuzz_coa(agg)).tolist() == [True]
+    mu = infer_mamdani(rb, {"x": np.array([1.0])})["y"]  # "lo" has zero membership at 1.0
+    assert np.all(mu == 0.0)
+    assert np.isnan(defuzz_coa(mu, _grid(1001))).tolist() == [True]
 
 
 def test_single_rule_full_strength_is_identity_clip():
     rb = _tiny_rulebase((Rule1(("hi",), ("high",)),))
-    agg = infer_mamdani(rb, {"x": np.array([1.0])})["y"]
-    expected = mf_sample(trapezoidal(0.4, 0.7, 1, 1), agg.xs)
-    assert np.array_equal(agg.mu, [expected])
+    mu = infer_mamdani(rb, {"x": np.array([1.0])})["y"]
+    expected = mf_sample(trapezoidal(0.4, 0.7, 1, 1), _grid(1001))
+    assert np.array_equal(mu, [expected])
 
 
 def test_two_rules_pointwise_max():
     # memberships at x=0.6: "lo" fires 0.4, "hi" fires 0.6
     rb = _tiny_rulebase((Rule1(("lo",), ("low",)), Rule1(("hi",), ("high",))))
-    agg = infer_mamdani(rb, {"x": np.array([0.6])})["y"]
+    mu = infer_mamdani(rb, {"x": np.array([0.6])})["y"]
+    xs = _grid(1001)
 
     def low_mf(x):  # trap(0, 0, 0.3, 0.6) written out by hand
         if x <= 0.3:
@@ -190,10 +190,10 @@ def test_two_rules_pointwise_max():
             return 1.0
         return (x - 0.4) / 0.3
 
-    for i in range(0, len(agg.xs), 100):  # 11 grid points
-        x = agg.xs[i]
+    for i in range(0, len(xs), 100):  # 11 grid points
+        x = xs[i]
         expected = max(min(0.4, low_mf(x)), min(0.6, high_mf(x)))
-        assert agg.mu[0, i] == pytest.approx(expected, abs=1e-12)
+        assert mu[0, i] == pytest.approx(expected, abs=1e-12)
 
 
 def test_missing_input_variable_rejected():
@@ -212,8 +212,9 @@ def test_input_outside_domain_rejected():
 
 
 def test_coa_symmetric_triangle():
-    agg = AggregatedFuzzySet(0.0, 1.0, mf_sample(triangular(0.3, 0.5, 0.7), _grid(1001))[None])
-    assert defuzz_coa(agg)[0] == pytest.approx(0.5, abs=1e-12)
+    grid = _grid(1001)
+    mu = mf_sample(triangular(0.3, 0.5, 0.7), grid)[None]
+    assert defuzz_coa(mu, grid)[0] == pytest.approx(0.5, abs=1e-12)
 
 
 def _grid(n):
@@ -222,10 +223,10 @@ def _grid(n):
 
 def test_coa_shoulder_trapezoid_against_closed_form():
     mf = trapezoidal(0.0, 0.0, 0.2, 0.4)
-    agg = AggregatedFuzzySet(0.0, 1.0, mf_sample(mf, _grid(1001))[None])
+    grid = _grid(1001)
     oracle = centroid_oracle([(0.0, 1.0), (0.2, 1.0), (0.4, 0.0)])
     assert oracle == pytest.approx(7.0 / 45.0, abs=1e-12)
-    assert defuzz_coa(agg)[0] == pytest.approx(oracle, abs=1e-4)
+    assert defuzz_coa(mf_sample(mf, grid)[None], grid)[0] == pytest.approx(oracle, abs=1e-4)
 
 
 def test_coa_two_equal_lobes():
@@ -234,14 +235,14 @@ def test_coa_two_equal_lobes():
         np.minimum(0.6, mf_sample(triangular(0.2, 0.3, 0.4), grid)),
         np.minimum(0.6, mf_sample(triangular(0.6, 0.7, 0.8), grid)),
     )
-    assert defuzz_coa(AggregatedFuzzySet(0.0, 1.0, lobes[None]))[0] == pytest.approx(0.5, abs=1e-9)
+    assert defuzz_coa(lobes[None], grid)[0] == pytest.approx(0.5, abs=1e-9)
 
 
 def test_coa_of_fortran_ordered_samples_matches_c_order():
     # a column-major block sums its rows in another order, which moves last bits
     mu = np.random.default_rng(7).uniform(0.0, 1.0, (16, 1001))
-    c_order = defuzz_coa(AggregatedFuzzySet(0.0, 1.0, mu))
-    f_order = defuzz_coa(AggregatedFuzzySet(0.0, 1.0, np.asfortranarray(mu)))
+    c_order = defuzz_coa(mu, _grid(1001))
+    f_order = defuzz_coa(np.asfortranarray(mu), _grid(1001))
     assert f_order.tobytes() == c_order.tobytes()
 
 
@@ -249,10 +250,9 @@ def test_coa_of_fortran_ordered_samples_matches_c_order():
 def test_coa_scale_invariance(seed, k):
     rng = np.random.default_rng(seed)
     mu = rng.uniform(0, 1, (1, 101))
-    base = AggregatedFuzzySet(0.0, 1.0, mu)
-    scaled = AggregatedFuzzySet(0.0, 1.0, np.clip(mu * k, 0.0, 1.0))
+    scaled = np.clip(mu * k, 0.0, 1.0)
     if k <= 1.0:  # clipping never engages, scaling is exact
-        assert abs(defuzz_coa(base)[0] - defuzz_coa(scaled)[0]) < 1e-9
+        assert abs(defuzz_coa(mu, _grid(101))[0] - defuzz_coa(scaled, _grid(101))[0]) < 1e-9
 
 
 @given(st.integers(0, 10_000))
@@ -276,7 +276,7 @@ def test_coa_within_hull_of_fired_consequents(seed):
         supports = [var.term(t).support for t in fired]
         lo = min(s[0] for s in supports)
         hi = max(s[1] for s in supports)
-        assert lo - 1e-9 <= defuzz_coa(aggs[var.name]) <= hi + 1e-9
+        assert lo - 1e-9 <= defuzz_coa(aggs[var.name], _grid(1001)) <= hi + 1e-9
 
 
 # --- whole-engine behaviour ----------------------------------------------------

@@ -12,7 +12,6 @@ from fuzzcluster.fis2 import (
     RULES_9,
     T2_CHANCE_TERMS,
     T2_RADIUS_TERMS,
-    FiringInterval,
     IntervalMF,
     Rule2,
     default_rulebase2,
@@ -25,8 +24,8 @@ from fuzzcluster.fis2 import (
 
 
 def one_point(lower, upper):
-    """Firing bounds of one point, one entry per rule."""
-    return FiringInterval(np.array([lower], dtype=float), np.array([upper], dtype=float))
+    """Firing bounds of one point, one entry per rule: a (2, rules, 1) array."""
+    return np.array([lower, upper], dtype=float)[:, :, None]
 
 
 def km_bruteforce(firings, weights):
@@ -34,7 +33,7 @@ def km_bruteforce(firings, weights):
     firing (exact: the weighted ratio is monotone in each coordinate, so
     extrema sit at endpoints)."""
     lo, hi = float("inf"), float("-inf")
-    choices = list(zip(firings.lower[0].tolist(), firings.upper[0].tolist()))
+    choices = list(zip(firings[0, :, 0].tolist(), firings[1, :, 0].tolist()))
     for combo in itertools.product(*choices):
         den = sum(combo)
         if den <= 0.0:
@@ -106,9 +105,9 @@ def test_firing_interval_products():
     energy = {"e": IntervalMF(triangular(0, 1, 2), triangular(0, 2 / 3, 2))}
     rule = Rule2("d", "e", "medium", "medium", 0.5, 0.5)
     fi = firing_intervals([rule], np.array([0.5]), np.array([0.4]), dist, energy)
-    assert fi.lower.shape == fi.upper.shape == (1, 1)
-    assert fi.lower[0, 0] == pytest.approx(0.20, abs=1e-12)
-    assert fi.upper[0, 0] == pytest.approx(0.42, abs=1e-12)
+    assert fi.shape == (2, 1, 1)
+    assert fi[0, 0, 0] == pytest.approx(0.20, abs=1e-12)
+    assert fi[1, 0, 0] == pytest.approx(0.42, abs=1e-12)
 
 
 def test_firing_interval_annihilator_and_identity():
@@ -116,16 +115,16 @@ def test_firing_interval_annihilator_and_identity():
     one = {"t": IntervalMF(triangular(0, 0.5, 1), triangular(0, 0.5, 1))}
     rule = Rule2("t", "t", "medium", "medium", 0.5, 0.5)
     fi = firing_intervals([rule], np.array([0.9]), np.array([0.5]), zero, one)
-    assert (fi.lower[0, 0], fi.upper[0, 0]) == (0.0, 0.0)
+    assert (fi[0, 0, 0], fi[1, 0, 0]) == (0.0, 0.0)
     fi = firing_intervals([rule], np.array([0.5]), np.array([0.5]), one, one)
-    assert (fi.lower[0, 0], fi.upper[0, 0]) == (1.0, 1.0)
+    assert (fi[0, 0, 0], fi[1, 0, 0]) == (1.0, 1.0)
 
 
 def test_firing_interval_validation():
     with pytest.raises(ValueError):
-        one_point([0.5], [0.4])
+        km_type_reduce(one_point([0.5], [0.4]), [[0.5]])
     with pytest.raises(ValueError):
-        one_point([-0.1], [0.5])
+        km_type_reduce(one_point([-0.1], [0.5]), [[0.5]])
 
 
 # --- type reduction ---------------------------------------------------------------
@@ -136,24 +135,24 @@ def test_km_degenerate_intervals_reduce_to_weighted_centroid():
     weights = [0.2, 0.5, 0.9]
     expected = (0.3 * 0.2 + 0.6 * 0.5 + 0.1 * 0.9) / (0.3 + 0.6 + 0.1)
     ri = km_type_reduce(firings, [weights])
-    assert ri.lo[0, 0] == pytest.approx(expected, abs=1e-12)
-    assert ri.hi[0, 0] == pytest.approx(expected, abs=1e-12)
+    assert ri[0, 0, 0] == pytest.approx(expected, abs=1e-12)
+    assert ri[1, 0, 0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_km_two_rule_hand_case():
     ri = km_type_reduce(one_point([0.2, 0.6], [0.4, 0.8]), [[0.3, 0.9]])
-    assert ri.lo[0, 0] == pytest.approx(0.66, abs=1e-12)
-    assert ri.hi[0, 0] == pytest.approx(0.78, abs=1e-12)
+    assert ri[0, 0, 0] == pytest.approx(0.66, abs=1e-12)
+    assert ri[1, 0, 0] == pytest.approx(0.78, abs=1e-12)
 
 
 def test_km_single_rule_returns_weight():
     ri = km_type_reduce(one_point([0.1], [0.9]), [[0.4]])
-    assert ri.lo[0, 0] == ri.hi[0, 0] == 0.4
+    assert ri[0, 0, 0] == ri[1, 0, 0] == 0.4
 
 
 def test_km_all_zero_firings_degenerate():
     ri = km_type_reduce(one_point([0.0] * 3, [0.0] * 3), [[0.1, 0.5, 0.9]])
-    assert np.isnan([ri.lo[0, 0], ri.hi[0, 0]]).all()
+    assert np.isnan([ri[0, 0, 0], ri[1, 0, 0]]).all()
 
 
 def test_km_matches_bruteforce_on_random_instances():
@@ -162,9 +161,9 @@ def test_km_matches_bruteforce_on_random_instances():
         firings, weights = random_instance(rng)
         lo_bf, hi_bf = km_bruteforce(firings, weights)
         ri = km_type_reduce(firings, [weights])
-        assert ri.lo[0, 0] == pytest.approx(lo_bf, abs=1e-9)
-        assert ri.hi[0, 0] == pytest.approx(hi_bf, abs=1e-9)
-        assert ri.lo[0, 0] <= ri.hi[0, 0] + 1e-12
+        assert ri[0, 0, 0] == pytest.approx(lo_bf, abs=1e-9)
+        assert ri[1, 0, 0] == pytest.approx(hi_bf, abs=1e-9)
+        assert ri[0, 0, 0] <= ri[1, 0, 0] + 1e-12
 
 
 @given(st.integers(0, 100_000))
@@ -174,8 +173,8 @@ def test_km_bruteforce_property(seed):
     firings, weights = random_instance(rng)
     lo_bf, hi_bf = km_bruteforce(firings, weights)
     ri = km_type_reduce(firings, [weights])
-    assert ri.lo[0, 0] == pytest.approx(lo_bf, abs=1e-9)
-    assert ri.hi[0, 0] == pytest.approx(hi_bf, abs=1e-9)
+    assert ri[0, 0, 0] == pytest.approx(lo_bf, abs=1e-9)
+    assert ri[1, 0, 0] == pytest.approx(hi_bf, abs=1e-9)
 
 
 @given(st.integers(0, 100_000))
@@ -185,12 +184,12 @@ def test_km_monotone_inclusion_under_widening(seed):
     firings, weights = random_instance(rng)
     shrink = rng.uniform(0.0, 1.0, len(weights))
     grow = rng.uniform(0.0, 1.0, len(weights))
-    fl, fu = firings.lower, firings.upper
-    widened = FiringInterval(fl * shrink, fu + (1.0 - fu) * grow)
+    fl, fu = firings[:, :, 0]
+    widened = np.array([fl * shrink, fu + (1.0 - fu) * grow])[:, :, None]
     a = km_type_reduce(firings, [weights])
     b = km_type_reduce(widened, [weights])
-    assert b.lo[0, 0] <= a.lo[0, 0] + 1e-12
-    assert b.hi[0, 0] >= a.hi[0, 0] - 1e-12
+    assert b[0, 0, 0] <= a[0, 0, 0] + 1e-12
+    assert b[1, 0, 0] >= a[1, 0, 0] - 1e-12
 
 
 @given(st.integers(0, 100_000))
@@ -198,7 +197,7 @@ def test_km_midpoint_within_weight_range(seed):
     rng = np.random.default_rng(seed)
     firings, weights = random_instance(rng)
     ri = km_type_reduce(firings, [weights])
-    assert min(weights) - 1e-12 <= ri.midpoint[0, 0] <= max(weights) + 1e-12
+    assert min(weights) - 1e-12 <= 0.5 * (ri[0, 0, 0] + ri[1, 0, 0]) <= max(weights) + 1e-12
 
 
 # --- whole-engine behaviour --------------------------------------------------------

@@ -87,6 +87,21 @@ def test_network_rejects_bad_shape():
         Network([(0.0, 0.0, 0.0)], (0.0, 0.0), 10.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "area,bs_pos,energy,field",
+    [
+        (math.inf, (0.0, 0.0), 1.0, "area_side"),
+        (100.0, (0.0, 0.0), math.nan, "initial_energy"),
+        (100.0, (0.0, 0.0), math.inf, "initial_energy"),
+        (100.0, (math.nan, 0.0), 1.0, "bs_pos"),
+    ],
+    ids=["area-inf", "energy-nan", "energy-inf", "bs-nan"],
+)
+def test_network_rejects_non_finite_geometry_and_energy(area, bs_pos, energy, field):
+    with pytest.raises(ValueError, match=f"^{field} "):
+        network_from_positions([(0.0, 40.0)], area, bs_pos, energy)
+
+
 # --- geometry queries ----------------------------------------------------------------
 
 
