@@ -16,9 +16,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from fuzzcluster.config import PRESETS, parse_config
+from fuzzcluster.protocols import KINDS
 from fuzzcluster.simulator import run_simulation
-
-PROTOCOLS = ("leach", "fuzzy_unequal", "type2fl")
 
 
 def main() -> int:
@@ -42,7 +41,7 @@ def main() -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     rows = []
-    for kind in PROTOCOLS:
+    for kind in KINDS:
         for k in range(args.seeds):
             cfg = replace(base, protocol=replace(base.protocol, kind=kind), seed=args.seed0 + k)
             r = run_simulation(cfg)
@@ -56,7 +55,7 @@ def main() -> int:
 
     censored = args.rounds + 1
     print(f"\n{'protocol':14s} {'median FND':>11s} {'median HND':>11s} {'mean FND J/node':>16s}")
-    for kind in PROTOCOLS:
+    for kind in KINDS:
         sub = [r for r in rows if r[0] == kind]
         med_fnd = statistics.median(r[2] if r[2] is not None else censored for r in sub)
         med_hnd = statistics.median(r[3] if r[3] is not None else censored for r in sub)

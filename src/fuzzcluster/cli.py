@@ -18,7 +18,7 @@ from .csvio import (
     write_summary_csv,
 )
 from .protocols import KIND_FUZZY_UNEQUAL, KIND_TYPE2
-from .simulator import build_engines, run_simulation
+from .simulator import run_simulation
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,11 +92,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _dump_surface(cfg, out: Path) -> None:
-    engines = build_engines(cfg)
     if cfg.protocol.kind == KIND_FUZZY_UNEQUAL:
-        write_fis1_surface(engines.rules1, engines.coa_samples, out / "fis_surface.csv")
+        write_fis1_surface(cfg.rules1, cfg.coa_samples, out / "fis_surface.csv")
     elif cfg.protocol.kind == KIND_TYPE2:
-        write_fis2_surface(engines.rules2, out / "fis_surface.csv")
+        write_fis2_surface(cfg.rules2, out / "fis_surface.csv")
     else:
         raise ConfigError("--dump-fis-surface requires a fuzzy protocol (fuzzy-unequal or type2fl)")
 

@@ -3,8 +3,8 @@
 Radio constants are written in the units the scenario tables use (nJ and pJ)
 and normalized to joules here. Unknown keys are rejected so typos surface
 immediately; every error names the offending key. This module only parses:
-range rules belong to SimConfig, ProtocolParams and RadioParams, and their
-errors are re-raised here under the config key.
+range rules belong to SimConfig, ProtocolParams, RadioParams and the rule-base
+builders, and their errors are re-raised here under the config key.
 """
 from __future__ import annotations
 
@@ -14,17 +14,7 @@ import re
 from typing import Any
 
 from .energy import RadioParams
-from .fis1 import (
-    CHANCE_TERMS,
-    CONCENTRATION_TERMS,
-    DISTANCE_TERMS,
-    ENERGY_TERMS,
-    RADIUS_TERMS,
-    MembershipFunction,
-    default_rulebase1,
-    triangular,
-    trapezoidal,
-)
+from .fis1 import T1_TERMS, MembershipFunction, default_rulebase1, triangular, trapezoidal
 from .fis2 import (
     DEFAULT_BLUR,
     T2_CHANCE_TERMS,
@@ -57,14 +47,6 @@ _REQUIRED = (
     "protocol",
 )
 
-_T1_VARS = {
-    "distance": DISTANCE_TERMS,
-    "energy": ENERGY_TERMS,
-    "concentration": CONCENTRATION_TERMS,
-    "radius": RADIUS_TERMS,
-    "chance": CHANCE_TERMS,
-}
-
 # The dataclasses name their fields in their messages; the file calls these
 # fields by other keys.
 _KEY_OF = {
@@ -78,7 +60,6 @@ _KEY_OF = {
     "r_min": "r_min_m",
     "r_max": "r_max_m",
     "nbr_radius": "nbr_radius_m",
-    "blur_overrides": "blur",
 }
 
 PRESETS: dict[str, str] = {
@@ -205,9 +186,6 @@ def _parse_weights(key: str, value: str, terms: tuple[str, ...]) -> dict[str, fl
     ws = [_finite(key, x) for x in value.split(",")]
     if len(ws) != len(terms):
         raise ConfigError(f"{key}: expected {len(terms)} weights, got {len(ws)}")
-    for w in ws:
-        if not 0.0 <= w <= 1.0:
-            raise ConfigError(f"{key}: weight {w} outside [0, 1]")
     return dict(zip(terms, ws))
 
 
@@ -245,7 +223,7 @@ def _split_dynamic(pairs: dict[str, str]):
             continue
         parts = key.split(".")
         if parts[0] in ("mf1", "mf2") and len(parts) == 3:
-            varmap = _T1_VARS if parts[0] == "mf1" else T2_INPUT_TERMS
+            varmap = T1_TERMS if parts[0] == "mf1" else T2_INPUT_TERMS
             if parts[1] not in varmap:
                 raise ConfigError(f"{key}: unknown variable {parts[1]!r}")
             if parts[2] not in varmap[parts[1]]:
@@ -319,9 +297,13 @@ def config_from_pairs(pairs: dict[str, str]) -> SimConfig:
             ),
             # built below, once validate() has passed the area its default radii scale
             protocol=None,
-            blur_overrides=blurs,
+            rules1=default_rulebase1(mf1, rules1_table),
+            rules2=default_rulebase2(
+                v.get("blur", DEFAULT_BLUR), blurs, mf2, v.get("w.radius"), v.get("w.chance"),
+                rules2_table,
+            ),
             energy_overrides=v.get("energy_overrides", {}),
-            **{key: v[key] for key in ("max_rounds", "seed", "coa_samples", "blur") if key in v},
+            **{key: v[key] for key in ("max_rounds", "seed", "coa_samples") if key in v},
         )
         cfg.validate()
         cfg.protocol = ProtocolParams(
@@ -333,13 +315,6 @@ def config_from_pairs(pairs: dict[str, str]) -> SimConfig:
             threshold_direction=v.get("threshold_direction"),
             control_traffic=v.get("control_traffic", True),
         )
-        w_radius, w_chance = v.get("w.radius"), v.get("w.chance")
-        if mf1 or rules1_table:
-            cfg.rules1 = default_rulebase1(mf1 or None, rules1_table)
-        if mf2 or rules2_table or w_radius or w_chance or blurs or cfg.blur != DEFAULT_BLUR:
-            cfg.rules2 = default_rulebase2(
-                cfg.blur, blurs, mf2 or None, w_radius, w_chance, rules2_table
-            )
     except ValueError as e:
         raise ConfigError(re.sub(r"^\w+", lambda m: _KEY_OF.get(m[0], m[0]), str(e))) from None
     return cfg

@@ -1,4 +1,5 @@
-"""CSV emission and parsing for metrics, summaries, positions and dumps.
+"""CSV emission for metrics, summaries, positions and dumps; positions files
+are read back for replay.
 
 Dialect: comma separator, '.' decimal point, LF line endings, mandatory header
 row. Floats are written as full-precision scientific notation so files
@@ -15,7 +16,7 @@ import numpy as np
 
 from .fis1 import RuleBase1, eval_fis1
 from .fis2 import RuleBase2, eval_t2fis
-from .simulator import RoundMetrics, SimResult
+from .simulator import SimResult
 
 METRICS_HEADER = ("round", "alive", "dead", "total_j", "avg_j", "ch_count")
 SUMMARY_HEADER = ("fnd", "hnd", "lnd", "seed")
@@ -37,36 +38,6 @@ def write_metrics_csv(result: SimResult, path: str | Path) -> None:
         w.writerow(METRICS_HEADER)
         for m in result.rounds:
             w.writerow((m.round, m.alive, m.dead, fmt(m.total_j), fmt(m.avg_j), m.ch_count))
-
-
-def read_metrics_csv(path: str | Path) -> list[RoundMetrics]:
-    """Rows of a metrics file; a malformed file raises ValueError naming the
-    file and the line."""
-    out = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader, ()))
-        if header != METRICS_HEADER:
-            expected = ",".join(METRICS_HEADER)
-            raise ValueError(f"{path}: line 1: expected header {expected}, got {','.join(header)!r}")
-        for row in reader:
-            try:
-                rnd, alive, dead, total_j, avg_j, ch_count = row
-                m = RoundMetrics(
-                    round=int(rnd),
-                    alive=int(alive),
-                    dead=int(dead),
-                    total_j=float(total_j),
-                    avg_j=float(avg_j),
-                    ch_count=int(ch_count),
-                )
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {reader.line_num}: expected {len(METRICS_HEADER)} fields "
-                    f"{','.join(METRICS_HEADER)}, got {','.join(row)!r}"
-                ) from None
-            out.append(m)
-    return out
 
 
 def write_summary_csv(results: Iterable[SimResult], path: str | Path) -> None:

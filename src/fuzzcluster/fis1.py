@@ -274,6 +274,20 @@ class _MamdaniPlan:
         )
 
 
+def input_rows(inputs: Mapping[str, np.typing.ArrayLike]) -> np.ndarray:
+    """The inputs as the rows of one float array as long as the longest
+    input, a one-point input broadcast; an input of any other length raises
+    a ValueError naming it and both lengths."""
+    sizes = {name: np.size(x) for name, x in inputs.items()}
+    longest = max(sizes, key=sizes.__getitem__, default=None)
+    rows = np.empty((len(sizes), sizes[longest] if sizes else 1))
+    for row, (name, x) in zip(rows, inputs.items()):
+        if sizes[name] not in (1, len(row)):
+            raise ValueError(f"{name}: {sizes[name]} points, but {longest} has {len(row)}")
+        row[:] = x
+    return rows
+
+
 def infer_mamdani(
     rb: RuleBase1, inputs: Mapping[str, np.typing.ArrayLike], samples: int = DEFAULT_SAMPLES
 ) -> dict[str, np.ndarray]:
@@ -336,9 +350,7 @@ def eval_fis1(
     output has no area. Points go through inference ROW_CHUNK at a time,
     which bounds the sampled blocks at ROW_CHUNK x samples."""
     names = list(inputs)
-    cols = np.empty((len(names), max((np.size(x) for x in inputs.values()), default=1)))
-    for row, x in zip(cols, inputs.values()):
-        row[:] = x  # a one-point input is broadcast
+    cols = input_rows(inputs)
     out = np.empty((len(rb.outputs), cols.shape[1]))
     grids = rb._plan(samples).xs
     for s in range(0, cols.shape[1], ROW_CHUNK):
@@ -370,6 +382,14 @@ RADIUS_TERMS = (
     "very_large",
 )
 CHANCE_TERMS = ("very_poor", "poor", "below_avg", "avg", "above_avg", "strong", "very_strong")
+# every type-1 variable and its terms: the three inputs, then the two outputs
+T1_TERMS = {
+    "distance": DISTANCE_TERMS,
+    "energy": ENERGY_TERMS,
+    "concentration": CONCENTRATION_TERMS,
+    "radius": RADIUS_TERMS,
+    "chance": CHANCE_TERMS,
+}
 
 
 def three_level_terms(labels: Sequence[str]) -> tuple[tuple[str, MembershipFunction], ...]:
@@ -432,20 +452,26 @@ MfOverrides = Mapping[str, Mapping[str, MembershipFunction]]
 
 
 def apply_overrides(
-    name: str,
-    terms: tuple[tuple[str, MembershipFunction], ...],
+    stock: Mapping[str, tuple[tuple[str, MembershipFunction], ...]],
     overrides: MfOverrides | None,
-) -> LinguisticVariable:
-    """A [0, 1] variable over the stock terms, with any per-term membership
-    overrides given for this variable name swapped in."""
-    if overrides and name in overrides:
-        per_term = dict(overrides[name])
-        known = {t for t, _ in terms}
+) -> list[LinguisticVariable]:
+    """A [0, 1] variable over each named stock partition, with the per-term
+    membership overrides given for it swapped in. An override of a variable
+    or term the stock lacks raises a ValueError naming it."""
+    overrides = overrides or {}
+    for name, per_term in overrides.items():
+        if name not in stock:
+            raise ValueError(f"{name}: unknown variable in membership override")
+        known = {t for t, _ in stock[name]}
         for t in per_term:
             if t not in known:
                 raise ValueError(f"{name}: unknown term {t!r} in membership override")
-        terms = tuple((t, per_term.get(t, mf)) for t, mf in terms)
-    return LinguisticVariable(name, (0.0, 1.0), terms)
+    return [
+        LinguisticVariable(
+            name, (0.0, 1.0), tuple((t, overrides.get(name, {}).get(t, mf)) for t, mf in terms)
+        )
+        for name, terms in stock.items()
+    ]
 
 
 def default_rulebase1(
@@ -453,15 +479,17 @@ def default_rulebase1(
     rules: Sequence[tuple[str, str, str, str, str]] | None = None,
 ) -> RuleBase1:
     """The stock radius/chance rule base; breakpoints and rules are overridable."""
-    distance = apply_overrides("distance", three_level_terms(DISTANCE_TERMS), mf_overrides)
-    energy = apply_overrides("energy", three_level_terms(ENERGY_TERMS), mf_overrides)
-    conc = apply_overrides("concentration", three_level_terms(CONCENTRATION_TERMS), mf_overrides)
-    radius = apply_overrides("radius", even_terms(RADIUS_TERMS), mf_overrides)
-    chance = apply_overrides("chance", even_terms(CHANCE_TERMS), mf_overrides)
+    *inputs, radius, chance = apply_overrides(
+        {
+            name: (even_terms if name in ("radius", "chance") else three_level_terms)(labels)
+            for name, labels in T1_TERMS.items()
+        },
+        mf_overrides,
+    )
 
     table = tuple(rules) if rules is not None else RULES_27
     combos = {(d, e, c) for d, e, c, _, _ in table}
     if len(table) != 27 or len(combos) != 27:
         raise ValueError("rule table must cover all 27 antecedent combinations exactly once")
     rule_objs = tuple(Rule1((d, e, c), (rad, ch)) for d, e, c, rad, ch in table)
-    return RuleBase1((distance, energy, conc), (radius, chance), rule_objs)
+    return RuleBase1(tuple(inputs), (radius, chance), rule_objs)

@@ -18,6 +18,7 @@ from .fis1 import (
     MfOverrides,
     apply_overrides,
     even_terms,
+    input_rows,
     mf_centroid,
     mf_degrees,
     three_level_terms,
@@ -232,6 +233,22 @@ def output_weights(labels: Sequence[str]) -> dict[str, float]:
     return {label: mf_centroid(mf) for label, mf in even_terms(labels)}
 
 
+def _weights(key: str, given: Mapping[str, float] | None, terms: tuple[str, ...]):
+    """A weight in [0, 1] for each consequent term, nothing else; the
+    centroids of the even partition when none are given."""
+    if given is None:
+        return output_weights(terms)
+    for t, w in given.items():
+        if t not in terms:
+            raise ValueError(f"{key}: unknown term {t!r}")
+        if not 0.0 <= w <= 1.0:
+            raise ValueError(f"{key}: weight {w} of {t!r} outside [0, 1]")
+    for t in terms:
+        if t not in given:
+            raise ValueError(f"{key}: no weight for {t!r}")
+    return dict(given)
+
+
 def default_rulebase2(
     blur: float = DEFAULT_BLUR,
     blur_overrides: Mapping[str, float] | None = None,
@@ -240,20 +257,27 @@ def default_rulebase2(
     w_chance: Mapping[str, float] | None = None,
     rules: Sequence[tuple[str, str, str, str]] | None = None,
 ) -> RuleBase2:
-    """The stock two-input election rule base with configurable footprints."""
+    """The stock two-input election rule base with configurable footprints.
+    A bad footprint width or weight raises a ValueError that starts with its
+    config key: ``blur``, ``blur.<variable>``, ``w.radius`` or ``w.chance``."""
     blurs = dict(blur_overrides or {})
+    if not 0.0 <= blur < 1.0:
+        raise ValueError(f"blur: must lie in [0, 1), got {blur}")
+    for var, b in blurs.items():
+        if var not in T2_INPUT_TERMS:
+            raise ValueError(f"blur.{var}: unknown variable {var!r}")
+        if not 0.0 <= b < 1.0:
+            raise ValueError(f"blur.{var}: must lie in [0, 1), got {b}")
+    distance, energy = apply_overrides(
+        {name: three_level_terms(labels) for name, labels in T2_INPUT_TERMS.items()}, mf_overrides
+    )
+    distance_mfs, energy_mfs = (
+        {t: make_fou(mf, blurs.get(var.name, blur), var.domain) for t, mf in var.terms}
+        for var in (distance, energy)
+    )
 
-    def build_var(name: str, labels: tuple[str, ...]):
-        var = apply_overrides(name, three_level_terms(labels), mf_overrides)
-        b = blurs.get(name, blur)
-        imfs = {t: make_fou(mf, b, var.domain) for t, mf in var.terms}
-        return var, imfs
-
-    distance, distance_mfs = build_var("distance", T2_DISTANCE_TERMS)
-    energy, energy_mfs = build_var("energy", T2_ENERGY_TERMS)
-
-    wr = dict(w_radius) if w_radius is not None else output_weights(T2_RADIUS_TERMS)
-    wc = dict(w_chance) if w_chance is not None else output_weights(T2_CHANCE_TERMS)
+    wr = _weights("w.radius", w_radius, T2_RADIUS_TERMS)
+    wc = _weights("w.chance", w_chance, T2_CHANCE_TERMS)
     table = tuple(rules) if rules is not None else RULES_9
     rule_objs = []
     for d, e, rad, ch in table:
@@ -274,8 +298,7 @@ def eval_t2fis(
 
     NaN in both outputs marks a degenerate point: every rule fired at zero,
     or either reduced interval came out inverted."""
-    x = np.empty((2, max(np.size(db), np.size(re))))
-    x[0], x[1] = db, re  # a one-point input is broadcast
+    x = input_rows({"db": db, "re": re})
     for name, row in zip(("db", "re"), x):
         bad = ~((row >= 0.0) & (row <= 1.0))
         if bad.any():

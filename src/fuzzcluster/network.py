@@ -86,17 +86,6 @@ def deploy_from_rng(
     return Network(positions, bs_pos, m, initial_energy)
 
 
-def deploy(
-    n: int,
-    m: float,
-    bs_pos: tuple[float, float],
-    seed: int,
-    initial_energy: float = 1.0,
-) -> Network:
-    """Seeded deployment: identical arguments always yield identical networks."""
-    return deploy_from_rng(n, m, bs_pos, Xorshift64Star(seed), initial_energy)
-
-
 def network_from_positions(
     positions: np.typing.ArrayLike,
     m: float,

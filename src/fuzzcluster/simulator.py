@@ -9,16 +9,9 @@ import numpy as np
 
 from .energy import RadioParams, agg_energy, rx_energy, tx_energy
 from .fis1 import DEFAULT_SAMPLES, RuleBase1, default_rulebase1
-from .fis2 import DEFAULT_BLUR, T2_INPUT_TERMS, RuleBase2, default_rulebase2
+from .fis2 import RuleBase2, default_rulebase2
 from .network import Network, deploy_from_rng, network_from_positions
-from .protocols import (
-    KIND_FUZZY_UNEQUAL,
-    KIND_TYPE2,
-    Engines,
-    ProtocolParams,
-    RoundPlan,
-    run_protocol_round,
-)
+from .protocols import Engines, ProtocolParams, RoundPlan, run_protocol_round
 from .rng import Xorshift64Star
 
 
@@ -33,10 +26,8 @@ class SimConfig:
     max_rounds: int = 5000
     seed: int = 1
     coa_samples: int = DEFAULT_SAMPLES
-    blur: float = DEFAULT_BLUR
-    blur_overrides: dict[str, float] = field(default_factory=dict)
-    rules1: RuleBase1 | None = None
-    rules2: RuleBase2 | None = None
+    rules1: RuleBase1 = field(default_factory=default_rulebase1)
+    rules2: RuleBase2 = field(default_factory=default_rulebase2)
     energy_overrides: dict[int, float] = field(default_factory=dict)
     positions: list[tuple[float, float]] | None = None
 
@@ -58,13 +49,6 @@ class SimConfig:
             raise ValueError(f"seed: must be nonnegative, got {self.seed}")
         if self.coa_samples < 3:
             raise ValueError(f"coa_samples: must be at least 3, got {self.coa_samples}")
-        if not 0.0 <= self.blur < 1.0:
-            raise ValueError(f"blur: must lie in [0, 1), got {self.blur}")
-        for var, b in self.blur_overrides.items():
-            if var not in T2_INPUT_TERMS:
-                raise ValueError(f"blur_overrides.{var}: unknown variable {var!r}")
-            if not 0.0 <= b < 1.0:
-                raise ValueError(f"blur_overrides.{var}: must lie in [0, 1), got {b}")
         for nid, e in self.energy_overrides.items():
             if not 0 <= nid < self.n:
                 raise ValueError(f"energy_overrides: node {nid} outside 0..{self.n - 1}")
@@ -105,17 +89,6 @@ class SimResult:
     seed: int
     protocol: str
     positions: np.ndarray  # (n, 2) deployment the run used, ordered by node id
-
-
-def build_engines(cfg: SimConfig) -> Engines:
-    """Materialize only the engine the configured protocol needs."""
-    rules1 = cfg.rules1
-    rules2 = cfg.rules2
-    if cfg.protocol.kind == KIND_FUZZY_UNEQUAL and rules1 is None:
-        rules1 = default_rulebase1()
-    if cfg.protocol.kind == KIND_TYPE2 and rules2 is None:
-        rules2 = default_rulebase2(cfg.blur, cfg.blur_overrides)
-    return Engines(rules1, rules2, cfg.coa_samples)
 
 
 def apply_round_energy(net: Network, plan: RoundPlan, radio: RadioParams) -> np.ndarray:
@@ -211,7 +184,7 @@ def run_simulation(
         net = deploy_from_rng(cfg.n, cfg.area_side, cfg.bs_pos, rng, cfg.initial_energy)
     for nid, e in cfg.energy_overrides.items():
         net.energy[nid] = e
-    engines = build_engines(cfg)
+    engines = Engines(cfg.rules1, cfg.rules2, cfg.coa_samples)
 
     rounds: list[RoundMetrics] = []
     for r in range(1, cfg.max_rounds + 1):

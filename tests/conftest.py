@@ -1,8 +1,14 @@
+import csv
+
 import numpy as np
 
+from fuzzcluster.csvio import METRICS_HEADER
 from fuzzcluster.fis1 import mf_degrees
 from fuzzcluster.fis2 import interval_degrees
+from fuzzcluster.network import deploy_from_rng
 from fuzzcluster.protocols import RoundPlan
+from fuzzcluster.rng import Xorshift64Star
+from fuzzcluster.simulator import RoundMetrics
 
 
 def mf_at(mf, x):
@@ -14,6 +20,41 @@ def interval_at(imf, x):
     """(lower, upper) membership of each point of x (a float is one point) in imf."""
     lower, upper = interval_degrees((imf,), np.atleast_1d(np.asarray(x, dtype=float)))
     return lower[0], upper[0]
+
+
+def deploy(n, m, bs_pos, seed, initial_energy=1.0):
+    """Seeded deployment: identical arguments always yield identical networks."""
+    return deploy_from_rng(n, m, bs_pos, Xorshift64Star(seed), initial_energy)
+
+
+def read_metrics_csv(path):
+    """Rows of a metrics file; a malformed file raises ValueError naming the
+    file and the line."""
+    out = []
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = tuple(next(reader, ()))
+        if header != METRICS_HEADER:
+            expected = ",".join(METRICS_HEADER)
+            raise ValueError(f"{path}: line 1: expected header {expected}, got {','.join(header)!r}")
+        for row in reader:
+            try:
+                rnd, alive, dead, total_j, avg_j, ch_count = row
+                m = RoundMetrics(
+                    round=int(rnd),
+                    alive=int(alive),
+                    dead=int(dead),
+                    total_j=float(total_j),
+                    avg_j=float(avg_j),
+                    ch_count=int(ch_count),
+                )
+            except ValueError:
+                raise ValueError(
+                    f"{path}: line {reader.line_num}: expected {len(METRICS_HEADER)} fields "
+                    f"{','.join(METRICS_HEADER)}, got {','.join(row)!r}"
+                ) from None
+            out.append(m)
+    return out
 
 
 class FakeRng:

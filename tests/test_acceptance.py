@@ -11,15 +11,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import mf_at
+from conftest import deploy, mf_at
 from fuzzcluster.cli import main as cli_main
 from fuzzcluster.config import parse_config
 from fuzzcluster.energy import RadioParams, threshold_distance, tx_energy
 from fuzzcluster.fis1 import RULES_27, default_rulebase1, defuzz_coa
 from fuzzcluster.fis2 import RULES_9, default_rulebase2, eval_t2fis, km_type_reduce
-from fuzzcluster.protocols import ch_threshold, run_protocol_round
-from fuzzcluster.simulator import build_engines, run_simulation
-from fuzzcluster.network import deploy
+from fuzzcluster.protocols import Engines, ch_threshold, run_protocol_round
+from fuzzcluster.simulator import run_simulation
 from fuzzcluster.rng import Xorshift64Star
 
 
@@ -165,7 +164,7 @@ def test_criterion_08_competition_radius_grows_with_sink_distance():
         cfg = scenario1("fuzzy_unequal")
         net = deploy(cfg.n, cfg.area_side, cfg.bs_pos, seed=404, initial_energy=cfg.initial_energy)
         rng = Xorshift64Star(404)
-        engines = build_engines(cfg)
+        engines = Engines(cfg.rules1, cfg.rules2, cfg.coa_samples)
         lo = net.bs_dist.min()
         span = net.bs_dist.max() - lo
         near, far = [], []
@@ -256,7 +255,7 @@ def test_criterion_11_routes_reach_sink_with_strict_progress():
             cfg = scenario1(kind, seed=seed, max_rounds=60)
             net = deploy(cfg.n, cfg.area_side, cfg.bs_pos, seed=seed, initial_energy=cfg.initial_energy)
             rng = Xorshift64Star(seed)
-            engines = build_engines(cfg)
+            engines = Engines(cfg.rules1, cfg.rules2, cfg.coa_samples)
             for r in range(1, 61):
                 plan = run_protocol_round(net, cfg.protocol, engines, r, rng, cfg.radio)
                 heads = set(plan.routes)

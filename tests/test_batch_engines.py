@@ -5,6 +5,7 @@ and NaN where it raised DegenerateOutputError or found its reduced interval
 inverted.
 """
 import dataclasses
+import re
 from bisect import bisect_right
 from random import Random
 
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
+from conftest import deploy
 from engine_reference import eval_fis1_ref, eval_t2fis_ref, km_ref
 from fuzzcluster import fis2
 from fuzzcluster.energy import RadioParams
@@ -42,7 +44,7 @@ from fuzzcluster.fis2 import (
     km_type_reduce,
     make_fou,
 )
-from fuzzcluster.network import deploy, normalize_inputs
+from fuzzcluster.network import normalize_inputs
 from fuzzcluster.protocols import (
     Engines,
     ProtocolParams,
@@ -432,6 +434,32 @@ def test_fis1_broadcasts_one_point_input_over_every_chunk():
     want = eval_fis1(rb, {"distance": np.full(len(x), 0.3), "energy": x, "concentration": x[::-1]})
     for name in ("radius", "chance"):
         assert same_bits(got[name], want[name])
+
+
+
+@pytest.mark.parametrize(
+    "inputs,message",
+    [
+        ({"db": [0.1, 0.2], "re": [0.1, 0.2, 0.3]}, "db: 2 points, but re has 3"),
+        ({"db": [], "re": [0.5]}, "db: 0 points, but re has 1"),
+        ({"db": [0.1, 0.2, 0.3], "re": []}, "re: 0 points, but db has 3"),
+        (
+            {"distance": [0.1, 0.2], "energy": 0.5, "concentration": [0.1, 0.2, 0.3]},
+            "distance: 2 points, but concentration has 3",
+        ),
+        (
+            {"distance": [], "energy": 0.5, "concentration": 0.5},
+            "distance: 0 points, but energy has 1",
+        ),
+    ],
+    ids=["fis2-2-3", "fis2-0-1", "fis2-3-0", "fis1-2-3", "fis1-0-1"],
+)
+def test_engines_name_an_input_of_another_length(inputs, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        if "db" in inputs:
+            eval_t2fis(default_rulebase2(), **inputs)
+        else:
+            eval_fis1(default_rulebase1(), inputs)
 
 
 # --- protocols: one engine call per round, fallbacks point by point ----------------

@@ -4,12 +4,15 @@ perfbench/tracer.py wraps package functions by module and name for --trace 1,
 perfbench/probe.py ends a surface dump at its first engine call by
 replacing the engine names that csvio holds, and perfbench/worker.py captures
 each round through the plan's ``clusters`` and ``routes`` views for the checks
-in perfbench/checks.py. A refactor that renames or bypasses any of them breaks
-the benchmark without failing another test.
+in perfbench/checks.py. perfbench/workloads.py dumps the engine surfaces from
+the rule bases parse_config puts in ``cfg.rules1`` and ``cfg.rules2``. A
+refactor that renames or bypasses any of them breaks the benchmark without
+failing another test.
 """
 import importlib
 import importlib.util
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,9 +20,9 @@ import numpy as np
 import pytest
 
 from fuzzcluster import csvio, fis1, fis2
-from fuzzcluster.config import parse_config
-from fuzzcluster.fis1 import default_rulebase1
-from fuzzcluster.fis2 import default_rulebase2
+from fuzzcluster.config import PRESETS, PROTOCOL_NAMES, parse_config
+from fuzzcluster.fis1 import RuleBase1, default_rulebase1
+from fuzzcluster.fis2 import RuleBase2, default_rulebase2
 from fuzzcluster.protocols import KINDS
 from fuzzcluster.simulator import run_simulation
 
@@ -113,3 +116,16 @@ def test_plan_views_have_the_types_the_worker_pickles(kind):
             assert all(type(m) is int for m in c.members)
         assert set(plan.routes) == set(plan.heads.tolist())
         assert all(hop is None or type(hop) is int for hop in plan.routes.values())
+
+
+@pytest.mark.parametrize("protocol", sorted(PROTOCOL_NAMES))
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_every_parsed_config_carries_both_rule_bases(tmp_path, preset, protocol):
+    # the surface workload reads `cfg.rules2 or default_rulebase2(cfg.blur, ...)`
+    # and `cfg.rules1 or ...`: the fallbacks name fields SimConfig no longer has
+    path = tmp_path / f"{preset}.cfg"
+    path.write_text(re.sub(r"protocol = \S+", f"protocol = {protocol}", PRESETS[preset]))
+    cfg = parse_config(str(path))
+    assert cfg.protocol.kind == PROTOCOL_NAMES[protocol]
+    assert isinstance(cfg.rules1, RuleBase1) and isinstance(cfg.rules2, RuleBase2)
+    assert cfg.rules1 and cfg.rules2

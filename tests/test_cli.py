@@ -7,13 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import read_metrics_csv
 from fuzzcluster.cli import main
-from fuzzcluster.csvio import (
-    read_metrics_csv,
-    read_positions_csv,
-    write_metrics_csv,
-    write_summary_csv,
-)
+from fuzzcluster.csvio import read_positions_csv, write_metrics_csv, write_summary_csv
 from fuzzcluster.simulator import RoundMetrics, SimResult
 
 

@@ -1,10 +1,12 @@
 import re
+from dataclasses import replace
 
 import pytest
 
 from fuzzcluster.config import PRESETS, ConfigError, parse_config
 from fuzzcluster.fis1 import RULES_27
-from fuzzcluster.fis2 import RULES_9
+from fuzzcluster.fis2 import RULES_9, default_rulebase2
+from fuzzcluster.simulator import run_simulation
 
 
 def write_cfg(tmp_path, text, name="sim.cfg"):
@@ -153,6 +155,7 @@ def test_energy_override_unknown_node(tmp_path):
         ("energy_overrides = 3:0.1, 3:0.2", "energy_overrides: node 3"),
         ("mf1.distance.close = tri:0,inf,1", "mf1.distance.close"),
         ("w.radius = 0.1,0.2,nan,0.6,0.8,0.9", "w.radius"),
+        ("w.chance = 0.1,0.2,0.4,0.6,0.8,1.5", "w.chance"),
         ("blur.energy = -inf", "blur.energy"),
         ("nodes = 0", "nodes"),
         ("area_m = 0", "area_m"),
@@ -233,8 +236,9 @@ def test_rule2_override_complete_and_weights(tmp_path):
     )
     assert cfg.rules2 is not None
     assert cfg.rules2.rules[0].w_radius == 0.1
-    assert cfg.blur == 0.3
-    assert cfg.blur_overrides == {"energy": 0.1}
+    # blur = 0.3 scales the lower footprints to 0.7, blur.energy = 0.1 to 0.9
+    assert {imf.lower_scale for imf in cfg.rules2.distance_mfs.values()} == {0.7}
+    assert {imf.lower_scale for imf in cfg.rules2.energy_mfs.values()} == {0.9}
 
 
 def test_weight_list_length_checked(tmp_path):
@@ -245,3 +249,15 @@ def test_weight_list_length_checked(tmp_path):
 def test_blur_range_checked(tmp_path):
     with pytest.raises(ConfigError, match="blur"):
         parse_config(write_cfg(tmp_path, BASE + "blur = 1.0\n"))
+
+
+def test_replaced_rules2_is_the_engine_a_run_uses(tmp_path):
+    # a file's blur lives in cfg.rules2 alone, so replacing rules2 replaces it
+    text = BASE.replace("protocol = leach", "protocol = type2fl") + "max_rounds = 30\n"
+    blurred = parse_config(write_cfg(tmp_path, text + "blur = 0.3\n", "blurred.cfg"))
+    crisp = parse_config(write_cfg(tmp_path, text + "blur = 0\n", "crisp.cfg"))
+    unblurred = replace(blurred, rules2=default_rulebase2(blur=0.0))
+    unblurred_rounds, crisp_rounds, blurred_rounds = (
+        run_simulation(cfg).rounds for cfg in (unblurred, crisp, blurred)
+    )
+    assert unblurred_rounds == crisp_rounds != blurred_rounds

@@ -400,3 +400,8 @@ def test_unknown_rule_term_rejected():
     bad = (("close", "less", "high", "huge", "very_poor"),) + RULES_27[1:]
     with pytest.raises(KeyError):
         default_rulebase1(rules=bad)
+
+
+def test_unknown_override_variable_rejected():
+    with pytest.raises(ValueError, match="^distanc: unknown variable"):
+        default_rulebase1({"distanc": {"close": triangular(0.0, 0.1, 0.2)}})

@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -314,3 +315,25 @@ def test_unknown_consequent_rejected():
     bad = (("proximate", "low", "gigantic", "very_weak"),) + RULES_9[1:]
     with pytest.raises(ValueError, match="gigantic"):
         default_rulebase2(rules=bad)
+
+
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        ({"mf_overrides": {"distanc": {}}}, "distanc: unknown variable"),
+        ({"w_radius": {"very_small": 7.0}}, "w.radius: weight 7.0 of 'very_small' outside [0, 1]"),
+        ({"w_radius": {"very_small": 0.5}}, "w.radius: no weight for 'small'"),
+        (
+            {"w_chance": {**output_weights(T2_CHANCE_TERMS), "tiny": 0.5}},
+            "w.chance: unknown term 'tiny'",
+        ),
+        (
+            {"w_chance": {**output_weights(T2_CHANCE_TERMS), "weak": float("nan")}},
+            "w.chance: weight nan of 'weak'",
+        ),
+    ],
+    ids=["mf-variable", "weight-range", "weight-missing", "weight-term", "weight-nan"],
+)
+def test_builder_rejects_what_it_cannot_use(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        default_rulebase2(**kwargs)

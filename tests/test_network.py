@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import deploy
 from fuzzcluster.network import (
     ROW_CHUNK,
     Network,
-    deploy,
     neighbor_count,
     network_from_positions,
     normalize_inputs,

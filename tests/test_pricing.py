@@ -14,11 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import deploy
 from fuzzcluster.config import parse_config
 from fuzzcluster.energy import RadioParams, threshold_distance, tx_energy
 from fuzzcluster.fis1 import default_rulebase1
 from fuzzcluster.fis2 import default_rulebase2
-from fuzzcluster.network import ROW_CHUNK, deploy, deploy_from_rng, network_from_positions
+from fuzzcluster.network import ROW_CHUNK, deploy_from_rng, network_from_positions
 from fuzzcluster.protocols import (
     KIND_FUZZY_UNEQUAL,
     KIND_LEACH,
@@ -32,7 +33,7 @@ from fuzzcluster.protocols import (
     run_protocol_round,
 )
 from fuzzcluster.rng import Xorshift64Star
-from fuzzcluster.simulator import apply_round_energy, build_engines
+from fuzzcluster.simulator import apply_round_energy
 from pricing_reference import (
     apply_round_energy_ref,
     build_routes_ref,
@@ -204,7 +205,7 @@ def test_epoch_end_round_memory_stays_bounded():
     assert ch_threshold(cfg.protocol.p, EPOCH_END - 1) == 1.0
     rng = Xorshift64Star(1)
     net = deploy_from_rng(cfg.n, cfg.area_side, cfg.bs_pos, rng, cfg.initial_energy)
-    engines = build_engines(cfg)
+    engines = Engines(cfg.rules1, cfg.rules2, cfg.coa_samples)
     tracemalloc.start()
     try:
         plan = run_protocol_round(net, cfg.protocol, engines, EPOCH_END, rng, cfg.radio)

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import FakeRng
+from conftest import FakeRng, deploy
 from fuzzcluster.energy import RadioParams, threshold_distance
 from fuzzcluster.fis1 import default_rulebase1, eval_fis1
 from fuzzcluster.fis2 import default_rulebase2
-from fuzzcluster.network import deploy, network_from_positions, normalize_inputs
+from fuzzcluster.network import network_from_positions, normalize_inputs
 from fuzzcluster.protocols import (
     DIRECTION_ABOVE,
     Engines,

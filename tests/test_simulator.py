@@ -6,6 +6,7 @@ import pytest
 
 from conftest import plan_from
 from fuzzcluster.energy import RadioParams
+from fuzzcluster.fis2 import default_rulebase2
 from fuzzcluster.network import network_from_positions
 from fuzzcluster.protocols import Cluster, ProtocolParams
 from fuzzcluster.simulator import (
@@ -214,15 +215,22 @@ def _bad_field_cases():
         sim = {
             "area_side": {"area_side": v},
             "initial_energy": {"initial_energy": v},
-            "blur": {"blur": v},
             "bs_pos": {"bs_pos": (v, 0.0)},
             "energy_overrides": {"energy_overrides": {3: v}},
-            "blur_overrides.energy": {"blur_overrides": {"energy": v}},
         }
         for field, kw in sim.items():
             yield pytest.param(
                 lambda kw=kw: replace(scenario1("leach"), **kw).validate(), field,
                 id=f"SimConfig-{field}-{v}",
+            )
+        # a config's footprint widths are set through its rules2, whose builder checks them
+        for name, field, kw in (
+            ("blur", "blur", {"blur": v}),
+            ("blur_overrides.energy", "blur.energy", {"blur_overrides": {"energy": v}}),
+        ):
+            yield pytest.param(
+                lambda kw=kw: replace(scenario1("type2fl"), rules2=default_rulebase2(**kw)), field,
+                id=f"SimConfig-{name}-{v}",
             )
         for field in ("p", "r_min", "r_max", "nbr_radius"):
             yield pytest.param(
@@ -236,8 +244,10 @@ def _bad_field_cases():
             )
     for var, b in (("foo", 0.1), ("energy", 2.0)):
         yield pytest.param(
-            lambda blurs={var: b}: scenario1("type2fl", blur_overrides=blurs).validate(),
-            f"blur_overrides.{var}",
+            lambda blurs={var: b}: replace(
+                scenario1("type2fl"), rules2=default_rulebase2(blur_overrides=blurs)
+            ),
+            f"blur.{var}",
             id=f"SimConfig-blur_overrides.{var}-{b}",
         )
 
