@@ -69,10 +69,10 @@ def main(argv: list[str] | None = None) -> int:
         for k in range(args.seeds):
             run_cfg = cfg.with_seed(cfg.seed + k)
             suffix = f"_seed{run_cfg.seed}" if args.seeds > 1 else ""
-            collected: list[tuple] = []
+            collected: list[str] = []  # one text block per round
 
             def collect(rnd, plan, sink=collected):
-                sink.extend(cluster_rows(rnd, plan))
+                sink.append(cluster_rows(rnd, plan))
 
             result = run_simulation(run_cfg, on_round=collect if args.dump_clusters else None)
             results.append(result)

@@ -2,15 +2,16 @@
 are read back for replay.
 
 Dialect: comma separator, '.' decimal point, LF line endings, mandatory header
-row. Floats are written as full-precision scientific notation so files
-round-trip bit-exactly.
+row, no quoting, and an empty field for a missing value. Floats are written as
+``.16e`` (full-precision scientific notation) so files round-trip bit-exactly.
+Each line is built as one string; every writer has closed its file when it
+returns.
 """
 from __future__ import annotations
 
 import csv
-from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -22,47 +23,34 @@ METRICS_HEADER = ("round", "alive", "dead", "total_j", "avg_j", "ch_count")
 SUMMARY_HEADER = ("fnd", "hnd", "lnd", "seed")
 
 
-def fmt(x: float) -> str:
-    return f"{x:.16e}"
-
-
-def _open_writer(path: str | Path):
-    fh = open(path, "w", encoding="utf-8", newline="")
-    return fh, csv.writer(fh, lineterminator="\n")
+def _write_lines(path: str | Path, header: tuple[str, ...], lines: Iterable[str]) -> None:
+    """The header, then ``lines`` as they are: each ends in LF, and one item
+    may hold many lines."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(lines)
 
 
 def write_metrics_csv(result: SimResult, path: str | Path) -> None:
     """One row per round in simulation order."""
-    fh, w = _open_writer(path)
-    with fh:
-        w.writerow(METRICS_HEADER)
-        for m in result.rounds:
-            w.writerow((m.round, m.alive, m.dead, fmt(m.total_j), fmt(m.avg_j), m.ch_count))
+    lines = (
+        f"{m.round},{m.alive},{m.dead},{m.total_j:.16e},{m.avg_j:.16e},{m.ch_count}\n"
+        for m in result.rounds
+    )
+    _write_lines(path, METRICS_HEADER, lines)
 
 
 def write_summary_csv(results: Iterable[SimResult], path: str | Path) -> None:
     """One row per run; undefined lifetime events are left empty."""
-    fh, w = _open_writer(path)
-    with fh:
-        w.writerow(SUMMARY_HEADER)
-        for r in results:
-            w.writerow(
-                (
-                    "" if r.fnd is None else r.fnd,
-                    "" if r.hnd is None else r.hnd,
-                    "" if r.lnd is None else r.lnd,
-                    r.seed,
-                )
-            )
+    events = ((r.fnd, r.hnd, r.lnd, r.seed) for r in results)
+    lines = (",".join("" if v is None else str(v) for v in row) + "\n" for row in events)
+    _write_lines(path, SUMMARY_HEADER, lines)
 
 
 def write_positions_csv(positions: np.ndarray, path: str | Path) -> None:
     """(n, 2) positions, one row per node id."""
-    fh, w = _open_writer(path)
-    with fh:
-        w.writerow(("id", "x", "y"))
-        for i, (x, y) in enumerate(positions.tolist()):
-            w.writerow((i, fmt(x), fmt(y)))
+    lines = (f"{i},{x:.16e},{y:.16e}\n" for i, (x, y) in enumerate(positions.tolist()))
+    _write_lines(path, ("id", "x", "y"), lines)
 
 
 def read_positions_csv(path: str | Path) -> list[tuple[float, float]]:
@@ -88,56 +76,54 @@ def read_positions_csv(path: str | Path) -> list[tuple[float, float]]:
     return [rows[i] for i in range(len(rows))]
 
 
-def write_clusters_csv(rows: Sequence[tuple], path: str | Path) -> None:
-    """Per-round membership dump: (round, ch_id, member_id, radius, next_hop)."""
-    fh, w = _open_writer(path)
-    with fh:
-        w.writerow(("round", "ch_id", "member_id", "radius", "next_hop"))
-        for rnd, ch, member, radius, hop in rows:
-            w.writerow(
-                (rnd, ch, "" if member is None else member, fmt(radius), "BS" if hop is None else hop)
-            )
+def write_clusters_csv(rounds: Iterable[str], path: str | Path) -> None:
+    """Per-round membership dump (round, ch_id, member_id, radius, next_hop):
+    the header, then each round's text from ``cluster_rows`` in order."""
+    _write_lines(path, ("round", "ch_id", "member_id", "radius", "next_hop"), rounds)
 
 
-def cluster_rows(round_index: int, plan) -> list[tuple]:
-    """A round's rows for ``write_clusters_csv``, in cluster order: one per
-    member, or one with no member for a head without members."""
-    heads, members = plan.heads.tolist(), plan.members.tolist()
+def cluster_rows(round_index: int, plan) -> str:
+    """A round's lines for ``write_clusters_csv``, in cluster order: one per
+    member, or one with an empty member field for a head without members.
+    The next hop is a head id, or ``BS`` for the sink."""
+    heads, ids = plan.heads.tolist(), list(map(str, plan.members.tolist()))
     sizes, ends = plan.sizes.tolist(), np.cumsum(plan.sizes).tolist()
-    rows = []
-    for head, n, end, radius, k in zip(heads, sizes, ends, plan.radius.tolist(), plan.next_hop.tolist()):
-        hop = None if k < 0 else heads[k]
-        mine = members[end - n : end] or [None]
-        rows.extend(zip(repeat(round_index), repeat(head), mine, repeat(radius), repeat(hop)))
-    return rows
+    parts = []
+    clusters = zip(heads, sizes, ends, plan.radius.tolist(), plan.next_hop.tolist())
+    for head, n, end, radius, k in clusters:
+        prefix = f"{round_index},{head},"
+        suffix = f",{radius:.16e},{'BS' if k < 0 else heads[k]}\n"
+        parts.append(prefix + (suffix + prefix).join(ids[end - n : end]) + suffix)
+    return "".join(parts)
 
 
 def write_fis1_surface(rb: RuleBase1, samples: int, path: str | Path, grid: int = 21) -> None:
     """(db, re, conc) -> (radius_norm, chance) over a uniform grid, one engine
     call per db value."""
-    fh, w = _open_writer(path)
-    with fh:
-        w.writerow(("db", "re", "conc", "radius_norm", "chance"))
-        steps = [i / (grid - 1) for i in range(grid)]
-        re = np.repeat(steps, grid)
-        conc = np.tile(steps, grid)
-        for db in steps:
-            inputs = {"distance": np.full(len(re), db), "energy": re, "concentration": conc}
-            out = eval_fis1(rb, inputs, samples)
-            rows = zip(re.tolist(), conc.tolist(), out["radius"].tolist(), out["chance"].tolist())
-            for row in rows:
-                w.writerow((fmt(db), *map(fmt, row)))
+    steps = [i / (grid - 1) for i in range(grid)]
+    text = [f"{s:.16e}" for s in steps]
+    pairs = [f"{a},{b}," for a in text for b in text]  # (re, conc), conc fastest
+    re, conc = np.repeat(steps, grid), np.tile(steps, grid)
+
+    def block(db: float, db_text: str) -> str:
+        inputs = {"distance": np.full(len(re), db), "energy": re, "concentration": conc}
+        out = eval_fis1(rb, inputs, samples)
+        points = zip(pairs, out["radius"].tolist(), out["chance"].tolist())
+        return "".join(f"{db_text},{pair}{r:.16e},{c:.16e}\n" for pair, r, c in points)
+
+    _write_lines(path, ("db", "re", "conc", "radius_norm", "chance"), map(block, steps, text))
 
 
 def write_fis2_surface(rb: RuleBase2, path: str | Path, grid: int = 101) -> None:
     """(db, re) -> (radius_norm, chance) over a uniform grid, one engine call
     per db value."""
-    fh, w = _open_writer(path)
-    with fh:
-        w.writerow(("db", "re", "radius_norm", "chance"))
-        steps = [i / (grid - 1) for i in range(grid)]
-        re = np.array(steps)
-        for db in steps:
-            radius, chance = eval_t2fis(rb, np.full(grid, db), re)
-            for row in zip(steps, radius.tolist(), chance.tolist()):
-                w.writerow((fmt(db), *map(fmt, row)))
+    steps = [i / (grid - 1) for i in range(grid)]
+    text = [f"{s:.16e}" for s in steps]
+    re = np.array(steps)
+
+    def block(db: float, db_text: str) -> str:
+        radius, chance = eval_t2fis(rb, np.full(grid, db), re)
+        points = zip(text, radius.tolist(), chance.tolist())
+        return "".join(f"{db_text},{t},{r:.16e},{c:.16e}\n" for t, r, c in points)
+
+    _write_lines(path, ("db", "re", "radius_norm", "chance"), map(block, steps, text))

@@ -141,10 +141,13 @@ class LinguisticVariable:
             s0, s1 = mf.support
             if s0 < lo or s1 > hi:
                 raise ValueError(f"{self.name}: term {t!r} support {mf.support} leaves domain")
-        xs = np.linspace(lo, hi, 201)
-        cover = np.zeros_like(xs)
-        for _, mf in self.terms:
-            cover = np.maximum(cover, mf_sample(mf, xs))
+        # every membership is linear between consecutive breakpoints, so the
+        # cover is positive everywhere iff it is at each breakpoint, at the
+        # domain ends and at each midpoint between consecutive ones
+        mfs = [mf for _, mf in self.terms]
+        knots = sorted({lo, hi, *(p for mf in mfs for p in mf.points)})
+        xs = np.array(sorted(knots + [0.5 * (a + b) for a, b in zip(knots, knots[1:])]))
+        cover = _trap_degrees(_breakpoints(mfs), xs).max(axis=0, initial=0.0)
         if not np.all(cover > 0.0):
             hole = float(xs[int(np.argmin(cover))])
             raise ValueError(f"{self.name}: no term covers x={hole:g}")

@@ -4,6 +4,7 @@ Every point of a batch must give the exact float the one-point engine gives,
 and NaN where it raised DegenerateOutputError or found its reduced interval
 inverted.
 """
+import copy
 import dataclasses
 import re
 from bisect import bisect_right
@@ -78,8 +79,9 @@ DEEP_OUTPUT_COVER = {
     "radius": {"medium": trapezoidal(0.1, 0.3, 0.7, 0.9)},
     "chance": {"avg": trapezoidal(0.0, 0.2, 0.8, 1.0)},
 }
-# No radius term is nonzero on (0.0612, 0.0617): too narrow for the coverage
-# check of LinguisticVariable, wide enough to hold COA samples.
+# No radius term is nonzero on [0.0612, 0.0617], a gap wide enough to hold
+# COA samples. LinguisticVariable rejects the gap, so rulebase1_with puts
+# these terms in after its check.
 OUTPUT_GAP = {
     "radius": {
         "very_small": trapezoidal(0.0, 0.0, 0.05, 0.0612),
@@ -100,6 +102,19 @@ T1_MF_OVERRIDES = (
     DEEP_OUTPUT_COVER,
     OUTPUT_GAP,
 )
+
+
+def rulebase1_with(overrides, rules=None):
+    """default_rulebase1(overrides, rules), with OUTPUT_GAP's radius terms
+    swapped in after LinguisticVariable's coverage check: the engines must
+    still match the reference at COA samples that no output term covers."""
+    if overrides is not OUTPUT_GAP:
+        return default_rulebase1(overrides, rules)
+    rb = default_rulebase1(None, rules)
+    radius = copy.copy(rb.outputs[0])
+    terms = tuple((t, OUTPUT_GAP["radius"].get(t, mf)) for t, mf in radius.terms)
+    object.__setattr__(radius, "terms", terms)
+    return RuleBase1(rb.inputs, (radius, *rb.outputs[1:]), rb.rules)
 
 
 def same_bits(got, want) -> bool:
@@ -355,7 +370,7 @@ def t1_cases(draw):
     if draw(st.booleans()):
         perm = draw(st.permutations(range(27)))
         rules = [(*RULES_27[i][:3], *RULES_27[p][3:]) for i, p in enumerate(perm)]
-    rb = default_rulebase1(draw(st.sampled_from(T1_MF_OVERRIDES)), rules)
+    rb = rulebase1_with(draw(st.sampled_from(T1_MF_OVERRIDES)), rules)
     keep = draw(st.just(27) | st.integers(1, 26))
     if keep < 27:  # points outside the kept rules' antecedents fire nothing
         rb = RuleBase1(rb.inputs, rb.outputs, rb.rules[:keep])
@@ -392,7 +407,9 @@ def test_t1_overrides_stack_output_terms_and_leave_gaps():
     deep = output_cover(default_rulebase1(DEEP_OUTPUT_COVER), 1001)
     assert deep["radius"].max() == deep["chance"].max() == 3
     for samples in (1000, 1001):
-        assert output_cover(default_rulebase1(OUTPUT_GAP), samples)["radius"].min() == 0
+        assert output_cover(rulebase1_with(OUTPUT_GAP), samples)["radius"].min() == 0
+    with pytest.raises(ValueError, match="radius: no term covers x=0.0612"):
+        default_rulebase1(OUTPUT_GAP)
 
 
 @st.composite

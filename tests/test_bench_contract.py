@@ -1,6 +1,7 @@
 """What the benchmark in perfbench/ relies on in the package.
 
-perfbench/tracer.py wraps package functions by module and name for --trace 1,
+perfbench/tracer.py wraps package functions by module and name for --trace 1
+and reads each CSV writer's file size as the writer returns,
 perfbench/probe.py ends a surface dump at its first engine call by
 replacing the engine names that csvio holds, and perfbench/worker.py captures
 each round through the plan's ``clusters`` and ``routes`` views for the checks
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fuzzcluster import csvio, fis1, fis2
+from fuzzcluster import cli, csvio, fis1, fis2
 from fuzzcluster.config import PRESETS, PROTOCOL_NAMES, parse_config
 from fuzzcluster.fis1 import RuleBase1, default_rulebase1
 from fuzzcluster.fis2 import RuleBase2, default_rulebase2
@@ -72,6 +73,21 @@ def test_traced_round_counters_stay_plain_numbers():
     json.dumps(metrics)
     assert metrics["protocols.orphans"] == sum(m.orphan_fallbacks for m in result.rounds) > 0
     assert 0 < metrics["protocols.heads"] < metrics["protocols.candidates"]
+
+
+def test_each_writer_finishes_its_file_before_returning(tmp_path):
+    # the tracer adds each writer's file size as the writer returns: a writer
+    # that left lines buffered or unwritten would count fewer bytes
+    t = tracer.Tracer()
+    t.install()
+    try:
+        argv = ["--preset", "ch2-scenario2", "--rounds", "3", "--dump-clusters"]
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+    finally:
+        t.uninstall()
+    names = {"metrics.csv", "clusters.csv", "positions.csv", "summary.csv"}
+    assert {p.name for p in tmp_path.iterdir()} == names
+    assert t.layer_metrics()["csvio.bytes"] == sum(p.stat().st_size for p in tmp_path.iterdir())
 
 
 class FirstEngineCall(Exception):

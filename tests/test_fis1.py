@@ -22,6 +22,7 @@ from fuzzcluster.fis1 import (
     trapezoidal,
     triangular,
 )
+from fuzzcluster.fis2 import default_rulebase2
 
 
 def centroid_oracle(verts):
@@ -133,6 +134,26 @@ def test_coverage_hole_rejected():
             (0, 1),
             (("a", triangular(0, 0.1, 0.2)), ("b", trapezoidal(0.9, 0.95, 1, 1))),
         )
+
+
+@pytest.mark.parametrize(
+    "left,right,hole",
+    [
+        (trapezoidal(0, 0, 0.3, 0.501), trapezoidal(0.504, 0.6, 1, 1), 0.501),  # a gap
+        (triangular(0, 0, 0.5025), triangular(0.5025, 1, 1), 0.5025),  # one point
+        # both sets are 1 at their vertical edges: only the midpoint is bare
+        (trapezoidal(0, 0, 0.501, 0.501), trapezoidal(0.504, 0.504, 1, 1), 0.5025),
+    ],
+    ids=["gap", "point", "vertical-edges"],
+)
+def test_coverage_hole_between_grid_points_rejected(left, right, hole):
+    # every hole falls between the points of a 201-point grid over [0, 1]
+    assert mf_at(left, 0.5025)[0] == mf_at(right, 0.5025)[0] == 0.0
+    with pytest.raises(ValueError, match=rf"^v: no term covers x={hole}$"):
+        LinguisticVariable("v", (0, 1), (("a", left), ("b", right)))
+    bridge = triangular(0.5, 0.5025, 0.505)
+    LinguisticVariable("v", (0, 1), (("a", left), ("b", right), ("c", bridge)))
+    assert default_rulebase1() and default_rulebase2()
 
 
 def test_term_peaks():

@@ -53,9 +53,9 @@ def test_outputs_match_golden_digests(tmp_path, preset, protocol, seed):
     )
     if cfg.n == 100:
         cfg = replace(cfg, energy_overrides=WEAK_NODES)
-    rows: list[tuple] = []
+    rows: list[str] = []
     result = run_simulation(
-        cfg, on_round=lambda r, plan: rows.extend(cluster_rows(r, plan))
+        cfg, on_round=lambda r, plan: rows.append(cluster_rows(r, plan))
     )
     assert result.fnd is not None
     write_metrics_csv(result, tmp_path / "metrics.csv")
