@@ -7,6 +7,7 @@ over a midpoint-sampled domain.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -40,6 +41,8 @@ class MembershipFunction:
             raise ValueError(f"unknown membership kind {self.kind!r}")
         if len(self.points) != want:
             raise ValueError(f"{self.kind} takes {want} breakpoints, got {len(self.points)}")
+        if not all(map(math.isfinite, self.points)):
+            raise ValueError(f"breakpoints must be finite: {self.points}")
         if any(b < a for a, b in zip(self.points, self.points[1:])):
             raise ValueError(f"breakpoints must be nondecreasing: {self.points}")
 

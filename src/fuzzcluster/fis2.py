@@ -7,7 +7,7 @@ rule firings to an interval whose midpoint is the crisp output.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -16,11 +16,12 @@ from .fis1 import (
     LinguisticVariable,
     MembershipFunction,
     MfOverrides,
+    _breakpoints,
+    _trap_degrees,
     apply_overrides,
     even_terms,
     input_rows,
     mf_centroid,
-    mf_degrees,
     three_level_terms,
 )
 
@@ -42,13 +43,23 @@ class IntervalMF:
     lower_scale: float = 1.0
 
 
+def _footprint_tables(imfs: Sequence[IntervalMF]) -> tuple[np.ndarray, np.ndarray]:
+    """Breakpoints of every lower set, then of every upper set (see
+    fis1._breakpoints), and the (footprints, 1) column of lower scales."""
+    bp = _breakpoints([f.lower for f in imfs] + [f.upper for f in imfs])
+    return bp, np.array([[f.lower_scale] for f in imfs])
+
+
+def _footprint_degrees(bp: np.ndarray, scale: np.ndarray, x: np.ndarray) -> np.ndarray:
+    deg = _trap_degrees(bp, x).reshape(2, len(scale), -1)
+    deg[0] *= scale
+    return deg
+
+
 def interval_degrees(imfs: Sequence[IntervalMF], x: np.ndarray) -> np.ndarray:
     """Lower and upper membership of each point of the 1-D array x in each
     footprint: a (2, footprints, points) array from one membership evaluation."""
-    deg = mf_degrees([f.lower for f in imfs] + [f.upper for f in imfs], x)
-    deg = deg.reshape(2, len(imfs), -1)
-    deg[0] *= np.array([[f.lower_scale] for f in imfs])
-    return deg
+    return _footprint_degrees(*_footprint_tables(imfs), x)
 
 
 def make_fou(
@@ -88,6 +99,7 @@ class RuleBase2:
     distance_mfs: Mapping[str, IntervalMF]
     energy_mfs: Mapping[str, IntervalMF]
     rules: tuple[Rule2, ...]
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pairs = {(r.distance, r.energy) for r in self.rules}
@@ -96,6 +108,43 @@ class RuleBase2:
         for r in self.rules:
             if r.distance not in self.distance_mfs or r.energy not in self.energy_mfs:
                 raise ValueError(f"rule {r} references an unknown antecedent term")
+
+    def _plan(self) -> tuple[list, np.ndarray]:
+        """The firing tables (see _firing_tables) and the (outputs, rules)
+        consequent weights, built on the first evaluation."""
+        hit = self._cache.get("plan")
+        if hit is None:
+            hit = self._cache["plan"] = (
+                _firing_tables(self.rules, self.distance_mfs, self.energy_mfs),
+                np.array([[r.w_radius for r in self.rules], [r.w_chance for r in self.rules]]),
+            )
+        return hit
+
+
+def _firing_tables(
+    rules: Sequence[Rule2],
+    distance_mfs: Mapping[str, IntervalMF],
+    energy_mfs: Mapping[str, IntervalMF],
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per input (distance, energy): the footprint tables of the terms the
+    rules use, each term once, and the index of each rule's term among them."""
+    tables = []
+    for mfs, names in (
+        (distance_mfs, [r.distance for r in rules]),
+        (energy_mfs, [r.energy for r in rules]),
+    ):
+        terms = list(dict.fromkeys(names))
+        index = np.array([terms.index(t) for t in names])
+        tables.append((*_footprint_tables([mfs[t] for t in terms]), index))
+    return tables
+
+
+def _fire(tables: list, db: np.ndarray, re: np.ndarray) -> np.ndarray:
+    """firing_intervals from its tables."""
+    (d_bp, d_scale, di), (e_bp, e_scale, ei) = tables
+    d = _footprint_degrees(d_bp, d_scale, db)
+    e = _footprint_degrees(e_bp, e_scale, re)
+    return d[:, di] * e[:, ei]
 
 
 def firing_intervals(
@@ -109,13 +158,7 @@ def firing_intervals(
     1-D arrays of points db and re: a (2, rules, points) array of lower and
     upper firings. Each antecedent term is evaluated once, however many rules
     share it."""
-    d_terms = list(dict.fromkeys(r.distance for r in rules))
-    e_terms = list(dict.fromkeys(r.energy for r in rules))
-    d = interval_degrees([distance_mfs[t] for t in d_terms], db)
-    e = interval_degrees([energy_mfs[t] for t in e_terms], re)
-    di = [d_terms.index(r.distance) for r in rules]
-    ei = [e_terms.index(r.energy) for r in rules]
-    return d[:, di] * e[:, ei]
+    return _fire(_firing_tables(rules, distance_mfs, energy_mfs), db, re)
 
 
 def _sum_rules(a: np.ndarray) -> np.ndarray:
@@ -303,9 +346,8 @@ def eval_t2fis(
         bad = ~((row >= 0.0) & (row <= 1.0))
         if bad.any():
             raise ValueError(f"{name}={row[bad][0]} outside [0, 1]")
-    firings = firing_intervals(rb.rules, x[0], x[1], rb.distance_mfs, rb.energy_mfs)
-    weights = [[r.w_radius for r in rb.rules], [r.w_chance for r in rb.rules]]
-    lo, hi = km_type_reduce(firings, weights)
+    tables, weights = rb._plan()
+    lo, hi = km_type_reduce(_fire(tables, x[0], x[1]), weights)
     out = 0.5 * (lo + hi)
     out[:, np.isnan(out).any(axis=0)] = np.nan  # NaN in one output is NaN in both
     return out[0], out[1]

@@ -79,11 +79,11 @@ def deploy_from_rng(
     rng: Xorshift64Star,
     initial_energy: float = 1.0,
 ) -> Network:
-    """Uniform deployment consuming 2n draws (x then y, ascending node id)."""
+    """Uniform deployment consuming 2n draws as one block (x then y,
+    ascending node id)."""
     if n < 1:
         raise ValueError("need at least one node")
-    positions = [(rng.random() * m, rng.random() * m) for _ in range(n)]
-    return Network(positions, bs_pos, m, initial_energy)
+    return Network(rng.uniforms(2 * n).reshape(n, 2) * m, bs_pos, m, initial_energy)
 
 
 def network_from_positions(

@@ -15,7 +15,6 @@ them, resolve the competition, join members, plan routes):
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,19 +132,21 @@ def ch_threshold(p: float, r: int) -> float:
 
 def select_provisional(
     net: Network, params: ProtocolParams, r: int, rng: Xorshift64Star
-) -> tuple[list[int], bool]:
-    """Per-node threshold draw (ascending id). Below-mode compares against the
-    rotating threshold, above-mode against the constant p. An empty selection
-    promotes the alive node with the most residual energy."""
+) -> tuple[np.ndarray, bool]:
+    """Per-node threshold draw, one block for the alive nodes in ascending id
+    order, giving the ids elected. Below-mode compares against the rotating
+    threshold, above-mode against the constant p. An empty selection promotes
+    the alive node with the most residual energy."""
+    alive = np.flatnonzero(net.alive)
+    draws = rng.uniforms(len(alive))
     if params.direction == DIRECTION_BELOW:
-        th, elected = ch_threshold(params.p, r), operator.lt
+        selected = alive[draws < ch_threshold(params.p, r)]
     else:
-        th, elected = params.p, operator.gt
-    selected = [i for i in np.flatnonzero(net.alive).tolist() if elected(rng.random(), th)]
-    if selected:
+        selected = alive[draws > params.p]
+    if len(selected):
         return selected, False
     # argmax returns the first maximum, so equal energies go to the lowest id
-    return [int(np.argmax(np.where(net.alive, net.energy, -np.inf)))], True
+    return np.array([np.argmax(np.where(net.alive, net.energy, -np.inf))]), True
 
 
 def compute_radius_chance(
@@ -313,8 +314,7 @@ def run_protocol_round(
     if not net.alive.any():
         raise ValueError("no alive nodes")
 
-    provisional, forced = select_provisional(net, params, round_index - 1, rng)
-    ids = np.array(provisional, dtype=np.intp)
+    ids, forced = select_provisional(net, params, round_index - 1, rng)
     fis_fallbacks = 0
     leach = params.kind == KIND_LEACH
 

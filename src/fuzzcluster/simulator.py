@@ -177,8 +177,7 @@ def run_simulation(
     if cfg.positions is not None:
         # burn the deployment draws so replaying a run's own positions file
         # with its seed reproduces that run exactly
-        for _ in range(2 * cfg.n):
-            rng.random()
+        rng.uniforms(2 * cfg.n)
         net = network_from_positions(cfg.positions, cfg.area_side, cfg.bs_pos, cfg.initial_energy)
     else:
         net = deploy_from_rng(cfg.n, cfg.area_side, cfg.bs_pos, rng, cfg.initial_energy)

@@ -69,6 +69,14 @@ class FakeRng:
         self.used += 1
         return v
 
+    def uniforms(self, k: int) -> np.ndarray:
+        left = len(self.draws) - self.used
+        if k > left:
+            raise IndexError(f"{k} draws asked for, {left} left in the script")
+        v = np.array(self.draws[self.used : self.used + k], dtype=float)
+        self.used += k
+        return v
+
 
 def plan_from(net, clusters, routes):
     """A RoundPlan without control spend from a list of Cluster objects in

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -22,7 +23,7 @@ from fuzzcluster.fis1 import (
     trapezoidal,
     triangular,
 )
-from fuzzcluster.fis2 import default_rulebase2
+from fuzzcluster.fis2 import Rule2, default_rulebase2, eval_t2fis
 
 
 def centroid_oracle(verts):
@@ -77,6 +78,23 @@ def test_malformed_breakpoints_rejected():
         triangular(0.5, 0.2, 0.8)
     with pytest.raises(ValueError):
         trapezoidal(0.0, 0.5, 0.4, 1.0)
+
+
+@pytest.mark.parametrize(
+    "build, points",
+    [
+        (lambda: trapezoidal(0, 0, math.nan, 1), r"\(0.0, 0.0, nan, 1.0\)"),
+        (lambda: triangular(0, math.inf, 1), r"\(0.0, inf, 1.0\)"),
+        (
+            lambda: default_rulebase1({"distance": {"close": trapezoidal(0, 0, math.nan, 0.5)}}),
+            r"\(0.0, 0.0, nan, 0.5\)",
+        ),
+    ],
+    ids=["trap-nan", "tri-inf", "override-nan"],
+)
+def test_non_finite_breakpoints_rejected(build, points):
+    with pytest.raises(ValueError, match=f"breakpoints must be finite: {points}"):
+        build()
 
 
 @st.composite
@@ -368,6 +386,27 @@ def test_replaced_rule_base_builds_its_own_tables():
     got = eval_fis1(swapped, x)
     for var in rb.outputs:
         assert got[var.name].tobytes() == eval_fis1(rb, x)[var.name].tobytes()
+
+
+def test_replaced_rule_base2_builds_its_own_tables():
+    rb = default_rulebase2()
+    db, re = np.array([0.1, 0.45, 0.9]), np.array([0.8, 0.3, 0.55])
+    radius, chance = eval_t2fis(rb, db, re)  # fills rb's cached tables
+    # each rule's radius and chance weights trade places, so do the outputs
+    swapped = dataclasses.replace(
+        rb,
+        rules=tuple(
+            Rule2(r.distance, r.energy, r.radius, r.chance, r.w_chance, r.w_radius)
+            for r in rb.rules
+        ),
+    )
+    got = eval_t2fis(swapped, db, re)
+    assert got[0].tobytes() == chance.tobytes() != radius.tobytes()
+    assert got[1].tobytes() == radius.tobytes()
+    wider = dataclasses.replace(rb, distance_mfs=default_rulebase2(blur=0.4).distance_mfs)
+    assert eval_t2fis(wider, db, re)[0].tobytes() == eval_t2fis(
+        default_rulebase2(blur_overrides={"distance": 0.4}), db, re
+    )[0].tobytes() != radius.tobytes()
 
 
 def test_eval_deterministic():

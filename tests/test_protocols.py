@@ -61,25 +61,25 @@ def test_ch_threshold_validation():
 def test_select_below_strict_inequality():
     net = deploy(3, 100.0, (50.0, 175.0), seed=1, initial_energy=0.5)
     selected, forced = select_provisional(net, LEACH, 0, FakeRng([0.03, 0.05, 0.9]))
-    assert selected == [0]  # 0.03 < 0.05 selected; 0.05 == threshold is not
+    assert selected.tolist() == [0]  # 0.03 < 0.05 selected; 0.05 == threshold is not
     assert not forced
 
 
 def test_select_above_direction():
     net = deploy(3, 100.0, (50.0, 50.0), seed=1)
     selected, forced = select_provisional(net, TYPE2, 0, FakeRng([0.96, 0.95, 0.2]))
-    assert selected == [0]  # draw must exceed the threshold strictly
+    assert selected.tolist() == [0]  # draw must exceed the threshold strictly
     assert not forced
 
 
 def test_select_empty_falls_back_to_max_energy():
     net = deploy(3, 100.0, (50.0, 175.0), seed=1, initial_energy=0.5)
     selected, forced = select_provisional(net, LEACH, 0, FakeRng([0.9, 0.9, 0.9]))
-    assert selected == [0]  # equal energies: the lowest id wins
+    assert selected.tolist() == [0]  # equal energies: the lowest id wins
     assert forced
     net.energy[:] = [0.3, 0.4, 0.2]
     selected, forced = select_provisional(net, LEACH, 0, FakeRng([0.9, 0.9, 0.9]))
-    assert selected == [1]
+    assert selected.tolist() == [1]
     assert forced
 
 
@@ -88,8 +88,34 @@ def test_select_skips_dead_nodes():
     net.alive[0] = False
     rng = FakeRng([0.01, 0.9])  # draws belong to nodes 1 and 2
     selected, _ = select_provisional(net, LEACH, 0, rng)
-    assert selected == [1]
+    assert selected.tolist() == [1]
     assert rng.used == 2
+
+
+def test_select_draws_past_the_script_raise():
+    net = deploy(3, 100.0, (50.0, 175.0), seed=1, initial_energy=0.5)
+    with pytest.raises(IndexError, match="3 draws asked for, 2 left"):
+        select_provisional(net, LEACH, 0, FakeRng([0.01, 0.9]))
+
+
+@pytest.mark.parametrize(
+    "params, r", [(LEACH, 0), (LEACH, 13), (TYPE2, 0)], ids=["below", "below-r13", "above"]
+)
+def test_select_matches_one_draw_per_alive_node(params, r):
+    net = deploy(100, 100.0, (50.0, 175.0), seed=4, initial_energy=0.5)
+    net.alive[[0, 1, 17, 50, 98]] = False
+    if params.direction == "below":
+        th, elected = ch_threshold(params.p, r), float.__lt__
+    else:
+        th, elected = params.p, float.__gt__
+    rng, ref = Xorshift64Star(21), Xorshift64Star(21)
+    for _ in range(3):
+        selected, forced = select_provisional(net, params, r, rng)
+        want = [i for i in range(net.n) if net.alive[i] and elected(ref.random(), th)]
+        assert not forced and selected.dtype == np.intp
+        assert selected.tolist() == want
+        assert rng._state == ref._state
+        net.alive[selected[:2]] = False  # the next round has fewer draws
 
 
 # --- radius/chance mapping ----------------------------------------------------------
