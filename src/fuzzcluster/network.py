@@ -8,10 +8,17 @@ import numpy as np
 
 from .rng import Xorshift64Star
 
-# Rows per block when building the distance matrix, counting neighbors, pricing
-# control messages and routing: a block holds ROW_CHUNK rows of the n x n
-# distance matrix (250 KiB at 1000 nodes), however many ids are asked for.
-ROW_CHUNK = 32
+# Entries per block of dist rows when building the distance matrix, counting
+# neighbors, pricing control messages and routing. A block takes
+# block_rows(width) rows of a width-wide slice (8 bytes an entry), however many
+# rows a call needs: 32 rows (250 KiB) at 1000 nodes and 320 at 100 nodes, so a
+# 100-node round (at most 3n message groups) is priced in one block.
+BLOCK_ENTRIES = 32_000
+
+
+def block_rows(width: int) -> int:
+    """Rows of a width-wide block under BLOCK_ENTRIES (at least one)."""
+    return max(1, BLOCK_ENTRIES // max(1, width))
 
 
 class Network:
@@ -49,17 +56,18 @@ class Network:
         self.energy = np.full(self.n, self.initial_energy)
         self.alive = np.ones(self.n, dtype=bool)
 
-        # ROW_CHUNK rows at a time, one axis after the other, squared and
+        # a block of rows at a time, one axis after the other, squared and
         # summed in place: the same bits as summing an (n, n, 2) tensor of
         # squared differences, with one n x n array alive at the peak
         self.dist = np.empty((self.n, self.n))
-        for s in range(0, self.n, ROW_CHUNK):
-            block = np.subtract.outer(pos[s : s + ROW_CHUNK, 0], pos[:, 0])
+        step = block_rows(self.n)
+        for s in range(0, self.n, step):
+            block = np.subtract.outer(pos[s : s + step, 0], pos[:, 0])
             block *= block
-            dy = np.subtract.outer(pos[s : s + ROW_CHUNK, 1], pos[:, 1])
+            dy = np.subtract.outer(pos[s : s + step, 1], pos[:, 1])
             dy *= dy
             block += dy
-            np.sqrt(block, out=self.dist[s : s + ROW_CHUNK])
+            np.sqrt(block, out=self.dist[s : s + step])
         self.positions = pos
         self.bs_dist = np.sqrt(((pos - np.array(self.bs_pos)) ** 2).sum(axis=-1))
         self.d_max = float(self.bs_dist.max())
@@ -103,27 +111,32 @@ def neighbor_count(net: Network, ids: np.typing.ArrayLike, radius: float) -> np.
         raise ValueError("radius must be positive")
     ids = np.atleast_1d(np.asarray(ids, dtype=np.intp))
     counts = np.empty(len(ids), dtype=np.intp)
-    # ROW_CHUNK rows of dist at a time, not a len(ids) x n copy
-    for s in range(0, len(ids), ROW_CHUNK):
-        part = ids[s : s + ROW_CHUNK]
+    # a block of dist rows at a time, not a len(ids) x n copy
+    step = block_rows(net.n)
+    for s in range(0, len(ids), step):
+        part = ids[s : s + step]
         mask = (net.dist[part] <= radius) & net.alive
         mask[np.arange(len(part)), part] = False
-        counts[s : s + ROW_CHUNK] = mask.sum(axis=1)
+        counts[s : s + step] = mask.sum(axis=1)
     return counts
 
 
 def normalize_inputs(
-    net: Network, ids: np.typing.ArrayLike, nbr_radius: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    net: Network, ids: np.typing.ArrayLike, nbr_radius: float | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Per id (an int is one id), (db, re, conc) in [0, 1]: BS distance over
     the network maximum, residual energy fraction, and neighbor count relative
-    to the uniform-density expectation inside nbr_radius (clamped at 1)."""
+    to the uniform-density expectation inside nbr_radius (clamped at 1). With
+    no nbr_radius, conc is None and no neighbor is counted (type2fl reads only
+    db and re)."""
     ids = np.atleast_1d(np.asarray(ids, dtype=np.intp))
     dead = ids[~net.alive[ids]]
     if len(dead):
         raise ValueError(f"node {dead[0]} is dead")
     db = net.bs_dist[ids] / net.d_max if net.d_max > 0.0 else np.zeros(len(ids))
     re = np.minimum(1.0, np.maximum(0.0, net.energy[ids] / net.initial_energy))
+    if nbr_radius is None:
+        return db, re, None
     density = net.n / (net.area_side * net.area_side)
     expected = density * math.pi * nbr_radius * nbr_radius
     conc = np.minimum(1.0, neighbor_count(net, ids, nbr_radius) / expected)

@@ -22,7 +22,7 @@ import numpy as np
 from .energy import RadioParams, rx_energy, threshold_distance, tx_energy
 from .fis1 import DEFAULT_SAMPLES, RuleBase1, eval_fis1
 from .fis2 import RuleBase2, eval_t2fis
-from .network import ROW_CHUNK, Network, normalize_inputs
+from .network import Network, block_rows, normalize_inputs
 from .rng import Xorshift64Star
 
 KIND_LEACH = "leach"
@@ -121,12 +121,15 @@ class RoundPlan:
 
 def ch_threshold(p: float, r: int) -> float:
     """Rotating election threshold p/(1 - p*(r mod floor(1/p))): rises over an
-    epoch of floor(1/p) rounds and reaches 1 on the epoch's last round."""
+    epoch of floor(1/p) rounds to 1/(1/p - floor(1/p) + 1) on the epoch's last
+    round, which is 1 only when 1/p is an integer (0.778 at p = 0.07, 0.75 at
+    p = 0.3)."""
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
     if r < 0:
         raise ValueError("round index must be nonnegative")
-    # evaluated as 1/(1/p - k) so the epoch-end threshold is exactly 1.0
+    # evaluated as 1/(1/p - k) so that an integer 1/p gives exactly 1.0 at the
+    # epoch's end
     return 1.0 / (1.0 / p - (r % int(1.0 / p)))
 
 
@@ -155,8 +158,9 @@ def compute_radius_chance(
     """Map normalized (db, re, conc) to (radius in meters, chance, fell_back).
 
     The inputs are equal-length arrays with one entry per candidate, sized in
-    one engine call. A point where the engine output is degenerate falls back
-    to the domain midpoint on its own and is flagged."""
+    one engine call; type2fl reads only db and re, so its conc may be None. A
+    point where the engine output is degenerate falls back to the domain
+    midpoint on its own and is flagged."""
     db, re, conc = inputs
     if params.kind == KIND_TYPE2:
         if engines.rules2 is None:
@@ -240,8 +244,9 @@ def build_routes(
     ranked = heads[order]
     head_bs = net.bs_dist[ranked]
     far = np.flatnonzero(head_bs > d0)  # positions in ranked
-    for s in range(0, len(far), ROW_CHUNK):
-        part = far[s : s + ROW_CHUNK]
+    step = block_rows(len(ranked))
+    for s in range(0, len(far), step):
+        part = far[s : s + step]
         closer = head_bs < head_bs[part, None]
         d = np.where(closer, net.dist[ranked[part, None], ranked], np.inf)
         relays = closer.any(axis=1)
@@ -260,8 +265,8 @@ def price_control(
     member_heads: np.ndarray,
     join_group: np.ndarray,
 ) -> None:
-    """Add a round's control messages to ``control``, ROW_CHUNK groups at a
-    time.
+    """Add a round's control messages to ``control``, ``block_rows(n)`` groups
+    at a time.
 
     Messages come in numbered groups, sent in ascending group order (both group
     arrays ascending). In a group, each join costs its member one transmission
@@ -274,9 +279,10 @@ def price_control(
     n_groups = int(max(send_group.max(initial=-1), join_group.max(initial=-1))) + 1
     bits = radio.ctrl_bits
     rx = rx_energy(radio, bits)
-    for g in range(0, n_groups, ROW_CHUNK):
-        s0, s1 = np.searchsorted(send_group, (g, g + ROW_CHUNK))
-        j0, j1 = np.searchsorted(join_group, (g, g + ROW_CHUNK))
+    step = block_rows(net.n)
+    for g in range(0, n_groups, step):
+        s0, s1 = np.searchsorted(send_group, (g, g + step))
+        j0, j1 = np.searchsorted(join_group, (g, g + step))
         snd, m, h = senders[s0:s1], members[j0:j1], member_heads[j0:j1]
         heard = (net.dist[snd] <= ranges[s0:s1, None]) & net.alive
         heard[np.arange(len(snd)), snd] = True  # stands for the sender's own tx
@@ -322,8 +328,9 @@ def run_protocol_round(
         finals, radius, chance = ids, np.zeros(len(ids)), np.zeros(len(ids))
         ids, cand_radius = ids[:0], radius[:0]  # no candidate announcements
     else:
+        # type2fl reads only (db, re), so it counts no neighbors
         nbr_radius = params.nbr_radius or threshold_distance(radio)
-        inputs = normalize_inputs(net, ids, nbr_radius)
+        inputs = normalize_inputs(net, ids, None if params.kind == KIND_TYPE2 else nbr_radius)
         cand_radius, chance, fell_back = compute_radius_chance(inputs, engines, params)
         fis_fallbacks = int(fell_back.sum())
         won = compete_final_chs(ids, cand_radius, chance, net)

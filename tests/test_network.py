@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import deploy
 from fuzzcluster.network import (
-    ROW_CHUNK,
     Network,
+    block_rows,
     neighbor_count,
     network_from_positions,
     normalize_inputs,
@@ -196,13 +196,26 @@ def test_dist_matches_difference_tensor_bit_for_bit():
     assert net.dist.tobytes() == np.sqrt((diff**2).sum(axis=-1)).tobytes()
 
 
-@pytest.mark.parametrize("count", [1, ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, 3 * ROW_CHUNK + 5])
+ROWS_150 = block_rows(150)
+
+
+def test_block_rows_follow_the_entry_budget():
+    assert block_rows(1000) == 32  # 250 KiB of dist rows at 1000 nodes
+    # a round has at most 3n message groups (candidates, finals, clusters):
+    # a 100-node round is priced in one block
+    assert block_rows(100) >= 3 * 100
+    assert block_rows(10**6) == 1  # wider than the budget: still one row a block
+
+
+@pytest.mark.parametrize("count", [1, ROWS_150 - 1, ROWS_150, ROWS_150 + 1, 3 * ROWS_150 + 5])
 def test_batch_inputs_match_one_node_formula(count):
     net = deploy(150, 100.0, (50.0, 175.0), seed=4, initial_energy=0.5)
     rng = Xorshift64Star(8)
     net.energy[:] = [0.05 + rng.random() * 0.5 for _ in range(net.n)]  # some above initial
     net.alive[::7] = False
-    ids = np.flatnonzero(net.alive)[::-1][:count]  # unsorted ids
+    # unsorted ids, repeated once the alive ones run out, so that a count can
+    # pass every block boundary at this n
+    ids = np.resize(np.flatnonzero(net.alive)[::-1], count)
     db, re, conc = normalize_inputs(net, ids, 25.0)
     counts = neighbor_count(net, ids, 25.0)
     expected = net.n / (net.area_side**2) * math.pi * 25.0 * 25.0
@@ -222,3 +235,14 @@ def test_batch_inputs_name_the_first_dead_node():
     net.alive[[3, 6]] = False
     with pytest.raises(ValueError, match="node 6 is dead"):
         normalize_inputs(net, np.array([1, 6, 3]), 20.0)
+
+
+def test_inputs_without_radius_count_no_neighbors():
+    net = deploy(40, 100.0, (50.0, 175.0), seed=2, initial_energy=0.5)
+    net.alive[[4, 9]] = False
+    ids = np.flatnonzero(net.alive)[::-1]
+    db, re, conc = normalize_inputs(net, ids, None)
+    want = normalize_inputs(net, ids, 25.0)
+    assert conc is None and db.tobytes() == want[0].tobytes() and re.tobytes() == want[1].tobytes()
+    with pytest.raises(ValueError, match="node 9 is dead"):
+        normalize_inputs(net, np.array([1, 9]), None)

@@ -8,6 +8,7 @@ its exact bits.
 """
 import math
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -15,11 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import deploy
+from fuzzcluster import network as network_module
 from fuzzcluster.config import parse_config
 from fuzzcluster.energy import RadioParams, threshold_distance, tx_energy
 from fuzzcluster.fis1 import default_rulebase1
 from fuzzcluster.fis2 import default_rulebase2
-from fuzzcluster.network import ROW_CHUNK, deploy_from_rng, network_from_positions
+from fuzzcluster.network import BLOCK_ENTRIES, block_rows, deploy_from_rng, network_from_positions
 from fuzzcluster.protocols import (
     KIND_FUZZY_UNEQUAL,
     KIND_LEACH,
@@ -50,15 +52,29 @@ CH3 = RadioParams(
 )
 ENGINES = Engines(default_rulebase1(), default_rulebase2(), coa_samples=101)
 EPOCH_END = 20  # with p = 0.05 the rotating threshold is 1 on round 20: every node stands
+# A 100-node round is priced in one block at the default budget; SMALL_BLOCKS
+# entries give it 5-row blocks, so that its message groups span many blocks
+# and their order across block boundaries is checked at 100 nodes too.
+SMALL_BLOCKS = 500
+BUDGETS = (BLOCK_ENTRIES, SMALL_BLOCKS)
 
 
 def same_bits(got, want) -> bool:
     return np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
 
 
+@contextmanager
+def block_entries(entries):
+    """Inside, the package's row blocks hold ``entries`` entries."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(network_module, "BLOCK_ENTRIES", entries)
+        yield
+
+
 def both_rounds(net, params, r, seed, radio=CH2):
     """The package's round and energy application beside the reference's, from
-    the same network state and draws; returns (plan, drained, ref plan, ref drained)."""
+    the same network state and draws; returns (plan, drained, ref plan, ref
+    drained) and leaves the network's energy and alive state as it found it."""
     energy, alive = net.energy.copy(), net.alive.copy()
     plan = run_protocol_round(net, params, ENGINES, r, Xorshift64Star(seed), radio)
     drained = apply_round_energy(net, plan, radio)
@@ -67,6 +83,7 @@ def both_rounds(net, params, r, seed, radio=CH2):
     ref = run_protocol_round_ref(net, params, ENGINES, r, Xorshift64Star(seed), radio)
     ref_drained = apply_round_energy_ref(net, ref, radio)
     assert same_bits(after[0], net.energy) and (after[1] == net.alive).all()
+    net.energy[:], net.alive[:] = energy, alive
     return plan, drained, ref, ref_drained
 
 
@@ -97,7 +114,7 @@ def network(n, area, seed, dead=(), low_energy=(), snap=None):
 
 @st.composite
 def round_cases(draw):
-    n = draw(st.integers(2, 3 * ROW_CHUNK + 3))
+    n = draw(st.integers(2, 99))
     area = draw(st.sampled_from([100.0, 300.0]))  # 300 m: ranges and hops beyond d0
     dead = draw(st.lists(st.integers(0, n - 1), max_size=n // 2, unique=True))
     low = draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True))
@@ -119,7 +136,9 @@ def round_cases(draw):
 @given(round_cases(), st.integers(0, 2**31))
 def test_round_matches_one_message_reference(case, seed):
     net, params, r = case
-    assert_same_round(*both_rounds(net, params, r, seed))
+    for entries in BUDGETS:
+        with block_entries(entries):
+            assert_same_round(*both_rounds(net, params, r, seed))
 
 
 GRID = 50.0
@@ -159,12 +178,18 @@ def test_competition_and_routes_break_ties_as_reference(data):
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("control", [True, False], ids=["control", "no-control"])
 def test_epoch_end_round_with_dead_nodes_beyond_d0(kind, control):
-    # 3 blocks of broadcasts and more, ranges and sink hops in multipath
-    net = network(3 * ROW_CHUNK + 7, 300.0, 4, dead=range(0, 40, 3), low_energy=(5, 50))
+    # every alive node broadcasts, ranges and sink hops in multipath; in one
+    # block at the default budget, and the announcements alone span more than
+    # ten small blocks
+    net = network(103, 300.0, 4, dead=range(0, 40, 3), low_energy=(5, 50))
     params = ProtocolParams(kind=kind, p=0.05, r_min=30.0, r_max=120.0, control_traffic=control)
     alive = net.alive.sum()
-    plan, drained, ref, ref_drained = both_rounds(net, params, EPOCH_END, 9)
-    assert_same_round(plan, drained, ref, ref_drained)
+    for entries in BUDGETS:
+        with block_entries(entries):
+            one_block = block_rows(net.n) >= 3 * net.n
+            assert one_block if entries == BLOCK_ENTRIES else alive > 10 * block_rows(net.n)
+            plan, drained, ref, ref_drained = both_rounds(net, params, EPOCH_END, 9)
+            assert_same_round(plan, drained, ref, ref_drained)
     d0 = threshold_distance(CH2)
     assert max(net.bs_dist[c.head] for c in plan.clusters) > d0
     if kind == KIND_LEACH:
@@ -197,20 +222,28 @@ def test_tx_energy_array_matches_one_distance_formula(radio):
 
 
 def test_epoch_end_round_memory_stays_bounded():
-    # every one of 1000 alive nodes is a fuzzy-unequal candidate: pricing and
-    # competition must work a block or a dist row at a time, never a
-    # candidates x candidates or candidates x n array
-    cfg = parse_config("ch2-scenario2")
-    assert cfg.protocol.kind == KIND_FUZZY_UNEQUAL and cfg.n == 1000
-    assert ch_threshold(cfg.protocol.p, EPOCH_END - 1) == 1.0
-    rng = Xorshift64Star(1)
-    net = deploy_from_rng(cfg.n, cfg.area_side, cfg.bs_pos, rng, cfg.initial_energy)
-    engines = Engines(cfg.rules1, cfg.rules2, cfg.coa_samples)
-    tracemalloc.start()
-    try:
-        plan = run_protocol_round(net, cfg.protocol, engines, EPOCH_END, rng, cfg.radio)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert plan.clusters
-    assert peak < 2 * 2**20
+    # every one of 1000 (ch2-scenario2) or 100 (ch2-scenario1) alive nodes is a
+    # fuzzy-unequal candidate, and on ch3 most nodes draw above type2fl's p:
+    # pricing and competition must work a block or a dist row at a time, never
+    # a candidates x candidates or candidates x n array. The 100-node rounds
+    # are priced in one block.
+    for preset, kind, n in (
+        ("ch2-scenario2", KIND_FUZZY_UNEQUAL, 1000),
+        ("ch2-scenario1", KIND_FUZZY_UNEQUAL, 100),
+        ("ch3", KIND_TYPE2, 100),
+    ):
+        cfg = parse_config(preset)
+        assert (cfg.protocol.kind, cfg.n) == (kind, n)
+        assert kind == KIND_TYPE2 or ch_threshold(cfg.protocol.p, EPOCH_END - 1) == 1.0
+        assert n == 1000 or block_rows(n) >= 3 * n
+        rng = Xorshift64Star(1)
+        net = deploy_from_rng(cfg.n, cfg.area_side, cfg.bs_pos, rng, cfg.initial_energy)
+        engines = Engines(cfg.rules1, cfg.rules2, cfg.coa_samples)
+        tracemalloc.start()
+        try:
+            plan = run_protocol_round(net, cfg.protocol, engines, EPOCH_END, rng, cfg.radio)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert plan.clusters, preset
+        assert peak < 2 * 2**20, preset

@@ -1,9 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from conftest import FakeRng, deploy
+from fuzzcluster import network, protocols
+from fuzzcluster.config import parse_config
 from fuzzcluster.energy import RadioParams, threshold_distance
 from fuzzcluster.fis1 import default_rulebase1, eval_fis1
 from fuzzcluster.fis2 import default_rulebase2
@@ -21,6 +24,7 @@ from fuzzcluster.protocols import (
     select_provisional,
 )
 from fuzzcluster.rng import Xorshift64Star
+from fuzzcluster.simulator import run_simulation
 
 RADIO = RadioParams(
     e_elec=50e-9, eps_fs=10e-12, eps_mp=0.0013e-12, e_da=5e-9, packet_bits=4000, ctrl_bits=200
@@ -46,6 +50,14 @@ def test_ch_threshold_hand_values():
 def test_ch_threshold_epoch_wraps():
     assert ch_threshold(0.05, 20) == ch_threshold(0.05, 0)
     assert ch_threshold(0.1, 13) == ch_threshold(0.1, 3)
+
+
+@pytest.mark.parametrize("p, peak", [(0.05, 1.0), (0.07, 0.778), (0.3, 0.75), (0.1, 1.0)])
+def test_ch_threshold_peaks_on_the_epochs_last_round(p, peak):
+    # 1 only when 1/p is an integer: floor(1/p) rounds never bring 1/p - k to 1
+    epoch = [ch_threshold(p, r) for r in range(int(1.0 / p))]
+    assert epoch == sorted(epoch) and epoch[-1] == pytest.approx(peak, abs=5e-4)
+    assert (epoch[-1] == 1.0) == (peak == 1.0)
 
 
 def test_ch_threshold_validation():
@@ -352,6 +364,29 @@ def test_control_traffic_can_be_disabled():
     silent = ProtocolParams(kind="fuzzy_unequal", p=0.05, r_min=10.0, r_max=40.0, control_traffic=False)
     plan = run_protocol_round(net, silent, engines(), 1, Xorshift64Star(2), RADIO)
     assert plan.control_spend.sum() == 0.0
+
+
+@pytest.mark.parametrize(
+    "preset, protocol, counts",
+    [("ch3", "type2fl", False), ("ch2-scenario1", "fuzzy_unequal", True)],
+)
+def test_only_fuzzy_unequal_counts_neighbors(monkeypatch, preset, protocol, counts):
+    # type2fl reads only (db, re), so its rounds count no neighbors
+    calls = {"inputs": 0, "neighbors": 0}
+
+    def counted(fn, key):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(protocols, "normalize_inputs", counted(normalize_inputs, "inputs"))
+    monkeypatch.setattr(network, "neighbor_count", counted(network.neighbor_count, "neighbors"))
+    cfg = parse_config(preset)
+    assert cfg.protocol.kind == protocol
+    result = run_simulation(dataclasses.replace(cfg, max_rounds=4))
+    assert len(result.rounds) == calls["inputs"] == 4
+    assert (calls["neighbors"] > 0) == counts
 
 
 def test_params_validation():
