@@ -200,7 +200,6 @@ _PARSERS = {
         _finite,
     ),
     "protocol": lambda key, text: text,
-    "threshold_direction": lambda key, text: text,
     "control_traffic": _as_bool,
     "energy_overrides": _parse_energy_overrides,
     "w.radius": lambda key, text: _parse_weights(key, text, T2_RADIUS_TERMS),
@@ -312,7 +311,6 @@ def config_from_pairs(pairs: dict[str, str]) -> SimConfig:
             r_min=v.get("r_min_m", 0.1 * cfg.area_side),
             r_max=v.get("r_max_m", 0.4 * cfg.area_side),
             nbr_radius=v.get("nbr_radius_m"),
-            threshold_direction=v.get("threshold_direction"),
             control_traffic=v.get("control_traffic", True),
         )
     except ValueError as e:

@@ -53,6 +53,8 @@ def _footprint_tables(imfs: Sequence[IntervalMF]) -> tuple[np.ndarray, np.ndarra
 def _footprint_degrees(bp: np.ndarray, scale: np.ndarray, x: np.ndarray) -> np.ndarray:
     deg = _trap_degrees(bp, x).reshape(2, len(scale), -1)
     deg[0] *= scale
+    # a support widened by less than an ulp can round the upper set below the lower
+    np.maximum(deg[1], deg[0], out=deg[1])
     return deg
 
 
@@ -219,11 +221,13 @@ def km_type_reduce(firings: np.ndarray, weights: np.typing.ArrayLike) -> np.ndar
     A point is NaN at both ends where every upper firing is zero, or where
     rounding inverts its interval (subnormal firings can)."""
     fl, fu = firings
-    if not np.all((0.0 <= fl) & (fl <= fu) & (fu <= 1.0)):
-        raise ValueError(f"bad firing interval [{fl}, {fu}]")
+    ok = (0.0 <= fl) & (fl <= fu) & (fu <= 1.0)
+    if not ok.all():
+        k, i = np.argwhere(~ok)[0]
+        raise ValueError(f"bad firing interval of rule {k} at point {i}: [{fl[k, i]}, {fu[k, i]}]")
     w = np.asarray(weights, dtype=float)
     if w.ndim != 2 or w.shape[1] != len(fl):
-        raise ValueError("firings and weights must pair up")
+        raise ValueError(f"firings and weights must pair up: {len(fl)} rules, weights {w.shape}")
     n_out, k_rules = w.shape
     if not k_rules:
         raise ValueError("need at least one rule firing")

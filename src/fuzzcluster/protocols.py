@@ -30,9 +30,6 @@ KIND_FUZZY_UNEQUAL = "fuzzy_unequal"
 KIND_TYPE2 = "type2fl"
 KINDS = (KIND_LEACH, KIND_FUZZY_UNEQUAL, KIND_TYPE2)
 
-DIRECTION_BELOW = "below"
-DIRECTION_ABOVE = "above"
-
 
 @dataclass(frozen=True)
 class ProtocolParams:
@@ -41,7 +38,6 @@ class ProtocolParams:
     r_min: float
     r_max: float
     nbr_radius: float | None = None
-    threshold_direction: str | None = None
     control_traffic: bool = True
 
     def __post_init__(self):
@@ -55,17 +51,6 @@ class ProtocolParams:
             raise ValueError(f"r_min: must lie in (0, r_max = {self.r_max}), got {self.r_min}")
         if self.nbr_radius is not None and not 0.0 < self.nbr_radius < math.inf:
             raise ValueError(f"nbr_radius: must be positive and finite, got {self.nbr_radius}")
-        if self.threshold_direction not in (None, DIRECTION_BELOW, DIRECTION_ABOVE):
-            raise ValueError(
-                f"threshold_direction: must be {DIRECTION_BELOW!r} or {DIRECTION_ABOVE!r}, "
-                f"got {self.threshold_direction!r}"
-            )
-
-    @property
-    def direction(self) -> str:
-        if self.threshold_direction is not None:
-            return self.threshold_direction
-        return DIRECTION_ABOVE if self.kind == KIND_TYPE2 else DIRECTION_BELOW
 
 
 @dataclass
@@ -137,15 +122,16 @@ def select_provisional(
     net: Network, params: ProtocolParams, r: int, rng: Xorshift64Star
 ) -> tuple[np.ndarray, bool]:
     """Per-node threshold draw, one block for the alive nodes in ascending id
-    order, giving the ids elected. Below-mode compares against the rotating
-    threshold, above-mode against the constant p. An empty selection promotes
-    the alive node with the most residual energy."""
+    order, giving the ids elected. The kind picks the rule: type2fl elects a
+    draw above the constant p, leach and fuzzy_unequal a draw below the
+    rotating threshold. An empty selection promotes the alive node with the
+    most residual energy."""
     alive = np.flatnonzero(net.alive)
     draws = rng.uniforms(len(alive))
-    if params.direction == DIRECTION_BELOW:
-        selected = alive[draws < ch_threshold(params.p, r)]
-    else:
+    if params.kind == KIND_TYPE2:
         selected = alive[draws > params.p]
+    else:
+        selected = alive[draws < ch_threshold(params.p, r)]
     if len(selected):
         return selected, False
     # argmax returns the first maximum, so equal energies go to the lowest id
@@ -203,11 +189,11 @@ def compete_final_chs(
 
 def assign_members(
     net: Network, finals: np.ndarray, kind: str, r_max: float
-) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], int]:
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], int]:
     """Join every alive non-head node to its nearest final head; type2fl joins
     only within r_max and self-promotes uncovered nodes into singleton clusters
-    after the finals. Returns ((heads, sizes, members, order), orphan count),
-    the clusters as in ``RoundPlan`` and ``order`` sorting ``heads`` by id."""
+    after the finals. Returns ((heads, sizes, members), orphan count), the
+    clusters as in ``RoundPlan``."""
     # argmin returns the first minimum, so sorted heads break ties to the lowest id
     order = np.argsort(finals)
     joining = net.alive.copy()
@@ -222,25 +208,20 @@ def assign_members(
     # joiners ascend, so a stable sort keeps each cluster's members ascending
     members = joiners[covered][np.argsort(cluster, kind="stable")]
     heads = np.concatenate((finals, orphans))
-    sizes = np.bincount(cluster, minlength=len(heads))
-    if len(orphans):
-        # orphans ascend and are no final's id: merge them into the finals' sort
-        at = np.searchsorted(finals[order], orphans)
-        order = np.insert(order, at, np.arange(len(finals), len(heads)))
-    return (heads, sizes, members, order), len(orphans)
+    return (heads, np.bincount(cluster, minlength=len(heads)), members), len(orphans)
 
 
-def build_routes(
-    heads: np.ndarray, order: np.ndarray, net: Network, d0: float, direct_only: bool = False
-) -> np.ndarray:
-    """Next hop per head as a position in ``heads`` (``order`` sorts them by
-    id), -1 for the sink: the sink when within d0 (or always, for LEACH),
-    otherwise the nearest other head strictly closer to the sink; heads with
-    no sink-ward peer go direct. Strict progress keeps the route graph acyclic."""
+def build_routes(heads: np.ndarray, net: Network, d0: float, direct_only: bool = False) -> np.ndarray:
+    """Next hop per head as a position in ``heads``, -1 for the sink: the sink
+    when within d0 (or always, for LEACH), otherwise the nearest other head
+    strictly closer to the sink, the lowest id among equally near ones; heads
+    with no sink-ward peer go direct. Strict progress keeps the route graph
+    acyclic."""
     next_hop = np.full(len(heads), -1, dtype=np.intp)
     if direct_only:
         return next_hop
     # argmin returns the first minimum, so sorted heads break ties to the lowest id
+    order = np.argsort(heads)
     ranked = heads[order]
     head_bs = net.bs_dist[ranked]
     far = np.flatnonzero(head_bs > d0)  # positions in ranked
@@ -336,7 +317,7 @@ def run_protocol_round(
         won = compete_final_chs(ids, cand_radius, chance, net)
         finals, radius, chance = ids[won], cand_radius[won], chance[won]
 
-    (heads, sizes, members, order), orphans = assign_members(net, finals, params.kind, params.r_max)
+    (heads, sizes, members), orphans = assign_members(net, finals, params.kind, params.r_max)
     radius, chance = (np.concatenate((x, np.zeros(orphans))) for x in (radius, chance))
     k = len(finals)  # the finals' announcements are heads[:k]
 
@@ -358,7 +339,7 @@ def run_protocol_round(
             join_group=np.repeat(np.arange(first, first + len(heads)), sizes),
         )
 
-    next_hop = build_routes(heads, order, net, threshold_distance(radio), direct_only=leach)
+    next_hop = build_routes(heads, net, threshold_distance(radio), direct_only=leach)
     return RoundPlan(
         heads, radius, chance, sizes, members, next_hop, control, int(forced) + orphans, fis_fallbacks
     )

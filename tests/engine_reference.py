@@ -38,7 +38,8 @@ def mf_eval_ref(mf, x: float) -> float:
 
 
 def _interval(imf, x):
-    return (imf.lower_scale * mf_eval_ref(imf.lower, x), mf_eval_ref(imf.upper, x))
+    lower = imf.lower_scale * mf_eval_ref(imf.lower, x)
+    return lower, max(mf_eval_ref(imf.upper, x), lower)
 
 
 def _km_endpoint(fl, fu, w, left):

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import read_metrics_csv
 from fuzzcluster.cli import main
+from fuzzcluster.config import PRESETS
 from fuzzcluster.csvio import read_positions_csv, write_metrics_csv, write_summary_csv
 from fuzzcluster.simulator import RoundMetrics, SimResult
 
@@ -104,6 +105,17 @@ def test_cli_bad_config_returns_nonzero(tmp_path, capsys):
     code = run_cli(["--config", str(bad), "--out", str(tmp_path / "o")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_runs_footprints_narrower_than_an_ulp(tmp_path, capsys):
+    # at blur = 2e-17 some widened upper sets round below their lower sets
+    cfg = tmp_path / "tiny_blur.cfg"
+    cfg.write_text(PRESETS["ch3"] + "blur = 2e-17\n", encoding="utf-8")
+    code = run_cli(
+        ["--config", str(cfg), "--seeds", "3", "--rounds", "3", "--out", str(tmp_path / "o")]
+    )
+    assert code == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
 
 
 def test_cli_missing_config_file(tmp_path, capsys):

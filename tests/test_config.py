@@ -68,7 +68,6 @@ def test_preset_ch3_values():
     assert cfg.bs_pos == (50.0, 50.0)  # sink at the center of the area
     assert cfg.protocol.kind == "type2fl"
     assert cfg.protocol.p == 0.05
-    assert cfg.protocol.direction == "above"
 
 
 def test_unknown_preset_rejected():
@@ -108,6 +107,9 @@ def test_out_of_range_p_names_field(tmp_path):
 def test_unknown_key_rejected(tmp_path):
     with pytest.raises(ConfigError, match="frobnicate"):
         parse_config(write_cfg(tmp_path, BASE + "frobnicate = 1\n"))
+    # the election rule follows the protocol kind, whatever value is given
+    with pytest.raises(ConfigError, match="^unknown key 'threshold_direction'$"):
+        parse_config(write_cfg(tmp_path, BASE + "threshold_direction = below\n"))
 
 
 def test_duplicate_key_rejected(tmp_path):
@@ -173,7 +175,8 @@ def test_energy_override_unknown_node(tmp_path):
         ("blur.foo = 0.1", "blur.foo"),
         ("energy_overrides = 99:0.1", "energy_overrides"),
         ("energy_overrides = 3:0", "energy_overrides"),
-        ("threshold_direction = sideways", "threshold_direction"),
+        # the election rule follows the protocol kind; no key overrides it
+        ("threshold_direction = sideways", "unknown key"),
     ],
 )
 def test_non_finite_and_repeated_values_name_their_key(tmp_path, line, field):

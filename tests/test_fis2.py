@@ -122,10 +122,27 @@ def test_firing_interval_annihilator_and_identity():
 
 
 def test_firing_interval_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^bad firing interval of rule 0 at point 0: \[0.5, 0.4]$"):
         km_type_reduce(one_point([0.5], [0.4]), [[0.5]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^bad firing interval of rule 0 at point 0: \[-0.1, "):
         km_type_reduce(one_point([-0.1], [0.5]), [[0.5]])
+    # rule 1 inverts at point 1 and overflows at point 2: the first bad entry is named
+    firings = np.array([[[0.1, 0.2, 0.3], [0.1, 0.7, 0.2]], [[0.5, 0.5, 0.5], [0.5, 0.6, 1.5]]])
+    with pytest.raises(ValueError, match=r"^bad firing interval of rule 1 at point 1: \[0.7, 0.6]$"):
+        km_type_reduce(firings, [[0.2, 0.8]])
+
+
+def test_km_unpaired_weights_rejected():
+    message = "firings and weights must pair up: 2 rules, weights (1, 3)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        km_type_reduce(one_point([0.1, 0.2], [0.3, 0.4]), [[0.1, 0.5, 0.9]])
+    with pytest.raises(ValueError, match="^firings and weights must pair up: "):
+        km_type_reduce(one_point([0.1, 0.2], [0.3, 0.4]), [0.1, 0.5])
+
+
+def test_km_no_rules_rejected():
+    with pytest.raises(ValueError, match="^need at least one rule firing$"):
+        km_type_reduce(np.zeros((2, 0, 3)), np.zeros((2, 0)))
 
 
 # --- type reduction ---------------------------------------------------------------

@@ -169,7 +169,7 @@ def test_competition_and_routes_break_ties_as_reference(data):
     assert [candidates[k] for k in won] == compete_final_chs_ref(candidates, net)
     heads = ids.tolist()
     d0 = data.draw(st.sampled_from([0.0, GRID, 87.7, 1e3]))
-    next_hop = build_routes(ids, np.argsort(ids), net, d0).tolist()
+    next_hop = build_routes(ids, net, d0).tolist()
     assert [(h, None if k < 0 else heads[k]) for h, k in zip(heads, next_hop)] == list(
         build_routes_ref(heads, net, d0).items()
     )

@@ -12,7 +12,7 @@ from fuzzcluster.fis1 import default_rulebase1, eval_fis1
 from fuzzcluster.fis2 import default_rulebase2
 from fuzzcluster.network import network_from_positions, normalize_inputs
 from fuzzcluster.protocols import (
-    DIRECTION_ABOVE,
+    KIND_TYPE2,
     Engines,
     ProtocolParams,
     assign_members,
@@ -116,10 +116,10 @@ def test_select_draws_past_the_script_raise():
 def test_select_matches_one_draw_per_alive_node(params, r):
     net = deploy(100, 100.0, (50.0, 175.0), seed=4, initial_energy=0.5)
     net.alive[[0, 1, 17, 50, 98]] = False
-    if params.direction == "below":
-        th, elected = ch_threshold(params.p, r), float.__lt__
-    else:
+    if params.kind == KIND_TYPE2:
         th, elected = params.p, float.__gt__
+    else:
+        th, elected = ch_threshold(params.p, r), float.__lt__
     rng, ref = Xorshift64Star(21), Xorshift64Star(21)
     for _ in range(3):
         selected, forced = select_provisional(net, params, r, rng)
@@ -214,11 +214,11 @@ def test_equidistant_member_joins_lower_id():
     assert 2 in by_head[0].members
     assert by_head[1].members == []
     # the tie goes to the lower id whatever the competition order; clusters keep that order
-    (heads, sizes, members, order), orphans = assign_members(
+    (heads, sizes, members), orphans = assign_members(
         net, np.array([1, 0]), "fuzzy_unequal", 40.0
     )
     assert (heads.tolist(), sizes.tolist(), members.tolist()) == ([1, 0], [0, 1], [2])
-    assert (order.tolist(), orphans) == ([1, 0], 0)
+    assert orphans == 0
 
 
 def test_type2_uncovered_node_self_promotes():
@@ -240,8 +240,7 @@ def test_type2_uncovered_node_self_promotes():
 def next_hops(heads, net, **kw):
     """build_routes over these head ids: each head's next hop as a position
     in heads, -1 for the sink."""
-    heads = np.array(heads)
-    return build_routes(heads, np.argsort(heads), net, threshold_distance(RADIO), **kw).tolist()
+    return build_routes(np.array(heads), net, threshold_distance(RADIO), **kw).tolist()
 
 
 def test_route_direct_within_threshold():
@@ -396,7 +395,6 @@ def test_params_validation():
         ProtocolParams(kind="leach", p=1.5, r_min=10.0, r_max=40.0)
     with pytest.raises(ValueError):
         ProtocolParams(kind="leach", p=0.05, r_min=40.0, r_max=10.0)
-    assert TYPE2.direction == DIRECTION_ABOVE
 
 
 # --- golden trace -----------------------------------------------------------------------

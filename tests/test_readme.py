@@ -2,6 +2,8 @@
 import re
 from pathlib import Path
 
+from fuzzcluster import config
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -20,3 +22,23 @@ def test_library_use_block_runs(capsys):
     exec(compile(code, f"{README.name} (Library use)", "exec"), {"__name__": "readme"})
     fnd, hnd, lnd = capsys.readouterr().out.split()
     assert 0 < int(fnd) <= int(hnd) <= int(lnd)
+
+
+# key families the parser matches by prefix rather than by name
+CONFIG_FAMILIES = ("mf1.", "mf2.", "rule1.", "rule2.", "blur.")
+
+
+def test_config_keys_match_the_parser():
+    section = README.read_text(encoding="utf-8").split("\n## Config files\n", 1)[1]
+    section = re.split(r"\n## ", section, maxsplit=1)[0]
+    required, optional = section.split("\nRequired: ", 1)[1].split("\n\nOptional", 1)
+    # an Optional bullet names its keys before its dash, and a `key = value`
+    # example in one names a key too
+    leads = re.findall(r"^- (.*?)(?: — |$)", optional, re.M)
+    spans = re.findall(r"`([^`]+)`", " ".join([required, *leads]))
+    spans += re.findall(r"`([^`]+ = [^`]+)`", optional)
+    keys = {re.match(r"[\w.]+", span)[0] for span in spans}
+    plain = {k for k in keys if not k.startswith(CONFIG_FAMILIES)}
+    assert set(re.findall(r"`(\w+)`", required)) == set(config._REQUIRED)
+    assert plain == set(config._PARSERS)
+    assert {f for f in CONFIG_FAMILIES if any(k.startswith(f) for k in keys)} == {*CONFIG_FAMILIES}
