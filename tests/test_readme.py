@@ -7,11 +7,15 @@ from fuzzcluster import config
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def section(heading: str) -> str:
+    """The README text under this heading, up to the next ``##`` heading."""
+    text = README.read_text(encoding="utf-8").split(f"\n{heading}\n", 1)[1]
+    return re.split(r"\n## ", text, maxsplit=1)[0]
+
+
 def python_block(heading: str) -> str:
     """The first ```python block in the README section under this heading."""
-    section = README.read_text(encoding="utf-8").split(f"\n{heading}\n", 1)[1]
-    section = re.split(r"\n## ", section, maxsplit=1)[0]
-    match = re.search(r"```python\n(.*?)```", section, re.S)
+    match = re.search(r"```python\n(.*?)```", section(heading), re.S)
     assert match, f"no python block under {heading!r}"
     return match.group(1)
 
@@ -29,9 +33,8 @@ CONFIG_FAMILIES = ("mf1.", "mf2.", "rule1.", "rule2.", "blur.")
 
 
 def test_config_keys_match_the_parser():
-    section = README.read_text(encoding="utf-8").split("\n## Config files\n", 1)[1]
-    section = re.split(r"\n## ", section, maxsplit=1)[0]
-    required, optional = section.split("\nRequired: ", 1)[1].split("\n\nOptional", 1)
+    text = section("## Config files")
+    required, optional = text.split("\nRequired: ", 1)[1].split("\n\nOptional", 1)
     # an Optional bullet names its keys before its dash, and a `key = value`
     # example in one names a key too
     leads = re.findall(r"^- (.*?)(?: — |$)", optional, re.M)
