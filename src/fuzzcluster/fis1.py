@@ -14,13 +14,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 DEFAULT_SAMPLES = 1001
-# Points per inference block in eval_fis1: a block holds ROW_CHUNK x samples
-# floats per output (125 KiB at 1001 samples) however many points are asked
-# for. Three such blocks are alive at the peak; at 32 points they raised the
-# peak resident size of a surface dump by about 1 MB (3%). Each output gets a
-# block of its own: one block for two outputs is over glibc malloc's 128 KiB
-# mmap threshold, and on a ch2-scenario1 run its pages were faulted in again
-# at almost every chunk (60,000 minor faults a run against 26,000).
+# Points per inference chunk in eval_fis1. The rule base keeps one
+# (outputs, ROW_CHUNK, samples) block per sample count (250 KiB for two
+# outputs at 1001 samples) and reuses it for every chunk and call, so a
+# chunk's only large temporary is one cover level's np.repeat (125 KiB).
+# Blocks taken afresh for each chunk were given back to the system and
+# faulted in again: about 13,000 minor faults over 200 ch2-scenario1 rounds
+# against a few dozen with the reused block.
 ROW_CHUNK = 16
 
 
@@ -295,17 +295,27 @@ def input_rows(inputs: Mapping[str, np.typing.ArrayLike]) -> np.ndarray:
 
 
 def infer_mamdani(
-    rb: RuleBase1, inputs: Mapping[str, np.typing.ArrayLike], samples: int = DEFAULT_SAMPLES
+    rb: RuleBase1,
+    inputs: Mapping[str, np.typing.ArrayLike],
+    samples: int = DEFAULT_SAMPLES,
+    out: np.ndarray | None = None,
 ) -> dict[str, np.ndarray]:
     """Min-AND firing, clip implication, pointwise-max aggregation per output.
 
-    Inputs are equal-length arrays of m points (a float is one point). Each
-    output name maps to an (m, samples) block, one row of the aggregated set
-    per point sampled at the cell midpoints of the output's domain, so
-    callers with many points pass them in chunks (eval_fis1 does)."""
+    Inputs are equal-length arrays of m points (a float is one point), one
+    per input variable of rb; a missing or unknown name raises a ValueError
+    naming it. Each output name maps to an (m, samples) block, one row of the
+    aggregated set per point sampled at the cell midpoints of the output's
+    domain, so callers with many points pass them in chunks (eval_fis1 does).
+    The blocks are new arrays, or with ``out`` (an (outputs, >= m, samples)
+    C-order array) the views ``out[o, :m]``, which are overwritten."""
     for var in rb.inputs:
         if var.name not in inputs:
             raise ValueError(f"missing input variable {var.name!r}")
+    if len(inputs) != len(rb.inputs):
+        known = {var.name for var in rb.inputs}
+        unknown = next(name for name in inputs if name not in known)
+        raise ValueError(f"unknown input variable {unknown!r}")
     plan = rb._plan(samples)
     x = np.array([inputs[var.name] for var in rb.inputs], dtype=float).reshape(len(rb.inputs), -1)
     lo, hi = plan.domains
@@ -325,25 +335,30 @@ def infer_mamdani(
     # repeated over its runs of samples. min and max round nothing, so the
     # order of the terms cannot move a bit.
     runs = term_fire.take(plan.run_terms, axis=0).swapaxes(-1, -2)  # (outputs, depth, m, runs)
-    out = {}
+    aggs = {}
     for o, var in enumerate(rb.outputs):
         agg = None
         for level, cover_mu in zip(runs[o], plan.cover_mu[o]):
             clip = np.repeat(level, plan.run_len, axis=-1)
-            np.minimum(clip, cover_mu, out=clip)
-            agg = clip if agg is None else np.maximum(agg, clip, out=agg)
-        out[var.name] = agg
-    return out
+            if agg is None:
+                agg = np.minimum(clip, cover_mu, out=clip if out is None else out[o, : x.shape[1]])
+            else:
+                np.maximum(agg, np.minimum(clip, cover_mu, out=clip), out=agg)
+            del clip  # one (m, samples) temporary alive at a time
+        aggs[var.name] = agg
+    return aggs
 
 
-def defuzz_coa(mu: np.ndarray, xs: np.ndarray) -> np.ndarray:
+def defuzz_coa(mu: np.ndarray, xs: np.ndarray, overwrite: bool = False) -> np.ndarray:
     """Center of area of each row of the (points, samples) block mu, sampled
     at the grid xs, by the midpoint rule, NaN in the rows without area. Row
     sums over a C-contiguous block add in the same pairwise order as the sum
-    of one vector, so each row equals its one-curve result bit for bit."""
+    of one vector, so each row equals its one-curve result bit for bit. With
+    ``overwrite`` a C-order mu is left holding the moments mu * xs."""
     mu = np.ascontiguousarray(mu)
     total = mu.sum(axis=1)
-    return (mu * xs).sum(axis=1) / np.where(total > 0.0, total, np.nan)
+    moment = np.multiply(mu, xs, out=mu if overwrite else None)
+    return moment.sum(axis=1) / np.where(total > 0.0, total, np.nan)
 
 
 def eval_fis1(
@@ -353,17 +368,21 @@ def eval_fis1(
     arrays of points (a float, or any one-point input, is broadcast).
 
     Each output is an array, NaN in every output at the points where any
-    output has no area. Points go through inference ROW_CHUNK at a time,
-    which bounds the sampled blocks at ROW_CHUNK x samples."""
+    output has no area. Points go through inference ROW_CHUNK at a time, in
+    one (outputs, ROW_CHUNK, samples) block that the rule base keeps for its
+    sample count and reuses for every chunk and call, so a rule base is not
+    to be evaluated from two threads at once."""
     names = list(inputs)
     cols = input_rows(inputs)
     out = np.empty((len(rb.outputs), cols.shape[1]))
     grids = rb._plan(samples).xs
+    block = rb._cache.get(("block", samples))
+    if block is None:
+        block = rb._cache[("block", samples)] = np.empty((len(rb.outputs), ROW_CHUNK, samples))
     for s in range(0, cols.shape[1], ROW_CHUNK):
-        part = dict(zip(names, cols[:, s : s + ROW_CHUNK]))
-        # the comprehension drops each block before the next one is built
+        mus = infer_mamdani(rb, dict(zip(names, cols[:, s : s + ROW_CHUNK])), samples, block)
         out[:, s : s + ROW_CHUNK] = [
-            defuzz_coa(mu, xs) for mu, xs in zip(infer_mamdani(rb, part, samples).values(), grids)
+            defuzz_coa(mu, xs, overwrite=True) for mu, xs in zip(mus.values(), grids)
         ]
     # a point is degenerate as a whole: NaN in one output is NaN in all
     if np.isnan(out).any():

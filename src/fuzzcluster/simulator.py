@@ -203,7 +203,7 @@ def run_simulation(
                 ch_count=len(plan.heads),
                 orphan_fallbacks=plan.orphan_fallbacks,
                 fis_fallbacks=plan.fis_fallbacks,
-                spent_j=math.fsum(drained),
+                spent_j=math.fsum(drained.tolist()),
             )
         )
         if alive == 0:

@@ -1,6 +1,10 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from conftest import mf_at
 from fuzzcluster.fis1 import (
     CHANCE_TERMS,
     RADIUS_TERMS,
+    ROW_CHUNK,
     RULES_27,
     LinguisticVariable,
     Rule1,
@@ -241,6 +246,13 @@ def test_missing_input_variable_rejected():
         infer_mamdani(rb, {"distance": 0.5, "energy": 0.5})
 
 
+@pytest.mark.parametrize("engine", [infer_mamdani, eval_fis1], ids=["infer", "eval"])
+def test_unknown_input_variable_rejected(engine):
+    x = {"distance": 0.5, "energy": 0.5, "concentration": 0.5, "concentraton": 0.5}
+    with pytest.raises(ValueError, match="unknown input variable 'concentraton'"):
+        engine(default_rulebase1(), x)
+
+
 def test_input_outside_domain_rejected():
     rb = default_rulebase1()
     with pytest.raises(ValueError, match="outside domain"):
@@ -283,6 +295,57 @@ def test_coa_of_fortran_ordered_samples_matches_c_order():
     c_order = defuzz_coa(mu, _grid(1001))
     f_order = defuzz_coa(np.asfortranarray(mu), _grid(1001))
     assert f_order.tobytes() == c_order.tobytes()
+
+
+def test_coa_overwrites_mu_only_when_asked():
+    mu = np.random.default_rng(8).uniform(0.0, 1.0, (5, 1001))
+    kept = mu.copy()
+    fresh = defuzz_coa(mu, _grid(1001))
+    assert mu.tobytes() == kept.tobytes()
+    assert defuzz_coa(mu, _grid(1001), overwrite=True).tobytes() == fresh.tobytes()
+    assert mu.tobytes() == (kept * _grid(1001)).tobytes()  # the moments, in place
+
+
+def pairwise_sum(a: list[float]) -> float:
+    """numpy's pairwise summation of a contiguous float64 vector, as
+    DOUBLE_pairwise_sum in numpy/_core/src/umath/loops_utils.h.src: fewer
+    than 8 entries add in order; up to 128 add into 8 interleaved
+    accumulators that combine as a tree, then the tail in order; longer
+    vectors split at half rounded down to a multiple of 8."""
+    n = len(a)
+    if n < 8:
+        res = 0.0
+        for v in a:
+            res += v
+        return res
+    if n <= 128:
+        r = a[:8]
+        i = 8
+        while i < n - n % 8:
+            r = [acc + v for acc, v in zip(r, a[i : i + 8])]
+            i += 8
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for v in a[i:]:
+            res += v
+        return res
+    n2 = n // 2
+    n2 -= n2 % 8
+    return pairwise_sum(a[:n2]) + pairwise_sum(a[n2:])
+
+
+@pytest.mark.parametrize("samples", [1001, 101])
+def test_coa_row_sums_follow_numpy_pairwise_order(samples):
+    # defuzz_coa's bits rest on numpy adding each C-contiguous row with the
+    # blocking above (checked on numpy 2.4.6); another blocking fails here
+    # before it moves a golden
+    mu = np.random.default_rng(samples).uniform(0.0, 1.0, (ROW_CHUNK, samples))
+    xs = _grid(samples)
+    rows = mu.tolist()
+    assert mu.sum(axis=1).tolist() == [pairwise_sum(row) for row in rows]
+    expected = [
+        pairwise_sum([m * x for m, x in zip(row, xs.tolist())]) / pairwise_sum(row) for row in rows
+    ]
+    assert defuzz_coa(mu, xs).tolist() == expected
 
 
 @given(st.integers(0, 10_000), st.floats(0.01, 1.0))
@@ -372,6 +435,62 @@ def test_eval_peak_memory_is_bounded(n):
     finally:
         tracemalloc.stop()
     assert peak <= PEAK_BOUND
+
+
+def test_warm_eval_keeps_at_most_two_chunk_blocks_alive():
+    # the rule base's own block is allocated by the first call; after it, a
+    # call's temporaries are the repeat of one cover level at a time
+    rb = default_rulebase1()
+    x = np.linspace(0.0, 1.0, 40)
+    inputs = {"distance": x, "energy": x[::-1], "concentration": (3 * x) % 1.0}
+    eval_fis1(rb, inputs, 1001)
+    tracemalloc.start()
+    try:
+        eval_fis1(rb, inputs, 1001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * ROW_CHUNK * 1001 * 8
+
+
+def test_infer_into_a_block_matches_fresh_blocks():
+    rb = default_rulebase1()
+    x = {"distance": [0.1, 0.6, 0.95], "energy": [0.9, 0.3, 0.5], "concentration": [0.5, 0.2, 0.7]}
+    block = np.full((2, ROW_CHUNK, 1001), np.nan)
+    into = infer_mamdani(rb, x, 1001, block)
+    for o, (name, fresh) in enumerate(infer_mamdani(rb, x, 1001).items()):
+        assert into[name].tobytes() == fresh.tobytes() == block[o, :3].tobytes()
+    assert np.isnan(block[:, 3:]).all()
+
+
+_FAULT_PROBE = """
+import resource
+from dataclasses import replace
+
+import fuzzcluster.cli  # noqa: F401  (the benchmark's worker imports it)
+from fuzzcluster.config import parse_config
+from fuzzcluster.simulator import run_simulation
+
+cfg = parse_config("ch2-scenario1")
+assert cfg.protocol.kind == "fuzzy_unequal"
+run_simulation(cfg)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run_simulation(replace(cfg, max_rounds=200))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_minflt as Linux counts it")
+def test_type1_rounds_fault_in_no_pages_once_warm():
+    # each chunk once took fresh 125 KiB blocks, which glibc gave back and
+    # faulted in again: about 13,000 minor faults over these 200 rounds
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAULT_PROBE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 1000
 
 
 def test_replaced_rule_base_builds_its_own_tables():

@@ -1,4 +1,6 @@
-"""README.md code that readers copy must run as written."""
+"""README.md agrees with the code: the blocks readers copy run as written,
+and the config keys and block constants it quotes are the code's."""
+import importlib
 import re
 from pathlib import Path
 
@@ -45,3 +47,16 @@ def test_config_keys_match_the_parser():
     assert set(re.findall(r"`(\w+)`", required)) == set(config._REQUIRED)
     assert plain == set(config._PARSERS)
     assert {f for f in CONFIG_FAMILIES if any(k.startswith(f) for k in keys)} == {*CONFIG_FAMILIES}
+
+
+# the block sizes README's memory paragraph quotes, as `module.NAME` = value
+BLOCK_CONSTANTS = ("ROW_CHUNK", "KM_BLOCK", "BLOCK_ENTRIES", "GATHER_WORDS", "TABLE_STEPS")
+
+
+def test_block_constants_match_the_code():
+    text = README.read_text(encoding="utf-8")
+    quoted = re.findall(rf"`(\w+)\.({'|'.join(BLOCK_CONSTANTS)})` = ([\d,]+)", text)
+    assert {name for _, name, _ in quoted} == set(BLOCK_CONSTANTS)
+    for module, name, value in quoted:
+        code = getattr(importlib.import_module(f"fuzzcluster.{module}"), name)
+        assert int(value.replace(",", "")) == code, f"README quotes {module}.{name} = {value}"
