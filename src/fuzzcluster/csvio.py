@@ -97,10 +97,18 @@ def cluster_rows(round_index: int, plan) -> str:
     return "".join(parts)
 
 
+def _grid_steps(grid: int) -> list[float]:
+    """grid evenly spaced steps from 0 to 1; fewer than two raise a
+    ValueError, before any file is opened."""
+    if grid < 2:
+        raise ValueError(f"grid: need at least 2 steps to span [0, 1], got {grid}")
+    return [i / (grid - 1) for i in range(grid)]
+
+
 def write_fis1_surface(rb: RuleBase1, samples: int, path: str | Path, grid: int = 21) -> None:
     """(db, re, conc) -> (radius_norm, chance) over a uniform grid, one engine
     call per db value."""
-    steps = [i / (grid - 1) for i in range(grid)]
+    steps = _grid_steps(grid)
     text = [f"{s:.16e}" for s in steps]
     pairs = [f"{a},{b}," for a in text for b in text]  # (re, conc), conc fastest
     re, conc = np.repeat(steps, grid), np.tile(steps, grid)
@@ -117,7 +125,7 @@ def write_fis1_surface(rb: RuleBase1, samples: int, path: str | Path, grid: int 
 def write_fis2_surface(rb: RuleBase2, path: str | Path, grid: int = 101) -> None:
     """(db, re) -> (radius_norm, chance) over a uniform grid, one engine call
     per db value."""
-    steps = [i / (grid - 1) for i in range(grid)]
+    steps = _grid_steps(grid)
     text = [f"{s:.16e}" for s in steps]
     re = np.array(steps)
 

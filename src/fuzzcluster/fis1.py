@@ -214,6 +214,12 @@ class RuleBase1:
             self._cache["ante"] = hit
         return hit
 
+    def _firing_plan(self) -> _FiringPlan:
+        hit = self._cache.get("fire")
+        if hit is None:
+            hit = self._cache["fire"] = _FiringPlan.build(self)
+        return hit
+
     def _plan(self, samples: int) -> _MamdaniPlan:
         hit = self._cache.get(samples)
         if hit is None:
@@ -222,21 +228,49 @@ class RuleBase1:
 
 
 @dataclass(frozen=True, eq=False)
-class _MamdaniPlan:
-    """What inference reuses for every block of points. Input terms are
+class _FiringPlan:
+    """What term_firings reuses for every block of points. Input terms are
     numbered across all inputs and output terms across all outputs, in
     declaration order; one more input term that is zero everywhere and one
-    more output term without rules pad the tables.
+    more output term without rules pad the tables."""
+
+    domains: np.ndarray  # (2, inputs, 1): lo and hi of each input
+    term_input: np.ndarray  # (input terms,): the input each term reads
+    bp: np.ndarray  # (4, input terms, 1): see _breakpoints
+    term_ante: np.ndarray  # (inputs, k, output terms + 1): antecedent terms of each term's rules
+
+    @classmethod
+    def build(cls, rb: RuleBase1) -> _FiringPlan:
+        sizes = [len(var.terms) for var in rb.inputs]
+        zero_term = sum(sizes)
+        # per input, the global input term of each rule's antecedent, and of the pad rule
+        ante = np.array(rb._antecedent_indices(), int).reshape(len(sizes), len(rb.rules))
+        ante = np.c_[ante + np.cumsum([0, *sizes[:-1]])[:, None], np.full(len(sizes), zero_term)]
+        term_rules = [
+            [r for r, rule in enumerate(rb.rules) if rule.consequents[o] == t]
+            for o, var in enumerate(rb.outputs)
+            for t in var.term_names
+        ]
+        width = max(map(len, term_rules), default=0) or 1
+        term_rules = [rs + [len(rb.rules)] * (width - len(rs)) for rs in [*term_rules, []]]
+        return cls(
+            domains=np.array([var.domain for var in rb.inputs], float).T[:, :, None],
+            term_input=np.repeat(np.arange(len(sizes)), sizes),
+            bp=_breakpoints([mf for var in rb.inputs for _, mf in var.terms]),
+            term_ante=np.ascontiguousarray(ante[:, term_rules].transpose(0, 2, 1)),
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class _MamdaniPlan:
+    """What infer_mamdani reuses for every block of firings, with output
+    terms numbered as in _FiringPlan.
 
     ``cover[o, k, s]`` is the k-th output term of output o that is nonzero
     at COA sample s, or the pad term where fewer terms overlap. Along s it
     is constant over runs of ``run_len`` samples; ``run_terms`` keeps one
     entry per run."""
 
-    domains: np.ndarray  # (2, inputs, 1): lo and hi of each input
-    term_input: np.ndarray  # (input terms,): the input each term reads
-    bp: np.ndarray  # (4, input terms, 1): see _breakpoints
-    term_ante: np.ndarray  # (inputs, k, output terms + 1): antecedent terms of each term's rules
     run_terms: np.ndarray  # (outputs, depth, runs)
     run_len: np.ndarray  # (runs,)
     cover_mu: np.ndarray  # (outputs, depth, samples): membership of each cover term
@@ -244,21 +278,12 @@ class _MamdaniPlan:
 
     @classmethod
     def build(cls, rb: RuleBase1, samples: int) -> _MamdaniPlan:
-        sizes = [len(var.terms) for var in rb.inputs]
-        zero_term = sum(sizes)
-        # per input, the global input term of each rule's antecedent, and of the pad rule
-        ante = np.array(rb._antecedent_indices(), int).reshape(len(sizes), len(rb.rules))
-        ante = np.c_[ante + np.cumsum([0, *sizes[:-1]])[:, None], np.full(len(sizes), zero_term)]
-        term_rules, xs, mats = [], [], []
-        for o, var in enumerate(rb.outputs):
-            names = [r.consequents[o] for r in rb.rules]
-            term_rules += [[r for r, c in enumerate(names) if c == t] for t in var.term_names]
+        xs, mats = [], []
+        for var in rb.outputs:
             lo, hi = var.domain
             xs.append(lo + (np.arange(samples) + 0.5) * (hi - lo) / samples)
             mats.append(np.array([mf_sample(mf, xs[-1]) for _, mf in var.terms]))
-        pad = len(term_rules)
-        width = max(map(len, term_rules), default=0) or 1
-        term_rules = [rs + [len(rb.rules)] * (width - len(rs)) for rs in [*term_rules, []]]
+        pad = sum(map(len, mats))
         # per output and sample, the terms nonzero there in ascending order, then pads
         ids = np.full((len(rb.outputs), max(map(len, mats), default=0), samples), pad)
         first = 0
@@ -269,10 +294,6 @@ class _MamdaniPlan:
         mat = np.concatenate([*mats, np.zeros((1, samples))])
         starts = np.flatnonzero(np.r_[True, (cover[:, :, 1:] != cover[:, :, :-1]).any(axis=(0, 1))])
         return cls(
-            domains=np.array([var.domain for var in rb.inputs], float).T[:, :, None],
-            term_input=np.repeat(np.arange(len(sizes)), sizes),
-            bp=_breakpoints([mf for var in rb.inputs for _, mf in var.terms]),
-            term_ante=np.ascontiguousarray(ante[:, term_rules].transpose(0, 2, 1)),
             run_terms=cover[:, :, starts],
             run_len=np.diff(np.r_[starts, samples]),
             cover_mu=mat[cover, np.arange(samples)],
@@ -294,21 +315,17 @@ def input_rows(inputs: Mapping[str, np.typing.ArrayLike]) -> np.ndarray:
     return rows
 
 
-def infer_mamdani(
-    rb: RuleBase1,
-    inputs: Mapping[str, np.typing.ArrayLike],
-    samples: int = DEFAULT_SAMPLES,
-    out: np.ndarray | None = None,
-) -> dict[str, np.ndarray]:
-    """Min-AND firing, clip implication, pointwise-max aggregation per output.
+def term_firings(rb: RuleBase1, inputs: Mapping[str, np.typing.ArrayLike]) -> np.ndarray:
+    """Min-AND firing of every rule, and each output term's firing: the max
+    over its rules.
 
     Inputs are equal-length arrays of m points (a float is one point), one
-    per input variable of rb; a missing or unknown name raises a ValueError
-    naming it. Each output name maps to an (m, samples) block, one row of the
-    aggregated set per point sampled at the cell midpoints of the output's
-    domain, so callers with many points pass them in chunks (eval_fis1 does).
-    The blocks are new arrays, or with ``out`` (an (outputs, >= m, samples)
-    C-order array) the views ``out[o, :m]``, which are overwritten."""
+    per input variable of rb; a missing or unknown name, or a point outside
+    its input's domain, raises a ValueError naming the input. Returns an
+    (output terms + 1, m) array: the terms of every output in declaration
+    order, then a pad term that never fires. The memberships and their
+    (inputs, rules per term, output terms + 1, points) gather are built
+    ROW_CHUNK points at a time, so only the returned table grows with m."""
     for var in rb.inputs:
         if var.name not in inputs:
             raise ValueError(f"missing input variable {var.name!r}")
@@ -316,7 +333,7 @@ def infer_mamdani(
         known = {var.name for var in rb.inputs}
         unknown = next(name for name in inputs if name not in known)
         raise ValueError(f"unknown input variable {unknown!r}")
-    plan = rb._plan(samples)
+    plan = rb._firing_plan()
     x = np.array([inputs[var.name] for var in rb.inputs], dtype=float).reshape(len(rb.inputs), -1)
     lo, hi = plan.domains
     inside = (x >= lo) & (x <= hi)
@@ -324,24 +341,45 @@ def infer_mamdani(
         i, j = np.argwhere(~inside)[0]
         (lo, hi), name = rb.inputs[i].domain, rb.inputs[i].name
         raise ValueError(f"{name}: input {x[i, j]} outside domain [{lo}, {hi}]")
-    # degrees (input terms + 1, m), the last row the zero term; each output
-    # term fires at the max over its rules of their min-AND
-    degrees = np.zeros((len(plan.term_input) + 1, x.shape[1]))
-    _trap_degrees(plan.bp, x.take(plan.term_input, axis=0), out=degrees[:-1])
-    term_fire = degrees.take(plan.term_ante, axis=0).min(axis=0).max(axis=0)
+    fire = np.empty((plan.term_ante.shape[-1], x.shape[1]))
+    for s in range(0, x.shape[1], ROW_CHUNK):
+        part = x[:, s : s + ROW_CHUNK]
+        # degrees (input terms + 1, points), the last row the zero term
+        degrees = np.zeros((len(plan.term_input) + 1, part.shape[1]))
+        _trap_degrees(plan.bp, part.take(plan.term_input, axis=0), out=degrees[:-1])
+        degrees.take(plan.term_ante, axis=0).min(axis=0).max(axis=0, out=fire[:, s : s + ROW_CHUNK])
+    return fire
+
+
+def infer_mamdani(
+    rb: RuleBase1,
+    firings: np.ndarray,
+    samples: int = DEFAULT_SAMPLES,
+    out: np.ndarray | None = None,
+) -> dict[str, np.ndarray]:
+    """Clip implication and pointwise-max aggregation per output, from the
+    (output terms + 1, m) term firings of term_firings.
+
+    Each output name maps to an (m, samples) block, one row of the
+    aggregated set per point sampled at the cell midpoints of the output's
+    domain, so callers with many points pass them in chunks (eval_fis1 does).
+    The blocks are new arrays, or with ``out`` (an (outputs, >= m, samples)
+    C-order array) the views ``out[o, :m]``, which are overwritten."""
+    plan = rb._plan(samples)
+    m = firings.shape[1]
     # max over rules of min(f_r, term(x)) == max over terms of min(max f over
     # the term's rules, term(x)), and only the terms in the cover of a sample
     # can be nonzero there: one level of the cover at a time, each firing
     # repeated over its runs of samples. min and max round nothing, so the
     # order of the terms cannot move a bit.
-    runs = term_fire.take(plan.run_terms, axis=0).swapaxes(-1, -2)  # (outputs, depth, m, runs)
+    runs = firings.take(plan.run_terms, axis=0).swapaxes(-1, -2)  # (outputs, depth, m, runs)
     aggs = {}
     for o, var in enumerate(rb.outputs):
         agg = None
         for level, cover_mu in zip(runs[o], plan.cover_mu[o]):
             clip = np.repeat(level, plan.run_len, axis=-1)
             if agg is None:
-                agg = np.minimum(clip, cover_mu, out=clip if out is None else out[o, : x.shape[1]])
+                agg = np.minimum(clip, cover_mu, out=clip if out is None else out[o, :m])
             else:
                 np.maximum(agg, np.minimum(clip, cover_mu, out=clip), out=agg)
             del clip  # one (m, samples) temporary alive at a time
@@ -361,6 +399,18 @@ def defuzz_coa(mu: np.ndarray, xs: np.ndarray, overwrite: bool = False) -> np.nd
     return moment.sum(axis=1) / np.where(total > 0.0, total, np.nan)
 
 
+def _column_index(fire: np.ndarray) -> tuple[dict[bytes, int], np.ndarray]:
+    """Each distinct column of fire, by its exact bytes, numbered in the
+    order the columns first appear, and the number of every column. The
+    columns are keyed ROW_CHUNK at a time."""
+    index: dict[bytes, int] = {}
+    inverse = np.empty(fire.shape[1], np.intp)
+    for s in range(0, fire.shape[1], ROW_CHUNK):
+        keys = np.ascontiguousarray(fire[:, s : s + ROW_CHUNK].T).view(f"V{len(fire) * 8}")
+        inverse[s : s + len(keys)] = [index.setdefault(k, len(index)) for k in keys[:, 0].tolist()]
+    return index, inverse
+
+
 def eval_fis1(
     rb: RuleBase1, inputs: Mapping[str, np.typing.ArrayLike], samples: int = DEFAULT_SAMPLES
 ) -> dict[str, np.ndarray]:
@@ -368,22 +418,37 @@ def eval_fis1(
     arrays of points (a float, or any one-point input, is broadcast).
 
     Each output is an array, NaN in every output at the points where any
-    output has no area. Points go through inference ROW_CHUNK at a time, in
-    one (outputs, ROW_CHUNK, samples) block that the rule base keeps for its
-    sample count and reuses for every chunk and call, so a rule base is not
-    to be evaluated from two threads at once."""
-    names = list(inputs)
+    output has no area. The term firings are computed ROW_CHUNK points at a
+    time, and each distinct firing column, keyed by its exact bytes, is
+    aggregated and defuzzified once: min, max and each row's pairwise sum
+    read one point alone, so a merged point gets its own bits. A call of at
+    most ROW_CHUNK points is one chunk either way and is not keyed. The
+    distinct columns go through inference ROW_CHUNK at a time, in one (outputs,
+    ROW_CHUNK, samples) block that the rule base keeps for its sample count
+    and reuses for every chunk and call, so a rule base is not to be
+    evaluated from two threads at once."""
     cols = input_rows(inputs)
-    out = np.empty((len(rb.outputs), cols.shape[1]))
+    # the plan and block first, so their build and the keys are not alive at once
     grids = rb._plan(samples).xs
     block = rb._cache.get(("block", samples))
     if block is None:
         block = rb._cache[("block", samples)] = np.empty((len(rb.outputs), ROW_CHUNK, samples))
-    for s in range(0, cols.shape[1], ROW_CHUNK):
-        mus = infer_mamdani(rb, dict(zip(names, cols[:, s : s + ROW_CHUNK])), samples, block)
+    fire = term_firings(rb, dict(zip(inputs, cols)))
+    inverse = None
+    if fire.shape[1] > ROW_CHUNK:  # merging can save a chunk only when there are several
+        index, inverse = _column_index(fire)
+        terms = len(fire)
+        del fire  # the table and the joined keys are not alive at once
+        fire = np.frombuffer(b"".join(index), float).reshape(len(index), terms).T
+        del index
+    out = np.empty((len(rb.outputs), fire.shape[1]))
+    for s in range(0, fire.shape[1], ROW_CHUNK):
+        mus = infer_mamdani(rb, fire[:, s : s + ROW_CHUNK], samples, block)
         out[:, s : s + ROW_CHUNK] = [
             defuzz_coa(mu, xs, overwrite=True) for mu, xs in zip(mus.values(), grids)
         ]
+    if inverse is not None:
+        out = out.take(inverse, axis=1)
     # a point is degenerate as a whole: NaN in one output is NaN in all
     if np.isnan(out).any():
         out[:, np.isnan(out).any(axis=0)] = np.nan

@@ -12,7 +12,7 @@ from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import Phase, example, find, given, settings
+from hypothesis import Phase, assume, example, find, given, settings
 from hypothesis import strategies as st
 
 from conftest import deploy
@@ -30,6 +30,7 @@ from fuzzcluster.fis1 import (
     eval_fis1,
     even_terms,
     mf_sample,
+    term_firings,
     three_level_terms,
     trapezoidal,
     triangular,
@@ -444,6 +445,47 @@ def t1_built_cases(draw, n_inputs, n_outputs):
 @settings(max_examples=30, deadline=None)
 def test_built_fis1_batch_matches_one_point_reference(n_inputs, n_outputs, data):
     assert_fis1_matches_reference(*data.draw(t1_built_cases(n_inputs, n_outputs)))
+
+
+# Inputs where every stock input term is flat, so that points share firings.
+SATURATED = st.floats(0.0, 0.2) | st.floats(0.8, 1.0)
+
+
+@st.composite
+def t1_repeated_cases(draw):
+    """A shuffled batch of copies of a few points with exactly ``distinct``
+    distinct firing columns, on either side of the chunk size. Saturated
+    points share firings, and the rule bases that keep only some rules have
+    points that fire nothing, so NaN in every output."""
+    rb = rulebase1_with(draw(st.sampled_from(T1_MF_OVERRIDES)))
+    keep = draw(st.just(27) | st.integers(1, 26))
+    if keep < 27:
+        rb = RuleBase1(rb.inputs, rb.outputs, rb.rules[:keep])
+    edges = {p for var in rb.inputs for _, mf in var.terms for p in mf.points}
+    names = [var.name for var in rb.inputs]
+    point = st.tuples(*[SATURATED | points(edges)] * len(names))
+    distinct = draw(st.sampled_from([ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, 2 * ROW_CHUNK + 1]))
+    seen, batch = set(), []
+    for _ in range(8 * distinct):
+        if len(seen) == distinct:
+            break
+        p = draw(point)
+        seen.add(term_firings(rb, dict(zip(names, p))).tobytes())
+        batch += [p] * draw(st.integers(1, 3))
+    assume(len(seen) == distinct)
+    batch = draw(st.permutations(batch))
+    inputs = {name: [p[i] for p in batch] for i, name in enumerate(names)}
+    return rb, inputs, draw(st.sampled_from([3, 1001])), distinct
+
+
+@given(t1_repeated_cases())
+@settings(max_examples=40, deadline=None)
+def test_fis1_merged_firings_match_one_point_reference(case):
+    # eval_fis1 aggregates each distinct firing column once and scatters it
+    # back: every copy must still get the one-point engine's bits
+    rb, inputs, samples, distinct = case
+    assert len({col.tobytes() for col in term_firings(rb, inputs).T}) == distinct
+    assert_fis1_matches_reference(rb, inputs, samples)
 
 
 def test_fis1_broadcasts_one_point_input_over_every_chunk():

@@ -41,9 +41,9 @@ def test_traced_function_resolves(module, name):
     assert callable(getattr(importlib.import_module(module), name))
 
 
-def test_engine_stages_are_called_through_their_modules(monkeypatch):
-    # the tracer times fis1.infer, fis1.defuzz and fis2.km by wrapping these
-    # module names: a stage inlined into its engine would read 0 s there
+def count_stage_calls(monkeypatch) -> dict[str, int]:
+    """Counts, by name, the calls the engines make to their stages through
+    the module."""
     calls = {}
     for mod, name in ((fis1, "infer_mamdani"), (fis1, "defuzz_coa"), (fis2, "km_type_reduce")):
         def counted(*args, _real=getattr(mod, name), _name=name, **kwargs):
@@ -51,11 +51,32 @@ def test_engine_stages_are_called_through_their_modules(monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_engine_stages_are_called_through_their_modules(monkeypatch):
+    # the tracer times fis1.infer, fis1.defuzz and fis2.km by wrapping these
+    # module names: a stage inlined into its engine would read 0 s there
+    calls = count_stage_calls(monkeypatch)
+    rb = default_rulebase1()
     x = np.linspace(0.0, 1.0, 40)
-    fis1.eval_fis1(default_rulebase1(), {"distance": x, "energy": x, "concentration": x})
-    assert calls == {"infer_mamdani": 3, "defuzz_coa": 6}  # 16-point chunks, 2 outputs each
+    inputs = {"distance": x, "energy": x[::-1], "concentration": (3 * x) % 1.0}
+    assert len({col.tobytes() for col in fis1.term_firings(rb, inputs).T}) == 35
+    fis1.eval_fis1(rb, inputs)
+    # each distinct firing column once, in 16-column chunks, 2 outputs each
+    assert calls == {"infer_mamdani": 3, "defuzz_coa": 6}
     fis2.eval_t2fis(default_rulebase2(), x, x)
     assert calls["km_type_reduce"] == 1
+
+
+def test_copies_of_one_point_are_aggregated_once(monkeypatch):
+    calls = count_stage_calls(monkeypatch)
+    point = {"distance": 0.3, "energy": 0.7, "concentration": 0.45}
+    out = fis1.eval_fis1(default_rulebase1(), {**point, "distance": np.full(40, 0.3)})
+    assert calls == {"infer_mamdani": 1, "defuzz_coa": 2}
+    one = fis1.eval_fis1(default_rulebase1(), point)
+    for name, v in out.items():
+        assert v.tobytes() == np.repeat(one[name], 40).tobytes()
 
 
 def test_traced_round_counters_stay_plain_numbers():

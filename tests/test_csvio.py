@@ -2,6 +2,7 @@
 tests/csv_reference.py: every preset and protocol, edge-case floats, missing
 lifetime events and both engine surfaces."""
 import math
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -92,6 +93,24 @@ def test_fis1_surface_matches_reference(tmp_path, grid):
 @pytest.mark.parametrize("grid", [101, 2, 7])
 def test_fis2_surface_matches_reference(tmp_path, grid):
     assert_same_bytes(tmp_path, "write_fis2_surface", [default_rulebase2()], grid=grid)
+
+
+@pytest.mark.parametrize("grid", [0, 1])
+@pytest.mark.parametrize(
+    "name,args",
+    [
+        ("write_fis1_surface", [default_rulebase1(), 1001]),
+        ("write_fis2_surface", [default_rulebase2()]),
+    ],
+    ids=["fis1", "fis2"],
+)
+def test_surface_rejects_a_grid_below_two_steps(tmp_path, name, args, grid):
+    # one step cannot span [0, 1]: grid=1 divided by zero and grid=0 wrote a bare header
+    path = tmp_path / "surface.csv"
+    message = f"grid: need at least 2 steps to span [0, 1], got {grid}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        getattr(csvio, name)(*args, path, grid=grid)
+    assert not path.exists()
 
 
 FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)

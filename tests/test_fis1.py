@@ -25,6 +25,7 @@ from fuzzcluster.fis1 import (
     eval_fis1,
     infer_mamdani,
     mf_sample,
+    term_firings,
     trapezoidal,
     triangular,
 )
@@ -202,14 +203,15 @@ def _tiny_rulebase(rules):
 
 def test_no_rule_fires_gives_zero_aggregate():
     rb = _tiny_rulebase((Rule1(("lo",), ("low",)),))
-    mu = infer_mamdani(rb, {"x": np.array([1.0])})["y"]  # "lo" has zero membership at 1.0
+    # "lo" has zero membership at 1.0
+    mu = infer_mamdani(rb, term_firings(rb, {"x": np.array([1.0])}))["y"]
     assert np.all(mu == 0.0)
     assert np.isnan(defuzz_coa(mu, _grid(1001))).tolist() == [True]
 
 
 def test_single_rule_full_strength_is_identity_clip():
     rb = _tiny_rulebase((Rule1(("hi",), ("high",)),))
-    mu = infer_mamdani(rb, {"x": np.array([1.0])})["y"]
+    mu = infer_mamdani(rb, term_firings(rb, {"x": np.array([1.0])}))["y"]
     expected = mf_sample(trapezoidal(0.4, 0.7, 1, 1), _grid(1001))
     assert np.array_equal(mu, [expected])
 
@@ -217,7 +219,7 @@ def test_single_rule_full_strength_is_identity_clip():
 def test_two_rules_pointwise_max():
     # memberships at x=0.6: "lo" fires 0.4, "hi" fires 0.6
     rb = _tiny_rulebase((Rule1(("lo",), ("low",)), Rule1(("hi",), ("high",))))
-    mu = infer_mamdani(rb, {"x": np.array([0.6])})["y"]
+    mu = infer_mamdani(rb, term_firings(rb, {"x": np.array([0.6])}))["y"]
     xs = _grid(1001)
 
     def low_mf(x):  # trap(0, 0, 0.3, 0.6) written out by hand
@@ -243,10 +245,10 @@ def test_two_rules_pointwise_max():
 def test_missing_input_variable_rejected():
     rb = default_rulebase1()
     with pytest.raises(ValueError, match="missing input"):
-        infer_mamdani(rb, {"distance": 0.5, "energy": 0.5})
+        term_firings(rb, {"distance": 0.5, "energy": 0.5})
 
 
-@pytest.mark.parametrize("engine", [infer_mamdani, eval_fis1], ids=["infer", "eval"])
+@pytest.mark.parametrize("engine", [term_firings, eval_fis1], ids=["firings", "eval"])
 def test_unknown_input_variable_rejected(engine):
     x = {"distance": 0.5, "energy": 0.5, "concentration": 0.5, "concentraton": 0.5}
     with pytest.raises(ValueError, match="unknown input variable 'concentraton'"):
@@ -366,7 +368,7 @@ def test_coa_within_hull_of_fired_consequents(seed):
         "energy": float(rng.uniform()),
         "concentration": float(rng.uniform()),
     }
-    aggs = infer_mamdani(rb, x)
+    aggs = infer_mamdani(rb, term_firings(rb, x))
     firing = {
         rule: min(
             mf_at(var.term(t), x[var.name]) for var, t in zip(rb.inputs, rule.antecedents)
@@ -419,12 +421,13 @@ def test_outputs_stay_normalized(db, re, conc):
 
 # Peak traced allocation of one eval_fis1 call on a fresh rule base, so its
 # cached tables count too: 441 points is a fis1 surface dump, 100 an epoch-end
-# round of ch2-scenario1. The previous engine peaked at 678 kB and 672 kB; the
-# bound keeps per-chunk blocks and caches from growing the resident size.
+# round of ch2-scenario1 and 1000 one of ch2-scenario2. The previous engine
+# peaked at 678 kB and 672 kB; the bound keeps per-chunk blocks, caches and
+# the distinct firing columns from growing the resident size.
 PEAK_BOUND = 768 * 1024
 
 
-@pytest.mark.parametrize("n", [441, 100])
+@pytest.mark.parametrize("n", [441, 100, 1000])
 def test_eval_peak_memory_is_bounded(n):
     rb = default_rulebase1()
     x = np.linspace(0.0, 1.0, n)
@@ -456,9 +459,10 @@ def test_warm_eval_keeps_at_most_two_chunk_blocks_alive():
 def test_infer_into_a_block_matches_fresh_blocks():
     rb = default_rulebase1()
     x = {"distance": [0.1, 0.6, 0.95], "energy": [0.9, 0.3, 0.5], "concentration": [0.5, 0.2, 0.7]}
+    firings = term_firings(rb, x)
     block = np.full((2, ROW_CHUNK, 1001), np.nan)
-    into = infer_mamdani(rb, x, 1001, block)
-    for o, (name, fresh) in enumerate(infer_mamdani(rb, x, 1001).items()):
+    into = infer_mamdani(rb, firings, 1001, block)
+    for o, (name, fresh) in enumerate(infer_mamdani(rb, firings, 1001).items()):
         assert into[name].tobytes() == fresh.tobytes() == block[o, :3].tobytes()
     assert np.isnan(block[:, 3:]).all()
 
