@@ -14,10 +14,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 DEFAULT_SAMPLES = 1001
-# Points per inference chunk in eval_fis1. The rule base keeps one
-# (outputs, ROW_CHUNK, samples) block per sample count (250 KiB for two
-# outputs at 1001 samples) and reuses it for every chunk and call, so a
-# chunk's only large temporary is one cover level's np.repeat (125 KiB).
+# Points per inference chunk in eval_fis1. The plan of each sample count
+# keeps one (outputs, ROW_CHUNK, samples) block (250 KiB for two outputs at
+# 1001 samples) and reuses it for every chunk and call, so a chunk's only
+# large temporary is one cover level's np.repeat (125 KiB).
 # Blocks taken afresh for each chunk were given back to the system and
 # faulted in again: about 13,000 minor faults over 200 ch2-scenario1 rounds
 # against a few dozen with the reused block.
@@ -81,12 +81,6 @@ def _trap_degrees(bp: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) 
     with np.errstate(all="ignore"):
         y = np.fmin((x - a) / rise, (d - x) / fall)
     return np.maximum(np.fmin(y, 1.0, out=y), 0.0, out=out)
-
-
-def mf_degrees(mfs: Sequence[MembershipFunction], x: np.ndarray) -> np.ndarray:
-    """Membership of each point of the 1-D array x in each set, as a
-    (sets, points) array."""
-    return _trap_degrees(_breakpoints(mfs), x)
 
 
 def _vertices(mf: MembershipFunction) -> tuple[list[float], list[float]]:
@@ -165,13 +159,6 @@ class LinguisticVariable:
                 return mf
         raise KeyError(f"{self.name} has no term {name!r}")
 
-    def peak(self, name: str) -> float:
-        """Representative point of a term: triangle apex or plateau midpoint."""
-        mf = self.term(name)
-        if mf.kind == "tri":
-            return mf.points[1]
-        return 0.5 * (mf.points[1] + mf.points[2])
-
 
 @dataclass(frozen=True)
 class Rule1:
@@ -198,21 +185,6 @@ class RuleBase1:
                 var.term(term)
             for var, term in zip(self.outputs, rule.consequents):
                 var.term(term)
-
-    @property
-    def output_names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.outputs)
-
-    def _antecedent_indices(self) -> list[np.ndarray]:
-        """Per input variable, the term index each rule's antecedent refers to."""
-        hit = self._cache.get("ante")
-        if hit is None:
-            hit = []
-            for pos, var in enumerate(self.inputs):
-                names = list(var.term_names)
-                hit.append(np.array([names.index(r.antecedents[pos]) for r in self.rules]))
-            self._cache["ante"] = hit
-        return hit
 
     def _firing_plan(self) -> _FiringPlan:
         hit = self._cache.get("fire")
@@ -244,7 +216,8 @@ class _FiringPlan:
         sizes = [len(var.terms) for var in rb.inputs]
         zero_term = sum(sizes)
         # per input, the global input term of each rule's antecedent, and of the pad rule
-        ante = np.array(rb._antecedent_indices(), int).reshape(len(sizes), len(rb.rules))
+        ante = [[var.term_names.index(r.antecedents[i]) for r in rb.rules] for i, var in enumerate(rb.inputs)]
+        ante = np.array(ante, int).reshape(len(sizes), len(rb.rules))
         ante = np.c_[ante + np.cumsum([0, *sizes[:-1]])[:, None], np.full(len(sizes), zero_term)]
         term_rules = [
             [r for r, rule in enumerate(rb.rules) if rule.consequents[o] == t]
@@ -264,7 +237,7 @@ class _FiringPlan:
 @dataclass(frozen=True, eq=False)
 class _MamdaniPlan:
     """What infer_mamdani reuses for every block of firings, with output
-    terms numbered as in _FiringPlan.
+    terms numbered as in _FiringPlan, and the block eval_fis1 infers into.
 
     ``cover[o, k, s]`` is the k-th output term of output o that is nonzero
     at COA sample s, or the pad term where fewer terms overlap. Along s it
@@ -275,6 +248,7 @@ class _MamdaniPlan:
     run_len: np.ndarray  # (runs,)
     cover_mu: np.ndarray  # (outputs, depth, samples): membership of each cover term
     xs: np.ndarray  # (outputs, samples): COA sample grid of each output
+    block: np.ndarray  # (outputs, ROW_CHUNK, samples): reused by every chunk and call
 
     @classmethod
     def build(cls, rb: RuleBase1, samples: int) -> _MamdaniPlan:
@@ -293,18 +267,24 @@ class _MamdaniPlan:
         cover = np.sort(ids, axis=1)[:, : max(1, (ids < pad).sum(axis=1).max(initial=0))]
         mat = np.concatenate([*mats, np.zeros((1, samples))])
         starts = np.flatnonzero(np.r_[True, (cover[:, :, 1:] != cover[:, :, :-1]).any(axis=(0, 1))])
-        return cls(
+        tables = dict(
             run_terms=cover[:, :, starts],
             run_len=np.diff(np.r_[starts, samples]),
             cover_mu=mat[cover, np.arange(samples)],
             xs=np.array(xs).reshape(len(rb.outputs), samples),
         )
+        del mats, ids, cover, mat  # so the block is not alive beside them
+        return cls(**tables, block=np.empty((len(rb.outputs), ROW_CHUNK, samples)))
 
 
 def input_rows(inputs: Mapping[str, np.typing.ArrayLike]) -> np.ndarray:
     """The inputs as the rows of one float array as long as the longest
     input, a one-point input broadcast; an input of any other length raises
-    a ValueError naming it and both lengths."""
+    a ValueError naming it and both lengths, and one of more than one
+    dimension a ValueError naming it and its shape."""
+    for name, x in inputs.items():
+        if np.ndim(x) > 1:
+            raise ValueError(f"{name}: shape {np.shape(x)}, but an input is a float or a 1-D array")
     sizes = {name: np.size(x) for name, x in inputs.items()}
     longest = max(sizes, key=sizes.__getitem__, default=None)
     rows = np.empty((len(sizes), sizes[longest] if sizes else 1))
@@ -319,13 +299,14 @@ def term_firings(rb: RuleBase1, inputs: Mapping[str, np.typing.ArrayLike]) -> np
     """Min-AND firing of every rule, and each output term's firing: the max
     over its rules.
 
-    Inputs are equal-length arrays of m points (a float is one point), one
-    per input variable of rb; a missing or unknown name, or a point outside
-    its input's domain, raises a ValueError naming the input. Returns an
-    (output terms + 1, m) array: the terms of every output in declaration
-    order, then a pad term that never fires. The memberships and their
-    (inputs, rules per term, output terms + 1, points) gather are built
-    ROW_CHUNK points at a time, so only the returned table grows with m."""
+    Inputs are arrays of m points (a one-point input is broadcast), one
+    per input variable of rb; a missing or unknown name, a bad input (see
+    input_rows) or a point outside its input's domain raises a ValueError
+    naming the input. Returns an (output terms + 1, m) array: the terms of
+    every output in declaration order, then a pad term that never fires. The
+    memberships and their (inputs, rules per term, output terms + 1, points)
+    gather are built ROW_CHUNK points at a time, so only the returned table
+    grows with m."""
     for var in rb.inputs:
         if var.name not in inputs:
             raise ValueError(f"missing input variable {var.name!r}")
@@ -334,7 +315,7 @@ def term_firings(rb: RuleBase1, inputs: Mapping[str, np.typing.ArrayLike]) -> np
         unknown = next(name for name in inputs if name not in known)
         raise ValueError(f"unknown input variable {unknown!r}")
     plan = rb._firing_plan()
-    x = np.array([inputs[var.name] for var in rb.inputs], dtype=float).reshape(len(rb.inputs), -1)
+    x = input_rows({var.name: inputs[var.name] for var in rb.inputs})
     lo, hi = plan.domains
     inside = (x >= lo) & (x <= hi)
     if not inside.all():
@@ -423,17 +404,13 @@ def eval_fis1(
     aggregated and defuzzified once: min, max and each row's pairwise sum
     read one point alone, so a merged point gets its own bits. A call of at
     most ROW_CHUNK points is one chunk either way and is not keyed. The
-    distinct columns go through inference ROW_CHUNK at a time, in one (outputs,
-    ROW_CHUNK, samples) block that the rule base keeps for its sample count
-    and reuses for every chunk and call, so a rule base is not to be
+    distinct columns go through inference ROW_CHUNK at a time, in the one
+    (outputs, ROW_CHUNK, samples) block that the plan of the sample count
+    keeps and reuses for every chunk and call, so a rule base is not to be
     evaluated from two threads at once."""
-    cols = input_rows(inputs)
-    # the plan and block first, so their build and the keys are not alive at once
-    grids = rb._plan(samples).xs
-    block = rb._cache.get(("block", samples))
-    if block is None:
-        block = rb._cache[("block", samples)] = np.empty((len(rb.outputs), ROW_CHUNK, samples))
-    fire = term_firings(rb, dict(zip(inputs, cols)))
+    # the plan first, so its build and the keys are not alive at once
+    plan = rb._plan(samples)
+    fire = term_firings(rb, inputs)
     inverse = None
     if fire.shape[1] > ROW_CHUNK:  # merging can save a chunk only when there are several
         index, inverse = _column_index(fire)
@@ -443,16 +420,16 @@ def eval_fis1(
         del index
     out = np.empty((len(rb.outputs), fire.shape[1]))
     for s in range(0, fire.shape[1], ROW_CHUNK):
-        mus = infer_mamdani(rb, fire[:, s : s + ROW_CHUNK], samples, block)
+        mus = infer_mamdani(rb, fire[:, s : s + ROW_CHUNK], samples, plan.block)
         out[:, s : s + ROW_CHUNK] = [
-            defuzz_coa(mu, xs, overwrite=True) for mu, xs in zip(mus.values(), grids)
+            defuzz_coa(mu, xs, overwrite=True) for mu, xs in zip(mus.values(), plan.xs)
         ]
     if inverse is not None:
         out = out.take(inverse, axis=1)
     # a point is degenerate as a whole: NaN in one output is NaN in all
     if np.isnan(out).any():
         out[:, np.isnan(out).any(axis=0)] = np.nan
-    return dict(zip(rb.output_names, out))
+    return dict(zip((var.name for var in rb.outputs), out))
 
 
 # --- default vocabulary -----------------------------------------------------

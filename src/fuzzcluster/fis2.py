@@ -13,7 +13,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .fis1 import (
-    LinguisticVariable,
     MembershipFunction,
     MfOverrides,
     _breakpoints,
@@ -58,12 +57,6 @@ def _footprint_degrees(bp: np.ndarray, scale: np.ndarray, x: np.ndarray) -> np.n
     return deg
 
 
-def interval_degrees(imfs: Sequence[IntervalMF], x: np.ndarray) -> np.ndarray:
-    """Lower and upper membership of each point of the 1-D array x in each
-    footprint: a (2, footprints, points) array from one membership evaluation."""
-    return _footprint_degrees(*_footprint_tables(imfs), x)
-
-
 def make_fou(
     base: MembershipFunction, blur: float, domain: tuple[float, float] = (0.0, 1.0)
 ) -> IntervalMF:
@@ -96,8 +89,6 @@ class Rule2:
 
 @dataclass(frozen=True)
 class RuleBase2:
-    distance_base: LinguisticVariable
-    energy_base: LinguisticVariable
     distance_mfs: Mapping[str, IntervalMF]
     energy_mfs: Mapping[str, IntervalMF]
     rules: tuple[Rule2, ...]
@@ -142,25 +133,14 @@ def _firing_tables(
 
 
 def _fire(tables: list, db: np.ndarray, re: np.ndarray) -> np.ndarray:
-    """firing_intervals from its tables."""
+    """Product t-norm of each rule's two antecedent membership intervals at
+    1-D arrays of points db and re, from the rules' _firing_tables: a (2,
+    rules, points) array of lower and upper firings. Each antecedent term is
+    evaluated once, however many rules share it."""
     (d_bp, d_scale, di), (e_bp, e_scale, ei) = tables
     d = _footprint_degrees(d_bp, d_scale, db)
     e = _footprint_degrees(e_bp, e_scale, re)
     return d[:, di] * e[:, ei]
-
-
-def firing_intervals(
-    rules: Sequence[Rule2],
-    db: np.ndarray,
-    re: np.ndarray,
-    distance_mfs: Mapping[str, IntervalMF],
-    energy_mfs: Mapping[str, IntervalMF],
-) -> np.ndarray:
-    """Product t-norm of each rule's two antecedent membership intervals at
-    1-D arrays of points db and re: a (2, rules, points) array of lower and
-    upper firings. Each antecedent term is evaluated once, however many rules
-    share it."""
-    return _fire(_firing_tables(rules, distance_mfs, energy_mfs), db, re)
 
 
 def _sum_rules(a: np.ndarray) -> np.ndarray:
@@ -333,7 +313,7 @@ def default_rulebase2(
         if ch not in wc:
             raise ValueError(f"unknown chance consequent {ch!r}")
         rule_objs.append(Rule2(d, e, rad, ch, wr[rad], wc[ch]))
-    return RuleBase2(distance, energy, distance_mfs, energy_mfs, tuple(rule_objs))
+    return RuleBase2(distance_mfs, energy_mfs, tuple(rule_objs))
 
 
 def eval_t2fis(

@@ -16,14 +16,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .energy import RadioParams, rx_energy, threshold_distance, tx_energy
-from .fis1 import DEFAULT_SAMPLES, RuleBase1, eval_fis1
-from .fis2 import RuleBase2, eval_t2fis
+from .fis1 import eval_fis1
+from .fis2 import eval_t2fis
 from .network import Network, block_rows, normalize_inputs
 from .rng import Xorshift64Star
+
+if TYPE_CHECKING:  # the simulator imports this module
+    from .simulator import SimConfig
 
 KIND_LEACH = "leach"
 KIND_FUZZY_UNEQUAL = "fuzzy_unequal"
@@ -51,15 +55,6 @@ class ProtocolParams:
             raise ValueError(f"r_min: must lie in (0, r_max = {self.r_max}), got {self.r_min}")
         if self.nbr_radius is not None and not 0.0 < self.nbr_radius < math.inf:
             raise ValueError(f"nbr_radius: must be positive and finite, got {self.nbr_radius}")
-
-
-@dataclass
-class Engines:
-    """Inference engines a run needs, built once per simulation."""
-
-    rules1: RuleBase1 | None = None
-    rules2: RuleBase2 | None = None
-    coa_samples: int = DEFAULT_SAMPLES
 
 
 @dataclass
@@ -138,9 +133,7 @@ def select_provisional(
     return np.array([np.argmax(np.where(net.alive, net.energy, -np.inf))]), True
 
 
-def compute_radius_chance(
-    inputs: tuple, engines: Engines, params: ProtocolParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def compute_radius_chance(inputs: tuple, cfg: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Map normalized (db, re, conc) to (radius in meters, chance, fell_back).
 
     The inputs are equal-length arrays with one entry per candidate, sized in
@@ -148,17 +141,12 @@ def compute_radius_chance(
     point where the engine output is degenerate falls back to the domain
     midpoint on its own and is flagged."""
     db, re, conc = inputs
+    params = cfg.protocol
     if params.kind == KIND_TYPE2:
-        if engines.rules2 is None:
-            raise ValueError("type2fl requires a type-2 rule base")
-        r_norm, chance = eval_t2fis(engines.rules2, db, re)
+        r_norm, chance = eval_t2fis(cfg.rules2, db, re)
     else:
-        if engines.rules1 is None:
-            raise ValueError("fuzzy_unequal requires a type-1 rule base")
         out = eval_fis1(
-            engines.rules1,
-            {"distance": db, "energy": re, "concentration": conc},
-            engines.coa_samples,
+            cfg.rules1, {"distance": db, "energy": re, "concentration": conc}, cfg.coa_samples
         )
         r_norm, chance = out["radius"], out["chance"]
     fallback = np.isnan(r_norm) | np.isnan(chance)
@@ -283,15 +271,10 @@ def price_control(
 
 
 def run_protocol_round(
-    net: Network,
-    params: ProtocolParams,
-    engines: Engines,
-    round_index: int,
-    rng: Xorshift64Star,
-    radio: RadioParams,
+    net: Network, cfg: SimConfig, rng: Xorshift64Star, round_index: int
 ) -> RoundPlan:
-    """Elect, compete, join and route for one round; prices control traffic
-    but leaves all energy deduction to the simulator.
+    """Elect, compete, join and route for one round of the run cfg; prices
+    control traffic but leaves all energy deduction to the simulator.
 
     Control traffic, in the order it is sent: each candidate's announcement
     over its competition radius (ascending id), each final head's announcement
@@ -300,6 +283,7 @@ def run_protocol_round(
     phase and announces over r_max."""
     if not net.alive.any():
         raise ValueError("no alive nodes")
+    params, radio = cfg.protocol, cfg.radio
 
     ids, forced = select_provisional(net, params, round_index - 1, rng)
     fis_fallbacks = 0
@@ -312,7 +296,7 @@ def run_protocol_round(
         # type2fl reads only (db, re), so it counts no neighbors
         nbr_radius = params.nbr_radius or threshold_distance(radio)
         inputs = normalize_inputs(net, ids, None if params.kind == KIND_TYPE2 else nbr_radius)
-        cand_radius, chance, fell_back = compute_radius_chance(inputs, engines, params)
+        cand_radius, chance, fell_back = compute_radius_chance(inputs, cfg)
         fis_fallbacks = int(fell_back.sum())
         won = compete_final_chs(ids, cand_radius, chance, net)
         finals, radius, chance = ids[won], cand_radius[won], chance[won]

@@ -11,7 +11,7 @@ from .energy import RadioParams, agg_energy, rx_energy, tx_energy
 from .fis1 import DEFAULT_SAMPLES, RuleBase1, default_rulebase1
 from .fis2 import RuleBase2, default_rulebase2
 from .network import Network, deploy_from_rng, network_from_positions
-from .protocols import Engines, ProtocolParams, RoundPlan, run_protocol_round
+from .protocols import ProtocolParams, RoundPlan, run_protocol_round
 from .rng import Xorshift64Star
 
 
@@ -183,11 +183,10 @@ def run_simulation(
         net = deploy_from_rng(cfg.n, cfg.area_side, cfg.bs_pos, rng, cfg.initial_energy)
     for nid, e in cfg.energy_overrides.items():
         net.energy[nid] = e
-    engines = Engines(cfg.rules1, cfg.rules2, cfg.coa_samples)
 
     rounds: list[RoundMetrics] = []
     for r in range(1, cfg.max_rounds + 1):
-        plan = run_protocol_round(net, cfg.protocol, engines, r, rng, cfg.radio)
+        plan = run_protocol_round(net, cfg, rng, r)
         if on_round is not None:
             on_round(r, plan)
         drained = apply_round_energy(net, plan, cfg.radio)

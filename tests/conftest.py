@@ -3,23 +3,44 @@ import csv
 import numpy as np
 
 from fuzzcluster.csvio import METRICS_HEADER
-from fuzzcluster.fis1 import mf_degrees
-from fuzzcluster.fis2 import interval_degrees
+from fuzzcluster.fis1 import _breakpoints, _trap_degrees
+from fuzzcluster.fis2 import _fire, _firing_tables, _footprint_degrees, _footprint_tables
 from fuzzcluster.network import deploy_from_rng
 from fuzzcluster.protocols import RoundPlan
 from fuzzcluster.rng import Xorshift64Star
-from fuzzcluster.simulator import RoundMetrics
+from fuzzcluster.simulator import RoundMetrics, SimConfig
 
 
 def mf_at(mf, x):
     """Membership of each point of x (a float is one point) in mf."""
-    return mf_degrees((mf,), np.atleast_1d(np.asarray(x, dtype=float)))[0]
+    return _trap_degrees(_breakpoints((mf,)), np.atleast_1d(np.asarray(x, dtype=float)))[0]
 
 
 def interval_at(imf, x):
     """(lower, upper) membership of each point of x (a float is one point) in imf."""
-    lower, upper = interval_degrees((imf,), np.atleast_1d(np.asarray(x, dtype=float)))
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    lower, upper = _footprint_degrees(*_footprint_tables((imf,)), x)
     return lower[0], upper[0]
+
+
+def firing_intervals(rules, db, re, distance_mfs, energy_mfs):
+    """Lower and upper product firing of each rule at the 1-D arrays of
+    points db and re, as a (2, rules, points) array."""
+    return _fire(_firing_tables(rules, distance_mfs, energy_mfs), db, re)
+
+
+def peak_point(mf):
+    """Representative point of a set: triangle apex or plateau midpoint."""
+    return mf.points[1] if mf.kind == "tri" else 0.5 * (mf.points[1] + mf.points[2])
+
+
+def round_config(protocol, radio, **fields):
+    """A SimConfig to call one round with: run_protocol_round and
+    compute_radius_chance read only its protocol, radio, rules1, rules2 and
+    coa_samples (given as fields), so the deployment fields are placeholders."""
+    return SimConfig(
+        n=1, area_side=1.0, bs_pos=(0.0, 0.0), initial_energy=1.0, radio=radio, protocol=protocol, **fields
+    )
 
 
 def deploy(n, m, bs_pos, seed, initial_energy=1.0):

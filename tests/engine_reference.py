@@ -101,7 +101,10 @@ def eval_fis1_ref(rb, inputs, samples: int) -> dict[str, float]:
     degrees = [
         np.array([mf_eval_ref(mf, inputs[var.name]) for _, mf in var.terms]) for var in rb.inputs
     ]
-    ante_idx = rb._antecedent_indices()
+    ante_idx = [
+        np.array([list(var.term_names).index(r.antecedents[i]) for r in rb.rules])
+        for i, var in enumerate(rb.inputs)
+    ]
     firing = degrees[0][ante_idx[0]]
     for deg, idx in zip(degrees[1:], ante_idx[1:]):
         firing = np.minimum(firing, deg[idx])

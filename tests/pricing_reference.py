@@ -89,9 +89,10 @@ def build_routes_ref(head_ids, net, d0, direct_only=False):
     return routes
 
 
-def run_protocol_round_ref(net, params, engines, round_index, rng, radio):
+def run_protocol_round_ref(net, cfg, rng, round_index):
     if not net.alive.any():
         raise ValueError("no alive nodes")
+    params, radio = cfg.protocol, cfg.radio
 
     control = np.zeros(net.n)
 
@@ -111,7 +112,7 @@ def run_protocol_round_ref(net, params, engines, round_index, rng, radio):
     else:
         nbr_radius = params.nbr_radius or threshold_distance(radio)
         inputs = normalize_inputs(net, np.array(provisional_ids, dtype=np.intp), nbr_radius)
-        radius, chance, fell_back = compute_radius_chance(inputs, engines, params)
+        radius, chance, fell_back = compute_radius_chance(inputs, cfg)
         fis_fallbacks = int(fell_back.sum())
         candidates = list(zip(provisional_ids, radius.tolist(), chance.tolist()))
         if params.control_traffic:

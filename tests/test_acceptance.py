@@ -17,7 +17,7 @@ from fuzzcluster.config import parse_config
 from fuzzcluster.energy import RadioParams, threshold_distance, tx_energy
 from fuzzcluster.fis1 import RULES_27, default_rulebase1, defuzz_coa
 from fuzzcluster.fis2 import RULES_9, default_rulebase2, eval_t2fis, km_type_reduce
-from fuzzcluster.protocols import Engines, ch_threshold, run_protocol_round
+from fuzzcluster.protocols import ch_threshold, run_protocol_round
 from fuzzcluster.simulator import run_simulation
 from fuzzcluster.rng import Xorshift64Star
 
@@ -98,8 +98,8 @@ def test_criterion_03_type2_collapses_to_type1_at_blur_zero():
                 radius, chance = eval_t2fis(rb, float(db), float(re))
                 num_r = num_c = den = 0.0
                 for rule in rb.rules:
-                    f = mf_at(rb.distance_base.term(rule.distance), db) * mf_at(
-                        rb.energy_base.term(rule.energy), re
+                    f = mf_at(rb.distance_mfs[rule.distance].lower, db) * mf_at(
+                        rb.energy_mfs[rule.energy].lower, re
                     )
                     num_r += f * rule.w_radius
                     num_c += f * rule.w_chance
@@ -164,12 +164,11 @@ def test_criterion_08_competition_radius_grows_with_sink_distance():
         cfg = scenario1("fuzzy_unequal")
         net = deploy(cfg.n, cfg.area_side, cfg.bs_pos, seed=404, initial_energy=cfg.initial_energy)
         rng = Xorshift64Star(404)
-        engines = Engines(cfg.rules1, cfg.rules2, cfg.coa_samples)
         lo = net.bs_dist.min()
         span = net.bs_dist.max() - lo
         near, far = [], []
         for r in range(1, 31):
-            plan = run_protocol_round(net, cfg.protocol, engines, r, rng, cfg.radio)
+            plan = run_protocol_round(net, cfg, rng, r)
             for c in plan.clusters:
                 if c.radius <= 0.0:
                     continue
@@ -255,9 +254,8 @@ def test_criterion_11_routes_reach_sink_with_strict_progress():
             cfg = scenario1(kind, seed=seed, max_rounds=60)
             net = deploy(cfg.n, cfg.area_side, cfg.bs_pos, seed=seed, initial_energy=cfg.initial_energy)
             rng = Xorshift64Star(seed)
-            engines = Engines(cfg.rules1, cfg.rules2, cfg.coa_samples)
             for r in range(1, 61):
-                plan = run_protocol_round(net, cfg.protocol, engines, r, rng, cfg.radio)
+                plan = run_protocol_round(net, cfg, rng, r)
                 heads = set(plan.routes)
                 for start_head in heads:
                     cur, hops = start_head, 0

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import Phase, assume, example, find, given, settings
 from hypothesis import strategies as st
 
-from conftest import deploy
+from conftest import deploy, firing_intervals, round_config
 from engine_reference import eval_fis1_ref, eval_t2fis_ref, km_ref
 from fuzzcluster import fis2
 from fuzzcluster.energy import RadioParams
@@ -42,13 +42,11 @@ from fuzzcluster.fis2 import (
     T2_RADIUS_TERMS,
     default_rulebase2,
     eval_t2fis,
-    firing_intervals,
     km_type_reduce,
     make_fou,
 )
 from fuzzcluster.network import normalize_inputs
 from fuzzcluster.protocols import (
-    Engines,
     ProtocolParams,
     compute_radius_chance,
     run_protocol_round,
@@ -198,7 +196,8 @@ def test_t2_subnormal_inversion_is_a_degenerate_point():
     radius, chance = eval_t2fis(rb, db, re)
     assert same_bits(radius, [NAN, healthy[0]])
     assert same_bits(chance, [NAN, healthy[1]])
-    _, _, fell_back = compute_radius_chance((db, re, np.zeros(2)), Engines(rules2=rb), TYPE2)
+    cfg = round_config(TYPE2, RADIO, rules2=rb)
+    _, _, fell_back = compute_radius_chance((db, re, np.zeros(2)), cfg)
     assert fell_back.tolist() == [True, False]
 
 
@@ -512,8 +511,22 @@ def test_fis1_broadcasts_one_point_input_over_every_chunk():
             {"distance": [], "energy": 0.5, "concentration": 0.5},
             "distance: 0 points, but energy has 1",
         ),
+        (
+            {"db": np.zeros((2, 2)), "re": 0.5},
+            "db: shape (2, 2), but an input is a float or a 1-D array",
+        ),
+        (
+            {"distance": np.zeros((2, 2)), "energy": 0.5, "concentration": 0.5},
+            "distance: shape (2, 2), but an input is a float or a 1-D array",
+        ),
+        (
+            {"distance": [0.1, 0.2], "energy": np.zeros((2, 2)), "concentration": 0.5},
+            "energy: shape (2, 2), but an input is a float or a 1-D array",
+        ),
     ],
-    ids=["fis2-2-3", "fis2-0-1", "fis2-3-0", "fis1-2-3", "fis1-0-1"],
+    ids=[
+        "fis2-2-3", "fis2-0-1", "fis2-3-0", "fis1-2-3", "fis1-0-1", "fis2-2d", "fis1-2d", "fis1-1d-2d"
+    ],
 )
 def test_engines_name_an_input_of_another_length(inputs, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -532,37 +545,39 @@ RADIO = RadioParams(
 )
 
 
-def degenerate_engines():
-    """Engines that fire nothing for the nodes farthest from the sink."""
+def degenerate_config(params):
+    """A round config whose engines fire nothing for the nodes farthest from the sink."""
     t1 = default_rulebase1()
     far_rules = tuple(r for r in t1.rules if r.antecedents[0] == "far")
-    return Engines(
+    return round_config(
+        params,
+        RADIO,
         rules1=RuleBase1(t1.inputs, t1.outputs, far_rules),
         rules2=notched(default_rulebase2()),
         coa_samples=101,
     )
 
 
-def reference_outputs(eng, params, db, re, conc):
+def reference_outputs(cfg, db, re, conc):
     """(r_norm, chance) from the one-point reference engine, None where it is
     degenerate."""
-    if params is TYPE2:
-        return reference_rows(eval_t2fis_ref, eng.rules2, db, re)
+    if cfg.protocol is TYPE2:
+        return reference_rows(eval_t2fis_ref, cfg.rules2, db, re)
     inputs = {"distance": db, "energy": re, "concentration": conc}
-    out = reference_rows(eval_fis1_ref, eng.rules1, inputs, eng.coa_samples)
+    out = reference_rows(eval_fis1_ref, cfg.rules1, inputs, cfg.coa_samples)
     return None if out is None else (out["radius"], out["chance"])
 
 
 @pytest.mark.parametrize("params", [TYPE2, FUZZY], ids=["type2fl", "fuzzy_unequal"])
 def test_degenerate_points_fall_back_one_by_one(params):
-    eng = degenerate_engines()
+    cfg = degenerate_config(params)
     net = deploy(3 * ROW_CHUNK + 1, 100.0, (50.0, 175.0), seed=5)
     net.energy[:] = np.linspace(0.05, 1.0, net.n)
     inputs = normalize_inputs(net, np.arange(net.n), 20.0)
-    radius, chance, fell_back = compute_radius_chance(inputs, eng, params)
+    radius, chance, fell_back = compute_radius_chance(inputs, cfg)
     span = params.r_max - params.r_min
     for i, point in enumerate(zip(*inputs)):
-        w = reference_outputs(eng, params, *point)
+        w = reference_outputs(cfg, *point)
         assert fell_back[i] == (w is None)
         r_norm, ch = (0.5, 0.5) if w is None else w
         assert same_bits([radius[i], chance[i]], [params.r_min + r_norm * span, ch])
@@ -571,10 +586,10 @@ def test_degenerate_points_fall_back_one_by_one(params):
 
 @pytest.mark.parametrize("params", [TYPE2, FUZZY], ids=["type2fl", "fuzzy_unequal"])
 def test_round_counts_every_fallback(params):
-    eng = degenerate_engines()
+    cfg = degenerate_config(params)
     net = deploy(100, 100.0, (50.0, 175.0), seed=3)
     provisional, _ = select_provisional(net, params, 0, Xorshift64Star(11))
     inputs = normalize_inputs(net, np.array(provisional), 20.0)
-    want = sum(reference_outputs(eng, params, *point) is None for point in zip(*inputs))
-    plan = run_protocol_round(net, params, eng, 1, Xorshift64Star(11), RADIO)
+    want = sum(reference_outputs(cfg, *point) is None for point in zip(*inputs))
+    plan = run_protocol_round(net, cfg, Xorshift64Star(11), 1)
     assert plan.fis_fallbacks == want > 0

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fuzzcluster import cli, csvio, fis1, fis2
+from fuzzcluster import cli, csvio, fis1, fis2, simulator
 from fuzzcluster.config import PRESETS, PROTOCOL_NAMES, parse_config
 from fuzzcluster.fis1 import RuleBase1, default_rulebase1
 from fuzzcluster.fis2 import RuleBase2, default_rulebase2
@@ -134,6 +134,28 @@ def test_surface_writer_calls_engine_before_any_data_row(tmp_path, monkeypatch, 
     with pytest.raises(FirstEngineCall):
         write(path)
     assert len(path.read_text(encoding="utf-8").splitlines()) <= 1  # the header at most
+
+
+def test_worker_captures_each_round_through_the_module_names(monkeypatch):
+    # perfbench/worker.py replaces simulator.run_protocol_round and
+    # simulator.Xorshift64Star, reads each round's index as args[3] and keeps
+    # the one generator of each run for the draw checks
+    rounds, rngs = [], []
+    real_round, real_rng = simulator.run_protocol_round, simulator.Xorshift64Star
+
+    def captured_round(*args, **kwargs):
+        rounds.append(args[3])
+        return real_round(*args, **kwargs)
+
+    def new_rng(seed):
+        rngs.append(real_rng(seed))
+        return rngs[-1]
+
+    monkeypatch.setattr(simulator, "run_protocol_round", captured_round)
+    monkeypatch.setattr(simulator, "Xorshift64Star", new_rng)
+    result = run_simulation(replace(parse_config("ch3"), max_rounds=3))
+    assert rounds == [1, 2, 3] == [m.round for m in result.rounds]
+    assert len(rngs) == 1
 
 
 @pytest.mark.parametrize("kind", KINDS)

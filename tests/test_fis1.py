@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mf_at
+from conftest import mf_at, peak_point
 from fuzzcluster.fis1 import (
     CHANCE_TERMS,
     RADIUS_TERMS,
@@ -183,9 +183,9 @@ def test_coverage_hole_between_grid_points_rejected(left, right, hole):
 def test_term_peaks():
     rb = default_rulebase1()
     dist = rb.inputs[0]
-    assert dist.peak("close") == pytest.approx(0.1)
-    assert dist.peak("far") == pytest.approx(0.5)
-    assert dist.peak("farthest") == pytest.approx(0.9)
+    assert peak_point(dist.term("close")) == pytest.approx(0.1)
+    assert peak_point(dist.term("far")) == pytest.approx(0.5)
+    assert peak_point(dist.term("farthest")) == pytest.approx(0.9)
 
 
 # --- inference -----------------------------------------------------------------
@@ -389,9 +389,9 @@ def test_coa_within_hull_of_fired_consequents(seed):
 def test_close_high_high_lands_in_very_strong():
     rb = default_rulebase1()
     inputs = {
-        "distance": rb.inputs[0].peak("close"),
-        "energy": rb.inputs[1].peak("high"),
-        "concentration": rb.inputs[2].peak("high"),
+        "distance": peak_point(rb.inputs[0].term("close")),
+        "energy": peak_point(rb.inputs[1].term("high")),
+        "concentration": peak_point(rb.inputs[2].term("high")),
     }
     chance = eval_fis1(rb, inputs)["chance"]
     lo, hi = rb.outputs[1].term("very_strong").support
@@ -401,9 +401,9 @@ def test_close_high_high_lands_in_very_strong():
 def test_farthest_high_high_lands_in_large():
     rb = default_rulebase1()
     inputs = {
-        "distance": rb.inputs[0].peak("farthest"),
-        "energy": rb.inputs[1].peak("high"),
-        "concentration": rb.inputs[2].peak("high"),
+        "distance": peak_point(rb.inputs[0].term("farthest")),
+        "energy": peak_point(rb.inputs[1].term("high")),
+        "concentration": peak_point(rb.inputs[2].term("high")),
     }
     radius = eval_fis1(rb, inputs)["radius"]
     lo, hi = rb.outputs[0].term("large").support
@@ -549,8 +549,8 @@ def test_radius_nondecreasing_in_distance_at_term_peaks():
         for c_term in conc_var.term_names:
             if (e_term, c_term) == ("less", "low"):
                 continue
-            e = energy_var.peak(e_term)
-            c = conc_var.peak(c_term)
+            e = peak_point(energy_var.term(e_term))
+            c = peak_point(conc_var.term(c_term))
             radii = [
                 eval_fis1(rb, {"distance": d, "energy": e, "concentration": c})["radius"]
                 for d in np.linspace(0, 1, 21)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import interval_at, mf_at
+from conftest import firing_intervals, interval_at, mf_at, peak_point
 from fuzzcluster.fis1 import triangular
 from fuzzcluster.fis2 import (
     RULES_9,
@@ -17,7 +17,6 @@ from fuzzcluster.fis2 import (
     Rule2,
     default_rulebase2,
     eval_t2fis,
-    firing_intervals,
     km_type_reduce,
     make_fou,
     output_weights,
@@ -237,8 +236,8 @@ def _nearest_weight(value, weights):
 
 def test_far_advance_peaks_give_strong_chance_and_very_large_radius():
     rb = default_rulebase2()
-    db = rb.distance_base.peak("far")
-    re = rb.energy_base.peak("adv")
+    db = peak_point(rb.distance_mfs["far"].lower)
+    re = peak_point(rb.energy_mfs["adv"].lower)
     radius, chance = eval_t2fis(rb, db, re)
     assert _nearest_weight(chance, output_weights(T2_CHANCE_TERMS)) == "strong"
     assert _nearest_weight(radius, output_weights(T2_RADIUS_TERMS)) == "very_large"
@@ -246,8 +245,8 @@ def test_far_advance_peaks_give_strong_chance_and_very_large_radius():
 
 def test_proximate_low_peaks_give_very_small_radius_and_very_weak_chance():
     rb = default_rulebase2()
-    db = rb.distance_base.peak("proximate")
-    re = rb.energy_base.peak("low")
+    db = peak_point(rb.distance_mfs["proximate"].lower)
+    re = peak_point(rb.energy_mfs["low"].lower)
     radius, chance = eval_t2fis(rb, db, re)
     assert _nearest_weight(radius, output_weights(T2_RADIUS_TERMS)) == "very_small"
     assert _nearest_weight(chance, output_weights(T2_CHANCE_TERMS)) == "very_weak"
@@ -258,8 +257,8 @@ def height_type1_oracle(rb, db, re):
     weighted-mean defuzzification."""
     num_r = num_c = den = 0.0
     for rule in rb.rules:
-        f = mf_at(rb.distance_base.term(rule.distance), db) * mf_at(
-            rb.energy_base.term(rule.energy), re
+        f = mf_at(rb.distance_mfs[rule.distance].lower, db) * mf_at(
+            rb.energy_mfs[rule.energy].lower, re
         )
         num_r += f * rule.w_radius
         num_c += f * rule.w_chance

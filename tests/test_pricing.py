@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import deploy
+from conftest import deploy, round_config
 from fuzzcluster import network as network_module
 from fuzzcluster.config import parse_config
 from fuzzcluster.energy import RadioParams, threshold_distance, tx_energy
@@ -27,7 +27,6 @@ from fuzzcluster.protocols import (
     KIND_LEACH,
     KIND_TYPE2,
     KINDS,
-    Engines,
     ProtocolParams,
     build_routes,
     ch_threshold,
@@ -50,7 +49,7 @@ CH2 = RadioParams(
 CH3 = RadioParams(
     e_elec=50e-9, eps_fs=10e-12, eps_mp=0.0010e-12, e_da=5e-9, packet_bits=4000, ctrl_bits=200
 )
-ENGINES = Engines(default_rulebase1(), default_rulebase2(), coa_samples=101)
+ENGINES = dict(rules1=default_rulebase1(), rules2=default_rulebase2(), coa_samples=101)
 EPOCH_END = 20  # with p = 0.05 the rotating threshold is 1 on round 20: every node stands
 # A 100-node round is priced in one block at the default budget; SMALL_BLOCKS
 # entries give it 5-row blocks, so that its message groups span many blocks
@@ -76,11 +75,12 @@ def both_rounds(net, params, r, seed, radio=CH2):
     the same network state and draws; returns (plan, drained, ref plan, ref
     drained) and leaves the network's energy and alive state as it found it."""
     energy, alive = net.energy.copy(), net.alive.copy()
-    plan = run_protocol_round(net, params, ENGINES, r, Xorshift64Star(seed), radio)
+    cfg = round_config(params, radio, **ENGINES)
+    plan = run_protocol_round(net, cfg, Xorshift64Star(seed), r)
     drained = apply_round_energy(net, plan, radio)
     after = net.energy.copy(), net.alive.copy()
     net.energy[:], net.alive[:] = energy, alive
-    ref = run_protocol_round_ref(net, params, ENGINES, r, Xorshift64Star(seed), radio)
+    ref = run_protocol_round_ref(net, cfg, Xorshift64Star(seed), r)
     ref_drained = apply_round_energy_ref(net, ref, radio)
     assert same_bits(after[0], net.energy) and (after[1] == net.alive).all()
     net.energy[:], net.alive[:] = energy, alive
@@ -238,10 +238,9 @@ def test_epoch_end_round_memory_stays_bounded():
         assert n == 1000 or block_rows(n) >= 3 * n
         rng = Xorshift64Star(1)
         net = deploy_from_rng(cfg.n, cfg.area_side, cfg.bs_pos, rng, cfg.initial_energy)
-        engines = Engines(cfg.rules1, cfg.rules2, cfg.coa_samples)
         tracemalloc.start()
         try:
-            plan = run_protocol_round(net, cfg.protocol, engines, EPOCH_END, rng, cfg.radio)
+            plan = run_protocol_round(net, cfg, rng, EPOCH_END)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

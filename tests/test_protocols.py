@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import FakeRng, deploy
+from conftest import FakeRng, deploy, peak_point, round_config
 from fuzzcluster import network, protocols
 from fuzzcluster.config import parse_config
 from fuzzcluster.energy import RadioParams, threshold_distance
@@ -13,7 +13,6 @@ from fuzzcluster.fis2 import default_rulebase2
 from fuzzcluster.network import network_from_positions, normalize_inputs
 from fuzzcluster.protocols import (
     KIND_TYPE2,
-    Engines,
     ProtocolParams,
     assign_members,
     build_routes,
@@ -32,10 +31,6 @@ RADIO = RadioParams(
 LEACH = ProtocolParams(kind="leach", p=0.05, r_min=10.0, r_max=40.0)
 FUZZY = ProtocolParams(kind="fuzzy_unequal", p=0.05, r_min=10.0, r_max=40.0)
 TYPE2 = ProtocolParams(kind="type2fl", p=0.95, r_min=10.0, r_max=40.0)
-
-
-def engines():
-    return Engines(rules1=default_rulebase1(), rules2=default_rulebase2())
 
 
 # --- threshold -----------------------------------------------------------------
@@ -134,10 +129,14 @@ def test_select_matches_one_draw_per_alive_node(params, r):
 
 
 def test_radius_clamps_to_r_min_and_r_max():
-    eng_low = Engines(rules2=default_rulebase2(w_radius={t: 0.0 for t in _t2_radius_terms()}))
-    eng_high = Engines(rules2=default_rulebase2(w_radius={t: 1.0 for t in _t2_radius_terms()}))
-    radius_lo, _, _ = compute_radius_chance((0.5, 0.5, 0.5), eng_low, TYPE2)
-    radius_hi, _, _ = compute_radius_chance((0.5, 0.5, 0.5), eng_high, TYPE2)
+    low = round_config(
+        TYPE2, RADIO, rules2=default_rulebase2(w_radius={t: 0.0 for t in _t2_radius_terms()})
+    )
+    high = round_config(
+        TYPE2, RADIO, rules2=default_rulebase2(w_radius={t: 1.0 for t in _t2_radius_terms()})
+    )
+    radius_lo, _, _ = compute_radius_chance((0.5, 0.5, 0.5), low)
+    radius_hi, _, _ = compute_radius_chance((0.5, 0.5, 0.5), high)
     assert radius_lo == pytest.approx(TYPE2.r_min, abs=1e-12)
     assert radius_hi == pytest.approx(TYPE2.r_max, abs=1e-12)
 
@@ -149,14 +148,14 @@ def _t2_radius_terms():
 
 
 def test_close_high_high_chance_lands_in_very_strong():
-    eng = engines()
-    rb = eng.rules1
+    cfg = round_config(FUZZY, RADIO)
+    rb = cfg.rules1
     inputs = (
-        rb.inputs[0].peak("close"),
-        rb.inputs[1].peak("high"),
-        rb.inputs[2].peak("high"),
+        peak_point(rb.inputs[0].term("close")),
+        peak_point(rb.inputs[1].term("high")),
+        peak_point(rb.inputs[2].term("high")),
     )
-    _, chance, fell_back = compute_radius_chance(inputs, eng, FUZZY)
+    _, chance, fell_back = compute_radius_chance(inputs, cfg)
     lo, hi = rb.outputs[1].term("very_strong").support
     assert lo < chance < hi
     assert not fell_back
@@ -199,7 +198,7 @@ def test_single_final_collects_all_members():
     net = network_from_positions(
         [(10.0, 10.0), (20.0, 10.0), (30.0, 10.0)], 100.0, (50.0, 175.0)
     )
-    plan = run_protocol_round(net, LEACH, engines(), 1, FakeRng([0.01, 0.9, 0.9]), RADIO)
+    plan = run_protocol_round(net, round_config(LEACH, RADIO), FakeRng([0.01, 0.9, 0.9]), 1)
     assert len(plan.clusters) == 1
     assert plan.clusters[0].head == 0
     assert sorted(plan.clusters[0].members) == [1, 2]
@@ -209,7 +208,7 @@ def test_equidistant_member_joins_lower_id():
     net = network_from_positions(
         [(0.0, 0.0), (20.0, 0.0), (10.0, 0.0)], 100.0, (50.0, 175.0)
     )
-    plan = run_protocol_round(net, LEACH, engines(), 1, FakeRng([0.01, 0.01, 0.9]), RADIO)
+    plan = run_protocol_round(net, round_config(LEACH, RADIO), FakeRng([0.01, 0.01, 0.9]), 1)
     by_head = {c.head: c for c in plan.clusters}
     assert 2 in by_head[0].members
     assert by_head[1].members == []
@@ -228,7 +227,7 @@ def test_type2_uncovered_node_self_promotes():
         [(0.0, 0.0), (5.0, 0.0), (90.0, 90.0), (90.0, 0.0), (3.0, 0.0)], 100.0, (50.0, 50.0)
     )
     rng = FakeRng([0.99, 0.2, 0.2, 0.2, 0.2])
-    plan = run_protocol_round(net, params, engines(), 1, rng, RADIO)
+    plan = run_protocol_round(net, round_config(params, RADIO), rng, 1)
     # finals first, then orphan singletons in ascending id; members in ascending id
     assert [(c.head, c.members) for c in plan.clusters] == [(0, [1, 4]), (2, []), (3, [])]
     assert plan.orphan_fallbacks == 2
@@ -272,7 +271,7 @@ def test_leach_routes_always_direct():
 
 def test_leach_two_nodes_forced_draw():
     net = network_from_positions([(10.0, 10.0), (20.0, 10.0)], 100.0, (50.0, 175.0))
-    plan = run_protocol_round(net, LEACH, engines(), 1, FakeRng([0.01, 0.9]), RADIO)
+    plan = run_protocol_round(net, round_config(LEACH, RADIO), FakeRng([0.01, 0.9]), 1)
     assert len(plan.clusters) == 1
     assert plan.clusters[0].members == [1]
     assert plan.routes == {0: None}
@@ -283,7 +282,7 @@ def test_partition_property_all_protocols():
         net = deploy(60, 100.0, (50.0, 175.0), seed=seed, initial_energy=0.5)
         rng = Xorshift64Star(seed)
         for r in range(1, 16):
-            plan = run_protocol_round(net, params, engines(), r, rng, RADIO)
+            plan = run_protocol_round(net, round_config(params, RADIO), rng, r)
             seen = []
             for c in plan.clusters:
                 seen.append(c.head)
@@ -295,9 +294,9 @@ def test_partition_property_all_protocols():
 def test_final_ch_separation_fuzzy():
     net = deploy(80, 100.0, (50.0, 175.0), seed=11, initial_energy=0.5)
     rng = Xorshift64Star(11)
-    eng = engines()
+    cfg = round_config(FUZZY, RADIO)
     for r in range(1, 21):
-        plan = run_protocol_round(net, FUZZY, eng, r, rng, RADIO)
+        plan = run_protocol_round(net, cfg, rng, r)
         chs = [(c.head, c.radius) for c in plan.clusters if c.radius > 0.0]
         for i, (h1, r1) in enumerate(chs):
             for h2, r2 in chs[i + 1 :]:
@@ -308,9 +307,9 @@ def test_route_soundness_over_rounds():
     for params, seed in ((FUZZY, 21), (TYPE2, 22)):
         net = deploy(80, 100.0, (50.0, 175.0), seed=seed, initial_energy=0.5)
         rng = Xorshift64Star(seed)
-        eng = engines()
+        cfg = round_config(params, RADIO)
         for r in range(1, 21):
-            plan = run_protocol_round(net, params, eng, r, rng, RADIO)
+            plan = run_protocol_round(net, cfg, rng, r)
             heads = set(plan.routes)
             for start in heads:
                 hops = 0
@@ -326,12 +325,12 @@ def test_route_soundness_over_rounds():
 def test_unequal_radius_near_vs_far():
     net = deploy(100, 100.0, (50.0, 175.0), seed=31, initial_energy=0.5)
     rng = Xorshift64Star(31)
-    eng = engines()
+    cfg = round_config(FUZZY, RADIO)
     lo = net.bs_dist.min()
     span = net.bs_dist.max() - lo
     near, far = [], []
     for r in range(1, 31):
-        plan = run_protocol_round(net, FUZZY, eng, r, rng, RADIO)
+        plan = run_protocol_round(net, cfg, rng, r)
         for c in plan.clusters:
             if c.radius <= 0.0:
                 continue
@@ -361,7 +360,7 @@ def test_leach_selection_rate_binomial_at_epoch_start():
 def test_control_traffic_can_be_disabled():
     net = deploy(30, 100.0, (50.0, 175.0), seed=2, initial_energy=0.5)
     silent = ProtocolParams(kind="fuzzy_unequal", p=0.05, r_min=10.0, r_max=40.0, control_traffic=False)
-    plan = run_protocol_round(net, silent, engines(), 1, Xorshift64Star(2), RADIO)
+    plan = run_protocol_round(net, round_config(silent, RADIO), Xorshift64Star(2), 1)
     assert plan.control_spend.sum() == 0.0
 
 
@@ -428,7 +427,7 @@ def oracle_fuzzy_round(net, params, rng, radio):
 
 def test_fuzzy_round_matches_hand_trace():
     net = deploy(10, 100.0, (50.0, 175.0), seed=77, initial_energy=0.5)
-    plan = run_protocol_round(net, FUZZY, engines(), 1, Xorshift64Star(123), RADIO)
+    plan = run_protocol_round(net, round_config(FUZZY, RADIO), Xorshift64Star(123), 1)
     got = {c.head: sorted(c.members) for c in plan.clusters}
 
     oracle_net = deploy(10, 100.0, (50.0, 175.0), seed=77, initial_energy=0.5)
