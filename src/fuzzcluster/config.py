@@ -14,14 +14,8 @@ import re
 from typing import Any
 
 from .energy import RadioParams
-from .fis1 import T1_TERMS, MembershipFunction, default_rulebase1, triangular, trapezoidal
-from .fis2 import (
-    DEFAULT_BLUR,
-    T2_CHANCE_TERMS,
-    T2_INPUT_TERMS,
-    T2_RADIUS_TERMS,
-    default_rulebase2,
-)
+from .fis1 import MembershipFunction, default_rulebase1, triangular, trapezoidal
+from .fis2 import DEFAULT_BLUR, T2_CHANCE_TERMS, T2_RADIUS_TERMS, default_rulebase2
 from .protocols import ProtocolParams
 from .simulator import SimConfig
 
@@ -222,11 +216,6 @@ def _split_dynamic(pairs: dict[str, str]):
             continue
         parts = key.split(".")
         if parts[0] in ("mf1", "mf2") and len(parts) == 3:
-            varmap = T1_TERMS if parts[0] == "mf1" else T2_INPUT_TERMS
-            if parts[1] not in varmap:
-                raise ConfigError(f"{key}: unknown variable {parts[1]!r}")
-            if parts[2] not in varmap[parts[1]]:
-                raise ConfigError(f"{key}: unknown term {parts[2]!r} of {parts[1]!r}")
             target = mf1 if parts[0] == "mf1" else mf2
             target.setdefault(parts[1], {})[parts[2]] = _parse_mf(key, value)
         elif parts[0] in ("rule1", "rule2") and len(parts) == 2 and parts[1].isdigit():

@@ -121,28 +121,24 @@ def mf_centroid(mf: MembershipFunction) -> float:
 
 @dataclass(frozen=True)
 class LinguisticVariable:
-    """Named variable over a closed domain with an ordered term vocabulary."""
+    """Named variable over [0, 1] with an ordered term vocabulary."""
 
     name: str
-    domain: tuple[float, float]
     terms: tuple[tuple[str, MembershipFunction], ...]
 
     def __post_init__(self):
-        lo, hi = self.domain
-        if not hi > lo:
-            raise ValueError(f"{self.name}: empty domain {self.domain}")
         names = [t for t, _ in self.terms]
         if len(set(names)) != len(names):
             raise ValueError(f"{self.name}: duplicate term names")
         for t, mf in self.terms:
             s0, s1 = mf.support
-            if s0 < lo or s1 > hi:
-                raise ValueError(f"{self.name}: term {t!r} support {mf.support} leaves domain")
+            if s0 < 0.0 or s1 > 1.0:
+                raise ValueError(f"{self.name}: term {t!r} support {mf.support} leaves [0, 1]")
         # every membership is linear between consecutive breakpoints, so the
-        # cover is positive everywhere iff it is at each breakpoint, at the
-        # domain ends and at each midpoint between consecutive ones
+        # cover is positive everywhere iff it is at each breakpoint, at 0 and
+        # 1 and at each midpoint between consecutive ones
         mfs = [mf for _, mf in self.terms]
-        knots = sorted({lo, hi, *(p for mf in mfs for p in mf.points)})
+        knots = sorted({0.0, 1.0, *(p for mf in mfs for p in mf.points)})
         xs = np.array(sorted(knots + [0.5 * (a + b) for a, b in zip(knots, knots[1:])]))
         cover = _trap_degrees(_breakpoints(mfs), xs).max(axis=0, initial=0.0)
         if not np.all(cover > 0.0):
@@ -176,15 +172,16 @@ class RuleBase1:
     _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        for rule in self.rules:
+        for i, rule in enumerate(self.rules, start=1):
             if len(rule.antecedents) != len(self.inputs):
-                raise ValueError(f"rule {rule} arity != {len(self.inputs)} inputs")
+                raise ValueError(f"rule1.{i}: rule {rule} arity != {len(self.inputs)} inputs")
             if len(rule.consequents) != len(self.outputs):
-                raise ValueError(f"rule {rule} arity != {len(self.outputs)} outputs")
-            for var, term in zip(self.inputs, rule.antecedents):
-                var.term(term)
-            for var, term in zip(self.outputs, rule.consequents):
-                var.term(term)
+                raise ValueError(f"rule1.{i}: rule {rule} arity != {len(self.outputs)} outputs")
+            for var, term in zip(self.inputs + self.outputs, rule.antecedents + rule.consequents):
+                try:
+                    var.term(term)
+                except KeyError as e:
+                    raise ValueError(f"rule1.{i}: {e.args[0]}") from None
 
     def _firing_plan(self) -> _FiringPlan:
         hit = self._cache.get("fire")
@@ -206,7 +203,6 @@ class _FiringPlan:
     declaration order; one more input term that is zero everywhere and one
     more output term without rules pad the tables."""
 
-    domains: np.ndarray  # (2, inputs, 1): lo and hi of each input
     term_input: np.ndarray  # (input terms,): the input each term reads
     bp: np.ndarray  # (4, input terms, 1): see _breakpoints
     term_ante: np.ndarray  # (inputs, k, output terms + 1): antecedent terms of each term's rules
@@ -227,7 +223,6 @@ class _FiringPlan:
         width = max(map(len, term_rules), default=0) or 1
         term_rules = [rs + [len(rb.rules)] * (width - len(rs)) for rs in [*term_rules, []]]
         return cls(
-            domains=np.array([var.domain for var in rb.inputs], float).T[:, :, None],
             term_input=np.repeat(np.arange(len(sizes)), sizes),
             bp=_breakpoints([mf for var in rb.inputs for _, mf in var.terms]),
             term_ante=np.ascontiguousarray(ante[:, term_rules].transpose(0, 2, 1)),
@@ -247,16 +242,13 @@ class _MamdaniPlan:
     run_terms: np.ndarray  # (outputs, depth, runs)
     run_len: np.ndarray  # (runs,)
     cover_mu: np.ndarray  # (outputs, depth, samples): membership of each cover term
-    xs: np.ndarray  # (outputs, samples): COA sample grid of each output
+    xs: np.ndarray  # (samples,): the COA grid, the cell midpoints of [0, 1]
     block: np.ndarray  # (outputs, ROW_CHUNK, samples): reused by every chunk and call
 
     @classmethod
     def build(cls, rb: RuleBase1, samples: int) -> _MamdaniPlan:
-        xs, mats = [], []
-        for var in rb.outputs:
-            lo, hi = var.domain
-            xs.append(lo + (np.arange(samples) + 0.5) * (hi - lo) / samples)
-            mats.append(np.array([mf_sample(mf, xs[-1]) for _, mf in var.terms]))
+        xs = (np.arange(samples) + 0.5) / samples
+        mats = [np.array([mf_sample(mf, xs) for _, mf in var.terms]) for var in rb.outputs]
         pad = sum(map(len, mats))
         # per output and sample, the terms nonzero there in ascending order, then pads
         ids = np.full((len(rb.outputs), max(map(len, mats), default=0), samples), pad)
@@ -271,7 +263,7 @@ class _MamdaniPlan:
             run_terms=cover[:, :, starts],
             run_len=np.diff(np.r_[starts, samples]),
             cover_mu=mat[cover, np.arange(samples)],
-            xs=np.array(xs).reshape(len(rb.outputs), samples),
+            xs=xs,
         )
         del mats, ids, cover, mat  # so the block is not alive beside them
         return cls(**tables, block=np.empty((len(rb.outputs), ROW_CHUNK, samples)))
@@ -280,8 +272,9 @@ class _MamdaniPlan:
 def input_rows(inputs: Mapping[str, np.typing.ArrayLike]) -> np.ndarray:
     """The inputs as the rows of one float array as long as the longest
     input, a one-point input broadcast; an input of any other length raises
-    a ValueError naming it and both lengths, and one of more than one
-    dimension a ValueError naming it and its shape."""
+    a ValueError naming it and both lengths, one of more than one dimension
+    a ValueError naming it and its shape, and a point outside [0, 1], NaN
+    included, a ValueError naming the input and the point."""
     for name, x in inputs.items():
         if np.ndim(x) > 1:
             raise ValueError(f"{name}: shape {np.shape(x)}, but an input is a float or a 1-D array")
@@ -292,6 +285,10 @@ def input_rows(inputs: Mapping[str, np.typing.ArrayLike]) -> np.ndarray:
         if sizes[name] not in (1, len(row)):
             raise ValueError(f"{name}: {sizes[name]} points, but {longest} has {len(row)}")
         row[:] = x
+    inside = (rows >= 0.0) & (rows <= 1.0)
+    if not inside.all():
+        i, j = np.argwhere(~inside)[0]
+        raise ValueError(f"{list(inputs)[i]}={rows[i, j]} outside [0, 1]")
     return rows
 
 
@@ -300,8 +297,8 @@ def term_firings(rb: RuleBase1, inputs: Mapping[str, np.typing.ArrayLike]) -> np
     over its rules.
 
     Inputs are arrays of m points (a one-point input is broadcast), one
-    per input variable of rb; a missing or unknown name, a bad input (see
-    input_rows) or a point outside its input's domain raises a ValueError
+    per input variable of rb; a missing or unknown name or a bad input (see
+    input_rows: a point outside [0, 1] among them) raises a ValueError
     naming the input. Returns an (output terms + 1, m) array: the terms of
     every output in declaration order, then a pad term that never fires. The
     memberships and their (inputs, rules per term, output terms + 1, points)
@@ -316,12 +313,6 @@ def term_firings(rb: RuleBase1, inputs: Mapping[str, np.typing.ArrayLike]) -> np
         raise ValueError(f"unknown input variable {unknown!r}")
     plan = rb._firing_plan()
     x = input_rows({var.name: inputs[var.name] for var in rb.inputs})
-    lo, hi = plan.domains
-    inside = (x >= lo) & (x <= hi)
-    if not inside.all():
-        i, j = np.argwhere(~inside)[0]
-        (lo, hi), name = rb.inputs[i].domain, rb.inputs[i].name
-        raise ValueError(f"{name}: input {x[i, j]} outside domain [{lo}, {hi}]")
     fire = np.empty((plan.term_ante.shape[-1], x.shape[1]))
     for s in range(0, x.shape[1], ROW_CHUNK):
         part = x[:, s : s + ROW_CHUNK]
@@ -342,9 +333,9 @@ def infer_mamdani(
     (output terms + 1, m) term firings of term_firings.
 
     Each output name maps to an (m, samples) block, one row of the
-    aggregated set per point sampled at the cell midpoints of the output's
-    domain, so callers with many points pass them in chunks (eval_fis1 does).
-    The blocks are new arrays, or with ``out`` (an (outputs, >= m, samples)
+    aggregated set per point sampled at the cell midpoints of [0, 1], so
+    callers with many points pass them in chunks (eval_fis1 does). The
+    blocks are new arrays, or with ``out`` (an (outputs, >= m, samples)
     C-order array) the views ``out[o, :m]``, which are overwritten."""
     plan = rb._plan(samples)
     m = firings.shape[1]
@@ -422,7 +413,7 @@ def eval_fis1(
     for s in range(0, fire.shape[1], ROW_CHUNK):
         mus = infer_mamdani(rb, fire[:, s : s + ROW_CHUNK], samples, plan.block)
         out[:, s : s + ROW_CHUNK] = [
-            defuzz_coa(mu, xs, overwrite=True) for mu, xs in zip(mus.values(), plan.xs)
+            defuzz_coa(mu, plan.xs, overwrite=True) for mu in mus.values()
         ]
     if inverse is not None:
         out = out.take(inverse, axis=1)
@@ -521,22 +512,22 @@ MfOverrides = Mapping[str, Mapping[str, MembershipFunction]]
 def apply_overrides(
     stock: Mapping[str, tuple[tuple[str, MembershipFunction], ...]],
     overrides: MfOverrides | None,
+    family: str,
 ) -> list[LinguisticVariable]:
-    """A [0, 1] variable over each named stock partition, with the per-term
+    """A variable over each named stock partition, with the per-term
     membership overrides given for it swapped in. An override of a variable
-    or term the stock lacks raises a ValueError naming it."""
+    or term the stock lacks raises a ValueError that starts with its config
+    key, ``<family>.<variable>`` or ``<family>.<variable>.<term>``."""
     overrides = overrides or {}
     for name, per_term in overrides.items():
         if name not in stock:
-            raise ValueError(f"{name}: unknown variable in membership override")
+            raise ValueError(f"{family}.{name}: unknown variable {name!r}")
         known = {t for t, _ in stock[name]}
         for t in per_term:
             if t not in known:
-                raise ValueError(f"{name}: unknown term {t!r} in membership override")
+                raise ValueError(f"{family}.{name}.{t}: unknown term {t!r} of {name!r}")
     return [
-        LinguisticVariable(
-            name, (0.0, 1.0), tuple((t, overrides.get(name, {}).get(t, mf)) for t, mf in terms)
-        )
+        LinguisticVariable(name, tuple((t, overrides.get(name, {}).get(t, mf)) for t, mf in terms))
         for name, terms in stock.items()
     ]
 
@@ -545,18 +536,22 @@ def default_rulebase1(
     mf_overrides: MfOverrides | None = None,
     rules: Sequence[tuple[str, str, str, str, str]] | None = None,
 ) -> RuleBase1:
-    """The stock radius/chance rule base; breakpoints and rules are overridable."""
+    """The stock radius/chance rule base; breakpoints and rules are
+    overridable. A bad membership override or rule raises a ValueError that
+    starts with its config key: ``mf1.<variable>[.<term>]``, ``rule1`` or
+    ``rule1.<i>``."""
     *inputs, radius, chance = apply_overrides(
         {
             name: (even_terms if name in ("radius", "chance") else three_level_terms)(labels)
             for name, labels in T1_TERMS.items()
         },
         mf_overrides,
+        "mf1",
     )
 
     table = tuple(rules) if rules is not None else RULES_27
     combos = {(d, e, c) for d, e, c, _, _ in table}
     if len(table) != 27 or len(combos) != 27:
-        raise ValueError("rule table must cover all 27 antecedent combinations exactly once")
+        raise ValueError("rule1: rule table must cover all 27 antecedent combinations exactly once")
     rule_objs = tuple(Rule1((d, e, c), (rad, ch)) for d, e, c, rad, ch in table)
     return RuleBase1(tuple(inputs), (radius, chance), rule_objs)

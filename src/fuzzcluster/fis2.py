@@ -57,20 +57,16 @@ def _footprint_degrees(bp: np.ndarray, scale: np.ndarray, x: np.ndarray) -> np.n
     return deg
 
 
-def make_fou(
-    base: MembershipFunction, blur: float, domain: tuple[float, float] = (0.0, 1.0)
-) -> IntervalMF:
-    """Footprint of uncertainty: support widened by blur*width above, height
-    scaled by 1-blur below. blur=0 collapses to the base set."""
+def make_fou(base: MembershipFunction, blur: float) -> IntervalMF:
+    """Footprint of uncertainty: support widened by blur above, within
+    [0, 1], height scaled by 1-blur below. blur=0 collapses to the base set."""
     if not 0.0 <= blur < 1.0:
         raise ValueError(f"blur must lie in [0, 1), got {blur}")
     if blur == 0.0:
         return IntervalMF(base, base, 1.0)
-    lo, hi = domain
-    pad = blur * (hi - lo)
     pts = list(base.points)
-    pts[0] = max(lo, pts[0] - pad)
-    pts[-1] = min(hi, pts[-1] + pad)
+    pts[0] = max(0.0, pts[0] - blur)
+    pts[-1] = min(1.0, pts[-1] + blur)
     upper = MembershipFunction(base.kind, tuple(pts))
     return IntervalMF(base, upper, 1.0 - blur)
 
@@ -97,10 +93,12 @@ class RuleBase2:
     def __post_init__(self):
         pairs = {(r.distance, r.energy) for r in self.rules}
         if len(self.rules) != 9 or len(pairs) != 9:
-            raise ValueError("rule table must cover all 9 antecedent pairs exactly once")
-        for r in self.rules:
-            if r.distance not in self.distance_mfs or r.energy not in self.energy_mfs:
-                raise ValueError(f"rule {r} references an unknown antecedent term")
+            raise ValueError("rule2: rule table must cover all 9 antecedent pairs exactly once")
+        for i, r in enumerate(self.rules, start=1):
+            if r.distance not in self.distance_mfs:
+                raise ValueError(f"rule2.{i}: distance has no term {r.distance!r}")
+            if r.energy not in self.energy_mfs:
+                raise ValueError(f"rule2.{i}: energy has no term {r.energy!r}")
 
     def _plan(self) -> tuple[list, np.ndarray]:
         """The firing tables (see _firing_tables) and the (outputs, rules)
@@ -285,8 +283,10 @@ def default_rulebase2(
     rules: Sequence[tuple[str, str, str, str]] | None = None,
 ) -> RuleBase2:
     """The stock two-input election rule base with configurable footprints.
-    A bad footprint width or weight raises a ValueError that starts with its
-    config key: ``blur``, ``blur.<variable>``, ``w.radius`` or ``w.chance``."""
+    A bad footprint width, membership override, weight or rule raises a
+    ValueError that starts with its config key: ``blur``,
+    ``blur.<variable>``, ``mf2.<variable>[.<term>]``, ``w.radius``,
+    ``w.chance``, ``rule2`` or ``rule2.<i>``."""
     blurs = dict(blur_overrides or {})
     if not 0.0 <= blur < 1.0:
         raise ValueError(f"blur: must lie in [0, 1), got {blur}")
@@ -296,10 +296,12 @@ def default_rulebase2(
         if not 0.0 <= b < 1.0:
             raise ValueError(f"blur.{var}: must lie in [0, 1), got {b}")
     distance, energy = apply_overrides(
-        {name: three_level_terms(labels) for name, labels in T2_INPUT_TERMS.items()}, mf_overrides
+        {name: three_level_terms(labels) for name, labels in T2_INPUT_TERMS.items()},
+        mf_overrides,
+        "mf2",
     )
     distance_mfs, energy_mfs = (
-        {t: make_fou(mf, blurs.get(var.name, blur), var.domain) for t, mf in var.terms}
+        {t: make_fou(mf, blurs.get(var.name, blur)) for t, mf in var.terms}
         for var in (distance, energy)
     )
 
@@ -307,11 +309,11 @@ def default_rulebase2(
     wc = _weights("w.chance", w_chance, T2_CHANCE_TERMS)
     table = tuple(rules) if rules is not None else RULES_9
     rule_objs = []
-    for d, e, rad, ch in table:
+    for i, (d, e, rad, ch) in enumerate(table, start=1):
         if rad not in wr:
-            raise ValueError(f"unknown radius consequent {rad!r}")
+            raise ValueError(f"rule2.{i}: radius has no term {rad!r}")
         if ch not in wc:
-            raise ValueError(f"unknown chance consequent {ch!r}")
+            raise ValueError(f"rule2.{i}: chance has no term {ch!r}")
         rule_objs.append(Rule2(d, e, rad, ch, wr[rad], wc[ch]))
     return RuleBase2(distance_mfs, energy_mfs, tuple(rule_objs))
 
@@ -326,10 +328,6 @@ def eval_t2fis(
     NaN in both outputs marks a degenerate point: every rule fired at zero,
     or either reduced interval came out inverted."""
     x = input_rows({"db": db, "re": re})
-    for name, row in zip(("db", "re"), x):
-        bad = ~((row >= 0.0) & (row <= 1.0))
-        if bad.any():
-            raise ValueError(f"{name}={row[bad][0]} outside [0, 1]")
     tables, weights = rb._plan()
     lo, hi = km_type_reduce(_fire(tables, x[0], x[1]), weights)
     out = 0.5 * (lo + hi)

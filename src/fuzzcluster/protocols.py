@@ -138,8 +138,8 @@ def compute_radius_chance(inputs: tuple, cfg: SimConfig) -> tuple[np.ndarray, np
 
     The inputs are equal-length arrays with one entry per candidate, sized in
     one engine call; type2fl reads only db and re, so its conc may be None. A
-    point where the engine output is degenerate falls back to the domain
-    midpoint on its own and is flagged."""
+    point where the engine output is degenerate falls back to 0.5 in both
+    outputs on its own and is flagged."""
     db, re, conc = inputs
     params = cfg.protocol
     if params.kind == KIND_TYPE2:

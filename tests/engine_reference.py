@@ -110,7 +110,7 @@ def eval_fis1_ref(rb, inputs, samples: int) -> dict[str, float]:
         firing = np.minimum(firing, deg[idx])
     out = {}
     for j, var in enumerate(rb.outputs):
-        lo, hi = var.domain
+        lo, hi = 0.0, 1.0
         xs = lo + (np.arange(samples) + 0.5) * (hi - lo) / samples
         mat = np.stack([mf_sample(mf, xs) for _, mf in var.terms])
         names = list(var.term_names)

@@ -425,7 +425,7 @@ def t1_built_cases(draw, n_inputs, n_outputs):
         n = draw(sizes)
         shoulders = n == 3 and draw(st.booleans())
         terms = three_level_terms(labels[:3]) if shoulders else even_terms(labels[:n])
-        return LinguisticVariable(name, (0.0, 1.0), terms)
+        return LinguisticVariable(name, terms)
 
     ins = tuple(variable(f"in{i}", st.integers(2, 5)) for i in range(n_inputs))
     outs = tuple(variable(f"out{j}", st.integers(2, 9)) for j in range(n_outputs))
@@ -534,6 +534,25 @@ def test_engines_name_an_input_of_another_length(inputs, message):
             eval_t2fis(default_rulebase2(), **inputs)
         else:
             eval_fis1(default_rulebase1(), inputs)
+
+
+@pytest.mark.parametrize("value", [1.5, -0.25, np.nan], ids=["above", "below", "nan"])
+@pytest.mark.parametrize(
+    "engine,name",
+    [("fis1", "distance"), ("fis1", "energy"), ("fis1", "concentration"), ("fis2", "db"),
+     ("fis2", "re")],
+)
+def test_engines_reject_a_point_outside_the_unit_interval(engine, name, value):
+    inputs = dict.fromkeys(
+        ("distance", "energy", "concentration") if engine == "fis1" else ("db", "re"),
+        np.array([0.0, 0.5, 1.0]),
+    )
+    inputs[name] = np.array([0.0, value, 1.0])
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{name}={value} outside [0, 1]')}$"):
+        if engine == "fis1":
+            eval_fis1(default_rulebase1(), inputs)
+        else:
+            eval_t2fis(default_rulebase2(), **inputs)
 
 
 # --- protocols: one engine call per round, fallbacks point by point ----------------

@@ -11,6 +11,8 @@ from conftest import read_metrics_csv
 from fuzzcluster.cli import main
 from fuzzcluster.config import PRESETS
 from fuzzcluster.csvio import read_positions_csv, write_metrics_csv, write_summary_csv
+from fuzzcluster.fis1 import RULES_27
+from fuzzcluster.fis2 import RULES_9
 from fuzzcluster.simulator import RoundMetrics, SimResult
 
 
@@ -121,6 +123,37 @@ def test_cli_runs_footprints_narrower_than_an_ulp(tmp_path, capsys):
 def test_cli_missing_config_file(tmp_path, capsys):
     code = run_cli(["--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])
     assert code == 1
+
+
+def rule_lines(family, table, row, replace):
+    """The config lines of a whole rule table, with the 1-based row's
+    fields replaced by position."""
+    lines = []
+    for i, rule in enumerate(table, start=1):
+        fields = [replace.get(k, f) for k, f in enumerate(rule)] if i == row else rule
+        lines.append(f"{family}.{i} = {','.join(fields)}\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize(
+    "family,table,row,replace,message",
+    [
+        ("rule1", RULES_27, 1, {0: "nowhere"}, "rule1.1: distance has no term 'nowhere'"),
+        ("rule1", RULES_27, 5, {4: "huge"}, "rule1.5: chance has no term 'huge'"),
+        ("rule1", RULES_27, 2, {2: "high"}, "rule1: rule table must cover all 27"),
+        ("rule2", RULES_9, 4, {0: "nowhere"}, "rule2.4: distance has no term 'nowhere'"),
+        ("rule2", RULES_9, 9, {2: "huge"}, "rule2.9: radius has no term 'huge'"),
+        ("rule2", RULES_9, 3, {1: "low"}, "rule2: rule table must cover all 9"),
+    ],
+    ids=["rule1-antecedent", "rule1-consequent", "rule1-table", "rule2-antecedent",
+         "rule2-consequent", "rule2-table"],
+)
+def test_cli_bad_rule_line_names_its_key(tmp_path, capsys, family, table, row, replace, message):
+    cfg = tmp_path / "rules.cfg"
+    cfg.write_text(PRESETS["ch3"] + rule_lines(family, table, row, replace), encoding="utf-8")
+    code = run_cli(["--config", str(cfg), "--rounds", "1", "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 @pytest.mark.parametrize(

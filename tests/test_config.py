@@ -156,6 +156,8 @@ def test_energy_override_unknown_node(tmp_path):
         ("energy_overrides = 3:nan", "energy_overrides"),
         ("energy_overrides = 3:0.1, 3:0.2", "energy_overrides: node 3"),
         ("mf1.distance.close = tri:0,inf,1", "mf1.distance.close"),
+        ("mf1.distanc.close = tri:0,0.5,1", "mf1.distanc"),
+        ("mf2.distance.nearby = tri:0,0.5,1", "mf2.distance.nearby"),
         ("w.radius = 0.1,0.2,nan,0.6,0.8,0.9", "w.radius"),
         ("w.chance = 0.1,0.2,0.4,0.6,0.8,1.5", "w.chance"),
         ("blur.energy = -inf", "blur.energy"),

@@ -336,7 +336,7 @@ def test_unknown_consequent_rejected():
 @pytest.mark.parametrize(
     "kwargs,message",
     [
-        ({"mf_overrides": {"distanc": {}}}, "distanc: unknown variable"),
+        ({"mf_overrides": {"distanc": {}}}, "mf2.distanc: unknown variable 'distanc'"),
         ({"w_radius": {"very_small": 7.0}}, "w.radius: weight 7.0 of 'very_small' outside [0, 1]"),
         ({"w_radius": {"very_small": 0.5}}, "w.radius: no weight for 'small'"),
         (
