@@ -14,7 +14,7 @@ import re
 from typing import Any
 
 from .energy import RadioParams
-from .fis1 import MembershipFunction, default_rulebase1, triangular, trapezoidal
+from .fis1 import MembershipFunction, default_rulebase1
 from .fis2 import DEFAULT_BLUR, T2_CHANCE_TERMS, T2_RADIUS_TERMS, default_rulebase2
 from .protocols import ProtocolParams
 from .simulator import SimConfig
@@ -151,15 +151,11 @@ def _as_bool(key: str, text: str) -> bool:
 
 def _parse_mf(key: str, value: str) -> MembershipFunction:
     shape, _, rest = value.partition(":")
-    pts = [_finite(key, x) for x in rest.split(",")]
+    points = tuple(_finite(key, x) for x in rest.split(","))
     try:
-        if shape == "tri" and len(pts) == 3:
-            return triangular(*pts)
-        if shape == "trap" and len(pts) == 4:
-            return trapezoidal(*pts)
+        return MembershipFunction(shape, points)
     except ValueError as e:
         raise ConfigError(f"{key}: {e}") from None
-    raise ConfigError(f"{key}: expected tri:a,b,c or trap:a,b,c,d, got {value!r}")
 
 
 def _parse_energy_overrides(key: str, value: str) -> dict[int, float]:
@@ -218,8 +214,9 @@ def _split_dynamic(pairs: dict[str, str]):
         if parts[0] in ("mf1", "mf2") and len(parts) == 3:
             target = mf1 if parts[0] == "mf1" else mf2
             target.setdefault(parts[1], {})[parts[2]] = _parse_mf(key, value)
-        elif parts[0] in ("rule1", "rule2") and len(parts) == 2 and parts[1].isdigit():
-            (rules1 if parts[0] == "rule1" else rules2)[int(parts[1])] = value
+        # one spelling per rule number: no sign, no leading zero, ASCII digits
+        elif rule := re.fullmatch(r"rule([12])\.([1-9][0-9]*)", key):
+            (rules1 if rule[1] == "1" else rules2)[int(rule[2])] = value
         elif parts[0] == "blur" and len(parts) == 2:
             blurs[parts[1]] = _finite(key, value)
         else:

@@ -99,10 +99,7 @@ def _vertices(mf: MembershipFunction) -> tuple[list[float], list[float]]:
 
 def mf_sample(mf: MembershipFunction, xs: np.ndarray) -> np.ndarray:
     """Vectorized evaluation on a grid."""
-    xp, fp = _vertices(mf)
-    if len(xp) == 1:
-        return np.where(xs == xp[0], 1.0, 0.0)
-    return np.interp(xs, xp, fp, left=0.0, right=0.0)
+    return np.interp(xs, *_vertices(mf), left=0.0, right=0.0)
 
 
 def mf_centroid(mf: MembershipFunction) -> float:
@@ -164,12 +161,12 @@ class Rule1:
     consequents: tuple[str, ...]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True)
 class RuleBase1:
     inputs: tuple[LinguisticVariable, ...]
     outputs: tuple[LinguisticVariable, ...]
     rules: tuple[Rule1, ...]
-    _cache: dict = field(default_factory=dict, init=False, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for i, rule in enumerate(self.rules, start=1):

@@ -62,8 +62,6 @@ def make_fou(base: MembershipFunction, blur: float) -> IntervalMF:
     [0, 1], height scaled by 1-blur below. blur=0 collapses to the base set."""
     if not 0.0 <= blur < 1.0:
         raise ValueError(f"blur must lie in [0, 1), got {blur}")
-    if blur == 0.0:
-        return IntervalMF(base, base, 1.0)
     pts = list(base.points)
     pts[0] = max(0.0, pts[0] - blur)
     pts[-1] = min(1.0, pts[-1] + blur)

@@ -62,7 +62,6 @@ class Cluster:
     head: int
     members: list[int]
     radius: float
-    chance: float
 
 
 @dataclass
@@ -74,7 +73,6 @@ class RoundPlan:
 
     heads: np.ndarray  # head id per cluster
     radius: np.ndarray  # competition radius in m; 0 for LEACH heads and orphans
-    chance: np.ndarray  # head chance; 0 for LEACH heads and orphans
     sizes: np.ndarray  # member count per cluster
     members: np.ndarray  # member ids, cluster after cluster, ascending in each
     next_hop: np.ndarray  # position in heads of each head's next hop, -1 = sink
@@ -88,8 +86,8 @@ class RoundPlan:
         members, heads, sizes = self.members.tolist(), self.heads.tolist(), self.sizes.tolist()
         ends = np.cumsum(self.sizes).tolist()
         return [
-            Cluster(h, members[e - n : e], r, c)
-            for h, n, e, r, c in zip(heads, sizes, ends, self.radius.tolist(), self.chance.tolist())
+            Cluster(h, members[e - n : e], r)
+            for h, n, e, r in zip(heads, sizes, ends, self.radius.tolist())
         ]
 
     @property
@@ -290,7 +288,7 @@ def run_protocol_round(
     leach = params.kind == KIND_LEACH
 
     if leach:
-        finals, radius, chance = ids, np.zeros(len(ids)), np.zeros(len(ids))
+        finals, radius = ids, np.zeros(len(ids))
         ids, cand_radius = ids[:0], radius[:0]  # no candidate announcements
     else:
         # type2fl reads only (db, re), so it counts no neighbors
@@ -299,10 +297,10 @@ def run_protocol_round(
         cand_radius, chance, fell_back = compute_radius_chance(inputs, cfg)
         fis_fallbacks = int(fell_back.sum())
         won = compete_final_chs(ids, cand_radius, chance, net)
-        finals, radius, chance = ids[won], cand_radius[won], chance[won]
+        finals, radius = ids[won], cand_radius[won]
 
     (heads, sizes, members), orphans = assign_members(net, finals, params.kind, params.r_max)
-    radius, chance = (np.concatenate((x, np.zeros(orphans))) for x in (radius, chance))
+    radius = np.concatenate((radius, np.zeros(orphans)))
     k = len(finals)  # the finals' announcements are heads[:k]
 
     control = np.zeros(net.n)
@@ -325,5 +323,5 @@ def run_protocol_round(
 
     next_hop = build_routes(heads, net, threshold_distance(radio), direct_only=leach)
     return RoundPlan(
-        heads, radius, chance, sizes, members, next_hop, control, int(forced) + orphans, fis_fallbacks
+        heads, radius, sizes, members, next_hop, control, int(forced) + orphans, fis_fallbacks
     )

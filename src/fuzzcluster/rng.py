@@ -10,45 +10,28 @@ _ZERO_SEED_PAD = 0x9E3779B97F4A7C15
 
 # The xorshift step is linear over GF(2), so the state k steps on is the XOR,
 # over the set bits b of the state now, of the state k steps on from bit b
-# alone. _TABLE[b, i] holds the latter for i + 1 steps, as uint64. It is
-# built on demand, out to the most steps one gather has asked for and at most
-# TABLE_STEPS columns (512 KiB).
-TABLE_STEPS = 1024
-# Table entries one gather may copy: 64 KiB, below glibc malloc's 128 KiB
-# mmap threshold, so no gather is mapped and faulted in afresh.
-GATHER_WORDS = 8192
-_TABLE = np.empty((64, 0), dtype=np.uint64)
-# the 64 lanes of a packed state: lane b of a 4096-bit int is bits 64b..64b+63
-_LANES = sum(1 << (64 * b) for b in range(64))
-_KEEP_12, _KEEP_25, _KEEP_27 = (
-    (MASK64 >> 12) * _LANES,
-    (MASK64 << 25 & MASK64) * _LANES,
-    (MASK64 >> 27) * _LANES,
-)
+# alone. _TABLE[b, i] holds the latter for i + 1 steps, as uint64: 64 rows of
+# TABLE_STEPS columns, 64 KiB, built once at import and read-only. One gather
+# copies at most the whole table, below glibc malloc's 128 KiB mmap threshold,
+# so no gather is mapped and faulted in afresh.
+TABLE_STEPS = 128
 
 
-def _table(steps: int) -> np.ndarray:
-    """The jump table with at least ``steps`` columns (``steps`` <= TABLE_STEPS).
+def _jump_columns() -> np.ndarray:
+    """The 64 single-bit states stepped together TABLE_STEPS times; uint64
+    shifts drop the bits shifted out, as the masked int step does."""
+    x = np.uint64(1) << np.arange(64, dtype=np.uint64)
+    table = np.empty((64, TABLE_STEPS), dtype=np.uint64)  # C order: rows contiguous
+    for i in range(TABLE_STEPS):
+        x ^= x >> np.uint64(12)
+        x ^= x << np.uint64(25)
+        x ^= x >> np.uint64(27)
+        table[:, i] = x
+    table.setflags(write=False)
+    return table
 
-    New columns step all 64 single-bit states at once, packed as the lanes of
-    one Python int; each mask keeps the shifted bits inside their own lane."""
-    global _TABLE
-    have = _TABLE.shape[1]
-    if have < steps:
-        start = _TABLE[:, -1] if have else np.uint64(1) << np.arange(64, dtype=np.uint64)
-        x = int.from_bytes(start.astype("<u8").tobytes(), "little")
-        cols = []
-        for _ in range(steps - have):
-            x ^= (x >> 12) & _KEEP_12
-            x ^= (x << 25) & _KEEP_25
-            x ^= (x >> 27) & _KEEP_27
-            cols.append(x.to_bytes(512, "little"))
-        # C order, so that each bit's row is contiguous
-        table = np.empty((64, steps), dtype=np.uint64)
-        table[:, :have] = _TABLE
-        table[:, have:] = np.frombuffer(b"".join(cols), dtype="<u8").reshape(-1, 64).T
-        _TABLE = table
-    return _TABLE
+
+_TABLE = _jump_columns()
 
 
 class Xorshift64Star:
@@ -57,7 +40,8 @@ class Xorshift64Star:
     A simulation run owns exactly one instance and consumes draws in a
     documented fixed order (deployment first, then per-round node draws by
     ascending id), which makes runs reproducible across platforms. Its only
-    state is ``_state``, a Python int; the jump table is shared by the module.
+    state is ``_state``, a Python int; the read-only jump table belongs to
+    the module.
     """
 
     def __init__(self, seed: int):
@@ -81,16 +65,16 @@ class Xorshift64Star:
         """The next k random() values as one float64 array, leaving the
         generator where k random() calls would, bit for bit.
 
-        Each block of states is one gather and XOR-reduce over the jump table
-        rows of the state's set bits; the scramble runs on uint64 arrays,
-        where the product wraps as the masked int product does."""
+        Each block of at most TABLE_STEPS states is one gather and XOR-reduce
+        over the jump table rows of the state's set bits; the scramble runs on
+        uint64 arrays, where the product wraps as the masked int product does."""
         states = np.empty(k, dtype=np.uint64)
         s, done = self._state, 0
         while done < k:
-            m = min(k - done, GATHER_WORDS // s.bit_count(), TABLE_STEPS)
+            m = min(k - done, TABLE_STEPS)
             octets = np.frombuffer(s.to_bytes(8, "little"), np.uint8)
             bits = np.unpackbits(octets, bitorder="little").view(bool)
-            np.bitwise_xor.reduce(_table(m)[bits, :m], axis=0, out=states[done : done + m])
+            np.bitwise_xor.reduce(_TABLE[bits, :m], axis=0, out=states[done : done + m])
             done += m
             s = int(states[done - 1])
         self._state = s

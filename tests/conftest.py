@@ -106,7 +106,6 @@ def plan_from(net, clusters, routes):
     return RoundPlan(
         heads=np.array(heads, dtype=np.intp),
         radius=np.array([c.radius for c in clusters]),
-        chance=np.array([c.chance for c in clusters]),
         sizes=np.array([len(c.members) for c in clusters], dtype=np.intp),
         members=np.array([m for c in clusters for m in c.members], dtype=np.intp),
         next_hop=np.array([-1 if routes[h] is None else heads.index(routes[h]) for h in heads]),

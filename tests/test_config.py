@@ -229,6 +229,16 @@ def test_rule1_override_complete(tmp_path):
     assert len(cfg.rules1.rules) == 27
 
 
+@pytest.mark.parametrize("family,rows", [("rule1", RULES_27), ("rule2", RULES_9)])
+@pytest.mark.parametrize("number", ["01", "001", "0", "+1", " 1", "1_0", "\u0661"])
+def test_rule_numbers_are_canonical(tmp_path, family, rows, number):
+    # a second spelling of a number must not replace that rule without a word
+    lines = "".join(f"{family}.{i} = {','.join(row)}\n" for i, row in enumerate(rows, start=1))
+    key = f"{family}.{number}"
+    with pytest.raises(ConfigError, match=rf"^unknown key {re.escape(repr(key))}$"):
+        parse_config(write_cfg(tmp_path, BASE + lines + f"{key} = {','.join(rows[0])}\n"))
+
+
 def test_rule2_override_complete_and_weights(tmp_path):
     lines = "".join(
         f"rule2.{i} = {d},{e},{rad},{ch}\n" for i, (d, e, rad, ch) in enumerate(RULES_9, start=1)
@@ -266,3 +276,29 @@ def test_replaced_rules2_is_the_engine_a_run_uses(tmp_path):
         run_simulation(cfg).rounds for cfg in (unblurred, crisp, blurred)
     )
     assert unblurred_rounds == crisp_rounds != blurred_rounds
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("mf2.distance.moderate = bell:0.2,0.5,0.8", "unknown membership kind 'bell'"),
+        ("mf1.energy.avg = tri:0.2,0.5", "tri takes 3 breakpoints, got 2"),
+        ("mf2.energy.med = trap:0.2,0.5,0.8", "trap takes 4 breakpoints, got 3"),
+        ("mf1.distance.far = tri:0.5,0.2,0.8", "breakpoints must be nondecreasing: (0.5, 0.2, 0.8)"),
+        ("mf1.distance.far = tri:0.2,x,0.8", "not a number: 'x'"),
+    ],
+)
+def test_membership_errors_name_their_key(tmp_path, line, message):
+    key = line.split(" = ")[0]
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'{key}: {message}')}$"):
+        parse_config(write_cfg(tmp_path, BASE + line + "\n"))
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_two_parses_of_a_preset_compare_equal(tmp_path, preset):
+    cfg = parse_config(preset)
+    assert cfg == parse_config(preset)
+    assert cfg == parse_config(write_cfg(tmp_path, PRESETS[preset]))
+    assert replace(cfg, seed=cfg.seed + 1) != cfg
+    moved = PRESETS[preset] + "mf1.distance.close = trap:0,0,0.3,0.5\n"
+    assert parse_config(write_cfg(tmp_path, moved, "moved.cfg")) != cfg

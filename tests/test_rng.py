@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzcluster import rng as rng_module
-from fuzzcluster.rng import GATHER_WORDS, MASK64, TABLE_STEPS, Xorshift64Star
+from fuzzcluster.rng import MASK64, TABLE_STEPS, Xorshift64Star
 
-# 0 is the padded seed; 1 and 2**63 have one set bit, so their first block is
-# TABLE_STEPS long; 2**64 - 1 has 64, so its blocks are GATHER_WORDS // 64 long
+# 0 is the padded seed; 1 and 2**63 have one set bit, 2**64 - 1 has 64. Every
+# block but a call's last is TABLE_STEPS long, so the sizes end one, eight and
+# about sixteen blocks, each on either side of a block's end.
 SEEDS = [0, 1, 2**63, MASK64]
-SIZES = [0, 1, 63, 64, 65, TABLE_STEPS - 1, TABLE_STEPS, TABLE_STEPS + 1, 2000]
+SIZES = [0, 1, 63, 64, 65, *(n * TABLE_STEPS + d for n in (1, 8) for d in (-1, 0, 1)), 2000]
 
 
 def sequential(rng, k):
@@ -45,30 +46,21 @@ def test_blocks_and_single_draws_interleave(seed, blocks, between):
     assert block._state == ref._state
 
 
-def test_table_grows_from_empty_to_its_cap(monkeypatch):
-    monkeypatch.setattr(rng_module, "_TABLE", np.empty((64, 0), dtype=np.uint64))
-    widths = []
-    for seed, k in ((MASK64 // 3, 5), (MASK64 // 3, 600), (1, 3000)):
-        block, ref = Xorshift64Star(seed), Xorshift64Star(seed)
-        assert block.uniforms(k).tolist() == sequential(ref, k)
-        assert block._state == ref._state
-        widths.append(rng_module._TABLE.shape[1])
-    # as wide as the longest block: 5 draws, then blocks of at most
-    # GATHER_WORDS // (set bits) draws, then TABLE_STEPS from a one-bit state
-    assert widths[0] == 5 and 5 < widths[1] < TABLE_STEPS and widths[2] == TABLE_STEPS
-    assert rng_module._TABLE.nbytes == 512 * 1024
-    assert rng_module._TABLE.flags.c_contiguous
+def test_table_is_one_read_only_constant():
+    table = rng_module._TABLE
+    assert table.shape == (64, TABLE_STEPS) and table.dtype == np.uint64
+    assert table.flags.c_contiguous and not table.flags.writeable
+    assert table.nbytes == 64 * 1024
 
 
 def test_table_row_steps_a_single_bit():
-    table = rng_module._table(70)
     for b in (0, 11, 37, 63):
         r = Xorshift64Star(1 << b)
         steps = []
-        for _ in range(70):
+        for _ in range(TABLE_STEPS):
             r.next_u64()
             steps.append(r._state)
-        assert table[b, :70].tolist() == steps
+        assert rng_module._TABLE[b].tolist() == steps
 
 
 def test_pickled_generator_carries_no_table():
@@ -81,7 +73,6 @@ def test_pickled_generator_carries_no_table():
 
 
 def test_block_temporaries_stay_below_the_mmap_threshold():
-    rng_module._table(TABLE_STEPS)  # the table is built outside the measurement
     rng = Xorshift64Star(MASK64)  # 64 set bits: the widest gathers
     tracemalloc.start()
     try:
@@ -89,5 +80,5 @@ def test_block_temporaries_stay_below_the_mmap_threshold():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # states and result (8 KB each) beside one gather of GATHER_WORDS words
+    # states and result (8 KB each) beside one gather of at most the table
     assert peak < 128 * 1024
