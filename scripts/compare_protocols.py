@@ -33,7 +33,8 @@ def main() -> int:
         if args.seeds < 1:
             raise ValueError("seeds: must be at least 1")
         base = replace(parse_config(args.preset), max_rounds=args.rounds, seed=args.seed0)
-        base.validate()
+        for seed in (args.seed0, args.seed0 + args.seeds - 1):
+            replace(base, seed=seed).validate()
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

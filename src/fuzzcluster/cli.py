@@ -56,7 +56,8 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError("seeds: must be at least 1")
         if args.positions:
             cfg = replace(cfg, positions=read_positions_csv(args.positions))
-        cfg.validate()
+        for seed in (cfg.seed, cfg.seed + args.seeds - 1):  # so that every seed between is too
+            replace(cfg, seed=seed).validate()
 
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

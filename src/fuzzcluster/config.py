@@ -3,8 +3,9 @@
 Radio constants are written in the units the scenario tables use (nJ and pJ)
 and normalized to joules here. Unknown keys are rejected so typos surface
 immediately; every error names the offending key. This module only parses:
-range rules belong to SimConfig, ProtocolParams, RadioParams and the rule-base
-builders, and their errors are re-raised here under the config key.
+range rules, defaults and rule tables belong to SimConfig, ProtocolParams,
+RadioParams and the rule-base builders, which see only the keys a file gives;
+their errors are re-raised here under the config key.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from typing import Any
 
 from .energy import RadioParams
 from .fis1 import MembershipFunction, default_rulebase1
-from .fis2 import DEFAULT_BLUR, T2_CHANCE_TERMS, T2_RADIUS_TERMS, default_rulebase2
+from .fis2 import default_rulebase2
 from .protocols import ProtocolParams
 from .simulator import SimConfig
 
@@ -26,23 +27,8 @@ class ConfigError(ValueError):
 
 PROTOCOL_NAMES = {"leach": "leach", "fuzzy-unequal": "fuzzy_unequal", "type2fl": "type2fl"}
 
-_REQUIRED = (
-    "nodes",
-    "area_m",
-    "bs_x",
-    "bs_y",
-    "initial_energy_j",
-    "e_elec_nj",
-    "eps_fs_pj",
-    "eps_mp_pj",
-    "e_da_nj",
-    "packet_bits",
-    "ctrl_bits",
-    "protocol",
-)
-
-# The dataclasses name their fields in their messages; the file calls these
-# fields by other keys.
+# Fields and builder parameters that the file calls by other keys; the
+# dataclasses name their fields in their messages.
 _KEY_OF = {
     "n": "nodes",
     "area_side": "area_m",
@@ -54,6 +40,8 @@ _KEY_OF = {
     "r_min": "r_min_m",
     "r_max": "r_max_m",
     "nbr_radius": "nbr_radius_m",
+    "w_radius": "w.radius",
+    "w_chance": "w.chance",
 }
 
 PRESETS: dict[str, str] = {
@@ -140,6 +128,10 @@ def _as_int(key: str, text: str) -> int:
         raise ConfigError(f"{key}: not an integer: {text!r}") from None
 
 
+def _as_floats(key: str, text: str) -> tuple[float, ...]:
+    return tuple(_finite(key, x) for x in text.split(","))
+
+
 def _as_bool(key: str, text: str) -> bool:
     v = text.lower()
     if v in ("true", "1", "yes"):
@@ -150,8 +142,10 @@ def _as_bool(key: str, text: str) -> bool:
 
 
 def _parse_mf(key: str, value: str) -> MembershipFunction:
-    shape, _, rest = value.partition(":")
-    points = tuple(_finite(key, x) for x in rest.split(","))
+    shape, colon, rest = value.partition(":")
+    if not colon or not rest.strip():
+        raise ConfigError(f"{key}: expected tri:a,b,c or trap:a,b,c,d, got {value!r}")
+    points = _as_floats(key, rest)
     try:
         return MembershipFunction(shape, points)
     except ValueError as e:
@@ -162,21 +156,13 @@ def _parse_energy_overrides(key: str, value: str) -> dict[int, float]:
     out: dict[int, float] = {}
     for item in value.split(","):
         nid_s, _, e_s = item.partition(":")
-        try:
-            nid = int(nid_s)
-        except ValueError:
-            raise ConfigError(f"{key}: bad entry {item.strip()!r}") from None
+        if not re.fullmatch(r"\s*[+-]?\d+\s*", nid_s) or not e_s.strip():
+            raise ConfigError(f"{key}: expected id:J entries, got {item.strip()!r}")
+        nid = int(nid_s)
         if nid in out:
             raise ConfigError(f"{key}: node {nid} listed twice")
         out[nid] = _finite(key, e_s)
     return out
-
-
-def _parse_weights(key: str, value: str, terms: tuple[str, ...]) -> dict[str, float]:
-    ws = [_finite(key, x) for x in value.split(",")]
-    if len(ws) != len(terms):
-        raise ConfigError(f"{key}: expected {len(terms)} weights, got {len(ws)}")
-    return dict(zip(terms, ws))
 
 
 # How each plain key's text becomes a value; a key missing here is unknown.
@@ -192,51 +178,49 @@ _PARSERS = {
     "protocol": lambda key, text: text,
     "control_traffic": _as_bool,
     "energy_overrides": _parse_energy_overrides,
-    "w.radius": lambda key, text: _parse_weights(key, text, T2_RADIUS_TERMS),
-    "w.chance": lambda key, text: _parse_weights(key, text, T2_CHANCE_TERMS),
+    **dict.fromkeys(("w.radius", "w.chance"), _as_floats),
 }
 
 
+class _Parsed(dict):
+    def __missing__(self, key: str):
+        raise ConfigError(f"missing required key {key!r}")
+
+
+def _given(v: _Parsed, *names: str) -> dict[str, Any]:
+    """``name=value`` for each field or parameter whose key the file gives."""
+    return {name: v[_KEY_OF.get(name, name)] for name in names if _KEY_OF.get(name, name) in v}
+
+
 def _split_dynamic(pairs: dict[str, str]):
-    """Parse the plain keys; pull out the mf1./mf2./rule1./rule2./blur. families;
-    reject other keys."""
-    plain: dict[str, Any] = {}
-    mf1: dict[str, dict[str, MembershipFunction]] = {}
-    mf2: dict[str, dict[str, MembershipFunction]] = {}
-    rules1: dict[int, str] = {}
-    rules2: dict[int, str] = {}
-    blurs: dict[str, float] = {}
+    """Parse the plain keys; pull out the mf1./mf2./rule1./rule2./blur. families,
+    each into its own dict under its family name; reject other keys."""
+    plain = _Parsed()
+    families: dict[str, dict] = {"mf1": {}, "mf2": {}, "rule1": {}, "rule2": {}, "blur": {}}
     for key, value in pairs.items():
         if key in _PARSERS:
             plain[key] = _PARSERS[key](key, value)
             continue
         parts = key.split(".")
         if parts[0] in ("mf1", "mf2") and len(parts) == 3:
-            target = mf1 if parts[0] == "mf1" else mf2
-            target.setdefault(parts[1], {})[parts[2]] = _parse_mf(key, value)
+            families[parts[0]].setdefault(parts[1], {})[parts[2]] = _parse_mf(key, value)
         # one spelling per rule number: no sign, no leading zero, ASCII digits
-        elif rule := re.fullmatch(r"rule([12])\.([1-9][0-9]*)", key):
-            (rules1 if rule[1] == "1" else rules2)[int(rule[2])] = value
+        elif rule := re.fullmatch(r"(rule[12])\.([1-9][0-9]*)", key):
+            families[rule[1]][int(rule[2])] = value
         elif parts[0] == "blur" and len(parts) == 2:
-            blurs[parts[1]] = _finite(key, value)
+            families["blur"][parts[1]] = _finite(key, value)
         else:
             raise ConfigError(f"unknown key {key!r}")
-    return plain, mf1, mf2, rules1, rules2, blurs
+    return plain, families
 
 
-def _collect_rules(numbered: dict[int, str], count: int, arity: int, family: str):
-    if not numbered:
-        return None
-    expected = set(range(1, count + 1))
-    if set(numbered) != expected:
-        raise ConfigError(f"{family}: need entries {family}.1 .. {family}.{count}")
-    table = []
-    for i in range(1, count + 1):
-        fields = tuple(part.strip() for part in numbered[i].split(","))
-        if len(fields) != arity:
-            raise ConfigError(f"{family}.{i}: expected {arity} comma-separated terms")
-        table.append(fields)
-    return table
+def _collect_rules(numbered: dict[int, str], family: str):
+    """The rows in number order, each split at its commas; None when the
+    file gives none. The builders check the rows themselves."""
+    for i in range(1, len(numbered) + 1):
+        if i not in numbered:
+            raise ConfigError(f"{family}.{i}: missing; rules are numbered from 1 without gaps")
+    return [tuple(t.strip() for t in numbered[i].split(",")) for i in sorted(numbered)] or None
 
 
 def parse_config(source: str) -> SimConfig:
@@ -255,16 +239,12 @@ def parse_config(source: str) -> SimConfig:
 
 
 def config_from_pairs(pairs: dict[str, str]) -> SimConfig:
-    v, mf1, mf2, rules1_raw, rules2_raw, blurs = _split_dynamic(pairs)
-    for key in _REQUIRED:
-        if key not in v:
-            raise ConfigError(f"missing required key {key!r}")
+    v, families = _split_dynamic(pairs)
     if v["protocol"] not in PROTOCOL_NAMES:
         raise ConfigError(
             f"protocol: unknown value {v['protocol']!r} (choices: {', '.join(PROTOCOL_NAMES)})"
         )
-    rules1_table = _collect_rules(rules1_raw, 27, 5, "rule1")
-    rules2_table = _collect_rules(rules2_raw, 9, 4, "rule2")
+    rules1, rules2 = (_collect_rules(families[f], f) for f in ("rule1", "rule2"))
 
     try:
         cfg = SimConfig(
@@ -282,13 +262,14 @@ def config_from_pairs(pairs: dict[str, str]) -> SimConfig:
             ),
             # built below, once validate() has passed the area its default radii scale
             protocol=None,
-            rules1=default_rulebase1(mf1, rules1_table),
+            rules1=default_rulebase1(families["mf1"], rules1),
             rules2=default_rulebase2(
-                v.get("blur", DEFAULT_BLUR), blurs, mf2, v.get("w.radius"), v.get("w.chance"),
-                rules2_table,
+                blur_overrides=families["blur"],
+                mf_overrides=families["mf2"],
+                rules=rules2,
+                **_given(v, "blur", "w_radius", "w_chance"),
             ),
-            energy_overrides=v.get("energy_overrides", {}),
-            **{key: v[key] for key in ("max_rounds", "seed", "coa_samples") if key in v},
+            **_given(v, "max_rounds", "seed", "coa_samples", "energy_overrides"),
         )
         cfg.validate()
         cfg.protocol = ProtocolParams(
@@ -296,8 +277,7 @@ def config_from_pairs(pairs: dict[str, str]) -> SimConfig:
             p=v.get("p", 0.05),
             r_min=v.get("r_min_m", 0.1 * cfg.area_side),
             r_max=v.get("r_max_m", 0.4 * cfg.area_side),
-            nbr_radius=v.get("nbr_radius_m"),
-            control_traffic=v.get("control_traffic", True),
+            **_given(v, "nbr_radius", "control_traffic"),
         )
     except ValueError as e:
         raise ConfigError(re.sub(r"^\w+", lambda m: _KEY_OF.get(m[0], m[0]), str(e))) from None

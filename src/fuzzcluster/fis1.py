@@ -547,6 +547,9 @@ def default_rulebase1(
     )
 
     table = tuple(rules) if rules is not None else RULES_27
+    for i, row in enumerate(table, start=1):
+        if len(row) != 5:
+            raise ValueError(f"rule1.{i}: expected 5 terms, got {len(row)}")
     combos = {(d, e, c) for d, e, c, _, _ in table}
     if len(table) != 27 or len(combos) != 27:
         raise ValueError("rule1: rule table must cover all 27 antecedent combinations exactly once")

@@ -256,35 +256,33 @@ def output_weights(labels: Sequence[str]) -> dict[str, float]:
     return {label: mf_centroid(mf) for label, mf in even_terms(labels)}
 
 
-def _weights(key: str, given: Mapping[str, float] | None, terms: tuple[str, ...]):
-    """A weight in [0, 1] for each consequent term, nothing else; the
-    centroids of the even partition when none are given."""
+def _weights(key: str, given: Sequence[float] | None, terms: tuple[str, ...]):
+    """The weight of each consequent term, given in term order, each in
+    [0, 1]; the centroids of the even partition when none are given."""
     if given is None:
         return output_weights(terms)
-    for t, w in given.items():
-        if t not in terms:
-            raise ValueError(f"{key}: unknown term {t!r}")
+    if len(given) != len(terms):
+        raise ValueError(f"{key}: expected {len(terms)} weights, got {len(given)}")
+    for t, w in zip(terms, given):
         if not 0.0 <= w <= 1.0:
             raise ValueError(f"{key}: weight {w} of {t!r} outside [0, 1]")
-    for t in terms:
-        if t not in given:
-            raise ValueError(f"{key}: no weight for {t!r}")
-    return dict(given)
+    return dict(zip(terms, given))
 
 
 def default_rulebase2(
     blur: float = DEFAULT_BLUR,
     blur_overrides: Mapping[str, float] | None = None,
     mf_overrides: MfOverrides | None = None,
-    w_radius: Mapping[str, float] | None = None,
-    w_chance: Mapping[str, float] | None = None,
+    w_radius: Sequence[float] | None = None,
+    w_chance: Sequence[float] | None = None,
     rules: Sequence[tuple[str, str, str, str]] | None = None,
 ) -> RuleBase2:
     """The stock two-input election rule base with configurable footprints.
     A bad footprint width, membership override, weight or rule raises a
     ValueError that starts with its config key: ``blur``,
     ``blur.<variable>``, ``mf2.<variable>[.<term>]``, ``w.radius``,
-    ``w.chance``, ``rule2`` or ``rule2.<i>``."""
+    ``w.chance``, ``rule2`` or ``rule2.<i>``. The weights run in
+    T2_RADIUS_TERMS and T2_CHANCE_TERMS order."""
     blurs = dict(blur_overrides or {})
     if not 0.0 <= blur < 1.0:
         raise ValueError(f"blur: must lie in [0, 1), got {blur}")
@@ -306,6 +304,9 @@ def default_rulebase2(
     wr = _weights("w.radius", w_radius, T2_RADIUS_TERMS)
     wc = _weights("w.chance", w_chance, T2_CHANCE_TERMS)
     table = tuple(rules) if rules is not None else RULES_9
+    for i, row in enumerate(table, start=1):
+        if len(row) != 4:
+            raise ValueError(f"rule2.{i}: expected 4 terms, got {len(row)}")
     rule_objs = []
     for i, (d, e, rad, ch) in enumerate(table, start=1):
         if rad not in wr:

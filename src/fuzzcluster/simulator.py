@@ -45,8 +45,8 @@ class SimConfig:
             )
         if self.max_rounds < 1:
             raise ValueError(f"max_rounds: must be at least 1, got {self.max_rounds}")
-        if self.seed < 0:
-            raise ValueError(f"seed: must be nonnegative, got {self.seed}")
+        if not 0 <= self.seed < 2**64:  # the generator keeps 64 bits of it
+            raise ValueError(f"seed: must lie in [0, 2**64), got {self.seed}")
         if self.coa_samples < 3:
             raise ValueError(f"coa_samples: must be at least 3, got {self.coa_samples}")
         for nid, e in self.energy_overrides.items():

@@ -157,8 +157,8 @@ def t2_cases(draw):
     blur = draw(some_blur)
     blurs = draw(st.dictionaries(st.sampled_from(["distance", "energy"]), some_blur))
     tied = st.sampled_from([0.0, 0.3, 0.7, 1.0])
-    w_radius = draw(st.none() | st.fixed_dictionaries({t: tied for t in T2_RADIUS_TERMS}))
-    w_chance = draw(st.none() | st.fixed_dictionaries({t: tied for t in T2_CHANCE_TERMS}))
+    w_radius = draw(st.none() | st.tuples(*[tied] * len(T2_RADIUS_TERMS)))
+    w_chance = draw(st.none() | st.tuples(*[tied] * len(T2_CHANCE_TERMS)))
     rules = None
     if draw(st.booleans()):
         perm = draw(st.permutations(range(9)))

@@ -167,7 +167,12 @@ def test_cli_out_of_range_override_names_the_field(tmp_path, capsys, flag, value
 
 @pytest.mark.parametrize(
     "flag,value,field",
-    [("--seeds", "0", "seeds"), ("--rounds", "0", "max_rounds"), ("--seed0", "-1", "seed")],
+    [
+        ("--seeds", "0", "seeds"),
+        ("--rounds", "0", "max_rounds"),
+        ("--seed0", "-1", "seed"),
+        ("--seed0", str(2**64 - 1), "seed"),  # the last of the 10 default seeds is out of range
+    ],
 )
 def test_compare_protocols_rejects_bad_options(tmp_path, flag, value, field):
     script = Path(__file__).resolve().parent.parent / "scripts" / "compare_protocols.py"
@@ -194,6 +199,18 @@ def test_cli_batch_seeds(tmp_path):
     assert [r[3] for r in rows[1:]] == [str(s) for s in range(5, 15)]
     for s in range(5, 15):
         assert (out / f"metrics_seed{s}.csv").exists()
+
+
+@pytest.mark.parametrize("seed,seeds", [(2**64 - 2, 3), (2**64, 1), (-1, 3)])
+def test_cli_batch_seed_out_of_range_writes_nothing(tmp_path, capsys, seed, seeds):
+    out = tmp_path / "batch"
+    code = run_cli(
+        ["--preset", "ch3", "--seed", str(seed), "--seeds", str(seeds), "--rounds", "1",
+         "--out", str(out)]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: seed: must lie in [0, 2**64), got ")
+    assert not out.exists()
 
 
 def test_cli_dump_fis_surface_type2(tmp_path):

@@ -1,10 +1,13 @@
+import ast
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from fuzzcluster import config
 from fuzzcluster.config import PRESETS, ConfigError, parse_config
-from fuzzcluster.fis1 import RULES_27
+from fuzzcluster.fis1 import DEFAULT_SAMPLES, RULES_27, default_rulebase1
 from fuzzcluster.fis2 import RULES_9, default_rulebase2
 from fuzzcluster.simulator import run_simulation
 
@@ -302,3 +305,114 @@ def test_two_parses_of_a_preset_compare_equal(tmp_path, preset):
     assert replace(cfg, seed=cfg.seed + 1) != cfg
     moved = PRESETS[preset] + "mf1.distance.close = trap:0,0,0.3,0.5\n"
     assert parse_config(write_cfg(tmp_path, moved, "moved.cfg")) != cfg
+
+
+# --- who owns what: the parser splits, the builders and fields decide ---------------
+
+
+def rule_table(family, rows):
+    return "".join(f"{family}.{i} = {','.join(row)}\n" for i, row in enumerate(rows, start=1))
+
+
+@pytest.mark.parametrize(
+    "lines,message",
+    [
+        (rule_table("rule2", RULES_9).replace("rule2.4 =", "# rule2.4 ="), "rule2.4: missing"),
+        (rule_table("rule1", RULES_27).replace("rule1.1 =", "rule1.28 ="), "rule1.1: missing"),
+        ("rule2.2 = proximate,med,small,weak\n", "rule2.1: missing"),
+    ],
+    ids=["rule2-gap", "rule1-from-2", "rule2-only-2"],
+)
+def test_rule_numbers_run_from_1_without_gaps(tmp_path, lines, message):
+    expected = f"{message}; rules are numbered from 1 without gaps"
+    with pytest.raises(ConfigError, match=f"^{re.escape(expected)}$"):
+        parse_config(write_cfg(tmp_path, BASE + lines))
+
+
+@pytest.mark.parametrize(
+    "family,rows,row,message",
+    [
+        ("rule1", RULES_27, 5, "rule1.5: expected 5 terms, got 4"),
+        ("rule2", RULES_9, 3, "rule2.3: expected 4 terms, got 3"),
+    ],
+)
+@pytest.mark.parametrize("count", ["whole", "short"])
+def test_short_rule_row_is_named_before_coverage(tmp_path, family, rows, row, message, count):
+    # a short table would fail the coverage check too; the short row is named first
+    rows = [r[:-1] if i == row else r for i, r in enumerate(rows, start=1)]
+    lines = rule_table(family, rows if count == "whole" else rows[:row])
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config(write_cfg(tmp_path, BASE + lines))
+    builder = default_rulebase1 if family == "rule1" else default_rulebase2
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        builder(rules=rows if count == "whole" else rows[:row])
+
+
+@pytest.mark.parametrize(
+    "key,weights,message",
+    [
+        ("w.radius", (0.1, 0.2), "w.radius: expected 6 weights, got 2"),
+        ("w.chance", (0.1,) * 7, "w.chance: expected 6 weights, got 7"),
+        ("w.radius", (0.1, 0.2, 0.4, 0.6, 0.8, 1.9), "w.radius: weight 1.9 of 'very_large' outside"),
+        ("w.chance", (-0.5, 0.2, 0.4, 0.6, 0.8, 1.0), "w.chance: weight -0.5 of 'very_weak' outside"),
+    ],
+)
+def test_weights_are_checked_by_the_builder(tmp_path, key, weights, message):
+    line = f"{key} = {','.join(map(str, weights))}\n"
+    if "outside" in message:
+        message += " [0, 1]"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config(write_cfg(tmp_path, BASE + line))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        default_rulebase2(**{key.replace(".", "_"): weights})
+
+
+def test_weights_parse_in_term_order(tmp_path):
+    cfg = parse_config(write_cfg(tmp_path, BASE + "w.chance = 0,0.1,0.2,0.3,0.4,1\n"))
+    assert cfg.rules2 == default_rulebase2(w_chance=(0.0, 0.1, 0.2, 0.3, 0.4, 1.0))
+    assert {r.chance: r.w_chance for r in cfg.rules2.rules}["strong"] == 0.4
+
+
+def test_required_keys_alone_give_the_declared_defaults(tmp_path):
+    cfg = parse_config(write_cfg(tmp_path, BASE))
+    assert cfg.rules1 == default_rulebase1()
+    assert cfg.rules2 == default_rulebase2()
+    assert cfg.energy_overrides == {}
+    assert cfg.protocol.control_traffic is True
+    assert cfg.protocol.nbr_radius is None
+    assert (cfg.max_rounds, cfg.seed, cfg.coa_samples) == (5000, 1, DEFAULT_SAMPLES)
+    # the defaults that no field declares: p and the radii, scaled by the area
+    assert (cfg.protocol.p, cfg.protocol.r_min, cfg.protocol.r_max) == (0.05, 10.0, 40.0)
+
+
+MF_FORM = "expected tri:a,b,c or trap:a,b,c,d, got"
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("mf1.distance.close = tri 0,0.5,1", f"{MF_FORM} 'tri 0,0.5,1'"),
+        ("mf1.distance.close = 0,0.5,1", f"{MF_FORM} '0,0.5,1'"),
+        ("mf2.energy.low = tri:", f"{MF_FORM} 'tri:'"),
+        ("energy_overrides = 3", "expected id:J entries, got '3'"),
+        ("energy_overrides = 3:", "expected id:J entries, got '3:'"),
+        ("energy_overrides = 0:0.1, x:0.2", "expected id:J entries, got 'x:0.2'"),
+        ("energy_overrides = 0:0.1, 3", "expected id:J entries, got '3'"),
+        ("seed = 18446744073709551616", "must lie in [0, 2**64), got 18446744073709551616"),
+    ],
+)
+def test_value_syntax_errors_name_the_form_and_the_value(tmp_path, line, message):
+    key = line.split(" = ")[0]
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'{key}: {message}')}$"):
+        parse_config(write_cfg(tmp_path, BASE + line + "\n"))
+
+
+def test_config_takes_only_the_builders_from_the_engines():
+    tree = ast.parse(Path(config.__file__).read_text(encoding="utf-8"))
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in ("fis1", "fis2") and node.level == 1
+        for alias in node.names
+    }
+    assert imported == {"MembershipFunction", "default_rulebase1", "default_rulebase2"}

@@ -333,19 +333,29 @@ def test_unknown_consequent_rejected():
         default_rulebase2(rules=bad)
 
 
+# the stock weights, in term order
+STOCK_RADIUS = tuple(output_weights(T2_RADIUS_TERMS).values())
+STOCK_CHANCE = tuple(output_weights(T2_CHANCE_TERMS).values())
+
+
+def test_stock_weights_in_term_order_build_the_stock_rule_base():
+    assert default_rulebase2(w_radius=STOCK_RADIUS, w_chance=STOCK_CHANCE) == default_rulebase2()
+
+
 @pytest.mark.parametrize(
     "kwargs,message",
     [
         ({"mf_overrides": {"distanc": {}}}, "mf2.distanc: unknown variable 'distanc'"),
-        ({"w_radius": {"very_small": 7.0}}, "w.radius: weight 7.0 of 'very_small' outside [0, 1]"),
-        ({"w_radius": {"very_small": 0.5}}, "w.radius: no weight for 'small'"),
         (
-            {"w_chance": {**output_weights(T2_CHANCE_TERMS), "tiny": 0.5}},
-            "w.chance: unknown term 'tiny'",
+            {"w_radius": (7.0, *STOCK_RADIUS[1:])},
+            "w.radius: weight 7.0 of 'very_small' outside [0, 1]",
         ),
+        # weights run in term order: a missing term is a short list, an unknown one a long list
+        ({"w_radius": STOCK_RADIUS[:5]}, "w.radius: expected 6 weights, got 5"),
+        ({"w_chance": (*STOCK_CHANCE, 0.5)}, "w.chance: expected 6 weights, got 7"),
         (
-            {"w_chance": {**output_weights(T2_CHANCE_TERMS), "weak": float("nan")}},
-            "w.chance: weight nan of 'weak'",
+            {"w_chance": (STOCK_CHANCE[0], float("nan"), *STOCK_CHANCE[2:])},
+            "w.chance: weight nan of 'weak' outside [0, 1]",
         ),
     ],
     ids=["mf-variable", "weight-range", "weight-missing", "weight-term", "weight-nan"],

@@ -129,22 +129,12 @@ def test_select_matches_one_draw_per_alive_node(params, r):
 
 
 def test_radius_clamps_to_r_min_and_r_max():
-    low = round_config(
-        TYPE2, RADIO, rules2=default_rulebase2(w_radius={t: 0.0 for t in _t2_radius_terms()})
-    )
-    high = round_config(
-        TYPE2, RADIO, rules2=default_rulebase2(w_radius={t: 1.0 for t in _t2_radius_terms()})
-    )
+    low = round_config(TYPE2, RADIO, rules2=default_rulebase2(w_radius=(0.0,) * 6))
+    high = round_config(TYPE2, RADIO, rules2=default_rulebase2(w_radius=(1.0,) * 6))
     radius_lo, _, _ = compute_radius_chance((0.5, 0.5, 0.5), low)
     radius_hi, _, _ = compute_radius_chance((0.5, 0.5, 0.5), high)
     assert radius_lo == pytest.approx(TYPE2.r_min, abs=1e-12)
     assert radius_hi == pytest.approx(TYPE2.r_max, abs=1e-12)
-
-
-def _t2_radius_terms():
-    from fuzzcluster.fis2 import T2_RADIUS_TERMS
-
-    return T2_RADIUS_TERMS
 
 
 def test_close_high_high_chance_lands_in_very_strong():

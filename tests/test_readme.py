@@ -4,6 +4,8 @@ import importlib
 import re
 from pathlib import Path
 
+import pytest
+
 from fuzzcluster import config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -44,8 +46,16 @@ def test_config_keys_match_the_parser():
     spans += re.findall(r"`([^`]+ = [^`]+)`", optional)
     keys = {re.match(r"[\w.]+", span)[0] for span in spans}
     plain = {k for k in keys if not k.startswith(CONFIG_FAMILIES)}
-    assert set(re.findall(r"`(\w+)`", required)) == set(config._REQUIRED)
     assert plain == set(config._PARSERS)
+    # the keys listed as required build a config alone, and each is missed when dropped
+    listed = set(re.findall(r"`(\w+)`", required))
+    ch3 = config._parse_lines(config.PRESETS["ch3"], "ch3")
+    pairs = {k: v for k, v in ch3.items() if k in listed}
+    assert set(pairs) == listed
+    config.config_from_pairs(pairs)
+    for key in sorted(listed):
+        with pytest.raises(config.ConfigError, match=f"^missing required key '{key}'$"):
+            config.config_from_pairs({k: v for k, v in pairs.items() if k != key})
     assert {f for f in CONFIG_FAMILIES if any(k.startswith(f) for k in keys)} == {*CONFIG_FAMILIES}
 
 

@@ -208,6 +208,16 @@ def test_config_validation_errors():
         cfg.validate()
 
 
+def test_seed_must_fit_the_generator():
+    # the generator keeps 64 bits of its seed, so 2**64 + 1 would replay seed 1
+    replace(scenario1("leach"), seed=2**64 - 1).validate()
+    for seed in (2**64, 2**64 + 1, -1):
+        with pytest.raises(ValueError, match=rf"^seed: must lie in \[0, 2\*\*64\), got {seed}$"):
+            replace(scenario1("leach"), seed=seed).validate()
+    with pytest.raises(ValueError, match="^seed: "):
+        run_simulation(scenario1("leach", max_rounds=1, seed=2**64 + 1))
+
+
 def _bad_field_cases():
     """(build, field): build() must raise a ValueError that starts with 'field:'."""
     protocol = dict(kind="leach", p=0.05, r_min=10.0, r_max=40.0)
