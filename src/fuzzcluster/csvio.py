@@ -21,6 +21,11 @@ from .simulator import SimResult
 
 METRICS_HEADER = ("round", "alive", "dead", "total_j", "avg_j", "ch_count")
 SUMMARY_HEADER = ("fnd", "hnd", "lnd", "seed")
+# Most points per engine call of a surface writer, which calls in whole db
+# values. The type-1 call then spans two 21 x 21 slices of the default grid,
+# whose (17, points) firing table is 117 KiB, below glibc malloc's 128 KiB
+# mmap threshold; the type-2 call spans eight 101-point slices.
+SURFACE_POINTS = 882
 
 
 def _write_lines(path: str | Path, header: tuple[str, ...], lines: Iterable[str]) -> None:
@@ -105,33 +110,51 @@ def _grid_steps(grid: int) -> list[float]:
     return [i / (grid - 1) for i in range(grid)]
 
 
+def _db_groups(steps: list[float], text: list[str], per_db: int):
+    """Consecutive db values in groups of one engine call each, with
+    ``per_db`` points per db value: at most SURFACE_POINTS points a group,
+    and one db value at least. Yields each group's db texts and its db input
+    column."""
+    size = max(1, SURFACE_POINTS // per_db)
+    for g in range(0, len(steps), size):
+        yield text[g : g + size], np.repeat(steps[g : g + size], per_db)
+
+
 def write_fis1_surface(rb: RuleBase1, samples: int, path: str | Path, grid: int = 21) -> None:
-    """(db, re, conc) -> (radius_norm, chance) over a uniform grid, one engine
-    call per db value."""
+    """(db, re, conc) -> (radius_norm, chance) over a uniform grid. One engine
+    call evaluates a group of consecutive db values (see _db_groups); the
+    text is formatted one db value at a time."""
     steps = _grid_steps(grid)
     text = [f"{s:.16e}" for s in steps]
     pairs = [f"{a},{b}," for a in text for b in text]  # (re, conc), conc fastest
+    n = grid * grid
     re, conc = np.repeat(steps, grid), np.tile(steps, grid)
 
-    def block(db: float, db_text: str) -> str:
-        inputs = {"distance": np.full(len(re), db), "energy": re, "concentration": conc}
-        out = eval_fis1(rb, inputs, samples)
-        points = zip(pairs, out["radius"].tolist(), out["chance"].tolist())
-        return "".join(f"{db_text},{pair}{r:.16e},{c:.16e}\n" for pair, r, c in points)
+    def blocks():
+        for db_text, db in _db_groups(steps, text, n):
+            k = len(db_text)
+            inputs = {"distance": db, "energy": np.tile(re, k), "concentration": np.tile(conc, k)}
+            out = eval_fis1(rb, inputs, samples)
+            radius, chance = out["radius"].reshape(k, n), out["chance"].reshape(k, n)
+            for d, r_row, c_row in zip(db_text, radius, chance):
+                points = zip(pairs, r_row.tolist(), c_row.tolist())
+                yield "".join(f"{d},{pair}{r:.16e},{c:.16e}\n" for pair, r, c in points)
 
-    _write_lines(path, ("db", "re", "conc", "radius_norm", "chance"), map(block, steps, text))
+    _write_lines(path, ("db", "re", "conc", "radius_norm", "chance"), blocks())
 
 
 def write_fis2_surface(rb: RuleBase2, path: str | Path, grid: int = 101) -> None:
-    """(db, re) -> (radius_norm, chance) over a uniform grid, one engine call
-    per db value."""
+    """(db, re) -> (radius_norm, chance) over a uniform grid, in engine calls
+    and text as write_fis1_surface makes them."""
     steps = _grid_steps(grid)
     text = [f"{s:.16e}" for s in steps]
-    re = np.array(steps)
 
-    def block(db: float, db_text: str) -> str:
-        radius, chance = eval_t2fis(rb, np.full(grid, db), re)
-        points = zip(text, radius.tolist(), chance.tolist())
-        return "".join(f"{db_text},{t},{r:.16e},{c:.16e}\n" for t, r, c in points)
+    def blocks():
+        for db_text, db in _db_groups(steps, text, grid):
+            k = len(db_text)
+            radius, chance = eval_t2fis(rb, db, np.tile(steps, k))
+            for d, r_row, c_row in zip(db_text, radius.reshape(k, grid), chance.reshape(k, grid)):
+                points = zip(text, r_row.tolist(), c_row.tolist())
+                yield "".join(f"{d},{t},{r:.16e},{c:.16e}\n" for t, r, c in points)
 
-    _write_lines(path, ("db", "re", "radius_norm", "chance"), map(block, steps, text))
+    _write_lines(path, ("db", "re", "radius_norm", "chance"), blocks())

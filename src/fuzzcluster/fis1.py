@@ -22,6 +22,12 @@ DEFAULT_SAMPLES = 1001
 # faulted in again: about 13,000 minor faults over 200 ch2-scenario1 rounds
 # against a few dozen with the reused block.
 ROW_CHUNK = 16
+# Points per slice of term_firings and _column_index. A slice's largest
+# temporaries are the (rules per term, output terms + 1, FIRE_CHUNK) minimum
+# over the inputs and one input's gather beside it: 119 KiB each for the
+# stock rule base (7 rules per term, 17 terms), below glibc malloc's 128 KiB
+# mmap threshold. 64-point slices took 292 against 218 us for 441 points.
+FIRE_CHUNK = 128
 
 
 class DegenerateOutputError(ValueError):
@@ -298,9 +304,9 @@ def term_firings(rb: RuleBase1, inputs: Mapping[str, np.typing.ArrayLike]) -> np
     input_rows: a point outside [0, 1] among them) raises a ValueError
     naming the input. Returns an (output terms + 1, m) array: the terms of
     every output in declaration order, then a pad term that never fires. The
-    memberships and their (inputs, rules per term, output terms + 1, points)
-    gather are built ROW_CHUNK points at a time, so only the returned table
-    grows with m."""
+    memberships and the (rules per term, output terms + 1, points) minimum
+    over the inputs, taken one input at a time, are built FIRE_CHUNK points
+    at a time, so only the returned table grows with m."""
     for var in rb.inputs:
         if var.name not in inputs:
             raise ValueError(f"missing input variable {var.name!r}")
@@ -311,12 +317,16 @@ def term_firings(rb: RuleBase1, inputs: Mapping[str, np.typing.ArrayLike]) -> np
     plan = rb._firing_plan()
     x = input_rows({var.name: inputs[var.name] for var in rb.inputs})
     fire = np.empty((plan.term_ante.shape[-1], x.shape[1]))
-    for s in range(0, x.shape[1], ROW_CHUNK):
-        part = x[:, s : s + ROW_CHUNK]
+    first, *rest = plan.term_ante
+    for s in range(0, x.shape[1], FIRE_CHUNK):
+        part = x[:, s : s + FIRE_CHUNK]
         # degrees (input terms + 1, points), the last row the zero term
         degrees = np.zeros((len(plan.term_input) + 1, part.shape[1]))
         _trap_degrees(plan.bp, part.take(plan.term_input, axis=0), out=degrees[:-1])
-        degrees.take(plan.term_ante, axis=0).min(axis=0).max(axis=0, out=fire[:, s : s + ROW_CHUNK])
+        low = degrees.take(first, axis=0)
+        for ante in rest:
+            np.minimum(low, degrees.take(ante, axis=0), out=low)
+        low.max(axis=0, out=fire[:, s : s + FIRE_CHUNK])
     return fire
 
 
@@ -371,11 +381,11 @@ def defuzz_coa(mu: np.ndarray, xs: np.ndarray, overwrite: bool = False) -> np.nd
 def _column_index(fire: np.ndarray) -> tuple[dict[bytes, int], np.ndarray]:
     """Each distinct column of fire, by its exact bytes, numbered in the
     order the columns first appear, and the number of every column. The
-    columns are keyed ROW_CHUNK at a time."""
+    columns are keyed FIRE_CHUNK at a time."""
     index: dict[bytes, int] = {}
     inverse = np.empty(fire.shape[1], np.intp)
-    for s in range(0, fire.shape[1], ROW_CHUNK):
-        keys = np.ascontiguousarray(fire[:, s : s + ROW_CHUNK].T).view(f"V{len(fire) * 8}")
+    for s in range(0, fire.shape[1], FIRE_CHUNK):
+        keys = np.ascontiguousarray(fire[:, s : s + FIRE_CHUNK].T).view(f"V{len(fire) * 8}")
         inverse[s : s + len(keys)] = [index.setdefault(k, len(index)) for k in keys[:, 0].tolist()]
     return index, inverse
 
@@ -387,7 +397,7 @@ def eval_fis1(
     arrays of points (a float, or any one-point input, is broadcast).
 
     Each output is an array, NaN in every output at the points where any
-    output has no area. The term firings are computed ROW_CHUNK points at a
+    output has no area. The term firings are computed FIRE_CHUNK points at a
     time, and each distinct firing column, keyed by its exact bytes, is
     aggregated and defuzzified once: min, max and each row's pairwise sum
     read one point alone, so a merged point gets its own bits. A call of at

@@ -187,6 +187,12 @@ def _km_rows(first: np.ndarray, second: np.ndarray, w: np.ndarray) -> np.ndarray
     return y
 
 
+def _km_points(w: np.ndarray) -> int:
+    """Points per block of the Karnik-Mendel loop for (outputs, rules)
+    weights: KM_BLOCK firings, two ends per output and rule."""
+    return max(1, KM_BLOCK // (2 * w.size))
+
+
 def km_type_reduce(firings: np.ndarray, weights: np.typing.ArrayLike) -> np.ndarray:
     """Minimum and maximum of the weighted firing ratio over all per-rule
     choices inside the firing intervals (iterative switch-point search), per
@@ -217,7 +223,7 @@ def km_type_reduce(firings: np.ndarray, weights: np.typing.ArrayLike) -> np.ndar
         # the lower end takes the upper firings below its split
         pick = np.stack((order.T + k_rules, order.T), axis=1)  # (rules, ends, outputs)
         ends = np.empty((2, n_out, n))
-        step = max(1, KM_BLOCK // (k_rules * 2 * n_out))
+        step = _km_points(w)
         for s in range(0, n, step):
             # a view, rule-major: every rule's lower firings, then every rule's upper
             g = firings[:, :, s : s + step].reshape(2 * k_rules, -1)
@@ -261,6 +267,9 @@ def _weights(key: str, given: Sequence[float] | None, terms: tuple[str, ...]):
     [0, 1]; the centroids of the even partition when none are given."""
     if given is None:
         return output_weights(terms)
+    if isinstance(given, (str, Mapping)):
+        kind = type(given).__name__
+        raise ValueError(f"{key}: expected a sequence of {len(terms)} weights in term order, got {kind}")
     if len(given) != len(terms):
         raise ValueError(f"{key}: expected {len(terms)} weights, got {len(given)}")
     for t, w in zip(terms, given):
@@ -325,10 +334,15 @@ def eval_t2fis(
     is broadcast).
 
     NaN in both outputs marks a degenerate point: every rule fired at zero,
-    or either reduced interval came out inverted."""
+    or either reduced interval came out inverted. The points are fired and
+    reduced one Karnik-Mendel block at a time, so only the inputs and
+    outputs grow with a call."""
     x = input_rows({"db": db, "re": re})
     tables, weights = rb._plan()
-    lo, hi = km_type_reduce(_fire(tables, x[0], x[1]), weights)
-    out = 0.5 * (lo + hi)
+    step = _km_points(weights)
+    out = np.empty((len(weights), x.shape[1]))
+    for s in range(0, x.shape[1], step):
+        lo, hi = km_type_reduce(_fire(tables, x[0, s : s + step], x[1, s : s + step]), weights)
+        out[:, s : s + step] = 0.5 * (lo + hi)
     out[:, np.isnan(out).any(axis=0)] = np.nan  # NaN in one output is NaN in both
     return out[0], out[1]

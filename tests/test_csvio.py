@@ -3,6 +3,7 @@ tests/csv_reference.py: every preset and protocol, edge-case floats, missing
 lifetime events and both engine surfaces."""
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -85,14 +86,72 @@ def test_summary_leaves_missing_events_empty(tmp_path):
     assert_same_bytes(tmp_path, "write_summary_csv", [[]])
 
 
-@pytest.mark.parametrize("grid", [21, 2, 4])
+# The writers evaluate groups of consecutive db values, at most
+# csvio.SURFACE_POINTS (882) points a call. The references make one call per
+# db value. Type-1 grids: 21 (two values a group, one left over), 10 (eight,
+# two left over), 4 (one group) and 30 (900 points, one value a call); type-2
+# grids: 101 (eight a group, five left over), 102 (eight, six left over) and
+# 7 (one group).
+@pytest.mark.parametrize("grid", [21, 2, 4, 10, 30])
 def test_fis1_surface_matches_reference(tmp_path, grid):
     assert_same_bytes(tmp_path, "write_fis1_surface", [default_rulebase1(), 1001], grid=grid)
 
 
-@pytest.mark.parametrize("grid", [101, 2, 7])
+@pytest.mark.parametrize("grid", [101, 2, 7, 102])
 def test_fis2_surface_matches_reference(tmp_path, grid):
     assert_same_bytes(tmp_path, "write_fis2_surface", [default_rulebase2()], grid=grid)
+
+
+# each writer at its default grid: the engine, the db values and the points per db value
+SURFACES = [
+    ("write_fis1_surface", [default_rulebase1(), 1001], "eval_fis1", 21, 21 * 21),
+    ("write_fis2_surface", [default_rulebase2()], "eval_t2fis", 101, 101),
+]
+
+
+@pytest.mark.parametrize("name,args,engine,dbs,per_db", SURFACES, ids=["fis1", "fis2"])
+def test_surface_writer_groups_db_values_into_few_engine_calls(
+    tmp_path, monkeypatch, name, args, engine, dbs, per_db
+):
+    events, points = [], []
+    real_engine, real_write = getattr(csvio, engine), csvio._write_lines
+
+    def counted(rb, x, *rest):
+        events.append("call")
+        points.append(np.size(x["distance"] if isinstance(x, dict) else x))
+        return real_engine(rb, x, *rest)
+
+    def recorded(path, header, lines):
+        # each item of lines is the text of one db value
+        real_write(path, header, (events.append("db") or text for text in lines))
+
+    monkeypatch.setattr(csvio, engine, counted)
+    monkeypatch.setattr(csvio, "_write_lines", recorded)
+    getattr(csvio, name)(*args, tmp_path / "surface.csv")
+    assert events[0] == "call"  # before any data row
+    assert events.count("db") == dbs
+    assert 1 < events.count("call") < dbs
+    assert sum(points) == dbs * per_db and max(points) <= csvio.SURFACE_POINTS
+
+
+# Traced peak of a surface dump on a rule base whose tables a first dump has
+# built. One engine call per db value peaked at 283 kB (type-1) and 345 kB
+# (type-2); the grouped calls hold one type-1 firing slice and one full
+# Karnik-Mendel block, under the bound of one 1000-point engine call.
+SURFACE_PEAK_BOUND = 768 * 1024
+
+
+@pytest.mark.parametrize("name,args", [entry[:2] for entry in SURFACES], ids=["fis1", "fis2"])
+def test_surface_peak_memory_is_bounded(tmp_path, name, args):
+    path = tmp_path / "surface.csv"
+    getattr(csvio, name)(*args, path)
+    tracemalloc.start()
+    try:
+        getattr(csvio, name)(*args, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= SURFACE_PEAK_BOUND
 
 
 @pytest.mark.parametrize("grid", [0, 1])

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from conftest import mf_at, peak_point
 from fuzzcluster.fis1 import (
     CHANCE_TERMS,
+    FIRE_CHUNK,
     RADIUS_TERMS,
     ROW_CHUNK,
     RULES_27,
@@ -451,6 +452,32 @@ def test_warm_eval_keeps_at_most_two_chunk_blocks_alive():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * ROW_CHUNK * 1001 * 8
+
+
+def test_firing_slice_takes_no_block_of_128_kib():
+    # glibc malloc maps a block of 128 KiB or more afresh, and its pages are
+    # faulted in, on every slice; the minimum over the inputs is taken one
+    # input at a time so that the widest slice stays below that
+    rb = default_rulebase1()
+    x = np.linspace(0.0, 1.0, FIRE_CHUNK)
+    inputs = {"distance": x, "energy": x[::-1], "concentration": (3 * x) % 1.0}
+    term_firings(rb, inputs)  # builds the firing plan
+    largest = []
+
+    def after_each_c_call(frame, event, arg):
+        if event == "c_return":
+            largest.append(max((t.size for t in tracemalloc.take_snapshot().traces), default=0))
+
+    tracemalloc.start()
+    sys.setprofile(after_each_c_call)
+    try:
+        term_firings(rb, inputs)
+    finally:
+        sys.setprofile(None)
+        tracemalloc.stop()
+    # the largest block is the (rules per term, output terms + 1, points)
+    # minimum, or one input's gather: 7 rules per term at most, 17 terms
+    assert max(largest) == 7 * 17 * FIRE_CHUNK * 8 < 128 * 1024
 
 
 def test_infer_into_a_block_matches_fresh_blocks():

@@ -311,6 +311,27 @@ def test_eval_peak_memory_is_bounded():
     assert peak <= PEAK_BOUND
 
 
+def traced_peak(rb, n: int) -> int:
+    x = np.linspace(0.0, 1.0, n)
+    y = (3 * x) % 1.0
+    tracemalloc.start()
+    try:
+        eval_t2fis(rb, x, y)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_eval_memory_grows_only_with_inputs_and_outputs():
+    # points are fired and reduced one Karnik-Mendel block at a time: beyond
+    # one block, a call grows only by its input rows and outputs (two floats
+    # each a point) and the NaN mask; five floats a point bound them
+    rb = default_rulebase2()
+    eval_t2fis(rb, 0.5, 0.5)  # builds the rule base's tables
+    small, large = traced_peak(rb, 1000), traced_peak(rb, 10_000)
+    assert large <= small + 9000 * 5 * 8
+
+
 # --- rule base shape ------------------------------------------------------------------
 
 
@@ -357,8 +378,26 @@ def test_stock_weights_in_term_order_build_the_stock_rule_base():
             {"w_chance": (STOCK_CHANCE[0], float("nan"), *STOCK_CHANCE[2:])},
             "w.chance: weight nan of 'weak' outside [0, 1]",
         ),
+        # a mapping of term to weight, the form that keyed weights by term, and
+        # a string, whose characters would count as weights
+        (
+            {"w_radius": dict(zip(T2_RADIUS_TERMS, STOCK_RADIUS))},
+            "w.radius: expected a sequence of 6 weights in term order, got dict",
+        ),
+        (
+            {"w_chance": "0.1,0.2"},
+            "w.chance: expected a sequence of 6 weights in term order, got str",
+        ),
     ],
-    ids=["mf-variable", "weight-range", "weight-missing", "weight-term", "weight-nan"],
+    ids=[
+        "mf-variable",
+        "weight-range",
+        "weight-missing",
+        "weight-term",
+        "weight-nan",
+        "weight-mapping",
+        "weight-string",
+    ],
 )
 def test_builder_rejects_what_it_cannot_use(kwargs, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):

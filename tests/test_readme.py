@@ -60,7 +60,14 @@ def test_config_keys_match_the_parser():
 
 
 # the block sizes README's memory paragraph quotes, as `module.NAME` = value
-BLOCK_CONSTANTS = ("ROW_CHUNK", "KM_BLOCK", "BLOCK_ENTRIES", "TABLE_STEPS")
+BLOCK_CONSTANTS = (
+    "ROW_CHUNK",
+    "FIRE_CHUNK",
+    "KM_BLOCK",
+    "BLOCK_ENTRIES",
+    "TABLE_STEPS",
+    "SURFACE_POINTS",
+)
 
 
 def test_block_constants_match_the_code():
