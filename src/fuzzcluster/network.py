@@ -55,6 +55,8 @@ class Network:
         self.initial_energy = float(initial_energy)
         self.energy = np.full(self.n, self.initial_energy)
         self.alive = np.ones(self.n, dtype=bool)
+        # neighbor_count's (radius, count per node, alive mask counted at)
+        self._neighbors: tuple = (None, None, None)
 
         # a block of rows at a time, one axis after the other, squared and
         # summed in place: the same bits as summing an (n, n, 2) tensor of
@@ -108,18 +110,26 @@ def network_from_positions(
 def neighbor_count(net: Network, ids: np.typing.ArrayLike, radius: float) -> np.ndarray:
     """Per id, the alive nodes other than it within Euclidean distance <= radius
     (an int is one id)."""
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     ids = np.atleast_1d(np.asarray(ids, dtype=np.intp))
-    counts = np.empty(len(ids), dtype=np.intp)
-    # a block of dist rows at a time, not a len(ids) x n copy
-    step = block_rows(net.n)
-    for s in range(0, len(ids), step):
-        part = ids[s : s + step]
-        mask = (net.dist[part] <= radius) & net.alive
-        mask[np.arange(len(part)), part] = False
-        counts[s : s + step] = mask.sum(axis=1)
-    return counts
+    step = block_rows(net.n)  # dist rows at a time
+    counted_radius, counts, counted_alive = net._neighbors
+    if radius != counted_radius or (net.alive & ~counted_alive).any():
+        # a new radius or a revived node: count every node
+        counts = np.empty(net.n, dtype=np.intp)
+        for s in range(0, net.n, step):
+            counts[s : s + step] = ((net.dist[s : s + step] <= radius) & net.alive).sum(axis=1)
+        counts -= net.alive  # an alive node is within radius of itself
+    else:
+        # dist is symmetric, so a dead node's row holds the nodes that counted
+        # it; it counted itself only while alive, so it gets that one back
+        dead = np.flatnonzero(counted_alive & ~net.alive)
+        for s in range(0, len(dead), step):
+            counts -= (net.dist[dead[s : s + step]] <= radius).sum(axis=0)
+        counts[dead] += 1
+    net._neighbors = (radius, counts, net.alive.copy())
+    return counts[ids]
 
 
 def normalize_inputs(

@@ -180,17 +180,27 @@ def assign_members(
     only within r_max and self-promotes uncovered nodes into singleton clusters
     after the finals. Returns ((heads, sizes, members), orphan count), the
     clusters as in ``RoundPlan``."""
-    # argmin returns the first minimum, so sorted heads break ties to the lowest id
+    # dist is symmetric, so a head's row holds every node's distance to it.
+    # argmin returns the first minimum and a later block replaces a node's
+    # nearest only when strictly nearer, so heads sorted by id break ties to
+    # the lowest id.
     order = np.argsort(finals)
+    ranked = finals[order]
+    step = block_rows(net.n)
+    for s in range(0, len(ranked), step):
+        d = net.dist[ranked[s : s + step]]
+        at, near = d.argmin(axis=0) + s, d.min(axis=0)
+        if s:
+            nearer = near < nearest
+            nearest, nearest_at = np.where(nearer, near, nearest), np.where(nearer, at, nearest_at)
+        else:
+            nearest, nearest_at = near, at
     joining = net.alive.copy()
     joining[finals] = False
     joiners = np.flatnonzero(joining)
-    d = net.dist[np.ix_(joiners, finals[order])]
-    if kind == KIND_TYPE2:
-        d = np.where(d <= r_max, d, np.inf)
-    cluster = order[d.argmin(axis=1)]
-    covered = np.isfinite(d.min(axis=1))
-    cluster, orphans = cluster[covered], joiners[~covered]
+    # the nearest head decides coverage: type2fl joins none beyond r_max
+    covered = nearest[joiners] <= (r_max if kind == KIND_TYPE2 else np.inf)
+    cluster, orphans = order[nearest_at[joiners][covered]], joiners[~covered]
     # joiners ascend, so a stable sort keeps each cluster's members ascending
     members = joiners[covered][np.argsort(cluster, kind="stable")]
     heads = np.concatenate((finals, orphans))
@@ -242,7 +252,13 @@ def price_control(
     and every other alive node within that range one reception. Each cost is
     its own addition to its node, in message order: ``np.add.at`` adds in
     input order, so the sums round exactly as when the messages are priced one
-    at a time."""
+    at a time.
+
+    A block without joins costs each node at most one amount per broadcast.
+    It is priced as one row per broadcast, 0.0 where a node pays nothing
+    (which leaves a nonnegative sum as it is), and ``np.add.reduce`` along the
+    rows adds them to ``control`` one row after another. numpy sums a single
+    column pairwise instead, so a 1-node network keeps ``np.add.at``."""
     n_groups = int(max(send_group.max(initial=-1), join_group.max(initial=-1))) + 1
     bits = radio.ctrl_bits
     rx = rx_energy(radio, bits)
@@ -251,7 +267,15 @@ def price_control(
         s0, s1 = np.searchsorted(send_group, (g, g + step))
         j0, j1 = np.searchsorted(join_group, (g, g + step))
         snd, m, h = senders[s0:s1], members[j0:j1], member_heads[j0:j1]
-        heard = (net.dist[snd] <= ranges[s0:s1, None]) & net.alive
+        d = net.dist[snd]
+        heard = (d <= ranges[s0:s1, None]) & net.alive
+        if not len(m) and len(snd) and net.n > 1:
+            # the gathered rows become the cost rows, control joins the first
+            np.multiply(heard, rx, out=d)
+            d[np.arange(len(snd)), snd] = tx_energy(radio, bits, ranges[s0:s1])
+            d[0] += control
+            np.add.reduce(d, axis=0, out=control)
+            continue
         heard[np.arange(len(snd)), snd] = True  # stands for the sender's own tx
         # row-major: broadcast after broadcast, in message order (the same
         # indices as np.nonzero, which is slower on 2-D masks)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import deploy
+from fuzzcluster import network as network_module
 from fuzzcluster.network import (
     Network,
     block_rows,
@@ -135,6 +136,45 @@ def test_neighbor_count_rejects_nonpositive_radius():
         neighbor_count(line_net(), 0, 0.0)
 
 
+@pytest.mark.parametrize("radius", [-1.0, math.nan, math.inf])
+def test_counts_reject_radius_not_positive_and_finite(radius):
+    # a NaN radius would count no neighbor and inf would give conc = 0
+    message = f"^radius must be positive and finite, got {radius}$"
+    with pytest.raises(ValueError, match=message):
+        neighbor_count(line_net(), 0, radius)
+    with pytest.raises(ValueError, match=message):
+        normalize_inputs(line_net(), [0, 1], radius)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_neighbor_counts_follow_deaths_revival_and_radius(data):
+    # counts kept from an earlier call must equal a fresh count after every
+    # step: deaths in batches, one revival, a change of radius
+    n = data.draw(st.integers(1, 90))
+    net = deploy(n, 100.0, (50.0, 175.0), seed=data.draw(st.integers(0, 2**31)))
+    radii = [data.draw(st.sampled_from([5.0, 15.0, 40.0, 200.0])) for _ in range(2)]
+    steps = data.draw(st.lists(st.sampled_from(["die", "revive", "radius"]), max_size=12))
+    step = data.draw(st.sampled_from([n, 3, 1]))  # dist rows per block
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(network_module, "BLOCK_ENTRIES", step * n)
+        for action in ["count", *steps]:
+            alive = np.flatnonzero(net.alive)
+            if action == "die" and len(alive):
+                dying = data.draw(st.lists(st.sampled_from(alive.tolist()), max_size=len(alive)))
+                net.alive[dying] = False
+            elif action == "revive" and not net.alive.all():
+                net.alive[data.draw(st.sampled_from(np.flatnonzero(~net.alive).tolist()))] = True
+            elif action == "radius":
+                radii.reverse()
+            ids = np.arange(n)
+            fresh = [
+                sum(net.alive[j] and j != i and net.dist[i, j] <= radii[0] for j in range(n))
+                for i in range(n)
+            ]
+            assert neighbor_count(net, ids, radii[0]).tolist() == fresh, action
+
+
 # --- normalized inputs ------------------------------------------------------------------
 
 
@@ -187,6 +227,22 @@ def test_normalized_inputs_bounded(seed):
         assert 0.0 <= db <= 1.0
         assert 0.0 <= re <= 1.0
         assert 0.0 <= conc <= 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 120),
+    st.integers(0, 2**31),
+    st.lists(st.tuples(st.floats(0.0, 100.0), st.floats(0.0, 100.0)), min_size=1, max_size=60),
+)
+def test_dist_is_symmetric_bit_for_bit(n, seed, positions):
+    # joining reads a head's row for every node's distance to it, and the
+    # neighbor counts take a dead node's row for its column
+    for net in (
+        deploy(n, 300.0, (150.0, 525.0), seed),
+        network_from_positions(positions, 100.0, (50.0, 175.0)),
+    ):
+        assert net.dist.tobytes() == np.ascontiguousarray(net.dist.T).tobytes()
 
 
 def test_dist_matches_difference_tensor_bit_for_bit():

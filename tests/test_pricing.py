@@ -28,15 +28,18 @@ from fuzzcluster.protocols import (
     KIND_TYPE2,
     KINDS,
     ProtocolParams,
+    assign_members,
     build_routes,
     ch_threshold,
     compete_final_chs,
+    price_control,
     run_protocol_round,
 )
 from fuzzcluster.rng import Xorshift64Star
 from fuzzcluster.simulator import apply_round_energy
 from pricing_reference import (
     apply_round_energy_ref,
+    assign_members_ref,
     build_routes_ref,
     compete_final_chs_ref,
     run_protocol_round_ref,
@@ -140,6 +143,91 @@ def test_round_matches_one_message_reference(case, seed):
     for entries in BUDGETS:
         with block_entries(entries):
             assert_same_round(*both_rounds(net, params, r, seed))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_joining_matches_reference(data):
+    # snapped nodes sit at equal distances from several heads and share
+    # points; a few rows per block put the heads in many blocks
+    n = data.draw(st.integers(2, 99))
+    area = data.draw(st.sampled_from([100.0, 300.0]))
+    dead = data.draw(st.lists(st.integers(0, n - 1), max_size=n // 2, unique=True))
+    snap = data.draw(st.sampled_from([None, area / 6, area / 3]))
+    net = network(n, area, data.draw(st.integers(0, 2**31)), dead, snap=snap)
+    alive = np.flatnonzero(net.alive).tolist()
+    finals = data.draw(st.lists(st.sampled_from(alive), min_size=1, max_size=len(alive), unique=True))
+    r_max = data.draw(st.sampled_from([1.0, area / 6, area / 3, area]))  # 1 m: nearly every joiner an orphan
+    kind = data.draw(st.sampled_from(KINDS))
+    ref, ref_orphans = assign_members_ref(net, [(f, 0.0, 0.0) for f in finals], kind, r_max)
+    for rows in (block_rows(n), 2, 1):
+        with block_entries(rows * n):
+            (heads, sizes, members), orphans = assign_members(net, np.array(finals), kind, r_max)
+        assert orphans == ref_orphans
+        assert heads.tolist() == [c.head for c in ref]
+        ends = np.cumsum(sizes).tolist()
+        assert [members[e - k : e].tolist() for k, e in zip(sizes.tolist(), ends)] == [
+            c.members for c in ref
+        ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 321), st.integers(2, 1100), st.integers(0, 2**31), st.floats(0.0, 0.9))
+def test_row_reduction_adds_rows_in_order(rows, columns, seed, zeros):
+    # price_control adds a join-free block's cost rows to control with
+    # np.add.reduce along the rows: nonnegative values over many magnitudes,
+    # some 0.0, must sum as one row after another
+    gen = np.random.default_rng(seed)
+    block = gen.uniform(0.0, 1.0, (rows, columns)) * 10.0 ** gen.integers(-12, 3, (rows, columns))
+    block[gen.uniform(size=(rows, columns)) < zeros] = 0.0
+    want = block[0].copy()
+    for row in block[1:]:
+        want = want + row
+    out = np.empty(columns)
+    np.add.reduce(block, axis=0, out=out)
+    assert same_bits(out, want)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_one_node_network_prices_as_reference(kind):
+    net = network_from_positions([(40.0, 70.0)], 100.0, (50.0, 175.0))
+    params = ProtocolParams(kind=kind, p=0.05, r_min=10.0, r_max=40.0)
+    for r in (1, EPOCH_END):
+        plan, drained, ref, ref_drained = both_rounds(net, params, r, 3)
+        assert_same_round(plan, drained, ref, ref_drained)
+        assert plan.control_spend[0] > 0.0
+    # a round sends at most two broadcasts here; numpy would sum more than
+    # eight of them from the one column pairwise, so a join-free block of a
+    # 1-node network keeps np.add.at
+    for seed in range(5):
+        ranges = np.random.default_rng(seed).uniform(1.0, 400.0, 300)
+        control, want = np.full(1, 1e-3), 1e-3
+        no_joins = np.zeros(0, dtype=np.intp)
+        senders = np.zeros(len(ranges), dtype=np.intp)
+        groups = np.arange(len(ranges))
+        price_control(control, net, CH2, senders, ranges, groups, no_joins, no_joins, no_joins)
+        for d in ranges.tolist():
+            want += tx_energy_ref(CH2, CH2.ctrl_bits, d)
+        assert same_bits(control, [want])
+
+
+@pytest.mark.parametrize(
+    "kind, r", [(KIND_LEACH, EPOCH_END), (KIND_FUZZY_UNEQUAL, 3), (KIND_TYPE2, 1)]
+)
+def test_join_free_blocks_price_as_reference(kind, r):
+    # at 1000 nodes the candidate and final announcements fill whole
+    # 32-group blocks with no join (type2fl has about 950 candidates); at the
+    # epoch's end every alive LEACH node is a head, so no block has a join
+    cfg = parse_config("ch2-scenario2")
+    rng = Xorshift64Star(5)
+    net = deploy_from_rng(cfg.n, cfg.area_side, cfg.bs_pos, rng, cfg.initial_energy)
+    net.alive[::9] = False
+    net.energy[~net.alive] = 0.0
+    params = ProtocolParams(kind=kind, p=0.05, r_min=20.0, r_max=80.0)
+    plan, drained, ref, ref_drained = both_rounds(net, params, r, 11, cfg.radio)
+    assert_same_round(plan, drained, ref, ref_drained)
+    if kind == KIND_LEACH:
+        assert not plan.sizes.any()
 
 
 GRID = 50.0
