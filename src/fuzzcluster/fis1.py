@@ -378,16 +378,17 @@ def defuzz_coa(mu: np.ndarray, xs: np.ndarray, overwrite: bool = False) -> np.nd
     return moment.sum(axis=1) / np.where(total > 0.0, total, np.nan)
 
 
-def _column_index(fire: np.ndarray) -> tuple[dict[bytes, int], np.ndarray]:
-    """Each distinct column of fire, by its exact bytes, numbered in the
-    order the columns first appear, and the number of every column. The
-    columns are keyed FIRE_CHUNK at a time."""
+def _column_index(fire: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each distinct column of fire, by its exact bytes, first appears,
+    in that order, and the number of every column in that order, so that the
+    running maximum of the numbers first reaches k where column k first
+    appears. The columns are keyed FIRE_CHUNK at a time."""
     index: dict[bytes, int] = {}
     inverse = np.empty(fire.shape[1], np.intp)
     for s in range(0, fire.shape[1], FIRE_CHUNK):
         keys = np.ascontiguousarray(fire[:, s : s + FIRE_CHUNK].T).view(f"V{len(fire) * 8}")
         inverse[s : s + len(keys)] = [index.setdefault(k, len(index)) for k in keys[:, 0].tolist()]
-    return index, inverse
+    return np.searchsorted(np.maximum.accumulate(inverse), np.arange(len(index))), inverse
 
 
 def eval_fis1(
@@ -399,23 +400,20 @@ def eval_fis1(
     Each output is an array, NaN in every output at the points where any
     output has no area. The term firings are computed FIRE_CHUNK points at a
     time, and each distinct firing column, keyed by its exact bytes, is
-    aggregated and defuzzified once: min, max and each row's pairwise sum
-    read one point alone, so a merged point gets its own bits. A call of at
-    most ROW_CHUNK points is one chunk either way and is not keyed. The
-    distinct columns go through inference ROW_CHUNK at a time, in the one
-    (outputs, ROW_CHUNK, samples) block that the plan of the sample count
-    keeps and reuses for every chunk and call, so a rule base is not to be
-    evaluated from two threads at once."""
+    gathered at its first position, aggregated and defuzzified once: min,
+    max and each row's pairwise sum read one point alone, so a merged point
+    gets its own bits. A call of at most ROW_CHUNK points is one chunk
+    either way and is not keyed. The distinct columns go through inference
+    ROW_CHUNK at a time, in the one (outputs, ROW_CHUNK, samples) block that
+    the plan of the sample count keeps and reuses for every chunk and call,
+    so a rule base is not to be evaluated from two threads at once."""
     # the plan first, so its build and the keys are not alive at once
     plan = rb._plan(samples)
     fire = term_firings(rb, inputs)
     inverse = None
     if fire.shape[1] > ROW_CHUNK:  # merging can save a chunk only when there are several
-        index, inverse = _column_index(fire)
-        terms = len(fire)
-        del fire  # the table and the joined keys are not alive at once
-        fire = np.frombuffer(b"".join(index), float).reshape(len(index), terms).T
-        del index
+        first, inverse = _column_index(fire)
+        fire = fire[:, first]
     out = np.empty((len(rb.outputs), fire.shape[1]))
     for s in range(0, fire.shape[1], ROW_CHUNK):
         mus = infer_mamdani(rb, fire[:, s : s + ROW_CHUNK], samples, plan.block)

@@ -27,9 +27,9 @@ from .fis1 import (
 DEFAULT_BLUR = 0.2
 # How far a reduced interval's lo may pass its hi before it counts as inverted.
 INVERSION_SLACK = 1e-12
-# Firings per (rules, rows) block of the Karnik-Mendel loop. Its largest
-# temporary holds two floats per firing (96 KiB), below glibc malloc's 128 KiB
-# mmap threshold, so no block is mapped and faulted in afresh.
+# Firings per block of points that eval_t2fis fires and reduces at once. The
+# Karnik-Mendel loop's largest temporary holds two floats per firing (96 KiB),
+# below glibc malloc's 128 KiB mmap threshold, so no block is faulted in afresh.
 KM_BLOCK = 6144
 
 
@@ -187,18 +187,13 @@ def _km_rows(first: np.ndarray, second: np.ndarray, w: np.ndarray) -> np.ndarray
     return y
 
 
-def _km_points(w: np.ndarray) -> int:
-    """Points per block of the Karnik-Mendel loop for (outputs, rules)
-    weights: KM_BLOCK firings, two ends per output and rule."""
-    return max(1, KM_BLOCK // (2 * w.size))
-
-
 def km_type_reduce(firings: np.ndarray, weights: np.typing.ArrayLike) -> np.ndarray:
     """Minimum and maximum of the weighted firing ratio over all per-rule
     choices inside the firing intervals (iterative switch-point search), per
     output and point: (2, rules, points) lower and upper firings and
     (outputs, rules) weights give a (2, outputs, points) array of low and
-    high ends.
+    high ends. Every point given is reduced at once; eval_t2fis gives one
+    KM_BLOCK of firings at a time.
 
     A point is NaN at both ends where every upper firing is zero, or where
     rounding inverts its interval (subnormal firings can)."""
@@ -219,17 +214,11 @@ def km_type_reduce(firings: np.ndarray, weights: np.typing.ArrayLike) -> np.ndar
     if k_rules == 1:
         ends = np.broadcast_to(w, (2, n_out, n))
     else:
-        # rows (lower end | upper end, output, point), stacked rule-major;
-        # the lower end takes the upper firings below its split
+        # rows (lower end | upper end, output, point), stacked rule-major from
+        # all lower firings, then all upper; lower ends take upper below the split
         pick = np.stack((order.T + k_rules, order.T), axis=1)  # (rules, ends, outputs)
-        ends = np.empty((2, n_out, n))
-        step = _km_points(w)
-        for s in range(0, n, step):
-            # a view, rule-major: every rule's lower firings, then every rule's upper
-            g = firings[:, :, s : s + step].reshape(2 * k_rules, -1)
-            first = g.take(pick, axis=0)
-            second = g.take(pick[:, ::-1], axis=0)
-            ends[:, :, s : s + step] = _km_rows(first, second, w.T[:, None, :, None])
+        g = firings.reshape(2 * k_rules, n)
+        ends = _km_rows(g.take(pick, axis=0), g.take(pick[:, ::-1], axis=0), w.T[:, None, :, None])
     lo, hi = ends
     dead = ~(fu.max(axis=0) > 0.0) | (lo > hi + INVERSION_SLACK)
     return np.where(dead, np.nan, ends)
@@ -335,11 +324,11 @@ def eval_t2fis(
 
     NaN in both outputs marks a degenerate point: every rule fired at zero,
     or either reduced interval came out inverted. The points are fired and
-    reduced one Karnik-Mendel block at a time, so only the inputs and
-    outputs grow with a call."""
+    reduced KM_BLOCK firings at a time, so only the inputs and outputs grow
+    with a call."""
     x = input_rows({"db": db, "re": re})
     tables, weights = rb._plan()
-    step = _km_points(weights)
+    step = max(1, KM_BLOCK // (2 * weights.size))  # two ends per output and rule
     out = np.empty((len(weights), x.shape[1]))
     for s in range(0, x.shape[1], step):
         lo, hi = km_type_reduce(_fire(tables, x[0, s : s + step], x[1, s : s + step]), weights)

@@ -109,25 +109,23 @@ def network_from_positions(
 
 def neighbor_count(net: Network, ids: np.typing.ArrayLike, radius: float) -> np.ndarray:
     """Per id, the alive nodes other than it within Euclidean distance <= radius
-    (an int is one id)."""
+    (an int is one id). The network keeps the counts of one radius and the
+    alive mask they follow: a call adds the nodes alive since, revived ones
+    too, and subtracts the nodes dead since; a new radius starts from none."""
     if not 0.0 < radius < math.inf:
         raise ValueError(f"radius must be positive and finite, got {radius}")
     ids = np.atleast_1d(np.asarray(ids, dtype=np.intp))
     step = block_rows(net.n)  # dist rows at a time
-    counted_radius, counts, counted_alive = net._neighbors
-    if radius != counted_radius or (net.alive & ~counted_alive).any():
-        # a new radius or a revived node: count every node
-        counts = np.empty(net.n, dtype=np.intp)
-        for s in range(0, net.n, step):
-            counts[s : s + step] = ((net.dist[s : s + step] <= radius) & net.alive).sum(axis=1)
-        counts -= net.alive  # an alive node is within radius of itself
-    else:
-        # dist is symmetric, so a dead node's row holds the nodes that counted
-        # it; it counted itself only while alive, so it gets that one back
-        dead = np.flatnonzero(counted_alive & ~net.alive)
-        for s in range(0, len(dead), step):
-            counts -= (net.dist[dead[s : s + step]] <= radius).sum(axis=0)
-        counts[dead] += 1
+    counted_radius, counts, counted = net._neighbors
+    if radius != counted_radius:
+        counts, counted = np.zeros(net.n, dtype=np.intp), np.zeros(net.n, dtype=bool)
+    # dist is symmetric, so a node's row holds the nodes that count it; its own
+    # zero distance counts itself, which is taken off again
+    for sign, changed in ((1, net.alive & ~counted), (-1, counted & ~net.alive)):
+        rows = np.flatnonzero(changed)
+        for s in range(0, len(rows), step):
+            counts += sign * (net.dist[rows[s : s + step]] <= radius).sum(axis=0)
+        counts[rows] -= sign
     net._neighbors = (radius, counts, net.alive.copy())
     return counts[ids]
 

@@ -282,13 +282,12 @@ def price_control(
         rows, nodes = np.divmod(np.flatnonzero(heard), heard.shape[1])
         tx = tx_energy(radio, bits, np.concatenate((ranges[s0:s1], net.dist[m, h])))
         cost = np.where(nodes == snd[rows], tx[rows], rx)
-        if len(m):
-            # a group's joins (sequence 2g) come before its broadcast (2g + 1)
-            jseq = 2 * join_group[j0:j1]
-            seq = np.concatenate((2 * send_group[s0:s1][rows] + 1, jseq, jseq))
-            order = np.argsort(seq, kind="stable")
-            nodes = np.concatenate((nodes, m, h))[order]
-            cost = np.concatenate((cost, tx[s1 - s0 :], np.full(len(h), rx)))[order]
+        # a group's joins (sequence 2g) come before its broadcast (2g + 1)
+        jseq = 2 * join_group[j0:j1]
+        seq = np.concatenate((2 * send_group[s0:s1][rows] + 1, jseq, jseq))
+        order = np.argsort(seq, kind="stable")
+        nodes = np.concatenate((nodes, m, h))[order]
+        cost = np.concatenate((cost, tx[s1 - s0 :], np.full(len(h), rx)))[order]
         np.add.at(control, nodes, cost)
 
 

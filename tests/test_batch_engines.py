@@ -45,7 +45,7 @@ from fuzzcluster.fis2 import (
     km_type_reduce,
     make_fou,
 )
-from fuzzcluster.network import normalize_inputs
+from fuzzcluster.network import neighbor_count, normalize_inputs
 from fuzzcluster.protocols import (
     ProtocolParams,
     compute_radius_chance,
@@ -185,6 +185,18 @@ def test_t2_batch_matches_one_point_reference(case):
     radius, chance = eval_t2fis(rb, np.array(db), np.array(re))
     assert same_bits(radius, [w[0] for w in want])
     assert same_bits(chance, [w[1] for w in want])
+
+
+def test_t2_points_of_every_block_match_one_point_calls():
+    # two full KM_BLOCK blocks and a partial one: a block edge that skipped or
+    # shifted a point moves it
+    rb = default_rulebase2()
+    points = 2 * (fis2.KM_BLOCK // (2 * 2 * len(rb.rules))) + 3
+    db, re = np.linspace(0.0, 1.0, points), np.linspace(0.0, 1.0, points) ** 2
+    radius, chance = eval_t2fis(rb, db, re)
+    want = np.array([eval_t2fis(rb, d, r) for d, r in zip(db, re)])[:, :, 0]
+    assert same_bits(radius, want[:, 0])
+    assert same_bits(chance, want[:, 1])
 
 
 def test_t2_subnormal_inversion_is_a_degenerate_point():
@@ -495,6 +507,17 @@ def test_fis1_broadcasts_one_point_input_over_every_chunk():
     for name in ("radius", "chance"):
         assert same_bits(got[name], want[name])
 
+
+def test_zero_point_calls_return_empty_arrays():
+    ends = km_type_reduce(np.zeros((2, 9, 0)), np.ones((2, 9)))
+    assert ends.shape == (2, 2, 0) and ends.dtype == float
+    radius, chance = eval_t2fis(default_rulebase2(), [], [])
+    assert radius.shape == chance.shape == (0,) and radius.dtype == chance.dtype == float
+    out = eval_fis1(default_rulebase1(), {"distance": [], "energy": [], "concentration": []})
+    assert list(out) == ["radius", "chance"]
+    assert all(v.shape == (0,) and v.dtype == float for v in out.values())
+    counts = neighbor_count(deploy(10, 100.0, (50.0, 175.0), seed=1), [], 20.0)
+    assert counts.shape == (0,) and counts.dtype == np.intp
 
 
 @pytest.mark.parametrize(

@@ -6,14 +6,20 @@ perfbench/probe.py ends a surface dump at its first engine call by
 replacing the engine names that csvio holds, and perfbench/worker.py captures
 each round through the plan's ``clusters`` and ``routes`` views for the checks
 in perfbench/checks.py. perfbench/workloads.py dumps the engine surfaces from
-the rule bases parse_config puts in ``cfg.rules1`` and ``cfg.rules2``. A
-refactor that renames or bypasses any of them breaks the benchmark without
-failing another test.
+the rule bases parse_config puts in ``cfg.rules1`` and ``cfg.rules2``, and
+perfbench/checks.py compares them within 1e-9 with perfbench/oracle.py's
+engines. Those read the rule bases as data: ``inputs``, ``outputs`` and each
+variable's ``terms`` and each rule's ``antecedents`` and ``consequents`` of a
+RuleBase1; ``distance_mfs``, ``energy_mfs``, each footprint's
+``lower_scale`` and its sets' ``kind`` and ``points``, and each rule's
+``w_radius`` and ``w_chance`` of a RuleBase2. A refactor that renames or
+bypasses any of them breaks the benchmark without failing another test.
 """
 import importlib
 import importlib.util
 import json
 import re
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -27,11 +33,16 @@ from fuzzcluster.fis2 import RuleBase2, default_rulebase2
 from fuzzcluster.protocols import KINDS
 from fuzzcluster.simulator import run_simulation
 
-_spec = importlib.util.spec_from_file_location(
-    "perfbench_tracer", Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-)
-tracer = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(tracer)
+
+def _load(name: str):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+tracer, oracle = _load("tracer"), _load("oracle")
 
 
 @pytest.mark.parametrize(
@@ -188,3 +199,18 @@ def test_every_parsed_config_carries_both_rule_bases(tmp_path, preset, protocol)
     assert cfg.protocol.kind == PROTOCOL_NAMES[protocol]
     assert isinstance(cfg.rules1, RuleBase1) and isinstance(cfg.rules2, RuleBase2)
     assert cfg.rules1 and cfg.rules2
+
+
+def test_oracle_reads_the_rule_bases_parse_config_builds():
+    rng = np.random.default_rng(11)
+    cfg = parse_config("ch2-scenario1")
+    x = rng.random((20, len(cfg.rules1.inputs)))
+    got = fis1.eval_fis1(
+        cfg.rules1, {var.name: col for var, col in zip(cfg.rules1.inputs, x.T)}, cfg.coa_samples
+    )
+    ref = oracle.t1_reference(cfg.rules1, x, cfg.coa_samples)
+    assert np.abs(np.column_stack(list(got.values())) - ref).max() <= 1e-9
+    rb2 = parse_config("ch3").rules2
+    db, re_ = rng.random((2, 20))
+    got = np.array(fis2.eval_t2fis(rb2, db, re_))
+    assert np.abs(got - np.array(oracle.t2_reference(rb2, db, re_))).max() <= 1e-9

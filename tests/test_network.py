@@ -150,11 +150,12 @@ def test_counts_reject_radius_not_positive_and_finite(radius):
 @given(st.data())
 def test_neighbor_counts_follow_deaths_revival_and_radius(data):
     # counts kept from an earlier call must equal a fresh count after every
-    # step: deaths in batches, one revival, a change of radius
+    # step: deaths in batches, one revival, a revival and deaths before one
+    # count (a swap), a change of radius
     n = data.draw(st.integers(1, 90))
     net = deploy(n, 100.0, (50.0, 175.0), seed=data.draw(st.integers(0, 2**31)))
     radii = [data.draw(st.sampled_from([5.0, 15.0, 40.0, 200.0])) for _ in range(2)]
-    steps = data.draw(st.lists(st.sampled_from(["die", "revive", "radius"]), max_size=12))
+    steps = data.draw(st.lists(st.sampled_from(["die", "revive", "swap", "radius"]), max_size=12))
     step = data.draw(st.sampled_from([n, 3, 1]))  # dist rows per block
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(network_module, "BLOCK_ENTRIES", step * n)
@@ -165,6 +166,11 @@ def test_neighbor_counts_follow_deaths_revival_and_radius(data):
                 net.alive[dying] = False
             elif action == "revive" and not net.alive.all():
                 net.alive[data.draw(st.sampled_from(np.flatnonzero(~net.alive).tolist()))] = True
+            elif action == "swap" and len(alive) and not net.alive.all():
+                back = data.draw(st.sampled_from(np.flatnonzero(~net.alive).tolist()))
+                dying = data.draw(st.lists(st.sampled_from(alive.tolist()), min_size=1, max_size=len(alive)))
+                net.alive[dying] = False
+                net.alive[back] = True
             elif action == "radius":
                 radii.reverse()
             ids = np.arange(n)
