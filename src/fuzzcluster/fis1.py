@@ -391,25 +391,21 @@ def _column_index(fire: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.searchsorted(np.maximum.accumulate(inverse), np.arange(len(index))), inverse
 
 
-def eval_fis1(
-    rb: RuleBase1, inputs: Mapping[str, np.typing.ArrayLike], samples: int = DEFAULT_SAMPLES
-) -> dict[str, np.ndarray]:
-    """Fuzzify, infer and defuzzify every output variable at equal-length
-    arrays of points (a float, or any one-point input, is broadcast).
+def firing_outputs(rb: RuleBase1, fire: np.ndarray, samples: int = DEFAULT_SAMPLES) -> np.ndarray:
+    """Infer and defuzzify every output at the (output terms + 1, m) term
+    firings of term_firings: an (outputs, m) array in rb's output order, NaN
+    in every output at the points where any output has no area.
 
-    Each output is an array, NaN in every output at the points where any
-    output has no area. The term firings are computed FIRE_CHUNK points at a
-    time, and each distinct firing column, keyed by its exact bytes, is
-    gathered at its first position, aggregated and defuzzified once: min,
-    max and each row's pairwise sum read one point alone, so a merged point
-    gets its own bits. A call of at most ROW_CHUNK points is one chunk
-    either way and is not keyed. The distinct columns go through inference
-    ROW_CHUNK at a time, in the one (outputs, ROW_CHUNK, samples) block that
-    the plan of the sample count keeps and reuses for every chunk and call,
-    so a rule base is not to be evaluated from two threads at once."""
-    # the plan first, so its build and the keys are not alive at once
+    Each distinct firing column, keyed by its exact bytes, is gathered at its
+    first position, aggregated and defuzzified once: min, max and each row's
+    pairwise sum read one point alone, so a merged point gets its own bits,
+    and an output is a function of its column's bits alone. A call of at
+    most ROW_CHUNK points is one chunk either way and is not keyed. The
+    distinct columns go through inference ROW_CHUNK at a time, in the one
+    (outputs, ROW_CHUNK, samples) block that the plan of the sample count
+    keeps and reuses for every chunk and call, so a rule base is not to be
+    evaluated from two threads at once."""
     plan = rb._plan(samples)
-    fire = term_firings(rb, inputs)
     inverse = None
     if fire.shape[1] > ROW_CHUNK:  # merging can save a chunk only when there are several
         first, inverse = _column_index(fire)
@@ -425,6 +421,19 @@ def eval_fis1(
     # a point is degenerate as a whole: NaN in one output is NaN in all
     if np.isnan(out).any():
         out[:, np.isnan(out).any(axis=0)] = np.nan
+    return out
+
+
+def eval_fis1(
+    rb: RuleBase1, inputs: Mapping[str, np.typing.ArrayLike], samples: int = DEFAULT_SAMPLES
+) -> dict[str, np.ndarray]:
+    """Fuzzify, infer and defuzzify every output variable at equal-length
+    arrays of points (a float, or any one-point input, is broadcast): the
+    term firings of term_firings through firing_outputs, each output an
+    array, NaN in every output at the points where any output has no area."""
+    # the plan first, so its build and the keys are not alive at once
+    rb._plan(samples)
+    out = firing_outputs(rb, term_firings(rb, inputs), samples)
     return dict(zip((var.name for var in rb.outputs), out))
 
 
@@ -522,7 +531,9 @@ def apply_overrides(
     """A variable over each named stock partition, with the per-term
     membership overrides given for it swapped in. An override of a variable
     or term the stock lacks raises a ValueError that starts with its config
-    key, ``<family>.<variable>`` or ``<family>.<variable>.<term>``."""
+    key, ``<family>.<variable>`` or ``<family>.<variable>.<term>``. An
+    override that breaks its variable (a hole in the cover, a support
+    outside [0, 1]) raises one that starts with ``<family>.<variable>: ``."""
     overrides = overrides or {}
     for name, per_term in overrides.items():
         if name not in stock:
@@ -531,10 +542,14 @@ def apply_overrides(
         for t in per_term:
             if t not in known:
                 raise ValueError(f"{family}.{name}.{t}: unknown term {t!r} of {name!r}")
-    return [
-        LinguisticVariable(name, tuple((t, overrides.get(name, {}).get(t, mf)) for t, mf in terms))
-        for name, terms in stock.items()
-    ]
+    variables = []
+    for name, terms in stock.items():
+        chosen = overrides.get(name, {})
+        try:
+            variables.append(LinguisticVariable(name, tuple((t, chosen.get(t, mf)) for t, mf in terms)))
+        except ValueError as e:  # its message starts with "<variable>: "
+            raise ValueError(f"{family}.{e}") from None
+    return variables
 
 
 def default_rulebase1(

@@ -57,6 +57,9 @@ class Network:
         self.alive = np.ones(self.n, dtype=bool)
         # neighbor_count's (radius, count per node, alive mask counted at)
         self._neighbors: tuple = (None, None, None)
+        # compute_radius_chance's (rules1, coa_samples, firing column per
+        # node, outputs per node) of each node's last type-1 evaluation
+        self._fis1: tuple = (None, None, None, None)
 
         # a block of rows at a time, one axis after the other, squared and
         # summed in place: the same bits as summing an (n, n, 2) tensor of

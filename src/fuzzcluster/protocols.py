@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .energy import RadioParams, rx_energy, threshold_distance, tx_energy
-from .fis1 import eval_fis1
+from .fis1 import firing_outputs, term_firings
 from .fis2 import eval_t2fis
 from .network import Network, block_rows, normalize_inputs
 from .rng import Xorshift64Star
@@ -131,22 +131,43 @@ def select_provisional(
     return np.array([np.argmax(np.where(net.alive, net.energy, -np.inf))]), True
 
 
-def compute_radius_chance(inputs: tuple, cfg: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def compute_radius_chance(
+    net: Network, ids: np.ndarray, inputs: tuple, cfg: SimConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Map normalized (db, re, conc) to (radius in meters, chance, fell_back).
 
-    The inputs are equal-length arrays with one entry per candidate, sized in
-    one engine call; type2fl reads only db and re, so its conc may be None. A
-    point where the engine output is degenerate falls back to 0.5 in both
-    outputs on its own and is flagged."""
+    The inputs are equal-length arrays with one entry per candidate, the
+    distinct node ids of net, sized in one engine call; type2fl reads only db
+    and re, so its conc may be None, and fuzzy_unequal reads the two outputs
+    of rules1 as the radius and the chance, in that order. A point where the
+    engine output is degenerate falls back to 0.5 in both outputs on its own
+    and is flagged.
+
+    The network keeps each node's last type-1 firing column and outputs, and
+    the rule base and sample count they were made with (a new one starts
+    from none): only the candidates whose column differs in any bit from
+    their node's kept one are inferred and defuzzified. An output is a
+    function of its column's bits alone, so a kept output is the one a fresh
+    evaluation would give."""
     db, re, conc = inputs
     params = cfg.protocol
     if params.kind == KIND_TYPE2:
         r_norm, chance = eval_t2fis(cfg.rules2, db, re)
     else:
-        out = eval_fis1(
-            cfg.rules1, {"distance": db, "energy": re, "concentration": conc}, cfg.coa_samples
-        )
-        r_norm, chance = out["radius"], out["chance"]
+        rb, samples = cfg.rules1, cfg.coa_samples
+        fire = term_firings(rb, {"distance": db, "energy": re, "concentration": conc})
+        kept_rb, kept_samples, columns, outputs = net._fis1
+        if rb is not kept_rb or samples != kept_samples:
+            columns = np.full((len(fire), net.n), np.nan)  # NaN matches no firing
+            outputs = np.empty((len(rb.outputs), net.n))
+            net._fis1 = (rb, samples, columns, outputs)
+        same = (columns[:, ids].view(np.uint64) == fire.view(np.uint64)).all(axis=0)
+        changed = ids[~same]
+        if len(changed):
+            fire = fire[:, ~same]
+            outputs[:, changed] = firing_outputs(rb, fire, samples)
+            columns[:, changed] = fire
+        r_norm, chance = outputs[:, ids]
     fallback = np.isnan(r_norm) | np.isnan(chance)
     r_norm = np.where(fallback, 0.5, r_norm)
     chance = np.where(fallback, 0.5, chance)
@@ -317,7 +338,7 @@ def run_protocol_round(
         # type2fl reads only (db, re), so it counts no neighbors
         nbr_radius = params.nbr_radius or threshold_distance(radio)
         inputs = normalize_inputs(net, ids, None if params.kind == KIND_TYPE2 else nbr_radius)
-        cand_radius, chance, fell_back = compute_radius_chance(inputs, cfg)
+        cand_radius, chance, fell_back = compute_radius_chance(net, ids, inputs, cfg)
         fis_fallbacks = int(fell_back.sum())
         won = compete_final_chs(ids, cand_radius, chance, net)
         finals, radius = ids[won], cand_radius[won]

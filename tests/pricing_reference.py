@@ -3,8 +3,10 @@
 These are the competition, joining, routing, control pricing and energy
 application as they were written before array bookkeeping: one loop per
 decision, one Python addition per message, per member uplink and per hop,
-and the one-distance radio formula. The array code must reproduce them bit
-for bit, so keep this file as it is when the package's bookkeeping changes.
+and the one-distance radio formula. The candidates' radius and chance come
+from a fresh engine call each round, never from what the network keeps.
+The array code must reproduce them bit for bit, so keep this file as it is
+when the package's bookkeeping changes.
 """
 from __future__ import annotations
 
@@ -13,13 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from fuzzcluster.energy import threshold_distance
+from fuzzcluster.fis1 import eval_fis1
+from fuzzcluster.fis2 import eval_t2fis
 from fuzzcluster.network import normalize_inputs
-from fuzzcluster.protocols import (
-    KIND_LEACH,
-    KIND_TYPE2,
-    compute_radius_chance,
-    select_provisional,
-)
+from fuzzcluster.protocols import KIND_LEACH, KIND_TYPE2, select_provisional
 
 
 @dataclass
@@ -47,6 +46,22 @@ def tx_energy_ref(p, bits, d):
 
 def rx_energy_ref(p, bits):
     return bits * p.e_elec
+
+
+def radius_chance_ref(inputs, cfg):
+    """(radius in m, chance, fell_back) per candidate from a fresh engine
+    call, 0.5 in both outputs where the engine output is degenerate."""
+    db, re, conc = inputs
+    params = cfg.protocol
+    if params.kind == KIND_TYPE2:
+        r_norm, chance = eval_t2fis(cfg.rules2, db, re)
+    else:
+        inputs = {"distance": db, "energy": re, "concentration": conc}
+        out = eval_fis1(cfg.rules1, inputs, cfg.coa_samples)
+        r_norm, chance = out["radius"], out["chance"]
+    fell_back = np.isnan(r_norm) | np.isnan(chance)
+    r_norm, chance = np.where(fell_back, 0.5, r_norm), np.where(fell_back, 0.5, chance)
+    return params.r_min + r_norm * (params.r_max - params.r_min), chance, fell_back
 
 
 def compete_final_chs_ref(candidates, net):
@@ -112,7 +127,7 @@ def run_protocol_round_ref(net, cfg, rng, round_index):
     else:
         nbr_radius = params.nbr_radius or threshold_distance(radio)
         inputs = normalize_inputs(net, np.array(provisional_ids, dtype=np.intp), nbr_radius)
-        radius, chance, fell_back = compute_radius_chance(inputs, cfg)
+        radius, chance, fell_back = radius_chance_ref(inputs, cfg)
         fis_fallbacks = int(fell_back.sum())
         candidates = list(zip(provisional_ids, radius.tolist(), chance.tolist()))
         if params.control_traffic:

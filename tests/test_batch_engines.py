@@ -209,7 +209,8 @@ def test_t2_subnormal_inversion_is_a_degenerate_point():
     assert same_bits(radius, [NAN, healthy[0]])
     assert same_bits(chance, [NAN, healthy[1]])
     cfg = round_config(TYPE2, RADIO, rules2=rb)
-    _, _, fell_back = compute_radius_chance((db, re, np.zeros(2)), cfg)
+    net = deploy(2, 100.0, (50.0, 175.0), seed=5)
+    _, _, fell_back = compute_radius_chance(net, np.arange(2), (db, re, np.zeros(2)), cfg)
     assert fell_back.tolist() == [True, False]
 
 
@@ -616,7 +617,7 @@ def test_degenerate_points_fall_back_one_by_one(params):
     net = deploy(3 * ROW_CHUNK + 1, 100.0, (50.0, 175.0), seed=5)
     net.energy[:] = np.linspace(0.05, 1.0, net.n)
     inputs = normalize_inputs(net, np.arange(net.n), 20.0)
-    radius, chance, fell_back = compute_radius_chance(inputs, cfg)
+    radius, chance, fell_back = compute_radius_chance(net, np.arange(net.n), inputs, cfg)
     span = params.r_max - params.r_min
     for i, point in enumerate(zip(*inputs)):
         w = reference_outputs(cfg, *point)
@@ -635,3 +636,42 @@ def test_round_counts_every_fallback(params):
     want = sum(reference_outputs(cfg, *point) is None for point in zip(*inputs))
     plan = run_protocol_round(net, cfg, Xorshift64Star(11), 1)
     assert plan.fis_fallbacks == want > 0
+
+
+def test_kept_degenerate_point_falls_back_every_round():
+    # no energy is spent between the rounds, so every candidate evaluated
+    # before reads its kept outputs again
+    cfg = degenerate_config(FUZZY)
+    net = deploy(100, 100.0, (50.0, 175.0), seed=3)
+    seen, repeated = set(), 0
+    for r in range(1, 5):
+        provisional, _ = select_provisional(net, FUZZY, r - 1, Xorshift64Star(10 + r))
+        inputs = normalize_inputs(net, provisional, 20.0)
+        degenerate = {
+            i for i, point in zip(provisional.tolist(), zip(*inputs))
+            if reference_outputs(cfg, *point) is None
+        }
+        plan = run_protocol_round(net, cfg, Xorshift64Star(10 + r), r)
+        assert plan.fis_fallbacks == len(degenerate) > 0
+        repeated += len(degenerate & seen)
+        seen |= degenerate
+    assert repeated > 0
+
+
+def test_node_keeps_nan_in_every_output_of_a_degenerate_point():
+    # a radius term without area: the first point fires only a rule that
+    # concludes it, so it has a chance but no radius
+    rb = default_rulebase1()
+    radius = copy.copy(rb.outputs[0])
+    point = trapezoidal(0.5, 0.5, 0.5, 0.5)
+    terms = tuple((t, point if t == "medium" else mf) for t, mf in radius.terms)
+    object.__setattr__(radius, "terms", terms)  # after LinguisticVariable's coverage check
+    rules1 = RuleBase1(rb.inputs, (radius, rb.outputs[1]), rb.rules)
+    cfg = round_config(FUZZY, RADIO, rules1=rules1, coa_samples=100)
+    net = deploy(2, 100.0, (50.0, 175.0), seed=5)
+    inputs = (np.array([0.5, 0.5]), np.array([0.5, 0.5]), np.array([0.5, 0.9]))
+    for _ in range(2):  # evaluated, then read back
+        _, _, fell_back = compute_radius_chance(net, np.arange(2), inputs, cfg)
+        assert fell_back.tolist() == [True, False]
+    # NaN in one output is NaN in all, in what the node keeps too
+    assert np.isnan(net._fis1[3][:, 0]).all()

@@ -217,6 +217,22 @@ def test_membership_override_coverage_checked(tmp_path):
         parse_config(write_cfg(tmp_path, text))
 
 
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("mf1.energy.less", "tri:0.1,0.2,0.4", "mf1.energy: no term covers x=0"),
+        ("mf2.energy.low", "tri:0.1,0.2,0.4", "mf2.energy: no term covers x=0"),
+        ("mf1.chance.poor", "tri:0.9,0.95,1", "mf1.chance: no term covers x=0.166667"),
+        ("mf1.radius.small", "tri:0.5,0.6,1.2", "mf1.radius: term 'small' support (0.5, 1.2) leaves [0, 1]"),
+    ],
+    ids=["mf1.energy-hole", "mf2.energy-hole", "mf1.chance-hole", "mf1.radius-support"],
+)
+def test_override_that_breaks_its_variable_names_its_key(key, value, message):
+    pairs = {**config._parse_lines(PRESETS["ch3"], "ch3"), key: value}
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        config.config_from_pairs(pairs)
+
+
 def test_rule1_override_all_or_none(tmp_path):
     with pytest.raises(ConfigError, match="rule1"):
         parse_config(write_cfg(tmp_path, BASE + "rule1.1 = close,less,high,very_small,very_poor\n"))

@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 from conftest import FakeRng, deploy, peak_point, round_config
+from pricing_reference import radius_chance_ref
+from test_bench_contract import count_stage_calls
+from test_golden import WEAK_NODES
 from fuzzcluster import network, protocols
 from fuzzcluster.config import parse_config
 from fuzzcluster.energy import RadioParams, threshold_distance
-from fuzzcluster.fis1 import default_rulebase1, eval_fis1
+from fuzzcluster.fis1 import default_rulebase1, eval_fis1, triangular
 from fuzzcluster.fis2 import default_rulebase2
 from fuzzcluster.network import network_from_positions, normalize_inputs
 from fuzzcluster.protocols import (
@@ -131,8 +134,9 @@ def test_select_matches_one_draw_per_alive_node(params, r):
 def test_radius_clamps_to_r_min_and_r_max():
     low = round_config(TYPE2, RADIO, rules2=default_rulebase2(w_radius=(0.0,) * 6))
     high = round_config(TYPE2, RADIO, rules2=default_rulebase2(w_radius=(1.0,) * 6))
-    radius_lo, _, _ = compute_radius_chance((0.5, 0.5, 0.5), low)
-    radius_hi, _, _ = compute_radius_chance((0.5, 0.5, 0.5), high)
+    net, one = network_from_positions([[0.5, 0.5]], 1.0, (0.0, 0.0)), np.array([0])
+    radius_lo, _, _ = compute_radius_chance(net, one, (0.5, 0.5, 0.5), low)
+    radius_hi, _, _ = compute_radius_chance(net, one, (0.5, 0.5, 0.5), high)
     assert radius_lo == pytest.approx(TYPE2.r_min, abs=1e-12)
     assert radius_hi == pytest.approx(TYPE2.r_max, abs=1e-12)
 
@@ -145,10 +149,65 @@ def test_close_high_high_chance_lands_in_very_strong():
         peak_point(rb.inputs[1].term("high")),
         peak_point(rb.inputs[2].term("high")),
     )
-    _, chance, fell_back = compute_radius_chance(inputs, cfg)
+    net = network_from_positions([[0.5, 0.5]], 1.0, (0.0, 0.0))
+    _, chance, fell_back = compute_radius_chance(net, np.array([0]), inputs, cfg)
     lo, hi = rb.outputs[1].term("very_strong").support
     assert lo < chance < hi
     assert not fell_back
+
+
+def test_kept_type1_outputs_match_a_fresh_evaluation(monkeypatch):
+    # nodes die in round 1, after a few rounds and near the end, and every
+    # 20th round elects every alive node
+    cfg = parse_config("ch2-scenario1")
+    cfg = dataclasses.replace(cfg, max_rounds=60, energy_overrides=WEAK_NODES)
+    assert cfg.protocol.kind == "fuzzy_unequal"
+    sizes = {"candidates": 0, "inferred": 0}
+    real, real_outputs = protocols.compute_radius_chance, protocols.firing_outputs
+
+    def checked(net, ids, inputs, cfg):
+        got = real(net, ids, inputs, cfg)
+        for g, w in zip(got, radius_chance_ref(inputs, cfg), strict=True):
+            assert g.tobytes() == w.tobytes()
+        sizes["candidates"] += len(ids)
+        return got
+
+    def counted(rb, fire, samples):
+        sizes["inferred"] += fire.shape[1]
+        return real_outputs(rb, fire, samples)
+
+    monkeypatch.setattr(protocols, "compute_radius_chance", checked)
+    monkeypatch.setattr(protocols, "firing_outputs", counted)
+    result = run_simulation(cfg)
+    assert len(result.rounds) == 60 and result.fnd == 1
+    assert 0 < sizes["inferred"] < sizes["candidates"]
+
+
+def test_kept_columns_skip_inference_until_the_rule_base_changes(monkeypatch):
+    calls = count_stage_calls(monkeypatch)
+    cfg = round_config(FUZZY, RADIO)
+    net = deploy(40, 100.0, (50.0, 175.0), seed=7)
+    net.energy[:] = np.linspace(0.05, 1.0, net.n)
+    ids = np.arange(0, 40, 2)
+    inputs = normalize_inputs(net, ids, threshold_distance(RADIO))
+    first = compute_radius_chance(net, ids, inputs, cfg)
+    assert calls["infer_mamdani"] > 0
+    calls.clear()
+    again = compute_radius_chance(net, ids, inputs, cfg)
+    assert calls == {}
+    assert [a.tobytes() for a in again] == [f.tobytes() for f in first]
+    moved = default_rulebase1({"radius": {"small": triangular(0.0, 0.2, 0.3)}})
+    for other, same in (
+        (dataclasses.replace(cfg, rules1=default_rulebase1()), True),  # equal, another object
+        (dataclasses.replace(cfg, rules1=moved), False),
+        (dataclasses.replace(cfg, coa_samples=101), False),
+    ):
+        calls.clear()
+        got = compute_radius_chance(net, ids, inputs, other)
+        assert calls["infer_mamdani"] > 0
+        want = radius_chance_ref(inputs, other)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        assert (got[0].tobytes() == first[0].tobytes()) == same
 
 
 # --- competition ----------------------------------------------------------------------
