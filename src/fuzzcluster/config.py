@@ -272,11 +272,18 @@ def config_from_pairs(pairs: dict[str, str]) -> SimConfig:
             **_given(v, "max_rounds", "seed", "coa_samples", "energy_overrides"),
         )
         cfg.validate()
+        r_min = v.get("r_min_m", 0.1 * cfg.area_side)
+        r_max = v.get("r_max_m", 0.4 * cfg.area_side)
+        if "r_min_m" not in v and 0.0 < r_max <= r_min:
+            # the file gave r_max_m alone, so the fault is in that key
+            raise ValueError(
+                f"r_max_m: must exceed the default r_min_m = 0.1 * area_m = {r_min}, got {r_max}"
+            )
         cfg.protocol = ProtocolParams(
             kind=PROTOCOL_NAMES[v["protocol"]],
             p=v.get("p", 0.05),
-            r_min=v.get("r_min_m", 0.1 * cfg.area_side),
-            r_max=v.get("r_max_m", 0.4 * cfg.area_side),
+            r_min=r_min,
+            r_max=r_max,
             **_given(v, "nbr_radius", "control_traffic"),
         )
     except ValueError as e:

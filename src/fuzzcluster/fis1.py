@@ -4,6 +4,14 @@ Piecewise-linear (triangular / trapezoidal) membership functions, linguistic
 variables over normalized [0, 1] domains, the 27-rule radius/chance rule base,
 min-AND / clip / max-aggregate inference and center-of-area defuzzification
 over a midpoint-sampled domain.
+
+Inference runs in two stages on arrays of points: term_firings turns the
+points into output-term firings, and firing_outputs clips, aggregates and
+defuzzifies them, from tables built once per rule base (and sample count)
+and cached on the RuleBase1. Each point gets the bits of a one-point
+evaluation: min and max return one of their operands, so the order in which
+rules, terms and points are combined cannot move a value, and each
+center-of-area sum reads one point's row alone.
 """
 from __future__ import annotations
 
@@ -80,8 +88,8 @@ def _trap_degrees(bp: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) 
 
     The rising edge (x - a) / (b - a) is below 1 only left of the plateau
     and the falling edge (d - x) / (d - c) only right of it, so clipping the
-    smaller of the two to [0, 1] gives each piece's own quotient, with no
-    interpolation to round differently. A zero-width edge divides to +-inf,
+    smaller of the two to [0, 1] gives each piece's own quotient, which
+    np.interp would round differently. A zero-width edge divides to +-inf,
     or to NaN on its own breakpoint, where fmin takes the other edge or 1."""
     a, d, rise, fall = bp
     with np.errstate(all="ignore"):
@@ -370,8 +378,10 @@ def defuzz_coa(mu: np.ndarray, xs: np.ndarray, overwrite: bool = False) -> np.nd
     """Center of area of each row of the (points, samples) block mu, sampled
     at the grid xs, by the midpoint rule, NaN in the rows without area. Row
     sums over a C-contiguous block add in the same pairwise order as the sum
-    of one vector, so each row equals its one-curve result bit for bit. With
-    ``overwrite`` a C-order mu is left holding the moments mu * xs."""
+    of one vector, so each row equals its one-curve result bit for bit; a
+    column-major block (a gather along the samples, say) would add in another
+    order, so mu is summed in C order, a copy only when it is not already.
+    With ``overwrite`` a C-order mu is left holding the moments mu * xs."""
     mu = np.ascontiguousarray(mu)
     total = mu.sum(axis=1)
     moment = np.multiply(mu, xs, out=mu if overwrite else None)

@@ -27,9 +27,10 @@ from .fis1 import (
 DEFAULT_BLUR = 0.2
 # How far a reduced interval's lo may pass its hi before it counts as inverted.
 INVERSION_SLACK = 1e-12
-# Firings per block of points that eval_t2fis fires and reduces at once. The
-# Karnik-Mendel loop's largest temporary holds two floats per firing (96 KiB),
-# below glibc malloc's 128 KiB mmap threshold, so no block is faulted in afresh.
+# Firings per block of points that eval_t2fis fires and reduces at once (170
+# points of the default rule base). The Karnik-Mendel loop's largest temporary
+# holds two floats per firing (96 KiB), below glibc malloc's 128 KiB mmap
+# threshold, so no block is faulted in afresh.
 KM_BLOCK = 6144
 
 
@@ -153,13 +154,18 @@ def _km_rows(first: np.ndarray, second: np.ndarray, w: np.ndarray) -> np.ndarray
     """Karnik-Mendel endpoints of stacked rows: ``first`` and ``second`` are
     (rules, ...) firings in ascending weight order, rules below a row's split
     taking ``first`` and the rest ``second``; ``w`` broadcasts against them.
+    A row is one end of one output at one point.
 
     Every row takes the iterations and breaks of the one-point loop: it stops
     when its split repeats or its denominator reaches zero, keeping its last
-    ratio, or after rules + 1 iterations. A split equal to the one of two
-    iterations back (and not the last one) comes with the ratio of two
-    iterations back, so the row alternates from there on; it stops at once
-    with the ratio of the loop's last iteration's parity."""
+    ratio, or after rules + 1 iterations. Each sum adds the rules in order
+    (_sum_rules), so every ratio keeps the one-point loop's bits. Rounding can
+    make a row alternate between two splits (a ratio landing exactly on a
+    weight). A split equal to the one of two iterations back (and not the
+    last one) comes with the ratio of two iterations back, so the row repeats
+    those two ratios to the end; it stops at once with the ratio of the loop's
+    last iteration's parity, which is exact, not an approximation. Longer
+    cycles keep iterating."""
     k_rules = len(w)
     rank = np.arange(k_rules).reshape((-1,) + (1,) * first.ndim)
     # each weighted firing beside its firing: one sum gives numerator and denominator
@@ -189,7 +195,8 @@ def _km_rows(first: np.ndarray, second: np.ndarray, w: np.ndarray) -> np.ndarray
 
 def km_type_reduce(firings: np.ndarray, weights: np.typing.ArrayLike) -> np.ndarray:
     """Minimum and maximum of the weighted firing ratio over all per-rule
-    choices inside the firing intervals (iterative switch-point search), per
+    choices inside the firing intervals (the switch-point iteration of Karnik
+    and Mendel; see Wu and Mendel, IEEE TFS 17(4), 2009), per
     output and point: (2, rules, points) lower and upper firings and
     (outputs, rules) weights give a (2, outputs, points) array of low and
     high ends. Every point given is reduced at once; eval_t2fis gives one

@@ -24,7 +24,9 @@ def block_rows(width: int) -> int:
 class Network:
     """Static geometry (positions never move after deployment) plus per-node
     residual ``energy`` and ``alive`` arrays, indexed by node id and owned by
-    a single simulation run."""
+    a single simulation run, and two run-scoped caches: ``_neighbors``, the
+    counts that neighbor_count keeps, and ``_fis1``, the last type-1
+    evaluation of each node that protocols.compute_radius_chance keeps."""
 
     def __init__(
         self,
@@ -114,7 +116,9 @@ def neighbor_count(net: Network, ids: np.typing.ArrayLike, radius: float) -> np.
     """Per id, the alive nodes other than it within Euclidean distance <= radius
     (an int is one id). The network keeps the counts of one radius and the
     alive mask they follow: a call adds the nodes alive since, revived ones
-    too, and subtracts the nodes dead since; a new radius starts from none."""
+    too, and subtracts the nodes dead since; a new radius starts from none.
+    Counts are integers, so the order of the additions cannot change one,
+    and a round pays in proportion to its deaths, not to its candidates."""
     if not 0.0 < radius < math.inf:
         raise ValueError(f"radius must be positive and finite, got {radius}")
     ids = np.atleast_1d(np.asarray(ids, dtype=np.intp))

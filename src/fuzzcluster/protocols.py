@@ -148,7 +148,9 @@ def compute_radius_chance(
     from none): only the candidates whose column differs in any bit from
     their node's kept one are inferred and defuzzified. An output is a
     function of its column's bits alone, so a kept output is the one a fresh
-    evaluation would give."""
+    evaluation would give. A node's energy sits on the flat top of its
+    highest term for much of its life and its concentration saturates at 1,
+    so its column often repeats."""
     db, re, conc = inputs
     params = cfg.protocol
     if params.kind == KIND_TYPE2:
@@ -161,13 +163,13 @@ def compute_radius_chance(
             columns = np.full((len(fire), net.n), np.nan)  # NaN matches no firing
             outputs = np.empty((len(rb.outputs), net.n))
             net._fis1 = (rb, samples, columns, outputs)
-        same = (columns[:, ids].view(np.uint64) == fire.view(np.uint64)).all(axis=0)
-        changed = ids[~same]
+        diff = (columns.take(ids, axis=1).view(np.uint64) != fire.view(np.uint64)).any(axis=0)
+        changed = ids[diff]
         if len(changed):
-            fire = fire[:, ~same]
+            fire = fire[:, diff]
             outputs[:, changed] = firing_outputs(rb, fire, samples)
             columns[:, changed] = fire
-        r_norm, chance = outputs[:, ids]
+        r_norm, chance = outputs.take(ids, axis=1)
     fallback = np.isnan(r_norm) | np.isnan(chance)
     r_norm = np.where(fallback, 0.5, r_norm)
     chance = np.where(fallback, 0.5, chance)
@@ -201,7 +203,8 @@ def assign_members(
     only within r_max and self-promotes uncovered nodes into singleton clusters
     after the finals. Returns ((heads, sizes, members), orphan count), the
     clusters as in ``RoundPlan``."""
-    # dist is symmetric, so a head's row holds every node's distance to it.
+    # dist is symmetric bit for bit (x_i - x_j and x_j - x_i are exact
+    # negatives), so a head's row holds every node's distance to it.
     # argmin returns the first minimum and a later block replaces a node's
     # nearest only when strictly nearer, so heads sorted by id break ties to
     # the lowest id.
@@ -279,7 +282,8 @@ def price_control(
     It is priced as one row per broadcast, 0.0 where a node pays nothing
     (which leaves a nonnegative sum as it is), and ``np.add.reduce`` along the
     rows adds them to ``control`` one row after another. numpy sums a single
-    column pairwise instead, so a 1-node network keeps ``np.add.at``."""
+    column pairwise instead, so a 1-node network keeps ``np.add.at``. Summing
+    a phase per node and adding the total would round differently."""
     n_groups = int(max(send_group.max(initial=-1), join_group.max(initial=-1))) + 1
     bits = radio.ctrl_bits
     rx = rx_energy(radio, bits)
@@ -318,11 +322,12 @@ def run_protocol_round(
     """Elect, compete, join and route for one round of the run cfg; prices
     control traffic but leaves all energy deduction to the simulator.
 
-    Control traffic, in the order it is sent: each candidate's announcement
-    over its competition radius (ascending id), each final head's announcement
-    (competition order), then per cluster each member's join request to its
-    head followed by the head's schedule broadcast. LEACH has no candidate
-    phase and announces over r_max."""
+    Control traffic, in the order it is sent and added to each node: each
+    candidate's announcement over its competition radius (ascending id), each
+    final head's announcement (competition order), then per cluster, in plan
+    order, each member's join request to its head followed by the head's
+    schedule broadcast. LEACH has no candidate phase and announces over
+    r_max."""
     if not net.alive.any():
         raise ValueError("no alive nodes")
     params, radio = cfg.protocol, cfg.radio

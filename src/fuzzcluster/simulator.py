@@ -101,9 +101,9 @@ def apply_round_energy(net: Network, plan: RoundPlan, radio: RadioParams) -> np.
     rx = rx_energy(radio, bits)
     heads, sizes, members, next_hop = plan.heads, plan.sizes, plan.members, plan.next_hop
 
-    # Packets flow sink-ward, farthest head first: every hop is strictly
-    # closer to the sink, so a head has all its relayed packets before it
-    # sends. Only the integer packet counts need a loop.
+    # Packets flow sink-ward, farthest head first (ascending id on ties):
+    # every hop is strictly closer to the sink, so a head has all its relayed
+    # packets before it sends. Only the integer packet counts need a loop.
     sending = np.lexsort((heads, -net.bs_dist[heads]))
     packets = [1] * len(heads)  # by position in heads
     hops = next_hop.tolist()

@@ -4,6 +4,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fuzzcluster import config
 from fuzzcluster.config import PRESETS, ConfigError, parse_config
@@ -133,6 +135,14 @@ def test_bad_protocol_rejected(tmp_path):
 def test_radius_ordering_rejected(tmp_path):
     with pytest.raises(ConfigError, match="r_min_m"):
         parse_config(write_cfg(tmp_path, BASE + "r_min_m = 50\nr_max_m = 40\n"))
+
+
+def test_r_max_below_the_default_r_min_names_r_max():
+    # the file gives no r_min_m, so r_max_m is the key to mend
+    pairs = {**config._parse_lines(PRESETS["ch3"], "ch3"), "r_max_m": "5"}
+    message = "r_max_m: must exceed the default r_min_m = 0.1 * area_m = 10.0, got 5.0"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        config.config_from_pairs(pairs)
 
 
 def test_energy_overrides_parsed(tmp_path):
@@ -432,3 +442,110 @@ def test_config_takes_only_the_builders_from_the_engines():
         for alias in node.names
     }
     assert imported == {"MembershipFunction", "default_rulebase1", "default_rulebase2"}
+
+
+# --- one bad edit of a valid file names its key ------------------------------------
+
+NOT_INT = ("abc", "1.5", "nan")
+NOT_FINITE = ("abc", "1,2", "nan", "inf", "-inf")
+NOT_POSITIVE = ("0", "-1")
+BAD_MF = (
+    "bell:0,0.5,1",
+    "tri:0,0.5",
+    "trap:0,0.2,0.4",
+    "tri 0,0.5,1",
+    "tri:",
+    "tri:0,abc,1",
+    "tri:0,nan,1",
+    "tri:0.5,0.2,0.9",
+    "tri:-0.5,0,0.5",
+    "trap:0.5,0.6,0.7,1.2",
+)
+
+
+def mf_edits(family, variables):
+    """Bad values of every term key of a family, from its stock ``{variable:
+    {term: set}}``; the last moves the term to the far end of [0, 1], which
+    leaves a hole where it alone covers."""
+    return {
+        f"{family}.{var}.{term}": (*BAD_MF, "tri:0,0.05,0.1" if mf.support[1] == 1.0 else "tri:0.9,0.95,1")
+        for var, terms in variables.items()
+        for term, mf in terms.items()
+    }
+
+
+def rule_edits(family, rows):
+    """Bad rows for every rule key of a family: a term short or over, an
+    unknown term in each place, and another row's antecedents."""
+    edits = {}
+    for i, row in enumerate(rows, start=1):
+        unknown = [(*row[:k], "nowhere", *row[k + 1 :]) for k in range(len(row))]
+        twice = (*rows[i % len(rows)][:-2], *row[-2:])
+        edits[f"{family}.{i}"] = tuple(",".join(r) for r in (row[:-1], (*row, row[-1]), *unknown, twice))
+    return edits
+
+
+STOCK1, STOCK2 = default_rulebase1(), default_rulebase2()
+BAD_EDITS = {
+    **dict.fromkeys(("nodes", "packet_bits", "ctrl_bits", "max_rounds"), NOT_INT + NOT_POSITIVE),
+    "coa_samples": NOT_INT + ("2",),
+    "seed": NOT_INT + ("-1", str(2**64)),
+    **dict.fromkeys(
+        ("area_m", "initial_energy_j", "e_elec_nj", "eps_fs_pj", "eps_mp_pj", "e_da_nj", "nbr_radius_m"),
+        NOT_FINITE + NOT_POSITIVE,
+    ),
+    **dict.fromkeys(("bs_x", "bs_y"), NOT_FINITE),
+    "p": NOT_FINITE + ("0", "1", "1.5"),
+    "r_min_m": NOT_FINITE + NOT_POSITIVE + ("1e6",),
+    "r_max_m": NOT_FINITE + NOT_POSITIVE + ("5",),
+    "blur": NOT_FINITE + ("-0.1", "1"),
+    "protocol": ("flood", "fuzzy_unequal"),
+    "control_traffic": ("maybe", "2"),
+    "energy_overrides": ("3", "x:1", "1:abc", "1:nan", "1:0", "-1:0.1", "100000:0.1", "1:0.1,1:0.2"),
+    **dict.fromkeys(
+        ("w.radius", "w.chance"), ("abc", "0.1,0.2", "0,0,0,0,0,0,0", "nan,0,0,0,0,0", "1.9,0,0,0,0,0")
+    ),
+    **mf_edits("mf1", {var.name: dict(var.terms) for var in (*STOCK1.inputs, *STOCK1.outputs)}),
+    **mf_edits(
+        "mf2",
+        {
+            "distance": {t: f.lower for t, f in STOCK2.distance_mfs.items()},
+            "energy": {t: f.lower for t, f in STOCK2.energy_mfs.items()},
+        },
+    ),
+    **dict.fromkeys(
+        ("mf1.speed.fast", "mf1.distance.nearby", "mf2.concentration.low", "mf2.distance.close"),
+        ("tri:0,0.5,1",),
+    ),
+    **rule_edits("rule1", RULES_27),
+    **rule_edits("rule2", RULES_9),
+    **dict.fromkeys(("blur.distance", "blur.energy"), NOT_FINITE + ("-0.1", "1")),
+    **dict.fromkeys(("blur.concentration", "blur.speed"), ("0.1",)),
+}
+PRESET_PAIRS = {name: config._parse_lines(text, name) for name, text in PRESETS.items()}
+
+
+def test_bad_edits_cover_every_plain_key():
+    families = ("mf1.", "mf2.", "rule1.", "rule2.", "blur.")
+    assert {key for key in BAD_EDITS if not key.startswith(families)} == set(config._PARSERS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    preset=st.sampled_from(sorted(PRESET_PAIRS)),
+    edit=st.sampled_from(sorted(BAD_EDITS)).flatmap(
+        lambda key: st.tuples(st.just(key), st.sampled_from(BAD_EDITS[key]))
+    ),
+)
+@example(preset="ch3", edit=("r_max_m", "5"))
+def test_one_bad_edit_names_its_key(preset, edit):
+    key, value = edit
+    family = key.split(".")[0]
+    # a rule edit replaces one row of a whole table, so that only the edit is wrong
+    table = {"rule1": RULES_27, "rule2": RULES_9}.get(family, ())
+    pairs = {**PRESET_PAIRS[preset], **{f"{family}.{i}": ",".join(row) for i, row in enumerate(table, 1)}}
+    with pytest.raises(ConfigError) as err:
+        config.config_from_pairs({**pairs, key: value})
+    # the message starts with the key or a dotted prefix of it (mf1.energy, rule1)
+    named = re.match(r"([\w.]+): ", str(err.value))
+    assert named and f"{key}.".startswith(f"{named[1]}."), (key, value, str(err.value))

@@ -1,20 +1,27 @@
 """README.md agrees with the code: the blocks readers copy run as written,
-and the config keys and block constants it quotes are the code's."""
+and the config keys, flags, output columns and code names it quotes are the
+code's."""
 import importlib
+import pkgutil
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fuzzcluster import config
+import fuzzcluster
+from fuzzcluster import cli, config, csvio
+from fuzzcluster.simulator import SimResult
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def section(heading: str) -> str:
-    """The README text under this heading, up to the next ``##`` heading."""
+    """The README text under this heading, up to the next heading of its
+    level or above."""
     text = README.read_text(encoding="utf-8").split(f"\n{heading}\n", 1)[1]
-    return re.split(r"\n## ", text, maxsplit=1)[0]
+    level = heading.split(" ", 1)[0]
+    return re.split(rf"\n#{{1,{len(level)}}} ", text, maxsplit=1)[0]
 
 
 def python_block(heading: str) -> str:
@@ -59,21 +66,54 @@ def test_config_keys_match_the_parser():
     assert {f for f in CONFIG_FAMILIES if any(k.startswith(f) for k in keys)} == {*CONFIG_FAMILIES}
 
 
-# the block sizes README's memory paragraph quotes, as `module.NAME` = value
-BLOCK_CONSTANTS = (
-    "ROW_CHUNK",
-    "FIRE_CHUNK",
-    "KM_BLOCK",
-    "BLOCK_ENTRIES",
-    "TABLE_STEPS",
-    "SURFACE_POINTS",
-)
+def test_command_line_table_lists_every_flag():
+    table = re.findall(r"^\| `(--[\w-]+)", section("## Command line"), re.M)
+    options = {
+        opt
+        for action in cli.build_parser()._actions
+        for opt in action.option_strings
+        if opt.startswith("--") and opt != "--help"
+    }
+    assert sorted(table) == sorted(options)
 
 
-def test_block_constants_match_the_code():
-    text = README.read_text(encoding="utf-8")
-    quoted = re.findall(rf"`(\w+)\.({'|'.join(BLOCK_CONSTANTS)})` = ([\d,]+)", text)
-    assert {name for _, name, _ in quoted} == set(BLOCK_CONSTANTS)
-    for module, name, value in quoted:
-        code = getattr(importlib.import_module(f"fuzzcluster.{module}"), name)
-        assert int(value.replace(",", "")) == code, f"README quotes {module}.{name} = {value}"
+def test_outputs_list_every_column(tmp_path):
+    """Each writer's header, as its file's first line, is quoted in order."""
+    result = SimResult([], None, None, None, None, None, 1, "leach", np.zeros((0, 2)))
+    cfg = config.parse_config("ch3")
+    writers = {
+        "metrics": lambda path: csvio.write_metrics_csv(result, path),
+        "summary": lambda path: csvio.write_summary_csv([result], path),
+        "positions": lambda path: csvio.write_positions_csv(np.zeros((1, 2)), path),
+        "clusters": lambda path: csvio.write_clusters_csv([], path),
+        "fis1_surface": lambda path: csvio.write_fis1_surface(cfg.rules1, 11, path, grid=2),
+        "fis2_surface": lambda path: csvio.write_fis2_surface(cfg.rules2, path, grid=2),
+    }
+    quoted = {
+        tuple(col.strip() for col in span.split(","))
+        for span in re.findall(r"`([^`]+)`", section("### Outputs"))
+    }
+    for name, write in writers.items():
+        path = tmp_path / f"{name}.csv"
+        write(path)
+        header = tuple(path.read_text(encoding="utf-8").split("\n", 1)[0].split(","))
+        assert header in quoted, f"{name}: {','.join(header)} is not under ### Outputs"
+
+
+def test_code_references_resolve():
+    """Every backticked name that starts with a fuzzcluster module, as in
+    `fis2.km_type_reduce` or `fuzzcluster.fis1`, is importable."""
+    modules = {m.name for m in pkgutil.iter_modules(fuzzcluster.__path__)}
+    text = re.sub(r"```.*?```", "", README.read_text(encoding="utf-8"), flags=re.S)
+    refs = set()
+    for span in re.findall(r"`([^`]+)`", text):
+        path = re.match(r"(fuzzcluster\.)?([\w.]*)", span)
+        module, *names = path[2].split(".")
+        if module in modules and (names or path[1]):
+            refs.add((module, *names))
+    assert len(refs) >= 10, refs
+    for module, *names in sorted(refs):
+        obj = importlib.import_module(f"fuzzcluster.{module}")
+        for name in names:
+            assert hasattr(obj, name), ".".join((module, *names))
+            obj = getattr(obj, name)
