@@ -8,7 +8,6 @@ from pathlib import Path
 
 from .config import PRESETS, PROTOCOL_NAMES, ConfigError, parse_config
 from .csvio import (
-    cluster_rows,
     read_positions_csv,
     write_clusters_csv,
     write_fis1_surface,
@@ -70,16 +69,15 @@ def main(argv: list[str] | None = None) -> int:
         for k in range(args.seeds):
             run_cfg = cfg.with_seed(cfg.seed + k)
             suffix = f"_seed{run_cfg.seed}" if args.seeds > 1 else ""
-            collected: list[str] = []  # one text block per round
-
-            def collect(rnd, plan, sink=collected):
-                sink.append(cluster_rows(rnd, plan))
-
-            result = run_simulation(run_cfg, on_round=collect if args.dump_clusters else None)
+            if args.dump_clusters:
+                result = write_clusters_csv(
+                    lambda on_round: run_simulation(run_cfg, on_round=on_round),
+                    out / f"clusters{suffix}.csv",
+                )
+            else:
+                result = run_simulation(run_cfg)
             results.append(result)
             write_metrics_csv(result, out / f"metrics{suffix}.csv")
-            if args.dump_clusters:
-                write_clusters_csv(collected, out / f"clusters{suffix}.csv")
             write_positions_csv(result.positions, out / f"positions{suffix}.csv")
             print(
                 f"seed={result.seed} protocol={result.protocol} "

@@ -5,19 +5,23 @@ Dialect: comma separator, '.' decimal point, LF line endings, mandatory header
 row, no quoting, and an empty field for a missing value. Floats are written as
 ``.16e`` (full-precision scientific notation) so files round-trip bit-exactly.
 Each line is built as one string; every writer has closed its file when it
-returns.
+returns, and none holds more than one round or one surface slice of text.
 """
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, TypeVar
 
 import numpy as np
 
 from .fis1 import RuleBase1, eval_fis1
 from .fis2 import RuleBase2, eval_t2fis
+from .protocols import RoundPlan
 from .simulator import SimResult
+
+T = TypeVar("T")
 
 METRICS_HEADER = ("round", "alive", "dead", "total_j", "avg_j", "ch_count")
 SUMMARY_HEADER = ("fnd", "hnd", "lnd", "seed")
@@ -28,11 +32,18 @@ SUMMARY_HEADER = ("fnd", "hnd", "lnd", "seed")
 SURFACE_POINTS = 882
 
 
+@contextmanager
+def _csv_file(path: str | Path, header: tuple[str, ...]):
+    """The file at path, opened for writing with the header written."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        yield fh
+
+
 def _write_lines(path: str | Path, header: tuple[str, ...], lines: Iterable[str]) -> None:
     """The header, then ``lines`` as they are: each ends in LF, and one item
     may hold many lines."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+    with _csv_file(path, header) as fh:
         fh.writelines(lines)
 
 
@@ -81,10 +92,21 @@ def read_positions_csv(path: str | Path) -> list[tuple[float, float]]:
     return [rows[i] for i in range(len(rows))]
 
 
-def write_clusters_csv(rounds: Iterable[str], path: str | Path) -> None:
-    """Per-round membership dump (round, ch_id, member_id, radius, next_hop):
-    the header, then each round's text from ``cluster_rows`` in order."""
-    _write_lines(path, ("round", "ch_id", "member_id", "radius", "next_hop"), rounds)
+def write_clusters_csv(
+    simulate: Callable[[Callable[[int, RoundPlan], None]], T], path: str | Path
+) -> T:
+    """Per-round membership dump (round, ch_id, member_id, radius, next_hop),
+    written while the run goes.
+
+    Opens path, writes the header and calls ``simulate(on_round)``; each
+    ``on_round(round_index, plan)`` writes that round's ``cluster_rows``, so
+    only one round's text is held at a time. Returns what ``simulate``
+    returns, once the file is closed. If ``simulate`` raises, the file is
+    closed holding the header and the rounds written before the error, and
+    the error propagates."""
+    with _csv_file(path, ("round", "ch_id", "member_id", "radius", "next_hop")) as fh:
+        write = fh.write
+        return simulate(lambda round_index, plan: write(cluster_rows(round_index, plan)))
 
 
 def cluster_rows(round_index: int, plan) -> str:

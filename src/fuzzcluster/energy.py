@@ -36,17 +36,18 @@ def tx_energy(p: RadioParams, bits: float, d: np.typing.ArrayLike) -> np.ndarray
     """Cost of transmitting `bits` over each distance in d (two-regime
     amplifier); a float is a one-point array.
 
-    Beyond d0 the fourth power is Python's float power (libm ``pow``) on each
-    entry: numpy's array ``d ** 4`` differs from it in the last bit for some
-    distances, and the priced outputs are pinned to the libm bits."""
+    Beyond d0 the fourth power is libm ``pow`` on each entry, through numpy's
+    ``float_power`` loop: it gives Python's ``x**4`` bit for bit, while
+    numpy's array ``d ** 4`` differs from it in the last bit for some
+    distances, and the priced outputs are pinned to the libm bits. A fourth
+    power that overflows is inf."""
     d = np.atleast_1d(np.asarray(d, dtype=float))
     out = bits * p.e_elec + bits * p.eps_fs * d * d
     # "not within d0" so that a NaN distance takes the multipath branch, as the
     # one-distance comparison did
     far = ~(d <= threshold_distance(p))
     if far.any():
-        d4 = np.array([x**4 for x in d[far].tolist()])
-        out[far] = bits * p.e_elec + bits * p.eps_mp * d4
+        out[far] = bits * p.e_elec + bits * p.eps_mp * np.float_power(d[far], 4.0)
     return out
 
 

@@ -2,12 +2,14 @@ import csv
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import read_metrics_csv
+from fuzzcluster import simulator
 from fuzzcluster.cli import main
 from fuzzcluster.config import PRESETS
 from fuzzcluster.csvio import read_positions_csv, write_metrics_csv, write_summary_csv
@@ -261,6 +263,56 @@ def test_cli_dump_clusters(tmp_path):
     assert rows[0] == ["round", "ch_id", "member_id", "radius", "next_hop"]
     assert {r[0] for r in rows[1:]} == {"1", "2", "3"}
     assert all(r[4] == "BS" for r in rows[1:])  # leach heads go direct
+
+
+def _dump_heap_peak(out, rounds):
+    """The tracemalloc peak of one ch2-scenario1 run with --dump-clusters."""
+    tracemalloc.start()
+    try:
+        argv = ["--preset", "ch2-scenario1", "--rounds", str(rounds), "--dump-clusters"]
+        assert run_cli([*argv, "--out", str(out)]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cli_dump_heap_peak_does_not_grow_with_the_run(tmp_path):
+    # clusters.csv is written round by round: 700 more rounds add about 1 MB
+    # to the file, and only their RoundMetrics to the heap
+    assert run_cli(["--preset", "ch2-scenario1", "--rounds", "3", "--out", str(tmp_path)]) == 0
+    short, long = _dump_heap_peak(tmp_path, 100), _dump_heap_peak(tmp_path, 800)
+    assert (tmp_path / "clusters.csv").stat().st_size > 1_000_000
+    assert long - short < 300_000, (short, long)
+
+
+def test_cli_batch_dump_matches_each_solo_run(tmp_path):
+    argv = ["--preset", "ch2-scenario1", "--rounds", "20", "--dump-clusters"]
+    assert run_cli([*argv, "--seed", "4", "--seeds", "2", "--out", str(tmp_path / "batch")]) == 0
+    for seed in (4, 5):
+        solo = tmp_path / f"solo{seed}"
+        assert run_cli([*argv, "--seed", str(seed), "--out", str(solo)]) == 0
+        batch = tmp_path / "batch" / f"clusters_seed{seed}.csv"
+        assert batch.read_bytes() == (solo / "clusters.csv").read_bytes()
+
+
+def test_cli_run_that_fails_mid_way_keeps_its_earlier_rounds(tmp_path, monkeypatch, capsys):
+    argv = ["--preset", "ch2-scenario1", "--seed", "3", "--dump-clusters"]
+    assert run_cli([*argv, "--rounds", "2", "--out", str(tmp_path / "two")]) == 0
+    real_round = simulator.run_protocol_round
+
+    def fail_at_round_3(net, cfg, rng, r):
+        if r == 3:
+            raise ValueError("round 3 failed")
+        return real_round(net, cfg, rng, r)
+
+    monkeypatch.setattr(simulator, "run_protocol_round", fail_at_round_3)
+    capsys.readouterr()
+    out = tmp_path / "failed"
+    assert run_cli([*argv, "--rounds", "5", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: round 3 failed\n"
+    # the header and rounds 1-2, flushed and closed; nothing after the dump
+    assert [p.name for p in out.iterdir()] == ["clusters.csv"]
+    assert (out / "clusters.csv").read_bytes() == (tmp_path / "two" / "clusters.csv").read_bytes()
 
 
 def test_cli_positions_replay(tmp_path):

@@ -59,16 +59,23 @@ def test_run_outputs_match_reference(tmp_path, preset, protocol, r_max):
     params = replace(cfg.protocol, kind=PROTOCOL_NAMES[protocol])
     if r_max is not None:
         params = replace(params, r_max=r_max)
-    blocks, rows = [], []
+    run_cfg = replace(cfg, protocol=params, max_rounds=3)
+    blocks, rows, results = [], [], []
 
-    def collect(rnd, plan):
-        blocks.append(csvio.cluster_rows(rnd, plan))
-        rows.extend(reference.cluster_rows(rnd, plan))
+    def simulate(on_round):
+        def collect(rnd, plan):
+            blocks.append(csvio.cluster_rows(rnd, plan))
+            rows.extend(reference.cluster_rows(rnd, plan))
+            on_round(rnd, plan)
 
-    result = run_simulation(replace(cfg, protocol=params, max_rounds=3), on_round=collect)
+        results.append(run_simulation(run_cfg, on_round=collect))
+        return results[-1]
+
+    # the reference writes the rows collected while the package's writer ran
+    assert_same_bytes(tmp_path, "write_clusters_csv", [simulate], [rows])
+    (result,) = results
     assert shapes(rows) >= SHAPES.get((preset, protocol, r_max), set())
     assert all(type(b) is str for b in blocks) and len(blocks) == len(result.rounds)
-    assert_same_bytes(tmp_path, "write_clusters_csv", [blocks], [rows])
     assert_same_bytes(tmp_path, "write_metrics_csv", [result])
     assert_same_bytes(tmp_path, "write_positions_csv", [result.positions])
     assert_same_bytes(tmp_path, "write_summary_csv", [[result]])
@@ -196,5 +203,5 @@ def test_float_fields_match_csv_writer(tmp_path, values):
     )
     assert_same_bytes(tmp_path, "write_metrics_csv", [SimpleNamespace(rounds=rounds)])
     assert_same_bytes(tmp_path, "write_positions_csv", [positions])
-    blocks, rows = [csvio.cluster_rows(n, plan)], reference.cluster_rows(n, plan)
-    assert_same_bytes(tmp_path, "write_clusters_csv", [blocks], [rows])
+    rows = reference.cluster_rows(n, plan)
+    assert_same_bytes(tmp_path, "write_clusters_csv", [lambda on_round: on_round(n, plan)], [rows])

@@ -1,5 +1,8 @@
+import math
+
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fuzzcluster.energy import (
@@ -90,3 +93,28 @@ def test_radio_params_validation():
         RadioParams(0.0, 10e-12, 0.0013e-12, 5e-9, 4000, 200)
     with pytest.raises(ValueError):
         RadioParams(50e-9, 10e-12, 0.0013e-12, 5e-9, 0, 200)
+
+
+D0 = threshold_distance(CH2)
+
+
+@example(bits=4000, ds=[D0, math.nextafter(D0, math.inf), math.nan, math.inf])
+@example(bits=200, ds=[0.0, 87.0, 1800.0, 1e77])
+@given(
+    st.integers(1, 10_000),
+    # up to where a fourth power is still finite
+    st.lists(st.floats(0, 1e77) | st.just(D0) | st.just(math.nan) | st.just(math.inf), min_size=1),
+)
+def test_tx_energy_matches_per_entry_formula_bit_for_bit(bits, ds):
+    # the far branch is Python's x**4 (libm pow) on each entry; numpy's d ** 4
+    # rounds some distances differently
+    def one(x):
+        if x <= D0:
+            return bits * CH2.e_elec + bits * CH2.eps_fs * x * x
+        return bits * CH2.e_elec + bits * CH2.eps_mp * x**4
+
+    got = tx_energy(CH2, bits, ds)
+    want = np.array([one(x) for x in ds])
+    nan = np.isnan(want)
+    assert np.isnan(got).tolist() == nan.tolist()
+    assert got[~nan].view(np.uint64).tolist() == want[~nan].view(np.uint64).tolist()

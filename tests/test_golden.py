@@ -13,7 +13,7 @@ from dataclasses import replace
 import pytest
 
 from fuzzcluster.config import PROTOCOL_NAMES, parse_config
-from fuzzcluster.csvio import cluster_rows, write_clusters_csv, write_metrics_csv
+from fuzzcluster.csvio import write_clusters_csv, write_metrics_csv
 from fuzzcluster.simulator import run_simulation
 
 ROUNDS = {"ch2-scenario1": 40, "ch2-scenario2": 4, "ch3": 40}
@@ -53,13 +53,11 @@ def test_outputs_match_golden_digests(tmp_path, preset, protocol, seed):
     )
     if cfg.n == 100:
         cfg = replace(cfg, energy_overrides=WEAK_NODES)
-    rows: list[str] = []
-    result = run_simulation(
-        cfg, on_round=lambda r, plan: rows.append(cluster_rows(r, plan))
+    result = write_clusters_csv(
+        lambda on_round: run_simulation(cfg, on_round=on_round), tmp_path / "clusters.csv"
     )
     assert result.fnd is not None
     write_metrics_csv(result, tmp_path / "metrics.csv")
-    write_clusters_csv(rows, tmp_path / "clusters.csv")
     digests = tuple(
         hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         for name in ("metrics.csv", "clusters.csv")

@@ -85,7 +85,7 @@ def test_outputs_list_every_column(tmp_path):
         "metrics": lambda path: csvio.write_metrics_csv(result, path),
         "summary": lambda path: csvio.write_summary_csv([result], path),
         "positions": lambda path: csvio.write_positions_csv(np.zeros((1, 2)), path),
-        "clusters": lambda path: csvio.write_clusters_csv([], path),
+        "clusters": lambda path: csvio.write_clusters_csv(lambda on_round: None, path),
         "fis1_surface": lambda path: csvio.write_fis1_surface(cfg.rules1, 11, path, grid=2),
         "fis2_surface": lambda path: csvio.write_fis2_surface(cfg.rules2, path, grid=2),
     }
