@@ -5,7 +5,9 @@ Dialect: comma separator, '.' decimal point, LF line endings, mandatory header
 row, no quoting, and an empty field for a missing value. Floats are written as
 ``.16e`` (full-precision scientific notation) so files round-trip bit-exactly.
 Each line is built as one string; every writer has closed its file when it
-returns, and none holds more than one round or one surface slice of text.
+returns, and none holds more than one round or one surface slice of text
+(the type-1 surface writer also holds the outputs it evaluates, see
+write_fis1_surface).
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from typing import Callable, Iterable, TypeVar
 
 import numpy as np
 
-from .fis1 import RuleBase1, eval_fis1
+from .fis1 import RuleBase1, eval_fis1, membership_patterns
 from .fis2 import RuleBase2, eval_t2fis
 from .protocols import RoundPlan
 from .simulator import SimResult
@@ -87,8 +89,11 @@ def read_positions_csv(path: str | Path) -> list[tuple[float, float]]:
             if nid in rows:
                 raise ValueError(f"{where}: duplicate node id {nid}")
             rows[nid] = (x, y)
-    if sorted(rows) != list(range(len(rows))):
-        raise ValueError("positions file must list node ids 0..n-1")
+    missing = next((i for i in range(len(rows)) if i not in rows), None)
+    if missing is not None:
+        low = min(rows)
+        why = f"id {low} is negative" if low < 0 else f"id {missing} is missing"
+        raise ValueError(f"{path}: node ids must run 0..n-1, but {why}")
     return [rows[i] for i in range(len(rows))]
 
 
@@ -109,11 +114,26 @@ def write_clusters_csv(
         return simulate(lambda round_index, plan: write(cluster_rows(round_index, plan)))
 
 
+# The text of each node id below its length, grown to the largest member id
+# cluster_rows has seen: a take from it costs a tenth of formatting the ids.
+_ID_TEXT = np.empty(0, dtype=object)
+
+
+def _id_texts(ids: np.ndarray) -> list[str]:
+    """The decimal text of each (nonnegative) id, from _ID_TEXT."""
+    global _ID_TEXT
+    top = int(ids.max(initial=-1)) + 1
+    if top > len(_ID_TEXT):
+        grown = np.array([str(i) for i in range(len(_ID_TEXT), top)], dtype=object)
+        _ID_TEXT = np.concatenate([_ID_TEXT, grown])
+    return _ID_TEXT.take(ids).tolist()
+
+
 def cluster_rows(round_index: int, plan) -> str:
     """A round's lines for ``write_clusters_csv``, in cluster order: one per
     member, or one with an empty member field for a head without members.
     The next hop is a head id, or ``BS`` for the sink."""
-    heads, ids = plan.heads.tolist(), list(map(str, plan.members.tolist()))
+    heads, ids = plan.heads.tolist(), _id_texts(plan.members)
     sizes, ends = plan.sizes.tolist(), np.cumsum(plan.sizes).tolist()
     parts = []
     clusters = zip(heads, sizes, ends, plan.radius.tolist(), plan.next_hop.tolist())
@@ -142,32 +162,59 @@ def _db_groups(steps: list[float], text: list[str], per_db: int):
         yield text[g : g + size], np.repeat(steps[g : g + size], per_db)
 
 
+def _texts(values: np.ndarray) -> list[list[str]]:
+    """The ``.16e`` text of each value of each row of values, each distinct
+    bit pattern formatted once."""
+    seen: dict[int, str] = {}
+    texts = []
+    for row in values:
+        keys = row.view(np.uint64).tolist()
+        texts.append([seen.get(k) or seen.setdefault(k, f"{v:.16e}") for k, v in zip(keys, row.tolist())])
+    return texts
+
+
 def write_fis1_surface(rb: RuleBase1, samples: int, path: str | Path, grid: int = 21) -> None:
-    """(db, re, conc) -> (radius_norm, chance) over a uniform grid. One engine
-    call evaluates a group of consecutive db values (see _db_groups); the
-    text is formatted one db value at a time."""
+    """(db, re, conc) -> (radius_norm, chance) over a uniform grid.
+
+    A point's outputs are a function of the membership pattern of each of its
+    three steps (membership_patterns), so the engine runs once the file is
+    open, on the product of one step per pattern, in calls of at most
+    SURFACE_POINTS points: 12**3 points in two calls for the stock rule base
+    at the default grid. A db value's lines are built once per run of db
+    values of one pattern, from the texts of that pattern's outputs, each
+    distinct bit pattern among them formatted once. So besides one db value's
+    text the writer holds the product's outputs, 16 bytes a point."""
     steps = _grid_steps(grid)
     text = [f"{s:.16e}" for s in steps]
     pairs = [f"{a},{b}," for a in text for b in text]  # (re, conc), conc fastest
-    n = grid * grid
-    re, conc = np.repeat(steps, grid), np.tile(steps, grid)
+    x = np.array(steps)
+    names = ("distance", "energy", "concentration")
+    firsts, (db_of, re_of, conc_of) = zip(*(membership_patterns(rb, name, x) for name in names))
+    shape = tuple(map(len, firsts))
+    per_db = shape[1] * shape[2]
+    # each (re, conc) point's place among the product points of one db pattern
+    in_block = (re_of[:, None] * shape[2] + conc_of).ravel().tolist()
+    db_of = db_of.tolist()
 
     def blocks():
-        for db_text, db in _db_groups(steps, text, n):
-            k = len(db_text)
-            inputs = {"distance": db, "energy": np.tile(re, k), "concentration": np.tile(conc, k)}
-            out = eval_fis1(rb, inputs, samples)
-            radius, chance = out["radius"].reshape(k, n), out["chance"].reshape(k, n)
-            for d, r_row, c_row in zip(db_text, radius, chance):
-                points = zip(pairs, r_row.tolist(), c_row.tolist())
-                yield "".join(f"{d},{pair}{r:.16e},{c:.16e}\n" for pair, r, c in points)
+        out = np.empty((2, shape[0] * per_db))
+        for s in range(0, out.shape[1], SURFACE_POINTS):
+            at = np.unravel_index(np.arange(s, min(s + SURFACE_POINTS, out.shape[1])), shape)
+            got = eval_fis1(rb, {name: x[f[k]] for name, f, k in zip(names, firsts, at)}, samples)
+            out[:, s : s + len(at[0])] = got["radius"], got["chance"]
+        for i, d in enumerate(text):
+            if i == 0 or db_of[i] != db_of[i - 1]:  # the lines of db value i after its db field
+                radius, chance = _texts(out[:, db_of[i] * per_db : (db_of[i] + 1) * per_db])
+                lines = [f"{pair}{radius[k]},{chance[k]}\n" for pair, k in zip(pairs, in_block)]
+            yield f"{d}," + f"{d},".join(lines)
 
     _write_lines(path, ("db", "re", "conc", "radius_norm", "chance"), blocks())
 
 
 def write_fis2_surface(rb: RuleBase2, path: str | Path, grid: int = 101) -> None:
-    """(db, re) -> (radius_norm, chance) over a uniform grid, in engine calls
-    and text as write_fis1_surface makes them."""
+    """(db, re) -> (radius_norm, chance) over a uniform grid. One engine call
+    evaluates a group of consecutive db values (see _db_groups); the text is
+    formatted one db value at a time."""
     steps = _grid_steps(grid)
     text = [f"{s:.16e}" for s in steps]
 

@@ -401,6 +401,25 @@ def _column_index(fire: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.searchsorted(np.maximum.accumulate(inverse), np.arange(len(index))), inverse
 
 
+def membership_patterns(rb: RuleBase1, name: str, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The points of the 1-D array x sorted into patterns by the exact bits of
+    their memberships in every term of rb's input ``name``, numbered as
+    _column_index numbers columns: where each pattern first appears, in that
+    order, and the pattern of every point. A name rb does not have raises a
+    ValueError naming it.
+
+    term_firings computes each membership elementwise in the same way, so
+    points of one pattern, the other inputs held fixed, give one firing column
+    and so one output in every output: only one point per pattern needs the
+    engine. Flat stretches of the terms share a pattern, and so can points
+    whose memberships only happen to be equal (0.4 and 0.6 in the stock
+    partition)."""
+    var = next((var for var in rb.inputs if var.name == name), None)
+    if var is None:
+        raise ValueError(f"unknown input variable {name!r}")
+    return _column_index(_trap_degrees(_breakpoints([mf for _, mf in var.terms]), x))
+
+
 def firing_outputs(rb: RuleBase1, fire: np.ndarray, samples: int = DEFAULT_SAMPLES) -> np.ndarray:
     """Infer and defuzzify every output at the (output terms + 1, m) term
     firings of term_firings: an (outputs, m) array in rb's output order, NaN

@@ -346,6 +346,17 @@ def test_cli_positions_with_nan_rejected(tmp_path, capsys):
     assert "node 37" in capsys.readouterr().err
 
 
+def test_cli_positions_with_a_gap_names_the_file_and_the_id(tmp_path, capsys):
+    pos = tmp_path / "pos.csv"
+    pos.write_text("id,x,y\n0,1.0,2.0\n2,3.0,4.0\n", encoding="utf-8")
+    code = run_cli(
+        ["--preset", "ch2-scenario1", "--rounds", "1", "--out", str(tmp_path / "o"),
+         "--positions", str(pos)]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {pos}: node ids must run 0..n-1, but id 1 is missing\n"
+
+
 @pytest.mark.parametrize(
     "text,line",
     [("", 1), ("id,x,y\n0,1.0,2.0\n1,3.0\n", 3)],

@@ -1,6 +1,7 @@
 """The CSV writers write the bytes of the reference writers in
 tests/csv_reference.py: every preset and protocol, edge-case floats, missing
 lifetime events and both engine surfaces."""
+import copy
 import math
 import re
 import tracemalloc
@@ -9,13 +10,19 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, example, given, reject, settings
 from hypothesis import strategies as st
 
 import csv_reference as reference
 from fuzzcluster import csvio
 from fuzzcluster.config import PRESETS, PROTOCOL_NAMES, parse_config
-from fuzzcluster.fis1 import default_rulebase1
+from fuzzcluster.fis1 import (
+    T1_TERMS,
+    RuleBase1,
+    default_rulebase1,
+    trapezoidal,
+    triangular,
+)
 from fuzzcluster.fis2 import default_rulebase2
 from fuzzcluster.simulator import RoundMetrics, run_simulation
 
@@ -93,12 +100,13 @@ def test_summary_leaves_missing_events_empty(tmp_path):
     assert_same_bytes(tmp_path, "write_summary_csv", [[]])
 
 
-# The writers evaluate groups of consecutive db values, at most
-# csvio.SURFACE_POINTS (882) points a call. The references make one call per
-# db value. Type-1 grids: 21 (two values a group, one left over), 10 (eight,
-# two left over), 4 (one group) and 30 (900 points, one value a call); type-2
-# grids: 101 (eight a group, five left over), 102 (eight, six left over) and
-# 7 (one group).
+# The writers make calls of at most csvio.SURFACE_POINTS (882) points; the
+# references make one call per db value. The type-1 writer evaluates one step
+# per membership pattern of each input: grids 21 (12 patterns of 21 steps,
+# two calls), 2 and 4 (each step its own pattern) and 10 (7 patterns), one
+# call each, and 30 (20 patterns, 8,000 points in ten calls). The type-2
+# writer evaluates groups of consecutive db values: grids 101 (eight a group,
+# five left over), 102 (eight, six left over) and 7 (one group).
 @pytest.mark.parametrize("grid", [21, 2, 4, 10, 30])
 def test_fis1_surface_matches_reference(tmp_path, grid):
     assert_same_bytes(tmp_path, "write_fis1_surface", [default_rulebase1(), 1001], grid=grid)
@@ -109,16 +117,75 @@ def test_fis2_surface_matches_reference(tmp_path, grid):
     assert_same_bytes(tmp_path, "write_fis2_surface", [default_rulebase2()], grid=grid)
 
 
-# each writer at its default grid: the engine, the db values and the points per db value
+# Rule bases of any input partition, with grid steps on or off their
+# breakpoints, and one whose zero-area radius term gives NaN outputs: the
+# type-1 writer evaluates one step per membership pattern of each input, the
+# reference every point.
+KNOTS = st.one_of(st.integers(0, 20).map(lambda i: i / 20), st.floats(0.0, 1.0, allow_subnormal=False))
+
+
+@st.composite
+def three_terms(draw, labels):
+    """A left shoulder, a triangle and a right shoulder that cover [0, 1]."""
+    k = sorted(draw(st.lists(KNOTS, min_size=7, max_size=7)))
+    if not (k[1] < k[2] and k[4] < k[5]):
+        reject()
+    return {
+        labels[0]: trapezoidal(0.0, 0.0, k[0], k[2]),
+        labels[1]: triangular(k[1], k[3], k[5]),
+        labels[2]: trapezoidal(k[4], k[6], 1.0, 1.0),
+    }
+
+
+INPUT_OVERRIDES = st.fixed_dictionaries(
+    {}, optional={name: three_terms(T1_TERMS[name]) for name in ("distance", "energy", "concentration")}
+)
+
+
+def with_point_radius_term(rb):
+    """rb with its radius term ``medium`` shrunk to the point 0.5: a point that
+    fires only rules concluding it has no radius area, so NaN outputs."""
+    radius = copy.copy(rb.outputs[0])
+    point = trapezoidal(0.5, 0.5, 0.5, 0.5)
+    terms = tuple((t, point if t == "medium" else mf) for t, mf in radius.terms)
+    object.__setattr__(radius, "terms", terms)  # after LinguisticVariable's coverage check
+    return RuleBase1(rb.inputs, (radius, rb.outputs[1]), rb.rules)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(overrides={}, grid=21, samples=100, degenerate=True)
+@given(
+    overrides=INPUT_OVERRIDES,
+    grid=st.integers(2, 30),
+    samples=st.integers(11, 1001),
+    degenerate=st.booleans(),
+)
+def test_fis1_surface_matches_reference_on_any_partition(tmp_path, overrides, grid, samples, degenerate):
+    try:
+        rb = default_rulebase1(overrides)
+    except ValueError:  # a midpoint whose membership rounds to 0
+        reject()
+    if degenerate:
+        rb = with_point_radius_term(rb)
+    text = assert_same_bytes(tmp_path, "write_fis1_surface", [rb, samples], grid=grid)
+    if degenerate and not overrides and grid == 21 and samples % 2 == 0:
+        # only the rule (far, avg, med) fires at (0.5, 0.5, 0.5), and no
+        # sample of an even count lies on the point 0.5
+        assert "5.0000000000000000e-01,5.0000000000000000e-01,5.0000000000000000e-01,nan,nan\n" in text
+
+
+# each writer at its default grid: the engine, the db values and the points
+# it evaluates, for the type-1 writer one step per membership pattern of each
+# input, 12 of 21 (tests/test_fis1.py)
 SURFACES = [
-    ("write_fis1_surface", [default_rulebase1(), 1001], "eval_fis1", 21, 21 * 21),
-    ("write_fis2_surface", [default_rulebase2()], "eval_t2fis", 101, 101),
+    ("write_fis1_surface", [default_rulebase1(), 1001], "eval_fis1", 21, 12**3),
+    ("write_fis2_surface", [default_rulebase2()], "eval_t2fis", 101, 101 * 101),
 ]
 
 
-@pytest.mark.parametrize("name,args,engine,dbs,per_db", SURFACES, ids=["fis1", "fis2"])
+@pytest.mark.parametrize("name,args,engine,dbs,points_evaluated", SURFACES, ids=["fis1", "fis2"])
 def test_surface_writer_groups_db_values_into_few_engine_calls(
-    tmp_path, monkeypatch, name, args, engine, dbs, per_db
+    tmp_path, monkeypatch, name, args, engine, dbs, points_evaluated
 ):
     events, points = [], []
     real_engine, real_write = getattr(csvio, engine), csvio._write_lines
@@ -138,7 +205,7 @@ def test_surface_writer_groups_db_values_into_few_engine_calls(
     assert events[0] == "call"  # before any data row
     assert events.count("db") == dbs
     assert 1 < events.count("call") < dbs
-    assert sum(points) == dbs * per_db and max(points) <= csvio.SURFACE_POINTS
+    assert sum(points) == points_evaluated and max(points) <= csvio.SURFACE_POINTS
 
 
 # Traced peak of a surface dump on a rule base whose tables a first dump has
@@ -205,3 +272,37 @@ def test_float_fields_match_csv_writer(tmp_path, values):
     assert_same_bytes(tmp_path, "write_positions_csv", [positions])
     rows = reference.cluster_rows(n, plan)
     assert_same_bytes(tmp_path, "write_clusters_csv", [lambda on_round: on_round(n, plan)], [rows])
+
+
+def test_member_id_table_grows_to_the_largest_id(tmp_path):
+    # cluster_rows takes member id texts from a table grown to the largest id
+    # it has seen: a plan beyond the table grows it, and a smaller plan after
+    # it reads from the grown table
+    top = len(csvio._ID_TEXT) + 1000
+
+    def plan(heads, sizes, members):
+        return SimpleNamespace(
+            heads=np.array(heads),
+            radius=np.linspace(1.0, 2.0, len(heads)),
+            sizes=np.array(sizes),
+            members=np.array(members, dtype=np.intp),
+            next_hop=np.arange(len(heads)) - 1,
+        )
+
+    for rnd, p in enumerate([plan([3, 5], [2, 2], [top, 7, top - 1, 0]), plan([4, 8], [3, 0], [1, 2, 9])]):
+        rows = reference.cluster_rows(rnd, p)
+        assert_same_bytes(tmp_path, "write_clusters_csv", [lambda on_round: on_round(rnd, p)], [rows])
+        assert len(csvio._ID_TEXT) == top + 1
+
+
+@pytest.mark.parametrize(
+    "ids,why",
+    [([1, 2], "id 0 is missing"), ([2, 0, 3, 1, 5], "id 4 is missing"), ([-1, 0], "id -1 is negative")],
+    ids=["no-zero", "gap", "negative"],
+)
+def test_positions_with_ids_outside_0_to_n_name_the_file_and_the_id(tmp_path, ids, why):
+    path = tmp_path / "pos.csv"
+    path.write_text("id,x,y\n" + "".join(f"{i},1.0,2.0\n" for i in ids), encoding="utf-8")
+    message = f"{path}: node ids must run 0..n-1, but {why}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        csvio.read_positions_csv(path)

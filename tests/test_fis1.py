@@ -26,6 +26,7 @@ from fuzzcluster.fis1 import (
     defuzz_coa,
     eval_fis1,
     infer_mamdani,
+    membership_patterns,
     mf_sample,
     term_firings,
     trapezoidal,
@@ -554,6 +555,62 @@ def test_replaced_rule_base2_builds_its_own_tables():
     assert eval_t2fis(wider, db, re)[0].tobytes() == eval_t2fis(
         default_rulebase2(blur_overrides={"distance": 0.4}), db, re
     )[0].tobytes() != radius.tobytes()
+
+
+# --- membership patterns -----------------------------------------------------
+
+
+def numbered(keys):
+    """Where each distinct key first appears, in that order, and the number of
+    every key in that order."""
+    of = {}
+    numbers = [of.setdefault(k, len(of)) for k in keys]
+    return [numbers.index(k) for k in range(len(of))], numbers
+
+
+def membership_keys(var, x):
+    """The bits of each point's memberships in the terms of var, evaluated one
+    term and one point at a time."""
+    return [b"".join(mf_at(mf, p).tobytes() for _, mf in var.terms) for p in x.tolist()]
+
+
+@pytest.mark.parametrize("name", ["distance", "energy", "concentration"])
+def test_stock_grid_steps_fall_into_twelve_patterns(name):
+    rb = default_rulebase1()
+    var = next(var for var in rb.inputs if var.name == name)
+    x = np.array([i / 20 for i in range(21)])
+    first, of = membership_patterns(rb, name, x)
+    assert (first.tolist(), of.tolist()) == numbered(membership_keys(var, x))
+    assert len(first) == 12
+    assert of[8] == of[12]  # 0.4 and 0.6: (0, 2/3, 0) both
+    # the flat shoulders, with 0.2 and 0.8 on their breakpoints
+    assert set(of[:5].tolist()) == {0} and set(of[16:].tolist()) == {11}
+
+
+def test_steps_on_breakpoints_fall_into_their_one_point_patterns():
+    # vertical edges on grid steps divide 0 by 0 there
+    rb = default_rulebase1(
+        {
+            "distance": {
+                "close": trapezoidal(0.0, 0.0, 0.25, 0.25),
+                "far": triangular(0.25, 0.25, 0.75),
+                "farthest": trapezoidal(0.5, 0.75, 1.0, 1.0),
+            }
+        }
+    )
+    x = np.array([i / 8 for i in range(9)])
+    first, of = membership_patterns(rb, "distance", x)
+    assert (first.tolist(), of.tolist()) == numbered(membership_keys(rb.inputs[0], x))
+    assert of.tolist() == [0, 0, 1, 2, 3, 4, 5, 5, 5]
+    # one pattern, one firing column, whatever the other inputs
+    for energy, conc in [(0.3, 0.7), (0.5, 0.5), (1.0, 0.0)]:
+        fire = term_firings(rb, {"distance": x, "energy": energy, "concentration": conc})
+        assert all(fire[:, i].tobytes() == fire[:, first[p]].tobytes() for i, p in enumerate(of))
+
+
+def test_patterns_of_an_unknown_input_rejected():
+    with pytest.raises(ValueError, match="^unknown input variable 'radius'$"):
+        membership_patterns(default_rulebase1(), "radius", np.array([0.5]))
 
 
 def test_eval_deterministic():
