@@ -6,12 +6,14 @@ row, no quoting, and an empty field for a missing value. Floats are written as
 ``.16e`` (full-precision scientific notation) so files round-trip bit-exactly.
 Each line is built as one string; every writer has closed its file when it
 returns, and none holds more than one round or one surface slice of text
-(the type-1 surface writer also holds the outputs it evaluates, see
-write_fis1_surface).
+(both surface writers also hold the outputs they evaluate, see
+_write_surface).
 """
 from __future__ import annotations
 
 import csv
+import itertools
+import math
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar
@@ -27,10 +29,10 @@ T = TypeVar("T")
 
 METRICS_HEADER = ("round", "alive", "dead", "total_j", "avg_j", "ch_count")
 SUMMARY_HEADER = ("fnd", "hnd", "lnd", "seed")
-# Most points per engine call of a surface writer, which calls in whole db
-# values. The type-1 call then spans two 21 x 21 slices of the default grid,
-# whose (17, points) firing table is 117 KiB, below glibc malloc's 128 KiB
-# mmap threshold; the type-2 call spans eight 101-point slices.
+# Most points per engine call of a surface writer. A type-1 call's (17,
+# points) firing table is then 117 KiB, below glibc malloc's 128 KiB mmap
+# threshold. At the default grids the stock type-1 dump takes two calls
+# (12**3 points) and the type-2 dump twelve (101**2 points).
 SURFACE_POINTS = 882
 
 
@@ -144,86 +146,66 @@ def cluster_rows(round_index: int, plan) -> str:
     return "".join(parts)
 
 
-def _grid_steps(grid: int) -> list[float]:
-    """grid evenly spaced steps from 0 to 1; fewer than two raise a
-    ValueError, before any file is opened."""
+def _write_surface(path: str | Path, header: tuple[str, ...], grid: int, patterns, evaluate) -> None:
+    """An engine surface: one line per point of a uniform grid of ``grid``
+    steps from 0 to 1 in each input, the first input slowest, then the
+    point's (radius_norm, chance). A grid below 2 steps raises a ValueError
+    before any file is opened.
+
+    ``patterns(x)`` gives, for each input, its steps x sorted into patterns
+    (the pair membership_patterns returns), such that a point's outputs are a
+    function of its inputs' patterns; ``evaluate(*columns)`` gives the
+    outputs at the points of one column per input. Once the file is open the
+    engine runs on the product of one step per pattern, in calls of at most
+    SURFACE_POINTS points, and the writer holds those outputs, 16 bytes a
+    point. A first-input value's lines are built once per run of its
+    pattern, from that pattern's block of outputs."""
     if grid < 2:
         raise ValueError(f"grid: need at least 2 steps to span [0, 1], got {grid}")
-    return [i / (grid - 1) for i in range(grid)]
+    x = np.arange(grid) / (grid - 1)
+    text = [f"{s:.16e}" for s in x.tolist()]
+    firsts, (first_of, *rest_of) = zip(*patterns(x))
+    shape = tuple(map(len, firsts))
+    size = math.prod(shape[1:])
+    # the fields of each point of a first-input value before its outputs, the
+    # last input fastest, and that point's place in its pattern's block
+    fields = ["".join(p) for p in itertools.product([f"{t}," for t in text], repeat=len(rest_of))]
+    in_block = np.ravel_multi_index(np.ix_(*rest_of), shape[1:]).ravel().tolist()
+    first_of = first_of.tolist()
 
+    def blocks():
+        out = np.empty((2, shape[0] * size))
+        for s in range(0, out.shape[1], SURFACE_POINTS):
+            at = np.unravel_index(np.arange(s, min(s + SURFACE_POINTS, out.shape[1])), shape)
+            out[:, s : s + len(at[0])] = evaluate(*(x[f[k]] for f, k in zip(firsts, at)))
+        for i, d in enumerate(text):
+            if i == 0 or first_of[i] != first_of[i - 1]:
+                block = out[:, first_of[i] * size : (first_of[i] + 1) * size].tolist()
+                radius, chance = ([f"{v:.16e}" for v in row] for row in block)
+                lines = [f"{f}{radius[k]},{chance[k]}\n" for f, k in zip(fields, in_block)]
+            yield f"{d}," + f"{d},".join(lines)
 
-def _db_groups(steps: list[float], text: list[str], per_db: int):
-    """Consecutive db values in groups of one engine call each, with
-    ``per_db`` points per db value: at most SURFACE_POINTS points a group,
-    and one db value at least. Yields each group's db texts and its db input
-    column."""
-    size = max(1, SURFACE_POINTS // per_db)
-    for g in range(0, len(steps), size):
-        yield text[g : g + size], np.repeat(steps[g : g + size], per_db)
-
-
-def _texts(values: np.ndarray) -> list[list[str]]:
-    """The ``.16e`` text of each value of each row of values, each distinct
-    bit pattern formatted once."""
-    seen: dict[int, str] = {}
-    texts = []
-    for row in values:
-        keys = row.view(np.uint64).tolist()
-        texts.append([seen.get(k) or seen.setdefault(k, f"{v:.16e}") for k, v in zip(keys, row.tolist())])
-    return texts
+    _write_lines(path, header, blocks())
 
 
 def write_fis1_surface(rb: RuleBase1, samples: int, path: str | Path, grid: int = 21) -> None:
-    """(db, re, conc) -> (radius_norm, chance) over a uniform grid.
-
-    A point's outputs are a function of the membership pattern of each of its
-    three steps (membership_patterns), so the engine runs once the file is
-    open, on the product of one step per pattern, in calls of at most
-    SURFACE_POINTS points: 12**3 points in two calls for the stock rule base
-    at the default grid. A db value's lines are built once per run of db
-    values of one pattern, from the texts of that pattern's outputs, each
-    distinct bit pattern among them formatted once. So besides one db value's
-    text the writer holds the product's outputs, 16 bytes a point."""
-    steps = _grid_steps(grid)
-    text = [f"{s:.16e}" for s in steps]
-    pairs = [f"{a},{b}," for a in text for b in text]  # (re, conc), conc fastest
-    x = np.array(steps)
+    """(db, re, conc) -> (radius_norm, chance) over a uniform grid, evaluated
+    once per membership pattern of each input (membership_patterns): 12**3
+    points in two calls for the stock rule base at the default grid."""
     names = ("distance", "energy", "concentration")
-    firsts, (db_of, re_of, conc_of) = zip(*(membership_patterns(rb, name, x) for name in names))
-    shape = tuple(map(len, firsts))
-    per_db = shape[1] * shape[2]
-    # each (re, conc) point's place among the product points of one db pattern
-    in_block = (re_of[:, None] * shape[2] + conc_of).ravel().tolist()
-    db_of = db_of.tolist()
 
-    def blocks():
-        out = np.empty((2, shape[0] * per_db))
-        for s in range(0, out.shape[1], SURFACE_POINTS):
-            at = np.unravel_index(np.arange(s, min(s + SURFACE_POINTS, out.shape[1])), shape)
-            got = eval_fis1(rb, {name: x[f[k]] for name, f, k in zip(names, firsts, at)}, samples)
-            out[:, s : s + len(at[0])] = got["radius"], got["chance"]
-        for i, d in enumerate(text):
-            if i == 0 or db_of[i] != db_of[i - 1]:  # the lines of db value i after its db field
-                radius, chance = _texts(out[:, db_of[i] * per_db : (db_of[i] + 1) * per_db])
-                lines = [f"{pair}{radius[k]},{chance[k]}\n" for pair, k in zip(pairs, in_block)]
-            yield f"{d}," + f"{d},".join(lines)
+    def evaluate(*columns):
+        got = eval_fis1(rb, dict(zip(names, columns)), samples)
+        return got["radius"], got["chance"]
 
-    _write_lines(path, ("db", "re", "conc", "radius_norm", "chance"), blocks())
+    header = ("db", "re", "conc", "radius_norm", "chance")
+    _write_surface(path, header, grid, lambda x: [membership_patterns(rb, n, x) for n in names], evaluate)
 
 
 def write_fis2_surface(rb: RuleBase2, path: str | Path, grid: int = 101) -> None:
-    """(db, re) -> (radius_norm, chance) over a uniform grid. One engine call
-    evaluates a group of consecutive db values (see _db_groups); the text is
-    formatted one db value at a time."""
-    steps = _grid_steps(grid)
-    text = [f"{s:.16e}" for s in steps]
-
-    def blocks():
-        for db_text, db in _db_groups(steps, text, grid):
-            k = len(db_text)
-            radius, chance = eval_t2fis(rb, db, np.tile(steps, k))
-            for d, r_row, c_row in zip(db_text, radius.reshape(k, grid), chance.reshape(k, grid)):
-                points = zip(text, r_row.tolist(), c_row.tolist())
-                yield "".join(f"{d},{t},{r:.16e},{c:.16e}\n" for t, r, c in points)
-
-    _write_lines(path, ("db", "re", "radius_norm", "chance"), blocks())
+    """(db, re) -> (radius_norm, chance) over a uniform grid, evaluated at
+    every point: each step is its own pattern, which is exact for any rule
+    base (the stock footprints give no two steps one pattern anyway)."""
+    every = np.arange(grid)  # the first step of each pattern, and each step's pattern
+    header = ("db", "re", "radius_norm", "chance")
+    _write_surface(path, header, grid, lambda x: [(every, every)] * 2, lambda db, re: eval_t2fis(rb, db, re))

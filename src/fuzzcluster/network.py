@@ -9,10 +9,11 @@ import numpy as np
 from .rng import Xorshift64Star
 
 # Entries per block of dist rows when building the distance matrix, counting
-# neighbors, pricing control messages and routing. A block takes
-# block_rows(width) rows of a width-wide slice (8 bytes an entry), however many
-# rows a call needs: 32 rows (250 KiB) at 1000 nodes and 320 at 100 nodes, so a
-# 100-node round (at most 3n message groups) is priced in one block.
+# neighbors, joining (block_rows(n) head rows at a time), pricing control
+# messages and routing. A block takes block_rows(width) rows of a width-wide
+# slice (8 bytes an entry), however many rows a call needs: 32 rows (250 KiB)
+# at 1000 nodes and 320 at 100 nodes, so a 100-node round (at most 3n message
+# groups) is priced in one block.
 BLOCK_ENTRIES = 32_000
 
 

@@ -47,8 +47,8 @@ class ProtocolParams:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind: unknown protocol {self.kind!r}")
-        if not 0.0 < self.p < 1.0:
-            raise ValueError(f"p: must lie in (0, 1), got {self.p}")
+        if not (0.0 < self.p < 1.0 and 1.0 / self.p < math.inf):
+            raise ValueError(f"p: must lie in (0, 1) with a finite 1/p, got {self.p}")
         if not 0.0 < self.r_max < math.inf:
             raise ValueError(f"r_max: must be positive and finite, got {self.r_max}")
         if not 0.0 < self.r_min < self.r_max:
@@ -102,8 +102,8 @@ def ch_threshold(p: float, r: int) -> float:
     epoch of floor(1/p) rounds to 1/(1/p - floor(1/p) + 1) on the epoch's last
     round, which is 1 only when 1/p is an integer (0.778 at p = 0.07, 0.75 at
     p = 0.3)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0, 1)")
+    if not (0.0 < p < 1.0 and 1.0 / p < math.inf):
+        raise ValueError(f"p: must lie in (0, 1) with a finite 1/p, got {p}")
     if r < 0:
         raise ValueError("round index must be nonnegative")
     # evaluated as 1/(1/p - k) so that an integer 1/p gives exactly 1.0 at the

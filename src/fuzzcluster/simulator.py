@@ -54,8 +54,12 @@ class SimConfig:
                 raise ValueError(f"energy_overrides: node {nid} outside 0..{self.n - 1}")
             if not 0.0 < e < math.inf:
                 raise ValueError(f"energy_overrides: node {nid} energy must be positive and finite")
-        if self.positions is not None and len(self.positions) != self.n:
-            raise ValueError(f"positions: {len(self.positions)} nodes listed, n is {self.n}")
+        if self.positions is not None:
+            if len(self.positions) != self.n:
+                raise ValueError(f"positions: {len(self.positions)} nodes listed, n is {self.n}")
+            for i, (x, y) in enumerate(self.positions):
+                if not (0.0 <= x <= self.area_side and 0.0 <= y <= self.area_side):  # NaN too
+                    raise ValueError(f"positions: node {i} at ({x}, {y}) outside [0, {self.area_side}]^2")
 
     def with_seed(self, seed: int) -> "SimConfig":
         return replace(self, seed=seed)

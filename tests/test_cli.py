@@ -357,6 +357,35 @@ def test_cli_positions_with_a_gap_names_the_file_and_the_id(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {pos}: node ids must run 0..n-1, but id 1 is missing\n"
 
 
+def test_cli_positions_outside_the_field_fail_before_any_file(tmp_path, capsys):
+    first = tmp_path / "a"
+    assert run_cli(["--preset", "ch3", "--rounds", "1", "--out", str(first)]) == 0
+    rows = (first / "positions.csv").read_text(encoding="utf-8").splitlines()
+    y = read_positions_csv(first / "positions.csv")[3][1]
+    rows[4] = f"3,150.0,{y!r}"
+    pos = tmp_path / "moved.csv"
+    pos.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    out = tmp_path / "o"
+    code = run_cli(
+        ["--preset", "ch3", "--rounds", "1", "--out", str(out), "--dump-clusters", "--positions", str(pos)]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == f"error: positions: node 3 at (150.0, {y!r}) outside [0, 100.0]^2\n"
+    assert not out.exists()  # no clusters.csv holding only its header
+
+
+def test_cli_p_whose_reciprocal_overflows_fails_before_any_file(tmp_path, capsys):
+    cfg = tmp_path / "tiny_p.cfg"
+    cfg.write_text(PRESETS["ch2-scenario1"].replace("p = 0.05", "p = 1e-310"), encoding="utf-8")
+    out = tmp_path / "o"
+    code = run_cli(["--config", str(cfg), "--protocol", "leach", "--rounds", "2", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: p: must lie in (0, 1) with a finite 1/p, got 1e-310\n"
+    assert "Traceback" not in err and not out.exists()
+
+
 @pytest.mark.parametrize(
     "text,line",
     [("", 1), ("id,x,y\n0,1.0,2.0\n1,3.0\n", 3)],

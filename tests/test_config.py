@@ -495,7 +495,7 @@ BAD_EDITS = {
         NOT_FINITE + NOT_POSITIVE,
     ),
     **dict.fromkeys(("bs_x", "bs_y"), NOT_FINITE),
-    "p": NOT_FINITE + ("0", "1", "1.5"),
+    "p": NOT_FINITE + ("0", "1", "1.5", "1e-310"),
     "r_min_m": NOT_FINITE + NOT_POSITIVE + ("1e6",),
     "r_max_m": NOT_FINITE + NOT_POSITIVE + ("5",),
     "blur": NOT_FINITE + ("-0.1", "1"),

@@ -23,7 +23,7 @@ from fuzzcluster.fis1 import (
     trapezoidal,
     triangular,
 )
-from fuzzcluster.fis2 import default_rulebase2
+from fuzzcluster.fis2 import T2_INPUT_TERMS, default_rulebase2
 from fuzzcluster.simulator import RoundMetrics, run_simulation
 
 
@@ -105,8 +105,9 @@ def test_summary_leaves_missing_events_empty(tmp_path):
 # per membership pattern of each input: grids 21 (12 patterns of 21 steps,
 # two calls), 2 and 4 (each step its own pattern) and 10 (7 patterns), one
 # call each, and 30 (20 patterns, 8,000 points in ten calls). The type-2
-# writer evaluates groups of consecutive db values: grids 101 (eight a group,
-# five left over), 102 (eight, six left over) and 7 (one group).
+# writer evaluates every point, each step its own pattern: grids 101 (twelve
+# calls, the last of 499 points) and 102 (twelve), whose calls end inside db
+# rows, and 7 (one call).
 @pytest.mark.parametrize("grid", [21, 2, 4, 10, 30])
 def test_fis1_surface_matches_reference(tmp_path, grid):
     assert_same_bytes(tmp_path, "write_fis1_surface", [default_rulebase1(), 1001], grid=grid)
@@ -172,6 +173,31 @@ def test_fis1_surface_matches_reference_on_any_partition(tmp_path, overrides, gr
         # only the rule (far, avg, med) fires at (0.5, 0.5, 0.5), and no
         # sample of an even count lies on the point 0.5
         assert "5.0000000000000000e-01,5.0000000000000000e-01,5.0000000000000000e-01,nan,nan\n" in text
+
+
+# Footprints of any width and input partitions of any shape: the type-2
+# writer evaluates every point in calls of at most SURFACE_POINTS points, the
+# reference one db value at a time; at grid 30 (900 points) a call ends
+# inside the last db row.
+BLURS = st.floats(0.0, 0.9)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(blur=0.9, blurs={"energy": 0.0}, overrides={}, grid=30)
+@given(
+    blur=BLURS,
+    blurs=st.fixed_dictionaries({}, optional={name: BLURS for name in T2_INPUT_TERMS}),
+    overrides=st.fixed_dictionaries(
+        {}, optional={name: three_terms(terms) for name, terms in T2_INPUT_TERMS.items()}
+    ),
+    grid=st.integers(2, 30),
+)
+def test_fis2_surface_matches_reference_on_any_footprint(tmp_path, blur, blurs, overrides, grid):
+    try:
+        rb = default_rulebase2(blur, blurs, overrides)
+    except ValueError:  # a partition its variable's coverage check rejects
+        reject()
+    assert_same_bytes(tmp_path, "write_fis2_surface", [rb], grid=grid)
 
 
 # each writer at its default grid: the engine, the db values and the points

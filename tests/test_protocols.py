@@ -63,6 +63,9 @@ def test_ch_threshold_validation():
         ch_threshold(0.0, 1)
     with pytest.raises(ValueError):
         ch_threshold(0.05, -1)
+    # 1/1e-310 is inf, and the epoch length int(1/p) raised an OverflowError
+    with pytest.raises(ValueError, match=r"^p: must lie in \(0, 1\) with a finite 1/p, got 1e-310$"):
+        ch_threshold(1e-310, 0)
 
 
 # --- provisional selection --------------------------------------------------------

@@ -227,6 +227,7 @@ def _bad_field_cases():
             "initial_energy": {"initial_energy": v},
             "bs_pos": {"bs_pos": (v, 0.0)},
             "energy_overrides": {"energy_overrides": {3: v}},
+            "positions": {"positions": [(50.0, 50.0)] * 99 + [(50.0, v)]},
         }
         for field, kw in sim.items():
             yield pytest.param(
@@ -252,6 +253,14 @@ def _bad_field_cases():
                 lambda kw={**asdict(RADIO), field: v}: RadioParams(**kw), field,
                 id=f"RadioParams-{field}-{v}",
             )
+    # a finite node outside the field, and a p whose reciprocal overflows
+    yield pytest.param(
+        lambda: replace(scenario1("leach"), positions=[(150.0, 50.0)] * 100).validate(), "positions",
+        id="SimConfig-positions-150",
+    )
+    yield pytest.param(
+        lambda: ProtocolParams(**{**protocol, "p": 1e-310}), "p", id="ProtocolParams-p-1e-310"
+    )
     for var, b in (("foo", 0.1), ("energy", 2.0)):
         yield pytest.param(
             lambda blurs={var: b}: replace(
