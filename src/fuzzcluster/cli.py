@@ -56,7 +56,14 @@ def main(argv: list[str] | None = None) -> int:
         if args.positions:
             cfg = replace(cfg, positions=read_positions_csv(args.positions))
         for seed in (cfg.seed, cfg.seed + args.seeds - 1):  # so that every seed between is too
-            replace(cfg, seed=seed).validate()
+            try:
+                replace(cfg, seed=seed).validate()
+            except ValueError as e:
+                # a replayed topology's errors name its file, as read_positions_csv's do
+                key, _, why = str(e).partition(": ")
+                if args.positions and key == "positions":
+                    raise ValueError(f"{args.positions}: {why}") from None
+                raise
 
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

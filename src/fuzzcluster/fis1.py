@@ -286,19 +286,23 @@ def input_rows(inputs: Mapping[str, np.typing.ArrayLike]) -> np.ndarray:
     a ValueError naming it and both lengths, one of more than one dimension
     a ValueError naming it and its shape, and a point outside [0, 1], NaN
     included, a ValueError naming the input and the point."""
-    for name, x in inputs.items():
-        if np.ndim(x) > 1:
-            raise ValueError(f"{name}: shape {np.shape(x)}, but an input is a float or a 1-D array")
-    sizes = {name: np.size(x) for name, x in inputs.items()}
-    longest = max(sizes, key=sizes.__getitem__, default=None)
-    rows = np.empty((len(sizes), sizes[longest] if sizes else 1))
-    for row, (name, x) in zip(rows, inputs.items()):
-        if sizes[name] not in (1, len(row)):
-            raise ValueError(f"{name}: {sizes[name]} points, but {longest} has {len(row)}")
-        row[:] = x
-    inside = (rows >= 0.0) & (rows <= 1.0)
-    if not inside.all():
-        i, j = np.argwhere(~inside)[0]
+    arrays = [np.asarray(x) for x in inputs.values()]
+    for name, a in zip(inputs, arrays):
+        if a.ndim > 1:
+            raise ValueError(f"{name}: shape {a.shape}, but an input is a float or a 1-D array")
+    sizes = [a.size for a in arrays]
+    n = max(sizes, default=1)
+    rows = np.empty((len(arrays), n))
+    for i, (name, size) in enumerate(zip(inputs, sizes)):
+        if size not in (1, n):
+            raise ValueError(f"{name}: {size} points, but {list(inputs)[sizes.index(n)]} has {n}")
+        rows[i] = arrays[i]
+    # min(0, rows) and max(1, rows), which propagate NaN and take empty rows,
+    # decide in two reductions; the mask is built only to name the point
+    low = np.minimum.reduce(rows, None, initial=0.0)
+    high = np.maximum.reduce(rows, None, initial=1.0)
+    if not (low >= 0.0 and high <= 1.0):
+        i, j = np.argwhere(~((rows >= 0.0) & (rows <= 1.0)))[0]
         raise ValueError(f"{list(inputs)[i]}={rows[i, j]} outside [0, 1]")
     return rows
 

@@ -27,11 +27,14 @@ from .fis1 import (
 DEFAULT_BLUR = 0.2
 # How far a reduced interval's lo may pass its hi before it counts as inverted.
 INVERSION_SLACK = 1e-12
-# Firings per block of points that eval_t2fis fires and reduces at once (170
-# points of the default rule base). The Karnik-Mendel loop's largest temporary
-# holds two floats per firing (96 KiB), below glibc malloc's 128 KiB mmap
-# threshold, so no block is faulted in afresh.
-KM_BLOCK = 6144
+# Firings per block of points that eval_t2fis fires and reduces at once: 256
+# points of the default rule base (2 ends x 2 outputs x 9 rules a point). The
+# Karnik-Mendel loop holds one float per firing in each of its largest
+# temporaries (72 KiB), below glibc malloc's 128 KiB mmap threshold, so no
+# block is faulted in afresh. Traced peaks on numpy 2.4.6: 543 kB for a
+# 1000-point call and 751 kB for the type-2 surface dump, under the tests'
+# 768 KiB bound; 10240 firings take the dump past it.
+KM_BLOCK = 9216
 
 
 @dataclass(frozen=True)
@@ -158,20 +161,20 @@ def _km_rows(first: np.ndarray, second: np.ndarray, w: np.ndarray) -> np.ndarray
 
     Every row takes the iterations and breaks of the one-point loop: it stops
     when its split repeats or its denominator reaches zero, keeping its last
-    ratio, or after rules + 1 iterations. Each sum adds the rules in order
-    (_sum_rules), so every ratio keeps the one-point loop's bits. Rounding can
-    make a row alternate between two splits (a ratio landing exactly on a
-    weight). A split equal to the one of two iterations back (and not the
-    last one) comes with the ratio of two iterations back, so the row repeats
-    those two ratios to the end; it stops at once with the ratio of the loop's
-    last iteration's parity, which is exact, not an approximation. Longer
-    cycles keep iterating."""
+    ratio, or after rules + 1 iterations. Each pass selects one float per
+    firing and makes two sums of it: the denominator, then, weighted in
+    place, the numerator. Each sum adds the rules in order (_sum_rules), so
+    every ratio keeps the one-point loop's bits. Rounding can make a row
+    alternate between two splits (a ratio landing exactly on a weight). A
+    split equal to the one of two iterations back (and not the last one)
+    comes with the ratio of two iterations back, so the row repeats those two
+    ratios to the end; it stops at once with the ratio of the loop's last
+    iteration's parity, which is exact, not an approximation. Longer cycles
+    keep iterating."""
     k_rules = len(w)
-    rank = np.arange(k_rules).reshape((-1,) + (1,) * first.ndim)
-    # each weighted firing beside its firing: one sum gives numerator and denominator
-    first, second = (np.stack((f * w, f), axis=1) for f in (first, second))
+    rank = np.arange(k_rules).reshape((-1,) + (1,) * (first.ndim - 1))
     with np.errstate(divide="ignore", invalid="ignore"):
-        f = 0.5 * (first[:, 1] + second[:, 1])
+        f = 0.5 * (first + second)
         y = _sum_rules(f * w) / _sum_rules(f)
         y_back = y  # the ratio of two iterations back
         last = back = np.full(y.shape, -1)
@@ -187,7 +190,9 @@ def _km_rows(first: np.ndarray, second: np.ndarray, w: np.ndarray) -> np.ndarray
             if not active.any():
                 break
             back, last = last, split
-            num, den = _sum_rules(np.where(rank < split, first, second))
+            f = np.where(rank < split, first, second)
+            den = _sum_rules(f)
+            num = _sum_rules(np.multiply(f, w, out=f))
             active &= den > 0.0
             y_back, y = y, np.where(active, num / den, y)
     return y

@@ -199,6 +199,21 @@ def test_t2_points_of_every_block_match_one_point_calls():
     assert same_bits(chance, want[:, 1])
 
 
+def test_t2_one_km_call_per_block(monkeypatch):
+    # a call of exactly one block reduces it at once; one point more starts a second
+    rb = default_rulebase2()
+    block = fis2.KM_BLOCK // (2 * 2 * len(rb.rules))
+    points = []
+    real_reduce = fis2.km_type_reduce
+    monkeypatch.setattr(
+        fis2, "km_type_reduce", lambda f, w: points.append(f.shape[2]) or real_reduce(f, w)
+    )
+    for m in (block, block + 1):
+        x = np.linspace(0.0, 1.0, m)
+        eval_t2fis(rb, x, x)
+    assert points == [block, block, 1]
+
+
 def test_t2_subnormal_inversion_is_a_degenerate_point():
     # Firings of a few multiples of 5e-324 round the chance interval to
     # [0.375, 0.286]: that point is degenerate, the healthy one is unaffected.
@@ -295,14 +310,16 @@ def test_km_default_rule_base_two_cycle_matches_reference():
 
 
 def test_km_two_cycle_stops_the_loop_early(monkeypatch):
-    # The initial ratio takes two sums and each iteration one: the cycling row
-    # stops at its third split instead of holding the call to rules + 1 iterations.
+    # The initial ratio takes two sums and each pass two more (denominator, then
+    # numerator): the cycling row stops at its third split, after two passes,
+    # instead of holding the call to rules + 1 passes (2 + 2 * 10 sums).
     rb = default_rulebase2()
     calls = []
     real_sum = fis2._sum_rules
     monkeypatch.setattr(fis2, "_sum_rules", lambda a: calls.append(1) or real_sum(a))
     eval_t2fis(rb, *CH3_CYCLE)
-    assert len(calls) == 4
+    passes = 2
+    assert len(calls) == 2 + 2 * passes
 
 
 # (lower, upper, weights, lower end?), 0.05-grid firings that 2-cycle from the

@@ -371,8 +371,18 @@ def test_cli_positions_outside_the_field_fail_before_any_file(tmp_path, capsys):
         ["--preset", "ch3", "--rounds", "1", "--out", str(out), "--dump-clusters", "--positions", str(pos)]
     )
     assert code == 1
-    assert capsys.readouterr().err == f"error: positions: node 3 at (150.0, {y!r}) outside [0, 100.0]^2\n"
+    assert capsys.readouterr().err == f"error: {pos}: node 3 at (150.0, {y!r}) outside [0, 100.0]^2\n"
     assert not out.exists()  # no clusters.csv holding only its header
+
+
+def test_cli_positions_of_too_few_nodes_name_the_file(tmp_path, capsys):
+    pos = tmp_path / "pos.csv"
+    pos.write_text("id,x,y\n0,1.0,2.0\n1,3.0,4.0\n", encoding="utf-8")
+    code = run_cli(
+        ["--preset", "ch3", "--rounds", "1", "--out", str(tmp_path / "o"), "--positions", str(pos)]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {pos}: 2 nodes listed, n is 100\n"
 
 
 def test_cli_p_whose_reciprocal_overflows_fails_before_any_file(tmp_path, capsys):
