@@ -64,12 +64,17 @@ def main(argv: list[str] | None = None) -> int:
                 if args.positions and key == "positions":
                     raise ValueError(f"{args.positions}: {why}") from None
                 raise
+        if args.dump_fis_surface and cfg.protocol.kind not in (KIND_FUZZY_UNEQUAL, KIND_TYPE2):
+            raise ConfigError("--dump-fis-surface requires a fuzzy protocol (fuzzy-unequal or type2fl)")
 
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
 
         if args.dump_fis_surface:
-            _dump_surface(cfg, out)
+            if cfg.protocol.kind == KIND_FUZZY_UNEQUAL:
+                write_fis1_surface(cfg.rules1, cfg.coa_samples, out / "fis_surface.csv")
+            else:
+                write_fis2_surface(cfg.rules2, out / "fis_surface.csv")
             return 0
 
         results = []
@@ -95,15 +100,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     return 0
-
-
-def _dump_surface(cfg, out: Path) -> None:
-    if cfg.protocol.kind == KIND_FUZZY_UNEQUAL:
-        write_fis1_surface(cfg.rules1, cfg.coa_samples, out / "fis_surface.csv")
-    elif cfg.protocol.kind == KIND_TYPE2:
-        write_fis2_surface(cfg.rules2, out / "fis_surface.csv")
-    else:
-        raise ConfigError("--dump-fis-surface requires a fuzzy protocol (fuzzy-unequal or type2fl)")
 
 
 if __name__ == "__main__":

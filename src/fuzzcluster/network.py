@@ -22,6 +22,35 @@ def block_rows(width: int) -> int:
     return max(1, BLOCK_ENTRIES // max(1, width))
 
 
+def check_deployment(
+    n: int, area_side: float, bs_pos: tuple[float, float], initial_energy: float, positions=None
+) -> np.ndarray | None:
+    """The rules of a deployment of n nodes on the field [0, area_side]^2,
+    each raising a ValueError whose message starts with its field. Returns
+    positions, (x, y) by node id, as an (n, 2) float array (None for None)."""
+    if n < 1:
+        raise ValueError(f"n: must be at least 1, got {n}")
+    # each rule below is written as "not inside", so that NaN fails it too
+    if not 0.0 < area_side < math.inf:
+        raise ValueError(f"area_side: must be positive and finite, got {area_side}")
+    if not all(math.isfinite(c) for c in bs_pos):
+        raise ValueError(f"bs_pos: must be finite, got {bs_pos}")
+    if not 0.0 < initial_energy < math.inf:
+        raise ValueError(f"initial_energy: must be positive and finite, got {initial_energy}")
+    if positions is None:
+        return None
+    pos = np.array(positions, dtype=float)
+    if pos.ndim != 2 or pos.shape[1] != 2:
+        raise ValueError(f"positions: must be an (n, 2) array, got shape {pos.shape}")
+    if len(pos) != n:
+        raise ValueError(f"positions: {len(pos)} nodes listed, n is {n}")
+    outside = np.flatnonzero(~((pos >= 0.0) & (pos <= area_side)).all(axis=1))
+    if len(outside):
+        i = outside[0]
+        raise ValueError(f"positions: node {i} at ({pos[i, 0]}, {pos[i, 1]}) outside [0, {area_side}]^2")
+    return pos
+
+
 class Network:
     """Static geometry (positions never move after deployment) plus per-node
     residual ``energy`` and ``alive`` arrays, indexed by node id and owned by
@@ -36,22 +65,8 @@ class Network:
         area_side: float,
         initial_energy: float,
     ):
-        pos = np.array(positions, dtype=float)
-        if pos.size == 0:
-            raise ValueError("network needs at least one node")
-        if pos.ndim != 2 or pos.shape[1] != 2:
-            raise ValueError(f"positions must be an (n, 2) array, got shape {pos.shape}")
-        # each rule below is written as "not inside", so that NaN fails it too
-        if not 0.0 < area_side < math.inf:
-            raise ValueError(f"area_side must be positive and finite, got {area_side}")
-        if not 0.0 < initial_energy < math.inf:
-            raise ValueError(f"initial_energy must be positive and finite, got {initial_energy}")
-        if not all(math.isfinite(c) for c in bs_pos):
-            raise ValueError(f"bs_pos must be finite, got {bs_pos}")
-        outside = np.flatnonzero(~((pos >= 0.0) & (pos <= area_side)).all(axis=1))
-        if len(outside):
-            i = outside[0]
-            raise ValueError(f"node {i} at ({pos[i, 0]}, {pos[i, 1]}) outside [0, {area_side}]^2")
+        pos = np.asarray(positions, dtype=float)  # a scalar is one node, which the shape rule rejects
+        pos = check_deployment(len(pos) if pos.ndim else 1, area_side, bs_pos, initial_energy, pos)
         self.n = len(pos)
         self.bs_pos = (float(bs_pos[0]), float(bs_pos[1]))
         self.area_side = float(area_side)
@@ -98,8 +113,7 @@ def deploy_from_rng(
 ) -> Network:
     """Uniform deployment consuming 2n draws as one block (x then y,
     ascending node id)."""
-    if n < 1:
-        raise ValueError("need at least one node")
+    check_deployment(n, m, bs_pos, initial_energy)  # before a negative n reaches the draws
     return Network(rng.uniforms(2 * n).reshape(n, 2) * m, bs_pos, m, initial_energy)
 
 

@@ -47,8 +47,7 @@ class ProtocolParams:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind: unknown protocol {self.kind!r}")
-        if not (0.0 < self.p < 1.0 and 1.0 / self.p < math.inf):
-            raise ValueError(f"p: must lie in (0, 1) with a finite 1/p, got {self.p}")
+        ch_threshold(self.p, 0)  # the one owner of the p rule
         if not 0.0 < self.r_max < math.inf:
             raise ValueError(f"r_max: must be positive and finite, got {self.r_max}")
         if not 0.0 < self.r_min < self.r_max:

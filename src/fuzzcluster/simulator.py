@@ -10,7 +10,7 @@ import numpy as np
 from .energy import RadioParams, agg_energy, rx_energy, tx_energy
 from .fis1 import DEFAULT_SAMPLES, RuleBase1, default_rulebase1
 from .fis2 import RuleBase2, default_rulebase2
-from .network import Network, deploy_from_rng, network_from_positions
+from .network import Network, check_deployment, deploy_from_rng, network_from_positions
 from .protocols import ProtocolParams, RoundPlan, run_protocol_round
 from .rng import Xorshift64Star
 
@@ -33,16 +33,7 @@ class SimConfig:
 
     def validate(self) -> None:
         """Raise a ValueError whose message starts with the first bad field."""
-        if self.n < 1:
-            raise ValueError(f"n: must be at least 1, got {self.n}")
-        if not 0.0 < self.area_side < math.inf:
-            raise ValueError(f"area_side: must be positive and finite, got {self.area_side}")
-        if not all(math.isfinite(c) for c in self.bs_pos):
-            raise ValueError(f"bs_pos: must be finite, got {self.bs_pos}")
-        if not 0.0 < self.initial_energy < math.inf:
-            raise ValueError(
-                f"initial_energy: must be positive and finite, got {self.initial_energy}"
-            )
+        check_deployment(self.n, self.area_side, self.bs_pos, self.initial_energy, self.positions)
         if self.max_rounds < 1:
             raise ValueError(f"max_rounds: must be at least 1, got {self.max_rounds}")
         if not 0 <= self.seed < 2**64:  # the generator keeps 64 bits of it
@@ -54,12 +45,6 @@ class SimConfig:
                 raise ValueError(f"energy_overrides: node {nid} outside 0..{self.n - 1}")
             if not 0.0 < e < math.inf:
                 raise ValueError(f"energy_overrides: node {nid} energy must be positive and finite")
-        if self.positions is not None:
-            if len(self.positions) != self.n:
-                raise ValueError(f"positions: {len(self.positions)} nodes listed, n is {self.n}")
-            for i, (x, y) in enumerate(self.positions):
-                if not (0.0 <= x <= self.area_side and 0.0 <= y <= self.area_side):  # NaN too
-                    raise ValueError(f"positions: node {i} at ({x}, {y}) outside [0, {self.area_side}]^2")
 
     def with_seed(self, seed: int) -> "SimConfig":
         return replace(self, seed=seed)

@@ -244,12 +244,16 @@ def test_cli_dump_fis_surface_type1(tmp_path):
 
 
 def test_cli_dump_fis_surface_rejected_for_leach(tmp_path, capsys):
+    out = tmp_path / "D"
     code = run_cli(
-        ["--preset", "ch2-scenario1", "--protocol", "leach", "--out", str(tmp_path),
+        ["--preset", "ch2-scenario1", "--protocol", "leach", "--out", str(out),
          "--dump-fis-surface"]
     )
     assert code == 1
-    assert "fuzzy" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: --dump-fis-surface requires a fuzzy protocol (fuzzy-unequal or type2fl)\n"
+    )
+    assert not out.exists()  # decided before the output directory is made
 
 
 def test_cli_dump_clusters(tmp_path):

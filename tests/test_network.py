@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -77,15 +78,17 @@ def test_positions_immutable():
 
 
 def test_network_rejects_out_of_area_positions():
-    with pytest.raises(ValueError, match="outside"):
+    with pytest.raises(ValueError, match=f"^{re.escape('positions: node 1 at (120.0, 10.0) outside [0, 100.0]^2')}$"):
         network_from_positions([(0.0, 0.0), (120.0, 10.0)], 100.0, (50.0, 50.0))
 
 
 def test_network_rejects_bad_shape():
-    with pytest.raises(ValueError, match="at least one node"):
+    with pytest.raises(ValueError, match="^n: must be at least 1, got 0$"):
         Network([], (0.0, 0.0), 10.0, 1.0)
-    with pytest.raises(ValueError, match=r"\(n, 2\)"):
+    with pytest.raises(ValueError, match=r"^positions: must be an \(n, 2\) array, got shape \(1, 3\)$"):
         Network([(0.0, 0.0, 0.0)], (0.0, 0.0), 10.0, 1.0)
+    with pytest.raises(ValueError, match=r"^positions: must be an \(n, 2\) array, got shape \(\)$"):
+        Network(5.0, (0.0, 0.0), 10.0, 1.0)
 
 
 @pytest.mark.parametrize(
@@ -99,7 +102,7 @@ def test_network_rejects_bad_shape():
     ids=["area-inf", "energy-nan", "energy-inf", "bs-nan"],
 )
 def test_network_rejects_non_finite_geometry_and_energy(area, bs_pos, energy, field):
-    with pytest.raises(ValueError, match=f"^{field} "):
+    with pytest.raises(ValueError, match=f"^{field}: must be "):
         network_from_positions([(0.0, 40.0)], area, bs_pos, energy)
 
 

@@ -409,6 +409,30 @@ def test_leach_selection_rate_binomial_at_epoch_start():
     assert abs(total - mean) <= 3.0 * sigma
 
 
+@pytest.mark.parametrize("preset", ["ch3", "ch2-scenario1"])
+def test_leach_heads_per_round_over_whole_epochs_match_the_closed_form(preset):
+    # Each alive node elects itself with the round's threshold T_k = 1/(E - k),
+    # k = r mod E, E = 1/p, and no eligibility set, so an epoch of E rounds
+    # expects N * H_E heads: N * H_E / E = 17.99 a round at N = 100, p = 0.05.
+    # The epoch's variance is N * sum T_k (1 - T_k) = N * (H_E - H_E^(2)),
+    # about 200 heads^2. Over 5 seeds x 7 epochs (700 rounds) the mean has
+    # sigma = sqrt(35 * 200) / 700 = 0.12, and the bound is 4 sigma = 0.48
+    # heads a round. A round that elects no one promotes one node (P = 0.006
+    # at k = 0), which moves the mean by under 0.001.
+    cfg = parse_config(preset)
+    cfg = dataclasses.replace(cfg, protocol=dataclasses.replace(cfg.protocol, kind="leach"))
+    n, epoch = cfg.n, round(1.0 / cfg.protocol.p)
+    harmonic = sum(1.0 / k for k in range(1, epoch + 1))
+    harmonic2 = sum(1.0 / k**2 for k in range(1, epoch + 1))
+    runs = [run_simulation(dataclasses.replace(cfg, seed=s, max_rounds=7 * epoch)) for s in range(1, 6)]
+    assert all(r.fnd is None for r in runs)  # every round counted is before FND
+    heads = [m.ch_count for r in runs for m in r.rounds]
+    assert len(heads) == 5 * 7 * epoch
+    sigma = math.sqrt(5 * 7 * n * (harmonic - harmonic2)) / len(heads)
+    assert n * harmonic / epoch == pytest.approx(17.99, abs=0.005)
+    assert abs(sum(heads) / len(heads) - n * harmonic / epoch) <= 4.0 * sigma
+
+
 def test_control_traffic_can_be_disabled():
     net = deploy(30, 100.0, (50.0, 175.0), seed=2, initial_energy=0.5)
     silent = ProtocolParams(kind="fuzzy_unequal", p=0.05, r_min=10.0, r_max=40.0, control_traffic=False)

@@ -7,8 +7,9 @@ import pytest
 from conftest import plan_from
 from fuzzcluster.energy import RadioParams
 from fuzzcluster.fis2 import default_rulebase2
-from fuzzcluster.network import network_from_positions
+from fuzzcluster.network import Network, deploy_from_rng, network_from_positions
 from fuzzcluster.protocols import Cluster, ProtocolParams
+from fuzzcluster.rng import Xorshift64Star
 from fuzzcluster.simulator import (
     RoundMetrics,
     SimConfig,
@@ -275,3 +276,43 @@ def _bad_field_cases():
 def test_config_validation_errors_name_the_field(build, field):
     with pytest.raises(ValueError, match=rf"^{re.escape(field)}:"):
         build()
+
+
+GOOD_DEPLOYMENT = dict(n=2, area_side=100.0, bs_pos=(50.0, 175.0), initial_energy=0.5, positions=None)
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        ({"n": 0}, "n: must be at least 1, got 0"),
+        ({"n": -1}, "n: must be at least 1, got -1"),
+        ({"area_side": math.nan}, "area_side: must be positive and finite, got nan"),
+        ({"area_side": math.inf}, "area_side: must be positive and finite, got inf"),
+        ({"area_side": 0.0}, "area_side: must be positive and finite, got 0.0"),
+        ({"bs_pos": (math.nan, 0.0)}, "bs_pos: must be finite, got (nan, 0.0)"),
+        ({"bs_pos": (0.0, -math.inf)}, "bs_pos: must be finite, got (0.0, -inf)"),
+        ({"initial_energy": math.inf}, "initial_energy: must be positive and finite, got inf"),
+        ({"initial_energy": -0.5}, "initial_energy: must be positive and finite, got -0.5"),
+        ({"positions": [(1.0, 2.0), (150.0, 40.0)]}, "positions: node 1 at (150.0, 40.0) outside [0, 100.0]^2"),
+        ({"positions": [(1.0, math.nan), (3.0, 4.0)]}, "positions: node 0 at (1.0, nan) outside [0, 100.0]^2"),
+        ({"n": 1, "positions": [(1.0, 2.0, 3.0)]}, "positions: must be an (n, 2) array, got shape (1, 3)"),
+    ],
+    ids=lambda v: None if isinstance(v, str) else "-".join(f"{k}={w}" for k, w in v.items()),
+)
+def test_every_deployment_entry_point_raises_the_same_message(bad, message):
+    d = {**GOOD_DEPLOYMENT, **bad}
+    n, area, bs, energy, positions = d.values()
+    builds = [
+        lambda: replace(
+            scenario1("leach"), n=n, area_side=area, bs_pos=bs, initial_energy=energy, positions=positions
+        ).validate()
+    ]
+    if positions is None:
+        builds.append(lambda: deploy_from_rng(n, area, bs, Xorshift64Star(1), energy))
+    if n >= 0:  # a Network counts the positions it is given
+        listed = positions or [(0.0, 0.0)] * n
+        builds.append(lambda: Network(listed, bs, area, energy))
+        builds.append(lambda: network_from_positions(listed, area, bs, energy))
+    for build in builds:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()

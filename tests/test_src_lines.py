@@ -1,0 +1,44 @@
+import runpy
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "src_lines.py"
+MODULES = sorted((ROOT / "src" / "fuzzcluster").glob("*.py"))
+
+
+def test_src_lines_line_counts_equal_wc_l():
+    table = subprocess.run(
+        [sys.executable, str(SCRIPT)], capture_output=True, text=True, check=True, timeout=60
+    ).stdout.splitlines()
+    wc = subprocess.run(
+        ["wc", "-l", *map(str, MODULES)], capture_output=True, text=True, check=True, timeout=60
+    ).stdout.splitlines()
+    rows = {line.split()[0]: [int(v) for v in line.split()[1:]] for line in table[1:]}
+    expected = {Path(line.split()[1]).name: int(line.split()[0]) for line in wc}
+    assert {name: row[0] for name, row in rows.items()} == expected
+    # docstring, comment, blank and code lines add up to all lines
+    assert all(row[0] == sum(row[1:]) for row in rows.values())
+
+
+def test_src_lines_counts_each_kind_of_line():
+    text = '''"""Module.
+
+Second paragraph."""
+import os  # trailing comment is code
+
+# a comment
+
+
+def f():
+    """One line."""
+    s = """
+
+    """
+    return s
+'''
+    count = runpy.run_path(str(SCRIPT))["count"]
+    # the blank line inside the docstring is a docstring line, the one inside
+    # s a code line; lines 5, 7 and 8 are blank
+    assert count(text) == dict(lines=14, docstring=4, comment=1, blank=3, code=6)
