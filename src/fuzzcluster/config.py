@@ -287,5 +287,6 @@ def config_from_pairs(pairs: dict[str, str]) -> SimConfig:
             **_given(v, "nbr_radius", "control_traffic"),
         )
     except ValueError as e:
-        raise ConfigError(re.sub(r"^\w+", lambda m: _KEY_OF.get(m[0], m[0]), str(e))) from None
+        # the field a message starts with, and any field it gives the value of
+        raise ConfigError(re.sub(r"^\w+|\w+(?= = )", lambda m: _KEY_OF.get(m[0], m[0]), str(e))) from None
     return cfg

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -194,11 +195,9 @@ class RuleBase1:
                 except KeyError as e:
                     raise ValueError(f"rule1.{i}: {e.args[0]}") from None
 
+    @cached_property
     def _firing_plan(self) -> _FiringPlan:
-        hit = self._cache.get("fire")
-        if hit is None:
-            hit = self._cache["fire"] = _FiringPlan.build(self)
-        return hit
+        return _FiringPlan.build(self)
 
     def _plan(self, samples: int) -> _MamdaniPlan:
         hit = self._cache.get(samples)
@@ -326,7 +325,7 @@ def term_firings(rb: RuleBase1, inputs: Mapping[str, np.typing.ArrayLike]) -> np
         known = {var.name for var in rb.inputs}
         unknown = next(name for name in inputs if name not in known)
         raise ValueError(f"unknown input variable {unknown!r}")
-    plan = rb._firing_plan()
+    plan = rb._firing_plan
     x = input_rows({var.name: inputs[var.name] for var in rb.inputs})
     fire = np.empty((plan.term_ante.shape[-1], x.shape[1]))
     first, *rest = plan.term_ante

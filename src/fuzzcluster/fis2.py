@@ -7,7 +7,8 @@ rule firings to an interval whose midpoint is the crisp output.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -90,7 +91,6 @@ class RuleBase2:
     distance_mfs: Mapping[str, IntervalMF]
     energy_mfs: Mapping[str, IntervalMF]
     rules: tuple[Rule2, ...]
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pairs = {(r.distance, r.energy) for r in self.rules}
@@ -102,16 +102,14 @@ class RuleBase2:
             if r.energy not in self.energy_mfs:
                 raise ValueError(f"rule2.{i}: energy has no term {r.energy!r}")
 
+    @cached_property
     def _plan(self) -> tuple[list, np.ndarray]:
         """The firing tables (see _firing_tables) and the (outputs, rules)
         consequent weights, built on the first evaluation."""
-        hit = self._cache.get("plan")
-        if hit is None:
-            hit = self._cache["plan"] = (
-                _firing_tables(self.rules, self.distance_mfs, self.energy_mfs),
-                np.array([[r.w_radius for r in self.rules], [r.w_chance for r in self.rules]]),
-            )
-        return hit
+        return (
+            _firing_tables(self.rules, self.distance_mfs, self.energy_mfs),
+            np.array([[r.w_radius for r in self.rules], [r.w_chance for r in self.rules]]),
+        )
 
 
 def _firing_tables(
@@ -313,12 +311,11 @@ def default_rulebase2(
 
     wr = _weights("w.radius", w_radius, T2_RADIUS_TERMS)
     wc = _weights("w.chance", w_chance, T2_CHANCE_TERMS)
-    table = tuple(rules) if rules is not None else RULES_9
-    for i, row in enumerate(table, start=1):
+    rule_objs = []
+    for i, row in enumerate(RULES_9 if rules is None else rules, start=1):
         if len(row) != 4:
             raise ValueError(f"rule2.{i}: expected 4 terms, got {len(row)}")
-    rule_objs = []
-    for i, (d, e, rad, ch) in enumerate(table, start=1):
+        d, e, rad, ch = row
         if rad not in wr:
             raise ValueError(f"rule2.{i}: radius has no term {rad!r}")
         if ch not in wc:
@@ -339,7 +336,7 @@ def eval_t2fis(
     reduced KM_BLOCK firings at a time, so only the inputs and outputs grow
     with a call."""
     x = input_rows({"db": db, "re": re})
-    tables, weights = rb._plan()
+    tables, weights = rb._plan
     step = max(1, KM_BLOCK // (2 * weights.size))  # two ends per output and rule
     out = np.empty((len(weights), x.shape[1]))
     for s in range(0, x.shape[1], step):

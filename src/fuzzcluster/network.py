@@ -40,10 +40,11 @@ def check_deployment(
     if positions is None:
         return None
     pos = np.array(positions, dtype=float)
+    # rows are counted first, so that an empty list is 0 nodes, not a bad shape
+    if pos.ndim and len(pos) != n:
+        raise ValueError(f"positions: {len(pos)} nodes listed, n is {n}")
     if pos.ndim != 2 or pos.shape[1] != 2:
         raise ValueError(f"positions: must be an (n, 2) array, got shape {pos.shape}")
-    if len(pos) != n:
-        raise ValueError(f"positions: {len(pos)} nodes listed, n is {n}")
     outside = np.flatnonzero(~((pos >= 0.0) & (pos <= area_side)).all(axis=1))
     if len(outside):
         i = outside[0]

@@ -196,12 +196,12 @@ def compete_final_chs(
 
 
 def assign_members(
-    net: Network, finals: np.ndarray, kind: str, r_max: float
+    net: Network, finals: np.ndarray, join_range: float
 ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], int]:
-    """Join every alive non-head node to its nearest final head; type2fl joins
-    only within r_max and self-promotes uncovered nodes into singleton clusters
-    after the finals. Returns ((heads, sizes, members), orphan count), the
-    clusters as in ``RoundPlan``."""
+    """Join every alive non-head node to its nearest final head if that head
+    lies within join_range; an uncovered node self-promotes into a singleton
+    cluster after the finals. Returns ((heads, sizes, members), orphan count),
+    the clusters as in ``RoundPlan``."""
     # dist is symmetric bit for bit (x_i - x_j and x_j - x_i are exact
     # negatives), so a head's row holds every node's distance to it.
     # argmin returns the first minimum and a later block replaces a node's
@@ -221,8 +221,8 @@ def assign_members(
     joining = net.alive.copy()
     joining[finals] = False
     joiners = np.flatnonzero(joining)
-    # the nearest head decides coverage: type2fl joins none beyond r_max
-    covered = nearest[joiners] <= (r_max if kind == KIND_TYPE2 else np.inf)
+    # the nearest head decides coverage
+    covered = nearest[joiners] <= join_range
     cluster, orphans = order[nearest_at[joiners][covered]], joiners[~covered]
     # joiners ascend, so a stable sort keeps each cluster's members ascending
     members = joiners[covered][np.argsort(cluster, kind="stable")]
@@ -230,15 +230,12 @@ def assign_members(
     return (heads, np.bincount(cluster, minlength=len(heads)), members), len(orphans)
 
 
-def build_routes(heads: np.ndarray, net: Network, d0: float, direct_only: bool = False) -> np.ndarray:
+def build_routes(heads: np.ndarray, net: Network, d0: float) -> np.ndarray:
     """Next hop per head as a position in ``heads``, -1 for the sink: the sink
-    when within d0 (or always, for LEACH), otherwise the nearest other head
-    strictly closer to the sink, the lowest id among equally near ones; heads
-    with no sink-ward peer go direct. Strict progress keeps the route graph
-    acyclic."""
+    when within d0, otherwise the nearest other head strictly closer to the
+    sink, the lowest id among equally near ones; heads with no sink-ward peer
+    go direct. Strict progress keeps the route graph acyclic."""
     next_hop = np.full(len(heads), -1, dtype=np.intp)
-    if direct_only:
-        return next_hop
     # argmin returns the first minimum, so sorted heads break ties to the lowest id
     order = np.argsort(heads)
     ranked = heads[order]
@@ -330,6 +327,7 @@ def run_protocol_round(
     if not net.alive.any():
         raise ValueError("no alive nodes")
     params, radio = cfg.protocol, cfg.radio
+    d0 = threshold_distance(radio)
 
     ids, forced = select_provisional(net, params, round_index - 1, rng)
     fis_fallbacks = 0
@@ -340,14 +338,16 @@ def run_protocol_round(
         ids, cand_radius = ids[:0], radius[:0]  # no candidate announcements
     else:
         # type2fl reads only (db, re), so it counts no neighbors
-        nbr_radius = params.nbr_radius or threshold_distance(radio)
+        nbr_radius = params.nbr_radius or d0
         inputs = normalize_inputs(net, ids, None if params.kind == KIND_TYPE2 else nbr_radius)
         cand_radius, chance, fell_back = compute_radius_chance(net, ids, inputs, cfg)
         fis_fallbacks = int(fell_back.sum())
         won = compete_final_chs(ids, cand_radius, chance, net)
         finals, radius = ids[won], cand_radius[won]
 
-    (heads, sizes, members), orphans = assign_members(net, finals, params.kind, params.r_max)
+    # type2fl joins none beyond r_max
+    join_range = params.r_max if params.kind == KIND_TYPE2 else np.inf
+    (heads, sizes, members), orphans = assign_members(net, finals, join_range)
     radius = np.concatenate((radius, np.zeros(orphans)))
     k = len(finals)  # the finals' announcements are heads[:k]
 
@@ -369,7 +369,8 @@ def run_protocol_round(
             join_group=np.repeat(np.arange(first, first + len(heads)), sizes),
         )
 
-    next_hop = build_routes(heads, net, threshold_distance(radio), direct_only=leach)
+    # every LEACH head transmits straight to the sink
+    next_hop = np.full(len(heads), -1, dtype=np.intp) if leach else build_routes(heads, net, d0)
     return RoundPlan(
         heads, radius, sizes, members, next_hop, control, int(forced) + orphans, fis_fallbacks
     )

@@ -141,19 +141,15 @@ def lifetime_metrics(rounds: list[RoundMetrics], n: int) -> tuple[int | None, in
 
 
 def _mean_dissipation(rounds: list[RoundMetrics], upto: int | None, n: int) -> float | None:
-    """Mean per-alive-node spend per round through the given event round."""
+    """Mean per-alive-node spend per round through the given event round
+    (round r is rounds[r - 1])."""
     if upto is None:
         return None
-    total = 0.0
-    count = 0
-    alive_at_start = n
-    for m in rounds:
-        if m.round > upto:
-            break
+    total, alive_at_start = 0.0, n
+    for m in rounds[:upto]:
         total += m.spent_j / alive_at_start
-        count += 1
         alive_at_start = m.alive
-    return total / count if count else None
+    return total / upto
 
 
 def run_simulation(

@@ -380,13 +380,16 @@ def test_cli_positions_outside_the_field_fail_before_any_file(tmp_path, capsys):
 
 
 def test_cli_positions_of_too_few_nodes_name_the_file(tmp_path, capsys):
-    pos = tmp_path / "pos.csv"
-    pos.write_text("id,x,y\n0,1.0,2.0\n1,3.0,4.0\n", encoding="utf-8")
-    code = run_cli(
-        ["--preset", "ch3", "--rounds", "1", "--out", str(tmp_path / "o"), "--positions", str(pos)]
-    )
-    assert code == 1
-    assert capsys.readouterr().err == f"error: {pos}: 2 nodes listed, n is 100\n"
+    # a header-only file lists 0 nodes, as a 2-row file lists 2
+    for rows in (2, 0):
+        pos = tmp_path / f"pos{rows}.csv"
+        text = "".join(f"{i},{2 * i + 1.0},{2 * i + 2.0}\n" for i in range(rows))
+        pos.write_text("id,x,y\n" + text, encoding="utf-8")
+        code = run_cli(
+            ["--preset", "ch3", "--rounds", "1", "--out", str(tmp_path / "o"), "--positions", str(pos)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {pos}: {rows} nodes listed, n is 100\n"
 
 
 def test_cli_p_whose_reciprocal_overflows_fails_before_any_file(tmp_path, capsys):

@@ -133,8 +133,10 @@ def test_bad_protocol_rejected(tmp_path):
 
 
 def test_radius_ordering_rejected(tmp_path):
-    with pytest.raises(ConfigError, match="r_min_m"):
-        parse_config(write_cfg(tmp_path, BASE + "r_min_m = 50\nr_max_m = 40\n"))
+    # the bound is named by the file's key too, not by the ProtocolParams field
+    message = "r_min_m: must lie in (0, r_max_m = 2.0), got 5.0"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config(write_cfg(tmp_path, BASE + "r_min_m = 5\nr_max_m = 2\n"))
 
 
 def test_r_max_below_the_default_r_min_names_r_max():

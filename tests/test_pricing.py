@@ -160,9 +160,10 @@ def test_joining_matches_reference(data):
     r_max = data.draw(st.sampled_from([1.0, area / 6, area / 3, area]))  # 1 m: nearly every joiner an orphan
     kind = data.draw(st.sampled_from(KINDS))
     ref, ref_orphans = assign_members_ref(net, [(f, 0.0, 0.0) for f in finals], kind, r_max)
+    join_range = r_max if kind == KIND_TYPE2 else np.inf  # as run_protocol_round picks it
     for rows in (block_rows(n), 2, 1):
         with block_entries(rows * n):
-            (heads, sizes, members), orphans = assign_members(net, np.array(finals), kind, r_max)
+            (heads, sizes, members), orphans = assign_members(net, np.array(finals), join_range)
         assert orphans == ref_orphans
         assert heads.tolist() == [c.head for c in ref]
         ends = np.cumsum(sizes).tolist()

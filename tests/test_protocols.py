@@ -265,9 +265,7 @@ def test_equidistant_member_joins_lower_id():
     assert 2 in by_head[0].members
     assert by_head[1].members == []
     # the tie goes to the lower id whatever the competition order; clusters keep that order
-    (heads, sizes, members), orphans = assign_members(
-        net, np.array([1, 0]), "fuzzy_unequal", 40.0
-    )
+    (heads, sizes, members), orphans = assign_members(net, np.array([1, 0]), math.inf)
     assert (heads.tolist(), sizes.tolist(), members.tolist()) == ([1, 0], [0, 1], [2])
     assert orphans == 0
 
@@ -288,10 +286,10 @@ def test_type2_uncovered_node_self_promotes():
 # --- routing ----------------------------------------------------------------------------
 
 
-def next_hops(heads, net, **kw):
+def next_hops(heads, net):
     """build_routes over these head ids: each head's next hop as a position
     in heads, -1 for the sink."""
-    return build_routes(np.array(heads), net, threshold_distance(RADIO), **kw).tolist()
+    return build_routes(np.array(heads), net, threshold_distance(RADIO)).tolist()
 
 
 def test_route_direct_within_threshold():
@@ -314,8 +312,13 @@ def test_route_single_head_goes_direct():
 
 
 def test_leach_routes_always_direct():
+    # both heads lie beyond d0, where the relaying protocols route 0 through 1
     net = network_from_positions([(0.0, 150.0), (0.0, 100.0)], 200.0, (0.0, 0.0))
-    assert next_hops([0, 1], net, direct_only=True) == [-1, -1]
+    assert (net.bs_dist > threshold_distance(RADIO)).all()
+    assert next_hops([0, 1], net) == [1, -1]
+    plan = run_protocol_round(net, round_config(LEACH, RADIO), FakeRng([0.01, 0.01]), 1)
+    assert plan.heads.tolist() == [0, 1]
+    assert plan.next_hop.tolist() == [-1, -1]
 
 
 # --- whole rounds -------------------------------------------------------------------------
