@@ -45,25 +45,23 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = parse_config(args.preset if args.preset else args.config)
-        if args.protocol:
-            cfg = replace(cfg, protocol=replace(cfg.protocol, kind=PROTOCOL_NAMES[args.protocol]))
-        if args.seed is not None:
-            cfg = cfg.with_seed(args.seed)
-        if args.rounds is not None:
-            cfg = replace(cfg, max_rounds=args.rounds)
         if args.seeds < 1:
             raise ConfigError("seeds: must be at least 1")
-        if args.positions:
-            cfg = replace(cfg, positions=read_positions_csv(args.positions))
-        for seed in (cfg.seed, cfg.seed + args.seeds - 1):  # so that every seed between is too
-            try:
-                replace(cfg, seed=seed).validate()
-            except ValueError as e:
-                # a replayed topology's errors name its file, as read_positions_csv's do
-                key, _, why = str(e).partition(": ")
-                if args.positions and key == "positions":
-                    raise ValueError(f"{args.positions}: {why}") from None
-                raise
+        try:
+            cfg = replace(
+                cfg,
+                protocol=replace(cfg.protocol, kind=PROTOCOL_NAMES.get(args.protocol, cfg.protocol.kind)),
+                seed=cfg.seed if args.seed is None else args.seed,
+                max_rounds=cfg.max_rounds if args.rounds is None else args.rounds,
+                positions=read_positions_csv(args.positions) if args.positions else cfg.positions,
+            )
+            replace(cfg, seed=cfg.seed + args.seeds - 1)  # the last seed, so every seed between
+        except ValueError as e:
+            # a replayed topology's errors name its file, as read_positions_csv's do
+            key, _, why = str(e).partition(": ")
+            if args.positions and key == "positions":
+                raise ValueError(f"{args.positions}: {why}") from None
+            raise
         if args.dump_fis_surface and cfg.protocol.kind not in (KIND_FUZZY_UNEQUAL, KIND_TYPE2):
             raise ConfigError("--dump-fis-surface requires a fuzzy protocol (fuzzy-unequal or type2fl)")
 

@@ -17,6 +17,7 @@ from typing import Any
 from .energy import RadioParams
 from .fis1 import MembershipFunction, default_rulebase1
 from .fis2 import default_rulebase2
+from .network import check_deployment
 from .protocols import ProtocolParams
 from .simulator import SimConfig
 
@@ -224,7 +225,7 @@ def _collect_rules(numbered: dict[int, str], family: str):
 
 
 def parse_config(source: str) -> SimConfig:
-    """Build a validated SimConfig from a preset name or a config-file path."""
+    """Build a checked SimConfig from a preset name or a config-file path."""
     if source in PRESETS:
         pairs = _parse_lines(PRESETS[source], source)
     elif os.path.exists(source):
@@ -247,7 +248,16 @@ def config_from_pairs(pairs: dict[str, str]) -> SimConfig:
     rules1, rules2 = (_collect_rules(families[f], f) for f in ("rule1", "rule2"))
 
     try:
-        cfg = SimConfig(
+        # the deployment first: the default radii scale with its area
+        check_deployment(v["nodes"], v["area_m"], (v["bs_x"], v["bs_y"]), v["initial_energy_j"])
+        r_min = v.get("r_min_m", 0.1 * v["area_m"])
+        r_max = v.get("r_max_m", 0.4 * v["area_m"])
+        if "r_min_m" not in v and 0.0 < r_max <= r_min:
+            # the file gave r_max_m alone, so the fault is in that key
+            raise ValueError(
+                f"r_max_m: must exceed the default r_min_m = 0.1 * area_m = {r_min}, got {r_max}"
+            )
+        return SimConfig(
             n=v["nodes"],
             area_side=v["area_m"],
             bs_pos=(v["bs_x"], v["bs_y"]),
@@ -260,8 +270,13 @@ def config_from_pairs(pairs: dict[str, str]) -> SimConfig:
                 packet_bits=v["packet_bits"],
                 ctrl_bits=v["ctrl_bits"],
             ),
-            # built below, once validate() has passed the area its default radii scale
-            protocol=None,
+            protocol=ProtocolParams(
+                kind=PROTOCOL_NAMES[v["protocol"]],
+                p=v.get("p", 0.05),
+                r_min=r_min,
+                r_max=r_max,
+                **_given(v, "nbr_radius", "control_traffic"),
+            ),
             rules1=default_rulebase1(families["mf1"], rules1),
             rules2=default_rulebase2(
                 blur_overrides=families["blur"],
@@ -271,22 +286,6 @@ def config_from_pairs(pairs: dict[str, str]) -> SimConfig:
             ),
             **_given(v, "max_rounds", "seed", "coa_samples", "energy_overrides"),
         )
-        cfg.validate()
-        r_min = v.get("r_min_m", 0.1 * cfg.area_side)
-        r_max = v.get("r_max_m", 0.4 * cfg.area_side)
-        if "r_min_m" not in v and 0.0 < r_max <= r_min:
-            # the file gave r_max_m alone, so the fault is in that key
-            raise ValueError(
-                f"r_max_m: must exceed the default r_min_m = 0.1 * area_m = {r_min}, got {r_max}"
-            )
-        cfg.protocol = ProtocolParams(
-            kind=PROTOCOL_NAMES[v["protocol"]],
-            p=v.get("p", 0.05),
-            r_min=r_min,
-            r_max=r_max,
-            **_given(v, "nbr_radius", "control_traffic"),
-        )
     except ValueError as e:
         # the field a message starts with, and any field it gives the value of
         raise ConfigError(re.sub(r"^\w+|\w+(?= = )", lambda m: _KEY_OF.get(m[0], m[0]), str(e))) from None
-    return cfg

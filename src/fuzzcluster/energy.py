@@ -23,8 +23,9 @@ class RadioParams:
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name}: must be positive and finite")
         for name in ("packet_bits", "ctrl_bits"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name}: must be at least 1, got {getattr(self, name)}")
+            bits = getattr(self, name)
+            if not 1 <= bits <= 2**53:  # priced as a float, which holds up to 2**53 exactly
+                raise ValueError(f"{name}: must be at {'least 1' if bits < 1 else 'most 2**53'}, got {bits}")
 
 
 def threshold_distance(p: RadioParams) -> float:

@@ -33,6 +33,8 @@ def check_deployment(
     # each rule below is written as "not inside", so that NaN fails it too
     if not 0.0 < area_side < math.inf:
         raise ValueError(f"area_side: must be positive and finite, got {area_side}")
+    if not 1e-100 <= area_side <= 1e100:  # so that every squared distance is a normal float
+        raise ValueError(f"area_side: must lie in [1e-100, 1e100], got {area_side}")
     if not all(math.isfinite(c) for c in bs_pos):
         raise ValueError(f"bs_pos: must be finite, got {bs_pos}")
     if not 0.0 < initial_energy < math.inf:

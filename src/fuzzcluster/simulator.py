@@ -3,7 +3,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -15,7 +16,7 @@ from .protocols import ProtocolParams, RoundPlan, run_protocol_round
 from .rng import Xorshift64Star
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
     n: int
     area_side: float
@@ -28,11 +29,11 @@ class SimConfig:
     coa_samples: int = DEFAULT_SAMPLES
     rules1: RuleBase1 = field(default_factory=default_rulebase1)
     rules2: RuleBase2 = field(default_factory=default_rulebase2)
-    energy_overrides: dict[int, float] = field(default_factory=dict)
-    positions: list[tuple[float, float]] | None = None
+    energy_overrides: Mapping[int, float] = field(default_factory=dict)
+    positions: Sequence[tuple[float, float]] | None = None
 
-    def validate(self) -> None:
-        """Raise a ValueError whose message starts with the first bad field."""
+    def __post_init__(self):
+        """Checked on construction, replace() included: a ValueError names the first bad field."""
         check_deployment(self.n, self.area_side, self.bs_pos, self.initial_energy, self.positions)
         if self.max_rounds < 1:
             raise ValueError(f"max_rounds: must be at least 1, got {self.max_rounds}")
@@ -40,6 +41,10 @@ class SimConfig:
             raise ValueError(f"seed: must lie in [0, 2**64), got {self.seed}")
         if self.coa_samples < 3:
             raise ValueError(f"coa_samples: must be at least 3, got {self.coa_samples}")
+        # read-only copies, so that no edit after these checks reaches a run
+        if self.positions is not None:
+            object.__setattr__(self, "positions", tuple(map(tuple, self.positions)))
+        object.__setattr__(self, "energy_overrides", MappingProxyType(dict(self.energy_overrides)))
         for nid, e in self.energy_overrides.items():
             if not 0 <= nid < self.n:
                 raise ValueError(f"energy_overrides: node {nid} outside 0..{self.n - 1}")
@@ -128,16 +133,11 @@ def lifetime_metrics(rounds: list[RoundMetrics], n: int) -> tuple[int | None, in
     """First rounds at which >=1 node, >=ceil(n/2) nodes and all nodes are dead."""
     if not rounds:
         raise ValueError("empty metrics series")
-    fnd = hnd = lnd = None
     half = math.ceil(n / 2)
-    for m in rounds:
-        if fnd is None and m.dead >= 1:
-            fnd = m.round
-        if hnd is None and m.dead >= half:
-            hnd = m.round
-        if lnd is None and m.alive == 0:
-            lnd = m.round
-    return fnd, hnd, lnd
+    return tuple(
+        next((m.round for m in rounds if event(m)), None)
+        for event in (lambda m: m.dead >= 1, lambda m: m.dead >= half, lambda m: m.alive == 0)
+    )
 
 
 def _mean_dissipation(rounds: list[RoundMetrics], upto: int | None, n: int) -> float | None:
@@ -157,7 +157,6 @@ def run_simulation(
 ) -> SimResult:
     """Deploy once, then select/cluster/route and spend energy each round until
     the network dies or max_rounds elapse. Deterministic in (cfg, seed)."""
-    cfg.validate()
     rng = Xorshift64Star(cfg.seed)
     if cfg.positions is not None:
         # burn the deployment draws so replaying a run's own positions file

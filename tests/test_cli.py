@@ -70,7 +70,7 @@ def test_read_metrics_malformed_file_names_file_and_line(tmp_path, text, line):
 def test_summary_absent_events_empty_fields(tmp_path):
     path = tmp_path / "s.csv"
     write_summary_csv([_result([RoundMetrics(1, 100, 0, 50.0, 0.5, 6)])], path)
-    rows = list(csv.reader(open(path)))
+    rows = list(csv.reader(path.read_text().splitlines()))
     assert rows[0] == ["fnd", "hnd", "lnd", "seed"]
     assert rows[1] == ["", "", "", "1"]
 
@@ -196,7 +196,7 @@ def test_cli_batch_seeds(tmp_path):
          "--rounds", "5", "--out", str(out)]
     )
     assert code == 0
-    rows = list(csv.reader(open(out / "summary.csv")))
+    rows = list(csv.reader((out / "summary.csv").read_text().splitlines()))
     assert len(rows) == 11  # header + one summary per seed
     assert [r[3] for r in rows[1:]] == [str(s) for s in range(5, 15)]
     for s in range(5, 15):
@@ -222,7 +222,7 @@ def test_cli_dump_fis_surface_type2(tmp_path):
          "--dump-fis-surface"]
     )
     assert code == 0
-    rows = list(csv.reader(open(out / "fis_surface.csv")))
+    rows = list(csv.reader((out / "fis_surface.csv").read_text().splitlines()))
     assert rows[0] == ["db", "re", "radius_norm", "chance"]
     assert len(rows) == 1 + 101 * 101
     for row in rows[1:]:
@@ -237,7 +237,7 @@ def test_cli_dump_fis_surface_type1(tmp_path):
          "--dump-fis-surface"]
     )
     assert code == 0
-    rows = list(csv.reader(open(out / "fis_surface.csv")))
+    rows = list(csv.reader((out / "fis_surface.csv").read_text().splitlines()))
     assert rows[0] == ["db", "re", "conc", "radius_norm", "chance"]
     assert len(rows) == 1 + 21 * 21 * 21
     assert sorted(p.name for p in out.iterdir()) == ["fis_surface.csv"]  # no simulation ran
@@ -263,7 +263,7 @@ def test_cli_dump_clusters(tmp_path):
          "--out", str(out), "--dump-clusters"]
     )
     assert code == 0
-    rows = list(csv.reader(open(out / "clusters.csv")))
+    rows = list(csv.reader((out / "clusters.csv").read_text().splitlines()))
     assert rows[0] == ["round", "ch_id", "member_id", "radius", "next_hop"]
     assert {r[0] for r in rows[1:]} == {"1", "2", "3"}
     assert all(r[4] == "BS" for r in rows[1:])  # leach heads go direct

@@ -1,6 +1,6 @@
 import ast
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import pytest
@@ -178,9 +178,12 @@ def test_energy_override_unknown_node(tmp_path):
         ("blur.energy = -inf", "blur.energy"),
         ("nodes = 0", "nodes"),
         ("area_m = 0", "area_m"),
+        ("area_m = 1e-170", "area_m"),
+        ("area_m = 1e200", "area_m"),
         ("initial_energy_j = 0", "initial_energy_j"),
         ("e_elec_nj = 0", "e_elec_nj"),
         ("packet_bits = 0", "packet_bits"),
+        ("packet_bits = 1" + "0" * 400, "packet_bits"),
         ("p = 1.5", "p"),
         ("r_min_m = 50\nr_max_m = 40", "r_min_m"),
         ("nbr_radius_m = 0", "nbr_radius_m"),
@@ -333,6 +336,20 @@ def test_two_parses_of_a_preset_compare_equal(tmp_path, preset):
     assert replace(cfg, seed=cfg.seed + 1) != cfg
     moved = PRESETS[preset] + "mf1.distance.close = trap:0,0,0.3,0.5\n"
     assert parse_config(write_cfg(tmp_path, moved, "moved.cfg")) != cfg
+
+
+def test_a_parsed_config_is_frozen_and_each_replace_is_checked(tmp_path):
+    cfg = parse_config(write_cfg(tmp_path, BASE + "energy_overrides = 3:0.25\n"))
+    with pytest.raises(FrozenInstanceError):
+        cfg.seed = 2
+    # nor can an override or a replayed position change after its check
+    with pytest.raises(TypeError):
+        cfg.energy_overrides[99] = 0.1
+    with pytest.raises(AttributeError):
+        replace(cfg, positions=[(1.0, 2.0)] * cfg.n).positions.append((3.0, 4.0))
+    message = "seed: must lie in [0, 2**64), got 18446744073709551616"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        replace(cfg, seed=2**64)
 
 
 # --- who owns what: the parser splits, the builders and fields decide ---------------
@@ -524,6 +541,8 @@ BAD_EDITS = {
     **dict.fromkeys(("blur.distance", "blur.energy"), NOT_FINITE + ("-0.1", "1")),
     **dict.fromkeys(("blur.concentration", "blur.speed"), ("0.1",)),
 }
+BAD_EDITS["area_m"] += ("1e-170", "1e200")  # a square that underflows, one that overflows
+BAD_EDITS["packet_bits"] += ("1" + "0" * 400,)  # too large to price as a float
 PRESET_PAIRS = {name: config._parse_lines(text, name) for name, text in PRESETS.items()}
 
 
@@ -540,6 +559,8 @@ def test_bad_edits_cover_every_plain_key():
     ),
 )
 @example(preset="ch3", edit=("r_max_m", "5"))
+@example(preset="ch2-scenario2", edit=("area_m", "1e-170"))
+@example(preset="ch3", edit=("packet_bits", "1" + "0" * 400))
 def test_one_bad_edit_names_its_key(preset, edit):
     key, value = edit
     family = key.split(".")[0]

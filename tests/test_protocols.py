@@ -10,7 +10,7 @@ from test_bench_contract import count_stage_calls
 from test_golden import WEAK_NODES
 from fuzzcluster import network, protocols
 from fuzzcluster.config import parse_config
-from fuzzcluster.energy import RadioParams, threshold_distance
+from fuzzcluster.energy import RadioParams, threshold_distance, tx_energy
 from fuzzcluster.fis1 import default_rulebase1, eval_fis1, triangular
 from fuzzcluster.fis2 import default_rulebase2
 from fuzzcluster.network import network_from_positions, normalize_inputs
@@ -434,6 +434,39 @@ def test_leach_heads_per_round_over_whole_epochs_match_the_closed_form(preset):
     sigma = math.sqrt(5 * 7 * n * (harmonic - harmonic2)) / len(heads)
     assert n * harmonic / epoch == pytest.approx(17.99, abs=0.005)
     assert abs(sum(heads) / len(heads) - n * harmonic / epoch) <= 4.0 * sigma
+
+
+@pytest.mark.parametrize("preset,band", [("ch3", (1.0, 1.04)), ("ch2-scenario1", (0.97, 1.07))])
+def test_leach_energy_per_round_matches_the_closed_form(preset, band):
+    # Heinzelman et al. (IEEE TWC 1(4), 2002, sec. IV): with k heads among N
+    # alive nodes on an M x M field, a round spends
+    # L[(2N - 2k) E_elec + N E_DA + eps_fs (N - k) M^2 / (2 pi k)] + k E[tx(d_bs)]:
+    # members' uplinks and heads' receptions, aggregation of every signal,
+    # the members' mean squared distance to their head, and one packet from
+    # each head to the sink, from a point uniform on the field (the mean of
+    # tx_energy over a 400 x 400 grid of cell centres). M^2/(2 pi k) is an
+    # approximation, so the median ratio of a round's spent_j to this sits
+    # near 1 but not at it. Control traffic off, 140 rounds, before FND.
+    # Seeds 1-5 and 6-10 give medians 1.017 and 1.018 on ch3, 1.008 and
+    # 1.023 on ch2-scenario1; twenty disjoint five-seed sets from 1-100 gave
+    # 1.016-1.021 and 0.994-1.047, inside each band.
+    cfg = parse_config(preset)
+    leach = dataclasses.replace(cfg.protocol, kind="leach", control_traffic=False)
+    cfg = dataclasses.replace(cfg, protocol=leach, max_rounds=140)
+    radio, n, m, bits = cfg.radio, cfg.n, cfg.area_side, cfg.radio.packet_bits
+    centres = (np.arange(400) + 0.5) * m / 400
+    x, y = np.meshgrid(centres - cfg.bs_pos[0], centres - cfg.bs_pos[1])
+    to_sink = tx_energy(radio, bits, np.hypot(x, y).ravel()).mean()
+    ratios = []
+    for seed in range(1, 6):
+        run = run_simulation(dataclasses.replace(cfg, seed=seed))
+        assert run.fnd is None  # every round counted has all N nodes alive
+        for r in run.rounds:
+            k = r.ch_count
+            per_bit = (2 * n - 2 * k) * radio.e_elec + n * radio.e_da
+            per_bit += radio.eps_fs * (n - k) * m * m / (2 * math.pi * k)
+            ratios.append(r.spent_j / (bits * per_bit + k * to_sink))
+    assert band[0] <= float(np.median(ratios)) <= band[1]
 
 
 def test_control_traffic_can_be_disabled():

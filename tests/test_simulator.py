@@ -92,10 +92,12 @@ def test_spend_matches_residual_delta():
 
 def test_doubling_packet_bits_doubles_data_spend():
     def one_round(radio):
-        cfg = scenario1("fuzzy_unequal", max_rounds=1, seed=6)
-        cfg.radio = radio
-        cfg.protocol = ProtocolParams(
-            kind="fuzzy_unequal", p=0.05, r_min=10.0, r_max=40.0, control_traffic=False
+        cfg = replace(
+            scenario1("fuzzy_unequal", max_rounds=1, seed=6),
+            radio=radio,
+            protocol=ProtocolParams(
+                kind="fuzzy_unequal", p=0.05, r_min=10.0, r_max=40.0, control_traffic=False
+            ),
         )
         run = run_simulation(cfg)
         return run.rounds[0].spent_j
@@ -197,26 +199,22 @@ def test_round_metrics_are_consistent():
 
 
 def test_config_validation_errors():
-    cfg = scenario1("leach")
-    cfg.n = 0
     with pytest.raises(ValueError):
-        cfg.validate()
-    cfg = scenario1("leach", energy_overrides={200: 0.1})
+        replace(scenario1("leach"), n=0)
     with pytest.raises(ValueError):
-        cfg.validate()
-    cfg = scenario1("leach", max_rounds=0)
+        scenario1("leach", energy_overrides={200: 0.1})
     with pytest.raises(ValueError):
-        cfg.validate()
+        scenario1("leach", max_rounds=0)
 
 
 def test_seed_must_fit_the_generator():
     # the generator keeps 64 bits of its seed, so 2**64 + 1 would replay seed 1
-    replace(scenario1("leach"), seed=2**64 - 1).validate()
+    replace(scenario1("leach"), seed=2**64 - 1)
     for seed in (2**64, 2**64 + 1, -1):
         with pytest.raises(ValueError, match=rf"^seed: must lie in \[0, 2\*\*64\), got {seed}$"):
-            replace(scenario1("leach"), seed=seed).validate()
+            replace(scenario1("leach"), seed=seed)
     with pytest.raises(ValueError, match="^seed: "):
-        run_simulation(scenario1("leach", max_rounds=1, seed=2**64 + 1))
+        scenario1("leach", max_rounds=1, seed=2**64 + 1)
 
 
 def _bad_field_cases():
@@ -232,7 +230,7 @@ def _bad_field_cases():
         }
         for field, kw in sim.items():
             yield pytest.param(
-                lambda kw=kw: replace(scenario1("leach"), **kw).validate(), field,
+                lambda kw=kw: replace(scenario1("leach"), **kw), field,
                 id=f"SimConfig-{field}-{v}",
             )
         # a config's footprint widths are set through its rules2, whose builder checks them
@@ -256,7 +254,7 @@ def _bad_field_cases():
             )
     # a finite node outside the field, and a p whose reciprocal overflows
     yield pytest.param(
-        lambda: replace(scenario1("leach"), positions=[(150.0, 50.0)] * 100).validate(), "positions",
+        lambda: replace(scenario1("leach"), positions=[(150.0, 50.0)] * 100), "positions",
         id="SimConfig-positions-150",
     )
     yield pytest.param(
@@ -289,6 +287,7 @@ GOOD_DEPLOYMENT = dict(n=2, area_side=100.0, bs_pos=(50.0, 175.0), initial_energ
         ({"area_side": math.nan}, "area_side: must be positive and finite, got nan"),
         ({"area_side": math.inf}, "area_side: must be positive and finite, got inf"),
         ({"area_side": 0.0}, "area_side: must be positive and finite, got 0.0"),
+        ({"area_side": 1e-170}, "area_side: must lie in [1e-100, 1e100], got 1e-170"),
         ({"bs_pos": (math.nan, 0.0)}, "bs_pos: must be finite, got (nan, 0.0)"),
         ({"bs_pos": (0.0, -math.inf)}, "bs_pos: must be finite, got (0.0, -inf)"),
         ({"initial_energy": math.inf}, "initial_energy: must be positive and finite, got inf"),
@@ -305,7 +304,7 @@ def test_every_deployment_entry_point_raises_the_same_message(bad, message):
     builds = [
         lambda: replace(
             scenario1("leach"), n=n, area_side=area, bs_pos=bs, initial_energy=energy, positions=positions
-        ).validate()
+        )
     ]
     if positions is None:
         builds.append(lambda: deploy_from_rng(n, area, bs, Xorshift64Star(1), energy))
