@@ -287,5 +287,7 @@ def config_from_pairs(pairs: dict[str, str]) -> SimConfig:
             **_given(v, "max_rounds", "seed", "coa_samples", "energy_overrides"),
         )
     except ValueError as e:
-        # the field a message starts with, and any field it gives the value of
-        raise ConfigError(re.sub(r"^\w+|\w+(?= = )", lambda m: _KEY_OF.get(m[0], m[0]), str(e))) from None
+        # the field a message starts with, and any field it gives the value of;
+        # a sink coordinate's message names its axis, and so its key
+        text = re.sub(r"^bs_pos: ([xy]) ", r"bs_\1: ", str(e))
+        raise ConfigError(re.sub(r"^\w+|\w+(?= = )", lambda m: _KEY_OF.get(m[0], m[0]), text)) from None

@@ -37,6 +37,9 @@ def check_deployment(
         raise ValueError(f"area_side: must lie in [1e-100, 1e100], got {area_side}")
     if not all(math.isfinite(c) for c in bs_pos):
         raise ValueError(f"bs_pos: must be finite, got {bs_pos}")
+    for axis, c in zip("xy", bs_pos):
+        if not -1e100 <= c <= 1e100:  # so that every squared sink distance is finite
+            raise ValueError(f"bs_pos: {axis} must lie in [-1e100, 1e100], got {c}")
     if not 0.0 < initial_energy < math.inf:
         raise ValueError(f"initial_energy: must be positive and finite, got {initial_energy}")
     if positions is None:

@@ -8,7 +8,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .energy import RadioParams, agg_energy, rx_energy, tx_energy
+from .energy import RadioParams, agg_energy, rx_energy, threshold_distance, tx_energy
 from .fis1 import DEFAULT_SAMPLES, RuleBase1, default_rulebase1
 from .fis2 import RuleBase2, default_rulebase2
 from .network import Network, check_deployment, deploy_from_rng, network_from_positions
@@ -35,6 +35,12 @@ class SimConfig:
     def __post_init__(self):
         """Checked on construction, replace() included: a ValueError names the first bad field."""
         check_deployment(self.n, self.area_side, self.bs_pos, self.initial_energy, self.positions)
+        # the radius a fuzzy-unequal round counts neighbors in, and the count that
+        # network.normalize_inputs expects there: checked whatever the kind
+        r = self.protocol.nbr_radius or threshold_distance(self.radio)
+        if not (r < math.inf and self.n / (self.area_side * self.area_side) * math.pi * r * r > 0.0):
+            what = "nbr_radius:" if self.protocol.nbr_radius else "eps_mp: the default d0 = sqrt(eps_fs/eps_mp)"
+            raise ValueError(f"{what} must be finite with a positive expected neighbor count, got r = {r}")
         if self.max_rounds < 1:
             raise ValueError(f"max_rounds: must be at least 1, got {self.max_rounds}")
         if not 0 <= self.seed < 2**64:  # the generator keeps 64 bits of it

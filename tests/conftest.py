@@ -1,14 +1,17 @@
 import csv
+import functools
+from dataclasses import replace
 
 import numpy as np
 
+from fuzzcluster.config import parse_config
 from fuzzcluster.csvio import METRICS_HEADER
 from fuzzcluster.fis1 import _breakpoints, _trap_degrees
 from fuzzcluster.fis2 import _fire, _firing_tables, _footprint_degrees, _footprint_tables
 from fuzzcluster.network import deploy_from_rng
 from fuzzcluster.protocols import RoundPlan
 from fuzzcluster.rng import Xorshift64Star
-from fuzzcluster.simulator import RoundMetrics, SimConfig
+from fuzzcluster.simulator import RoundMetrics, SimConfig, run_simulation
 
 
 def mf_at(mf, x):
@@ -41,6 +44,22 @@ def round_config(protocol, radio, **fields):
     return SimConfig(
         n=1, area_side=1.0, bs_pos=(0.0, 0.0), initial_energy=1.0, radio=radio, protocol=protocol, **fields
     )
+
+
+def preset_config(preset, kind, **fields):
+    """The parsed preset run by protocol kind, with the given fields replaced."""
+    cfg = parse_config(preset)
+    return replace(cfg, protocol=replace(cfg.protocol, kind=kind), **fields)
+
+
+@functools.cache
+def scenario1_lifetime(kind, seed):
+    """The whole ch2-scenario1 lifetime of a kind and seed, run once per session
+    and shared: read it, never change it. No cap binds: every node dies, which
+    is asserted, by round 1037 at seeds 1-10, and max_rounds is the default 5000."""
+    result = run_simulation(preset_config("ch2-scenario1", kind, seed=seed))
+    assert result.lnd is not None, (kind, seed, len(result.rounds))
+    return result
 
 
 def deploy(n, m, bs_pos, seed, initial_energy=1.0):

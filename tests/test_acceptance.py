@@ -6,19 +6,17 @@ import itertools
 import statistics
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import deploy, mf_at
+from conftest import deploy, mf_at, preset_config, scenario1_lifetime
 from fuzzcluster.cli import main as cli_main
 from fuzzcluster.config import parse_config
 from fuzzcluster.energy import RadioParams, threshold_distance, tx_energy
 from fuzzcluster.fis1 import RULES_27, default_rulebase1, defuzz_coa
 from fuzzcluster.fis2 import RULES_9, default_rulebase2, eval_t2fis, km_type_reduce
 from fuzzcluster.protocols import ch_threshold, run_protocol_round
-from fuzzcluster.simulator import run_simulation
 from fuzzcluster.rng import Xorshift64Star
 
 
@@ -30,11 +28,6 @@ def criterion(num, label):
         print(f"[criterion {num:2d}] FAIL {label}")
         raise
     print(f"[criterion {num:2d}] PASS {label}")
-
-
-def scenario1(kind, **kw):
-    cfg = parse_config("ch2-scenario1")
-    return replace(cfg, protocol=replace(cfg.protocol, kind=kind), **kw)
 
 
 def test_criterion_01_coa_matches_closed_form_oracle():
@@ -123,10 +116,10 @@ def test_criterion_04_energy_model_point_checks():
 
 def test_criterion_05_per_round_energy_conservation():
     with criterion(5, "per-node spend sums to the residual delta (1e-12 rel), 3 protocols x 5 seeds"):
+        cfg = parse_config("ch2-scenario1")
         for kind in ("leach", "fuzzy_unequal", "type2fl"):
             for seed in range(1, 6):
-                cfg = scenario1(kind, seed=seed, max_rounds=1500)
-                result = run_simulation(cfg)
+                result = scenario1_lifetime(kind, seed)
                 prev_total = cfg.n * cfg.initial_energy
                 for m in result.rounds:
                     delta = prev_total - m.total_j
@@ -145,15 +138,10 @@ def test_criterion_06_threshold_formula_exact():
 def test_criterion_07_lifetime_ordering_fuzzy_vs_leach():
     with criterion(7, "median FND and HND: fuzzy unequal clustering beats the rotating baseline (<2 min)"):
         start = time.perf_counter()
-        censored = 2001
         medians = {}
         for kind in ("leach", "fuzzy_unequal"):
-            fnds, hnds = [], []
-            for seed in range(1, 11):
-                res = run_simulation(scenario1(kind, seed=seed, max_rounds=2000))
-                fnds.append(res.fnd if res.fnd is not None else censored)
-                hnds.append(res.hnd if res.hnd is not None else censored)
-            medians[kind] = (statistics.median(fnds), statistics.median(hnds))
+            runs = [scenario1_lifetime(kind, seed) for seed in range(1, 11)]
+            medians[kind] = (statistics.median(r.fnd for r in runs), statistics.median(r.hnd for r in runs))
         assert medians["fuzzy_unequal"][0] > medians["leach"][0], medians
         assert medians["fuzzy_unequal"][1] > medians["leach"][1], medians
         assert time.perf_counter() - start < 120.0
@@ -161,7 +149,7 @@ def test_criterion_07_lifetime_ordering_fuzzy_vs_leach():
 
 def test_criterion_08_competition_radius_grows_with_sink_distance():
     with criterion(8, "mean CH radius: near-sink third < far third over 30 seeded rounds"):
-        cfg = scenario1("fuzzy_unequal")
+        cfg = preset_config("ch2-scenario1", "fuzzy_unequal")
         net = deploy(cfg.n, cfg.area_side, cfg.bs_pos, seed=404, initial_energy=cfg.initial_energy)
         rng = Xorshift64Star(404)
         lo = net.bs_dist.min()
@@ -251,7 +239,7 @@ def test_criterion_10_rule_table_fidelity():
 def test_criterion_11_routes_reach_sink_with_strict_progress():
     with criterion(11, "every route reaches the sink within |finals| hops, strictly sink-ward"):
         for kind, seed in (("fuzzy_unequal", 51), ("type2fl", 52), ("leach", 53)):
-            cfg = scenario1(kind, seed=seed, max_rounds=60)
+            cfg = preset_config("ch2-scenario1", kind, seed=seed, max_rounds=60)
             net = deploy(cfg.n, cfg.area_side, cfg.bs_pos, seed=seed, initial_energy=cfg.initial_energy)
             rng = Xorshift64Star(seed)
             for r in range(1, 61):

@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import preset_config
 from fuzzcluster import cli, csvio, fis1, fis2, simulator
 from fuzzcluster.config import PRESETS, PROTOCOL_NAMES, parse_config
 from fuzzcluster.fis1 import RuleBase1, default_rulebase1
@@ -173,8 +174,7 @@ def test_worker_captures_each_round_through_the_module_names(monkeypatch):
 def test_plan_views_have_the_types_the_worker_pickles(kind):
     # the worker pickles (c.head, c.radius, c.members) and plan.routes; the
     # checks index with the heads and test members for truth
-    cfg = parse_config("ch3")
-    cfg = replace(cfg, protocol=replace(cfg.protocol, kind=kind), max_rounds=3)
+    cfg = preset_config("ch3", kind, max_rounds=3)
     plans = []
     run_simulation(cfg, on_round=lambda r, plan: plans.append(plan))
     assert len(plans) == 3

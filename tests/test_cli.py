@@ -11,7 +11,7 @@ import pytest
 from conftest import read_metrics_csv
 from fuzzcluster import simulator
 from fuzzcluster.cli import main
-from fuzzcluster.config import PRESETS
+from fuzzcluster.config import PRESETS, _parse_lines
 from fuzzcluster.csvio import read_positions_csv, write_metrics_csv, write_summary_csv
 from fuzzcluster.fis1 import RULES_27
 from fuzzcluster.fis2 import RULES_9
@@ -417,3 +417,27 @@ def test_cli_malformed_positions_file(tmp_path, capsys, text, line):
     )
     assert code == 1
     assert f"{pos}: line {line}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edits,key",
+    [
+        ({"bs_x": "1e160"}, "bs_x"),
+        ({"bs_y": "-1e200"}, "bs_y"),
+        ({"nbr_radius_m": "1e-320"}, "nbr_radius_m"),
+        ({"eps_fs_pj": "1e-300", "eps_mp_pj": "1e30"}, "eps_mp_pj"),
+        ({"eps_mp_pj": "1e-310"}, "eps_mp_pj"),
+    ],
+    ids=["far-sink-x", "far-sink-y", "tiny-nbr-radius", "d0-0", "d0-inf"],
+)
+def test_cli_config_that_would_fail_mid_run_fails_before_any_file(tmp_path, capsys, edits, key):
+    # each config's first fuzzy-unequal round would fail, so it is refused before --out is made
+    pairs = {**_parse_lines(PRESETS["ch2-scenario1"], "ch2-scenario1"), **edits}
+    cfg = tmp_path / "edited.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in pairs.items()), encoding="utf-8")
+    out = tmp_path / "o"
+    code = run_cli(["--config", str(cfg), "--rounds", "2", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: ") and "Traceback" not in err
+    assert not out.exists()

@@ -152,6 +152,14 @@ def test_energy_overrides_parsed(tmp_path):
     assert cfg.energy_overrides == {0: 1e-6, 3: 0.25}
 
 
+@pytest.mark.parametrize(
+    "text,value", [("true", True), ("1", True), ("yes", True), ("false", False), ("0", False), ("no", False)]
+)
+def test_control_traffic_spellings_parse(tmp_path, text, value):
+    cfg = parse_config(write_cfg(tmp_path, BASE + f"control_traffic = {text}\n"))
+    assert cfg.protocol.control_traffic is value
+
+
 def test_energy_override_unknown_node(tmp_path):
     with pytest.raises(ConfigError, match="node 99"):
         parse_config(write_cfg(tmp_path, BASE + "energy_overrides = 99:0.1\n"))
@@ -163,6 +171,9 @@ def test_energy_override_unknown_node(tmp_path):
         ("initial_energy_j = nan", "initial_energy_j"),
         ("area_m = nan", "area_m"),
         ("bs_x = nan", "bs_x"),
+        # a sink so far that a squared distance overflows
+        ("bs_x = 1e160", "bs_x"),
+        ("bs_y = -1e200", "bs_y"),
         ("e_elec_nj = inf", "e_elec_nj"),
         ("r_max_m = inf", "r_max_m"),
         ("nbr_radius_m = inf", "nbr_radius_m"),
@@ -187,6 +198,9 @@ def test_energy_override_unknown_node(tmp_path):
         ("p = 1.5", "p"),
         ("r_min_m = 50\nr_max_m = 40", "r_min_m"),
         ("nbr_radius_m = 0", "nbr_radius_m"),
+        # an expected neighbor count that underflows to 0, a default radius d0 of inf
+        ("nbr_radius_m = 1e-320", "nbr_radius_m"),
+        ("eps_mp_pj = 1e-310", "eps_mp_pj"),
         ("max_rounds = 0", "max_rounds"),
         ("seed = -1", "seed"),
         ("coa_samples = 2", "coa_samples"),
@@ -513,7 +527,7 @@ BAD_EDITS = {
         ("area_m", "initial_energy_j", "e_elec_nj", "eps_fs_pj", "eps_mp_pj", "e_da_nj", "nbr_radius_m"),
         NOT_FINITE + NOT_POSITIVE,
     ),
-    **dict.fromkeys(("bs_x", "bs_y"), NOT_FINITE),
+    **dict.fromkeys(("bs_x", "bs_y"), NOT_FINITE + ("1e160", "-1e200")),
     "p": NOT_FINITE + ("0", "1", "1.5", "1e-310"),
     "r_min_m": NOT_FINITE + NOT_POSITIVE + ("1e6",),
     "r_max_m": NOT_FINITE + NOT_POSITIVE + ("5",),
@@ -543,6 +557,8 @@ BAD_EDITS = {
 }
 BAD_EDITS["area_m"] += ("1e-170", "1e200")  # a square that underflows, one that overflows
 BAD_EDITS["packet_bits"] += ("1" + "0" * 400,)  # too large to price as a float
+BAD_EDITS["nbr_radius_m"] += ("1e-320",)  # no expected neighbor
+BAD_EDITS["eps_mp_pj"] += ("1e-310",)  # a default neighbor radius d0 of inf
 PRESET_PAIRS = {name: config._parse_lines(text, name) for name, text in PRESETS.items()}
 
 
@@ -561,6 +577,10 @@ def test_bad_edits_cover_every_plain_key():
 @example(preset="ch3", edit=("r_max_m", "5"))
 @example(preset="ch2-scenario2", edit=("area_m", "1e-170"))
 @example(preset="ch3", edit=("packet_bits", "1" + "0" * 400))
+@example(preset="ch2-scenario1", edit=("bs_x", "1e160"))
+@example(preset="ch2-scenario1", edit=("bs_y", "-1e200"))
+@example(preset="ch2-scenario1", edit=("nbr_radius_m", "1e-320"))
+@example(preset="ch2-scenario1", edit=("eps_mp_pj", "1e-310"))
 def test_one_bad_edit_names_its_key(preset, edit):
     key, value = edit
     family = key.split(".")[0]

@@ -6,13 +6,17 @@ pricing over the survivors) are pinned as well: ch2-scenario2 loses nodes from
 round 1, and on the 100-node presets a few nodes start nearly drained. Any
 change to these digests changes the bytes a run writes; re-pin only with a
 stated reason.
+
+The whole ch2-scenario1 lifetimes that the acceptance criteria read are
+pinned here too, by their metrics.csv alone; they run once per session.
 """
 import hashlib
 from dataclasses import replace
 
 import pytest
 
-from fuzzcluster.config import PROTOCOL_NAMES, parse_config
+from conftest import preset_config, scenario1_lifetime
+from fuzzcluster.config import PROTOCOL_NAMES
 from fuzzcluster.csvio import write_clusters_csv, write_metrics_csv
 from fuzzcluster.simulator import run_simulation
 
@@ -44,13 +48,7 @@ GOLDEN = {
 
 @pytest.mark.parametrize("preset,protocol,seed", sorted(GOLDEN))
 def test_outputs_match_golden_digests(tmp_path, preset, protocol, seed):
-    cfg = parse_config(preset)
-    cfg = replace(
-        cfg,
-        protocol=replace(cfg.protocol, kind=PROTOCOL_NAMES[protocol]),
-        seed=seed,
-        max_rounds=ROUNDS[preset],
-    )
+    cfg = preset_config(preset, PROTOCOL_NAMES[protocol], seed=seed, max_rounds=ROUNDS[preset])
     if cfg.n == 100:
         cfg = replace(cfg, energy_overrides=WEAK_NODES)
     result = write_clusters_csv(
@@ -63,3 +61,47 @@ def test_outputs_match_golden_digests(tmp_path, preset, protocol, seed):
         for name in ("metrics.csv", "clusters.csv")
     )
     assert digests == GOLDEN[(preset, protocol, seed)]
+
+
+# metrics.csv of each whole ch2-scenario1 lifetime in scenario1_lifetime
+LIFETIME_GOLDEN = {
+    ("leach", 1): "8a0b9699ca46deac0e2fecf19245b125effaaa84292ac1352004f62b445676f9",
+    ("leach", 2): "cc0f6cb8ed4dde44dc6f428f6b8b99ffbefb28bc78eb1aaea2cae700dfa57362",
+    ("leach", 3): "d99f77118fb287d687fc63d23fb051ca6ea906aeae30043b855b6c79106229a8",
+    ("leach", 4): "f2447d71e466047d2b322029d9d4891e067a56554bc639c1ec3f3e25bb293eca",
+    ("leach", 5): "e46e5a55f8833e5c94549224e66e1ba46ef277df58df7feb46185eef2d2958a8",
+    ("leach", 6): "c8e86b625113b6a37cfcb094f81a32666d7177d1cfd146e0f89b7e041434c1d1",
+    ("leach", 7): "a71751c6d7fd33883aad811efc3116fb5b478358f5453186f6c54914290778a5",
+    ("leach", 8): "7272b8bbfdfa832b24ce966c2f2d2b1a56201c7ae09d227e0ce7f1b19630f8f7",
+    ("leach", 9): "4884249be3e1d891fb4f600416ef2b198f9c86a95f20f033c5ed794b44f13fa0",
+    ("leach", 10): "ce7190d5e69a4a8e127b41c9246373197a623bc7c5d867af63a3e44fd6476103",
+    ("fuzzy_unequal", 1): "a3bd1b470c9ee2d105ff7c7d16d29302cea2ea1150870d5ed4caec3d53819ecc",
+    ("fuzzy_unequal", 2): "fd05d2809b93c44096abe77200daf94b9ad851c0d0bab5a012240e6dfa12f203",
+    ("fuzzy_unequal", 3): "58b54a0ef073fbbf4ad93ac540399f0db9c93c747e690132b9566ab750e277e7",
+    ("fuzzy_unequal", 4): "e18bf0e483d779d362b48d54b9b4f9539f3a4479f65ec10deb4fe49ad5a343d6",
+    ("fuzzy_unequal", 5): "7dbfebf5e9965feba96d353942d802d553a73ac7a161dedae41b00467a9cb6fa",
+    ("fuzzy_unequal", 6): "a943f2cd63e0b2762e1169ff119566757a192fa7fcdeb13244444ac4e26bbfa1",
+    ("fuzzy_unequal", 7): "9f003671e9840f041ff7f379994e6def4722d0bb238e25f77a4ca11e24cb06c1",
+    ("fuzzy_unequal", 8): "47580fd137bb42497d5e5bc9f08b9badb6f9f4a945fee2e037b1f734a5595f40",
+    ("fuzzy_unequal", 9): "0ec4953057081a75a1c183b45d769fa6f81c512e27b358ff6b39b67bac9364af",
+    ("fuzzy_unequal", 10): "f5b7b88792d96f1b5d50a85fb9340b980b658a0dc0ec128e5f23e417ae0f015e",
+    ("type2fl", 1): "5db54e923fe74974b67972b3140fff1d227ee370fb18bf75664b540de0b139e7",
+    ("type2fl", 2): "671d9fa23673949494eabb32f0ffb075990ec693e3c1b6593848e27ba866c818",
+    ("type2fl", 3): "132e145ba287b3a54dfd17d879d42d556459637a9ddebe46c92b425b77f8fe05",
+    ("type2fl", 4): "5a5acbcb070cc2b761df614fad70f4d9f1bfe332888b4b50b8502ecf4bc0a91c",
+    ("type2fl", 5): "113f55ef5cceaa43816587220e7ac09036ca1a9c4912dace2d254df3051bc22e",
+}
+
+
+@pytest.mark.parametrize("kind,seed", sorted(LIFETIME_GOLDEN))
+def test_whole_lifetimes_match_golden_digests(tmp_path, kind, seed):
+    """What these pins add to the goldens above is the dying phase: the
+    40-round runs end before most nodes die, and these run through every
+    death to the last. A change in the last bit of one cost can move a whole
+    lifetime and still leave every 40-round golden as it was. Like the
+    goldens, they hold only where libm pow gives the same bits beyond d0;
+    a change of that form must re-pin them with the goldens. They read the
+    shared lifetimes and run nothing of their own."""
+    write_metrics_csv(scenario1_lifetime(kind, seed), tmp_path / "metrics.csv")
+    digest = hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest()
+    assert digest == LIFETIME_GOLDEN[(kind, seed)]

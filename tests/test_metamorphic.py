@@ -23,8 +23,9 @@ from pathlib import Path
 
 import pytest
 
+from conftest import preset_config
 from test_golden import WEAK_NODES
-from fuzzcluster.config import PROTOCOL_NAMES, parse_config
+from fuzzcluster.config import PROTOCOL_NAMES
 from fuzzcluster.csvio import write_clusters_csv
 from fuzzcluster.simulator import run_simulation
 
@@ -47,13 +48,8 @@ def clusters_and_energy(cfg):
 def cell_run(preset, protocol):
     """The cell's config and clusters_and_energy of its run, weak nodes
     included at 100 nodes, as the goldens run them."""
-    cfg = parse_config(preset)
-    cfg = replace(
-        cfg,
-        protocol=replace(cfg.protocol, kind=PROTOCOL_NAMES[protocol]),
-        max_rounds=ROUNDS[cfg.n],
-        energy_overrides=WEAK_NODES if cfg.n == 100 else {},
-    )
+    cfg = preset_config(preset, PROTOCOL_NAMES[protocol])
+    cfg = replace(cfg, max_rounds=ROUNDS[cfg.n], energy_overrides=WEAK_NODES if cfg.n == 100 else {})
     text, total_j, result = clusters_and_energy(cfg)
     assert result.rounds[-1].dead >= len(cfg.energy_overrides)
     return cfg, text, total_j, result

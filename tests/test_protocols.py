@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import FakeRng, deploy, peak_point, round_config
+from conftest import FakeRng, deploy, peak_point, preset_config, round_config
 from pricing_reference import radius_chance_ref
 from test_bench_contract import count_stage_calls
 from test_golden import WEAK_NODES
@@ -422,8 +422,7 @@ def test_leach_heads_per_round_over_whole_epochs_match_the_closed_form(preset):
     # sigma = sqrt(35 * 200) / 700 = 0.12, and the bound is 4 sigma = 0.48
     # heads a round. A round that elects no one promotes one node (P = 0.006
     # at k = 0), which moves the mean by under 0.001.
-    cfg = parse_config(preset)
-    cfg = dataclasses.replace(cfg, protocol=dataclasses.replace(cfg.protocol, kind="leach"))
+    cfg = preset_config(preset, "leach")
     n, epoch = cfg.n, round(1.0 / cfg.protocol.p)
     harmonic = sum(1.0 / k for k in range(1, epoch + 1))
     harmonic2 = sum(1.0 / k**2 for k in range(1, epoch + 1))

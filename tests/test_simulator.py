@@ -4,7 +4,7 @@ from dataclasses import asdict, replace
 
 import pytest
 
-from conftest import plan_from
+from conftest import plan_from, scenario1_lifetime
 from fuzzcluster.energy import RadioParams
 from fuzzcluster.fis2 import default_rulebase2
 from fuzzcluster.network import Network, deploy_from_rng, network_from_positions
@@ -24,6 +24,8 @@ RADIO = RadioParams(
 
 
 def scenario1(kind="leach", **kw):
+    """Scenario 1 by hand, for short runs: its e_elec and eps_mp are each an ulp
+    from the parsed preset's, whose lifetimes the whole-run tests read."""
     return SimConfig(
         n=100,
         area_side=100.0,
@@ -162,8 +164,7 @@ def test_energy_override_forces_first_round_death():
 
 
 def test_monotone_mortality_and_event_ordering():
-    cfg = scenario1("leach", max_rounds=1500, seed=2)
-    result = run_simulation(cfg)
+    result = scenario1_lifetime("leach", 2)
     deads = [m.dead for m in result.rounds]
     assert deads == sorted(deads)
     totals = [m.total_j for m in result.rounds]
@@ -174,16 +175,14 @@ def test_monotone_mortality_and_event_ordering():
 
 
 def test_leach_scenario1_lifetime_band_and_golden():
-    cfg = scenario1("leach", max_rounds=3000, seed=1)
-    result = run_simulation(cfg)
+    result = scenario1_lifetime("leach", 1)
     assert 50 <= result.fnd <= 400
     # golden regression values for this seed, established on the first run
     assert (result.fnd, result.hnd, result.lnd) == (357, 638, 992)
 
 
 def test_dissipation_reported_at_events():
-    cfg = scenario1("leach", max_rounds=1500, seed=3)
-    result = run_simulation(cfg)
+    result = scenario1_lifetime("leach", 3)
     assert result.fnd_energy is not None and result.fnd_energy > 0.0
     assert result.hnd_energy is not None and result.hnd_energy > 0.0
 
@@ -260,6 +259,18 @@ def _bad_field_cases():
     yield pytest.param(
         lambda: ProtocolParams(**{**protocol, "p": 1e-310}), "p", id="ProtocolParams-p-1e-310"
     )
+    # a neighbor radius, given or the default d0, whose expected count underflows
+    # to 0: a fuzzy-unequal round would fail, so every kind fails to build
+    yield pytest.param(
+        lambda: replace(scenario1("leach"), protocol=ProtocolParams(**protocol, nbr_radius=1e-320)),
+        "nbr_radius",
+        id="SimConfig-nbr_radius-1e-320",
+    )
+    yield pytest.param(
+        lambda: replace(scenario1("leach"), radio=replace(RADIO, eps_fs=1e-312, eps_mp=1e18)),
+        "eps_mp",
+        id="SimConfig-d0-0",
+    )
     for var, b in (("foo", 0.1), ("energy", 2.0)):
         yield pytest.param(
             lambda blurs={var: b}: replace(
@@ -290,6 +301,8 @@ GOOD_DEPLOYMENT = dict(n=2, area_side=100.0, bs_pos=(50.0, 175.0), initial_energ
         ({"area_side": 1e-170}, "area_side: must lie in [1e-100, 1e100], got 1e-170"),
         ({"bs_pos": (math.nan, 0.0)}, "bs_pos: must be finite, got (nan, 0.0)"),
         ({"bs_pos": (0.0, -math.inf)}, "bs_pos: must be finite, got (0.0, -inf)"),
+        ({"bs_pos": (1e160, 0.0)}, "bs_pos: x must lie in [-1e100, 1e100], got 1e+160"),
+        ({"bs_pos": (0.0, -1e200)}, "bs_pos: y must lie in [-1e100, 1e100], got -1e+200"),
         ({"initial_energy": math.inf}, "initial_energy: must be positive and finite, got inf"),
         ({"initial_energy": -0.5}, "initial_energy: must be positive and finite, got -0.5"),
         ({"positions": [(1.0, 2.0), (150.0, 40.0)]}, "positions: node 1 at (150.0, 40.0) outside [0, 100.0]^2"),
