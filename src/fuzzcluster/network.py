@@ -158,6 +158,11 @@ def neighbor_count(net: Network, ids: np.typing.ArrayLike, radius: float) -> np.
     return counts[ids]
 
 
+def expected_count(n: int, area_side: float, radius: float) -> float:
+    """Nodes expected within radius of a point when n nodes spread uniformly over the square."""
+    return n / (area_side * area_side) * math.pi * radius * radius
+
+
 def normalize_inputs(
     net: Network, ids: np.typing.ArrayLike, nbr_radius: float | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -174,7 +179,5 @@ def normalize_inputs(
     re = np.minimum(1.0, np.maximum(0.0, net.energy[ids] / net.initial_energy))
     if nbr_radius is None:
         return db, re, None
-    density = net.n / (net.area_side * net.area_side)
-    expected = density * math.pi * nbr_radius * nbr_radius
-    conc = np.minimum(1.0, neighbor_count(net, ids, nbr_radius) / expected)
-    return db, re, conc
+    expected = expected_count(net.n, net.area_side, nbr_radius)
+    return db, re, np.minimum(1.0, neighbor_count(net, ids, nbr_radius) / expected)

@@ -338,8 +338,7 @@ def run_protocol_round(
         ids, cand_radius = ids[:0], radius[:0]  # no candidate announcements
     else:
         # type2fl reads only (db, re), so it counts no neighbors
-        nbr_radius = params.nbr_radius or d0
-        inputs = normalize_inputs(net, ids, None if params.kind == KIND_TYPE2 else nbr_radius)
+        inputs = normalize_inputs(net, ids, None if params.kind == KIND_TYPE2 else cfg.neighbor_radius)
         cand_radius, chance, fell_back = compute_radius_chance(net, ids, inputs, cfg)
         fis_fallbacks = int(fell_back.sum())
         won = compete_final_chs(ids, cand_radius, chance, net)

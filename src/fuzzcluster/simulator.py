@@ -11,7 +11,7 @@ import numpy as np
 from .energy import RadioParams, agg_energy, rx_energy, threshold_distance, tx_energy
 from .fis1 import DEFAULT_SAMPLES, RuleBase1, default_rulebase1
 from .fis2 import RuleBase2, default_rulebase2
-from .network import Network, check_deployment, deploy_from_rng, network_from_positions
+from .network import Network, check_deployment, deploy_from_rng, expected_count, network_from_positions
 from .protocols import ProtocolParams, RoundPlan, run_protocol_round
 from .rng import Xorshift64Star
 
@@ -35,10 +35,8 @@ class SimConfig:
     def __post_init__(self):
         """Checked on construction, replace() included: a ValueError names the first bad field."""
         check_deployment(self.n, self.area_side, self.bs_pos, self.initial_energy, self.positions)
-        # the radius a fuzzy-unequal round counts neighbors in, and the count that
-        # network.normalize_inputs expects there: checked whatever the kind
-        r = self.protocol.nbr_radius or threshold_distance(self.radio)
-        if not (r < math.inf and self.n / (self.area_side * self.area_side) * math.pi * r * r > 0.0):
+        r = self.neighbor_radius  # checked whatever the kind
+        if not (r < math.inf and expected_count(self.n, self.area_side, r) > 0.0):
             what = "nbr_radius:" if self.protocol.nbr_radius else "eps_mp: the default d0 = sqrt(eps_fs/eps_mp)"
             raise ValueError(f"{what} must be finite with a positive expected neighbor count, got r = {r}")
         if self.max_rounds < 1:
@@ -56,6 +54,10 @@ class SimConfig:
                 raise ValueError(f"energy_overrides: node {nid} outside 0..{self.n - 1}")
             if not 0.0 < e < math.inf:
                 raise ValueError(f"energy_overrides: node {nid} energy must be positive and finite")
+
+    @property
+    def neighbor_radius(self) -> float:  # a fuzzy-unequal round counts neighbors within it
+        return self.protocol.nbr_radius or threshold_distance(self.radio)
 
     def with_seed(self, seed: int) -> "SimConfig":
         return replace(self, seed=seed)

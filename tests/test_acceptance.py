@@ -1,8 +1,12 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
+Each criterion is the only test of its check: no unit module states it again.
+The oracles the criteria compare with (the closed-form centroid, the 2^K
+Karnik-Mendel enumeration, the blur-zero type-1 collapse) and the hand-built
+ch2 and ch3 radios live in conftest.py, which the unit modules share.
+
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines.
 """
-import itertools
 import statistics
 import time
 from contextlib import contextmanager
@@ -10,10 +14,20 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import deploy, mf_at, preset_config, scenario1_lifetime
+from conftest import (
+    CH2,
+    CH3,
+    centroid_oracle,
+    deploy,
+    height_type1_oracle,
+    km_bruteforce,
+    preset_config,
+    random_instance,
+    scenario1_lifetime,
+)
 from fuzzcluster.cli import main as cli_main
 from fuzzcluster.config import parse_config
-from fuzzcluster.energy import RadioParams, threshold_distance, tx_energy
+from fuzzcluster.energy import threshold_distance, tx_energy
 from fuzzcluster.fis1 import RULES_27, default_rulebase1, defuzz_coa
 from fuzzcluster.fis2 import RULES_9, default_rulebase2, eval_t2fis, km_type_reduce
 from fuzzcluster.protocols import ch_threshold, run_protocol_round
@@ -31,17 +45,6 @@ def criterion(num, label):
 
 
 def test_criterion_01_coa_matches_closed_form_oracle():
-    def closed_form(verts):
-        num = den = 0.0
-        for (x0, h0), (x1, h1) in zip(verts, verts[1:]):
-            if x1 == x0:
-                continue
-            m = (h1 - h0) / (x1 - x0)
-            b = h0 - m * x0
-            den += m * (x1**2 - x0**2) / 2 + b * (x1 - x0)
-            num += m * (x1**3 - x0**3) / 3 + b * (x1**2 - x0**2) / 2
-        return num / den
-
     with criterion(1, "COA equals the piecewise-linear centroid oracle to 1e-4 (<1 s)"):
         rng = np.random.default_rng(424242)
         start = time.perf_counter()
@@ -53,7 +56,7 @@ def test_criterion_01_coa_matches_closed_form_oracle():
             grid = (np.arange(1001) + 0.5) / 1001
             mu = np.interp(grid, xs, hs)
             got = defuzz_coa(mu[None], grid)[0]
-            want = closed_form(list(zip(xs, hs)))
+            want = centroid_oracle(list(zip(xs, hs)))
             assert abs(got - want) <= 1e-4, (got, want)
         assert time.perf_counter() - start < 1.0
 
@@ -63,20 +66,9 @@ def test_criterion_02_km_matches_exhaustive_enumeration():
         rng = np.random.default_rng(7070707)
         start = time.perf_counter()
         for _ in range(200):
-            k = int(rng.integers(1, 10))
-            fu = rng.uniform(0, 1, k)
-            fu[int(rng.integers(0, k))] = max(float(fu.max()), 0.05)
-            fl = rng.uniform(0, 1, k) * fu
-            w = rng.uniform(0, 1, k)
-            firings = np.array([fl, fu])[:, :, None]
-            lo_bf, hi_bf = float("inf"), float("-inf")
-            for combo in itertools.product(*zip(fl.tolist(), fu.tolist())):
-                den = sum(combo)
-                if den <= 0.0:
-                    continue
-                y = sum(f * wi for f, wi in zip(combo, w)) / den
-                lo_bf, hi_bf = min(lo_bf, y), max(hi_bf, y)
-            lo, hi = km_type_reduce(firings, [list(w)])[:, 0, 0]
+            firings, weights = random_instance(rng)
+            lo_bf, hi_bf = km_bruteforce(firings, weights)
+            lo, hi = km_type_reduce(firings, [weights])[:, 0, 0]
             assert lo <= hi
             assert abs(lo - lo_bf) <= 1e-9
             assert abs(hi - hi_bf) <= 1e-9
@@ -89,29 +81,23 @@ def test_criterion_03_type2_collapses_to_type1_at_blur_zero():
         for db in np.linspace(0, 1, 21):
             for re in np.linspace(0, 1, 21):
                 radius, chance = eval_t2fis(rb, float(db), float(re))
-                num_r = num_c = den = 0.0
-                for rule in rb.rules:
-                    f = mf_at(rb.distance_mfs[rule.distance].lower, db) * mf_at(
-                        rb.energy_mfs[rule.energy].lower, re
-                    )
-                    num_r += f * rule.w_radius
-                    num_c += f * rule.w_chance
-                    den += f
-                assert abs(radius - num_r / den) <= 1e-9
-                assert abs(chance - num_c / den) <= 1e-9
+                oracle_r, oracle_c = height_type1_oracle(rb, db, re)
+                assert abs(radius - oracle_r) <= 1e-9
+                assert abs(chance - oracle_c) <= 1e-9
 
 
 def test_criterion_04_energy_model_point_checks():
     with criterion(4, "d0 = 87.7058 m / 100 m, tx(4000, 50 m) = 3.0e-4 J, tx continuous at d0"):
-        ch2 = RadioParams(50e-9, 10e-12, 0.0013e-12, 5e-9, 4000, 200)
-        ch3 = RadioParams(50e-9, 10e-12, 0.0010e-12, 5e-9, 4000, 200)
-        assert abs(threshold_distance(ch2) - 87.7058) <= 1e-3
-        assert abs(threshold_distance(ch3) - 100.0) <= 1e-3
-        assert tx_energy(ch2, 4000, 50.0) == pytest.approx(3.0e-4, rel=1e-12)
-        d0 = threshold_distance(ch2)
-        below = tx_energy(ch2, 4000, d0)
-        above = 4000 * ch2.e_elec + 4000 * ch2.eps_mp * d0**4
-        assert below == pytest.approx(above, rel=1e-12)
+        assert abs(threshold_distance(CH2) - 87.7058) <= 1e-3
+        assert abs(threshold_distance(CH3) - 100.0) <= 1e-9
+        # 4000*50nJ + 4000*10pJ*50^2 = 2.0e-4 + 1.0e-4
+        assert tx_energy(CH2, 4000, 50.0) == pytest.approx(3.0e-4, rel=1e-12)
+        d0 = threshold_distance(CH2)
+        free = 4000 * CH2.e_elec + 4000 * CH2.eps_fs * d0 * d0
+        multi = 4000 * CH2.e_elec + 4000 * CH2.eps_mp * d0**4
+        assert free == pytest.approx(multi, rel=1e-12)
+        assert tx_energy(CH2, 4000, d0) == pytest.approx(free, rel=1e-15)
+        assert tx_energy(CH2, 4000, d0) == pytest.approx(multi, rel=1e-12)
 
 
 def test_criterion_05_per_round_energy_conservation():

@@ -15,10 +15,9 @@ import pytest
 from hypothesis import Phase, assume, example, find, given, settings
 from hypothesis import strategies as st
 
-from conftest import deploy, firing_intervals, round_config
+from conftest import CH2, deploy, firing_intervals, round_config
 from engine_reference import eval_fis1_ref, eval_t2fis_ref, km_ref
 from fuzzcluster import fis2
-from fuzzcluster.energy import RadioParams
 from fuzzcluster.fis1 import (
     ROW_CHUNK,
     RULES_27,
@@ -223,7 +222,7 @@ def test_t2_subnormal_inversion_is_a_degenerate_point():
     radius, chance = eval_t2fis(rb, db, re)
     assert same_bits(radius, [NAN, healthy[0]])
     assert same_bits(chance, [NAN, healthy[1]])
-    cfg = round_config(TYPE2, RADIO, rules2=rb)
+    cfg = round_config(TYPE2, CH2, rules2=rb)
     net = deploy(2, 100.0, (50.0, 175.0), seed=5)
     _, _, fell_back = compute_radius_chance(net, np.arange(2), (db, re, np.zeros(2)), cfg)
     assert fell_back.tolist() == [True, False]
@@ -600,9 +599,6 @@ def test_engines_reject_a_point_outside_the_unit_interval(engine, name, value):
 
 TYPE2 = ProtocolParams(kind="type2fl", p=0.5, r_min=10.0, r_max=40.0, nbr_radius=20.0)
 FUZZY = ProtocolParams(kind="fuzzy_unequal", p=0.5, r_min=10.0, r_max=40.0, nbr_radius=20.0)
-RADIO = RadioParams(
-    e_elec=50e-9, eps_fs=10e-12, eps_mp=0.0013e-12, e_da=5e-9, packet_bits=4000, ctrl_bits=200
-)
 
 
 def degenerate_config(params):
@@ -611,7 +607,7 @@ def degenerate_config(params):
     far_rules = tuple(r for r in t1.rules if r.antecedents[0] == "far")
     return round_config(
         params,
-        RADIO,
+        CH2,
         rules1=RuleBase1(t1.inputs, t1.outputs, far_rules),
         rules2=notched(default_rulebase2()),
         coa_samples=101,
@@ -684,7 +680,7 @@ def test_node_keeps_nan_in_every_output_of_a_degenerate_point():
     terms = tuple((t, point if t == "medium" else mf) for t, mf in radius.terms)
     object.__setattr__(radius, "terms", terms)  # after LinguisticVariable's coverage check
     rules1 = RuleBase1(rb.inputs, (radius, rb.outputs[1]), rb.rules)
-    cfg = round_config(FUZZY, RADIO, rules1=rules1, coa_samples=100)
+    cfg = round_config(FUZZY, CH2, rules1=rules1, coa_samples=100)
     net = deploy(2, 100.0, (50.0, 175.0), seed=5)
     inputs = (np.array([0.5, 0.5]), np.array([0.5, 0.5]), np.array([0.5, 0.9]))
     for _ in range(2):  # evaluated, then read back

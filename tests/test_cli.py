@@ -2,13 +2,12 @@ import csv
 import re
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import read_metrics_csv
+from conftest import read_metrics_csv, traced_peak
 from fuzzcluster import simulator
 from fuzzcluster.cli import main
 from fuzzcluster.config import PRESETS, _parse_lines
@@ -159,12 +158,20 @@ def test_cli_bad_rule_line_names_its_key(tmp_path, capsys, family, table, row, r
 
 
 @pytest.mark.parametrize(
-    "flag,value,field", [("--rounds", "0", "max_rounds"), ("--seed", "-1", "seed")]
+    "flag,value,message",
+    [
+        ("--rounds", "0", "max_rounds: must be at least 1, got 0"),
+        ("--seed", "-1", "seed: must lie in [0, 2**64), got -1"),
+        ("--seeds", "0", "seeds: must be at least 1"),
+    ],
+    ids=["--rounds-0-max_rounds", "--seed--1-seed", "--seeds-0-seeds"],
 )
-def test_cli_out_of_range_override_names_the_field(tmp_path, capsys, flag, value, field):
-    code = run_cli(["--preset", "ch3", flag, value, "--out", str(tmp_path)])
+def test_cli_out_of_range_override_names_the_field(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "o"
+    code = run_cli(["--preset", "ch3", flag, value, "--out", str(out)])
     assert code == 1
-    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -271,13 +278,10 @@ def test_cli_dump_clusters(tmp_path):
 
 def _dump_heap_peak(out, rounds):
     """The tracemalloc peak of one ch2-scenario1 run with --dump-clusters."""
-    tracemalloc.start()
-    try:
-        argv = ["--preset", "ch2-scenario1", "--rounds", str(rounds), "--dump-clusters"]
-        assert run_cli([*argv, "--out", str(out)]) == 0
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    argv = ["--preset", "ch2-scenario1", "--rounds", str(rounds), "--dump-clusters"]
+    peak, code = traced_peak(run_cli, [*argv, "--out", str(out)])
+    assert code == 0
+    return peak
 
 
 def test_cli_dump_heap_peak_does_not_grow_with_the_run(tmp_path):
@@ -404,11 +408,15 @@ def test_cli_p_whose_reciprocal_overflows_fails_before_any_file(tmp_path, capsys
 
 
 @pytest.mark.parametrize(
-    "text,line",
-    [("", 1), ("id,x,y\n0,1.0,2.0\n1,3.0\n", 3)],
-    ids=["empty", "short-row"],
+    "text,message",
+    [
+        ("", "line 1: expected header id,x,y, got ''"),
+        ("id,x,y\n0,1.0,2.0\n1,3.0\n", "line 3: expected id,x,y, got '1,3.0'"),
+        ("id,x,y\n0,1.0,2.0\n1,3.0,4.0\n1,5.0,6.0\n", "line 4: duplicate node id 1"),
+    ],
+    ids=["empty", "short-row", "duplicate-id"],
 )
-def test_cli_malformed_positions_file(tmp_path, capsys, text, line):
+def test_cli_malformed_positions_file(tmp_path, capsys, text, message):
     pos = tmp_path / "pos.csv"
     pos.write_text(text, encoding="utf-8")
     code = run_cli(
@@ -416,7 +424,7 @@ def test_cli_malformed_positions_file(tmp_path, capsys, text, line):
          "--positions", str(pos)]
     )
     assert code == 1
-    assert f"{pos}: line {line}:" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {pos}: {message}\n"
 
 
 @pytest.mark.parametrize(

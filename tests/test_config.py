@@ -122,6 +122,17 @@ def test_duplicate_key_rejected(tmp_path):
         parse_config(write_cfg(tmp_path, BASE + "seed = 1\nseed = 2\n"))
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [("nodes = 10\narea_m\n", "2: expected 'key = value', got 'area_m'"), ("nodes =\n", "1: empty key or value")],
+    ids=["no-equals", "empty-value"],
+)
+def test_malformed_line_names_the_file_and_the_line(tmp_path, text, message):
+    path = write_cfg(tmp_path, text)
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}:{message}')}$"):
+        parse_config(path)
+
+
 def test_bad_number_rejected(tmp_path):
     with pytest.raises(ConfigError, match="nodes"):
         parse_config(write_cfg(tmp_path, BASE.replace("nodes = 10", "nodes = ten")))
@@ -458,6 +469,7 @@ MF_FORM = "expected tri:a,b,c or trap:a,b,c,d, got"
         ("energy_overrides = 0:0.1, x:0.2", "expected id:J entries, got 'x:0.2'"),
         ("energy_overrides = 0:0.1, 3", "expected id:J entries, got '3'"),
         ("seed = 18446744073709551616", "must lie in [0, 2**64), got 18446744073709551616"),
+        ("control_traffic = maybe", "expected true/false, got 'maybe'"),
     ],
 )
 def test_value_syntax_errors_name_the_form_and_the_value(tmp_path, line, message):

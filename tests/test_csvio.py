@@ -4,7 +4,6 @@ lifetime events and both engine surfaces."""
 import copy
 import math
 import re
-import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -14,6 +13,7 @@ from hypothesis import HealthCheck, example, given, reject, settings
 from hypothesis import strategies as st
 
 import csv_reference as reference
+from conftest import traced_peak
 from fuzzcluster import csvio
 from fuzzcluster.config import PRESETS, PROTOCOL_NAMES, parse_config
 from fuzzcluster.fis1 import (
@@ -245,13 +245,7 @@ SURFACE_PEAK_BOUND = 768 * 1024
 def test_surface_peak_memory_is_bounded(tmp_path, name, args):
     path = tmp_path / "surface.csv"
     getattr(csvio, name)(*args, path)
-    tracemalloc.start()
-    try:
-        getattr(csvio, name)(*args, path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= SURFACE_PEAK_BOUND
+    assert traced_peak(getattr(csvio, name), *args, path)[0] <= SURFACE_PEAK_BOUND
 
 
 @pytest.mark.parametrize("grid", [0, 1])

@@ -5,32 +5,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from fuzzcluster.energy import (
-    RadioParams,
-    agg_energy,
-    rx_energy,
-    threshold_distance,
-    tx_energy,
-)
-
-CH2 = RadioParams(
-    e_elec=50e-9, eps_fs=10e-12, eps_mp=0.0013e-12, e_da=5e-9, packet_bits=4000, ctrl_bits=200
-)
-CH3 = RadioParams(
-    e_elec=50e-9, eps_fs=10e-12, eps_mp=0.0010e-12, e_da=5e-9, packet_bits=4000, ctrl_bits=200
-)
+from conftest import CH2
+from fuzzcluster.energy import RadioParams, agg_energy, rx_energy, threshold_distance, tx_energy
 
 
 def test_threshold_distance_values():
-    assert threshold_distance(CH2) == pytest.approx(87.7058, abs=1e-3)
-    assert threshold_distance(CH3) == pytest.approx(100.0, abs=1e-9)
     unit = RadioParams(1e-9, 1e-12, 1e-12, 1e-9, 1, 1)
     assert threshold_distance(unit) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_tx_energy_free_space_hand_value():
-    # 4000*50nJ + 4000*10pJ*50^2 = 2.0e-4 + 1.0e-4
-    assert tx_energy(CH2, 4000, 50.0) == pytest.approx(3.0e-4, rel=1e-12)
 
 
 def test_tx_energy_multipath_hand_value():
@@ -40,14 +21,6 @@ def test_tx_energy_multipath_hand_value():
 
 def test_tx_energy_zero_distance():
     assert tx_energy(CH2, 4000, 0.0) == pytest.approx(4000 * 50e-9, rel=1e-15)
-
-
-def test_tx_continuous_at_threshold():
-    d0 = threshold_distance(CH2)
-    free = 4000 * CH2.e_elec + 4000 * CH2.eps_fs * d0 * d0
-    multi = 4000 * CH2.e_elec + 4000 * CH2.eps_mp * d0 ** 4
-    assert free == pytest.approx(multi, rel=1e-12)
-    assert tx_energy(CH2, 4000, d0) == pytest.approx(free, rel=1e-15)
 
 
 def test_tx_strictly_increasing_in_distance():

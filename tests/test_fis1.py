@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mf_at, peak_point
+from conftest import centroid_oracle, mf_at, peak_point, traced_peak
 from fuzzcluster.fis1 import (
     CHANCE_TERMS,
     FIRE_CHUNK,
@@ -33,20 +33,6 @@ from fuzzcluster.fis1 import (
     triangular,
 )
 from fuzzcluster.fis2 import Rule2, default_rulebase2, eval_t2fis
-
-
-def centroid_oracle(verts):
-    """Closed-form centroid of a piecewise-linear curve given as (x, h) vertices
-    (slope/intercept integration, independent of the sampled-midpoint path)."""
-    num = den = 0.0
-    for (x0, h0), (x1, h1) in zip(verts, verts[1:]):
-        if x1 == x0:
-            continue
-        m = (h1 - h0) / (x1 - x0)
-        b = h0 - m * x0
-        den += m * (x1**2 - x0**2) / 2 + b * (x1 - x0)
-        num += m * (x1**3 - x0**3) / 3 + b * (x1**2 - x0**2) / 2
-    return num / den
 
 
 # --- membership functions ----------------------------------------------------
@@ -430,12 +416,9 @@ PEAK_BOUND = 768 * 1024
 def test_eval_peak_memory_is_bounded(n):
     rb = default_rulebase1()
     x = np.linspace(0.0, 1.0, n)
-    tracemalloc.start()
-    try:
-        eval_fis1(rb, {"distance": x, "energy": x[::-1], "concentration": (3 * x) % 1.0}, 1001)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_peak(
+        lambda: eval_fis1(rb, {"distance": x, "energy": x[::-1], "concentration": (3 * x) % 1.0}, 1001)
+    )
     assert peak <= PEAK_BOUND
 
 
@@ -446,13 +429,7 @@ def test_warm_eval_keeps_at_most_two_chunk_blocks_alive():
     x = np.linspace(0.0, 1.0, 40)
     inputs = {"distance": x, "energy": x[::-1], "concentration": (3 * x) % 1.0}
     eval_fis1(rb, inputs, 1001)
-    tracemalloc.start()
-    try:
-        eval_fis1(rb, inputs, 1001)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * ROW_CHUNK * 1001 * 8
+    assert traced_peak(eval_fis1, rb, inputs, 1001)[0] <= 2 * ROW_CHUNK * 1001 * 8
 
 
 def test_firing_slice_takes_no_block_of_128_kib():

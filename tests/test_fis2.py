@@ -1,13 +1,21 @@
-import itertools
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import firing_intervals, interval_at, mf_at, peak_point
+from conftest import (
+    firing_intervals,
+    height_type1_oracle,
+    interval_at,
+    km_bruteforce,
+    mf_at,
+    one_point,
+    peak_point,
+    random_instance,
+    traced_peak,
+)
 from fuzzcluster.fis1 import triangular
 from fuzzcluster.fis2 import (
     RULES_9,
@@ -21,35 +29,6 @@ from fuzzcluster.fis2 import (
     make_fou,
     output_weights,
 )
-
-
-def one_point(lower, upper):
-    """Firing bounds of one point, one entry per rule: a (2, rules, 1) array."""
-    return np.array([lower, upper], dtype=float)[:, :, None]
-
-
-def km_bruteforce(firings, weights):
-    """Exhaustive 2^K enumeration over the interval endpoints of a one-point
-    firing (exact: the weighted ratio is monotone in each coordinate, so
-    extrema sit at endpoints)."""
-    lo, hi = float("inf"), float("-inf")
-    choices = list(zip(firings[0, :, 0].tolist(), firings[1, :, 0].tolist()))
-    for combo in itertools.product(*choices):
-        den = sum(combo)
-        if den <= 0.0:
-            continue
-        y = sum(f * w for f, w in zip(combo, weights)) / den
-        lo, hi = min(lo, y), max(hi, y)
-    return lo, hi
-
-
-def random_instance(rng, k=None):
-    k = k if k is not None else int(rng.integers(1, 10))
-    fu = rng.uniform(0.0, 1.0, k)
-    fu[int(rng.integers(0, k))] = max(fu.max(), 0.05)  # at least one positive upper
-    fl = rng.uniform(0.0, 1.0, k) * fu
-    weights = rng.uniform(0.0, 1.0, k)
-    return one_point(fl, fu), list(weights)
 
 
 # --- footprint construction ----------------------------------------------------
@@ -172,17 +151,6 @@ def test_km_all_zero_firings_degenerate():
     assert np.isnan([ri[0, 0, 0], ri[1, 0, 0]]).all()
 
 
-def test_km_matches_bruteforce_on_random_instances():
-    rng = np.random.default_rng(20240901)
-    for _ in range(200):
-        firings, weights = random_instance(rng)
-        lo_bf, hi_bf = km_bruteforce(firings, weights)
-        ri = km_type_reduce(firings, [weights])
-        assert ri[0, 0, 0] == pytest.approx(lo_bf, abs=1e-9)
-        assert ri[1, 0, 0] == pytest.approx(hi_bf, abs=1e-9)
-        assert ri[0, 0, 0] <= ri[1, 0, 0] + 1e-12
-
-
 @given(st.integers(0, 100_000))
 @settings(max_examples=150)
 def test_km_bruteforce_property(seed):
@@ -252,20 +220,6 @@ def test_proximate_low_peaks_give_very_small_radius_and_very_weak_chance():
     assert _nearest_weight(chance, output_weights(T2_CHANCE_TERMS)) == "very_weak"
 
 
-def height_type1_oracle(rb, db, re):
-    """Independent collapse oracle: product firing of the base memberships,
-    weighted-mean defuzzification."""
-    num_r = num_c = den = 0.0
-    for rule in rb.rules:
-        f = mf_at(rb.distance_mfs[rule.distance].lower, db) * mf_at(
-            rb.energy_mfs[rule.energy].lower, re
-        )
-        num_r += f * rule.w_radius
-        num_c += f * rule.w_chance
-        den += f
-    return num_r / den, num_c / den
-
-
 @given(st.floats(0, 1), st.floats(0, 1))
 @settings(max_examples=100)
 def test_blur_zero_collapses_to_type1(db, re):
@@ -302,24 +256,13 @@ PEAK_BOUND = 768 * 1024
 def test_eval_peak_memory_is_bounded():
     rb = default_rulebase2()
     x = np.linspace(0.0, 1.0, 1000)
-    tracemalloc.start()
-    try:
-        eval_t2fis(rb, x, (3 * x) % 1.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= PEAK_BOUND
+    assert traced_peak(lambda: eval_t2fis(rb, x, (3 * x) % 1.0))[0] <= PEAK_BOUND
 
 
-def traced_peak(rb, n: int) -> int:
+def eval_peak(rb, n: int) -> int:
     x = np.linspace(0.0, 1.0, n)
     y = (3 * x) % 1.0
-    tracemalloc.start()
-    try:
-        eval_t2fis(rb, x, y)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return traced_peak(eval_t2fis, rb, x, y)[0]
 
 
 def test_eval_memory_grows_only_with_inputs_and_outputs():
@@ -328,7 +271,7 @@ def test_eval_memory_grows_only_with_inputs_and_outputs():
     # each a point) and the NaN mask; five floats a point bound them
     rb = default_rulebase2()
     eval_t2fis(rb, 0.5, 0.5)  # builds the rule base's tables
-    small, large = traced_peak(rb, 1000), traced_peak(rb, 10_000)
+    small, large = eval_peak(rb, 1000), eval_peak(rb, 10_000)
     assert large <= small + 9000 * 5 * 8
 
 

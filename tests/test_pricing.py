@@ -7,7 +7,6 @@ order the reference adds them, so that every control and drained value keeps
 its exact bits.
 """
 import math
-import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -15,10 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import deploy, round_config
+from conftest import CH2, CH3, deploy, round_config, traced_peak
 from fuzzcluster import network as network_module
 from fuzzcluster.config import parse_config
-from fuzzcluster.energy import RadioParams, threshold_distance, tx_energy
+from fuzzcluster.energy import threshold_distance, tx_energy
 from fuzzcluster.fis1 import default_rulebase1
 from fuzzcluster.fis2 import default_rulebase2
 from fuzzcluster.network import BLOCK_ENTRIES, block_rows, deploy_from_rng, network_from_positions
@@ -46,12 +45,6 @@ from pricing_reference import (
     tx_energy_ref,
 )
 
-CH2 = RadioParams(
-    e_elec=50e-9, eps_fs=10e-12, eps_mp=0.0013e-12, e_da=5e-9, packet_bits=4000, ctrl_bits=200
-)
-CH3 = RadioParams(
-    e_elec=50e-9, eps_fs=10e-12, eps_mp=0.0010e-12, e_da=5e-9, packet_bits=4000, ctrl_bits=200
-)
 ENGINES = dict(rules1=default_rulebase1(), rules2=default_rulebase2(), coa_samples=101)
 EPOCH_END = 20  # with p = 0.05 the rotating threshold is 1 on round 20: every node stands
 # A 100-node round is priced in one block at the default budget; SMALL_BLOCKS
@@ -328,11 +321,6 @@ def test_epoch_end_round_memory_stays_bounded():
         assert n == 1000 or block_rows(n) >= 3 * n
         rng = Xorshift64Star(1)
         net = deploy_from_rng(cfg.n, cfg.area_side, cfg.bs_pos, rng, cfg.initial_energy)
-        tracemalloc.start()
-        try:
-            plan = run_protocol_round(net, cfg, rng, EPOCH_END)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, plan = traced_peak(run_protocol_round, net, cfg, rng, EPOCH_END)
         assert plan.clusters, preset
         assert peak < 2 * 2**20, preset

@@ -4,13 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import FakeRng, deploy, peak_point, preset_config, round_config
+from conftest import CH2, FakeRng, deploy, peak_point, preset_config, round_config
 from pricing_reference import radius_chance_ref
 from test_bench_contract import count_stage_calls
 from test_golden import WEAK_NODES
 from fuzzcluster import network, protocols
 from fuzzcluster.config import parse_config
-from fuzzcluster.energy import RadioParams, threshold_distance, tx_energy
+from fuzzcluster.energy import threshold_distance, tx_energy
 from fuzzcluster.fis1 import default_rulebase1, eval_fis1, triangular
 from fuzzcluster.fis2 import default_rulebase2
 from fuzzcluster.network import network_from_positions, normalize_inputs
@@ -28,21 +28,12 @@ from fuzzcluster.protocols import (
 from fuzzcluster.rng import Xorshift64Star
 from fuzzcluster.simulator import run_simulation
 
-RADIO = RadioParams(
-    e_elec=50e-9, eps_fs=10e-12, eps_mp=0.0013e-12, e_da=5e-9, packet_bits=4000, ctrl_bits=200
-)
 LEACH = ProtocolParams(kind="leach", p=0.05, r_min=10.0, r_max=40.0)
 FUZZY = ProtocolParams(kind="fuzzy_unequal", p=0.05, r_min=10.0, r_max=40.0)
 TYPE2 = ProtocolParams(kind="type2fl", p=0.95, r_min=10.0, r_max=40.0)
 
 
 # --- threshold -----------------------------------------------------------------
-
-
-def test_ch_threshold_hand_values():
-    assert ch_threshold(0.05, 0) == 0.05
-    assert ch_threshold(0.05, 7) == 0.05 / 0.65
-    assert ch_threshold(0.05, 19) == 1.0
 
 
 def test_ch_threshold_epoch_wraps():
@@ -135,8 +126,8 @@ def test_select_matches_one_draw_per_alive_node(params, r):
 
 
 def test_radius_clamps_to_r_min_and_r_max():
-    low = round_config(TYPE2, RADIO, rules2=default_rulebase2(w_radius=(0.0,) * 6))
-    high = round_config(TYPE2, RADIO, rules2=default_rulebase2(w_radius=(1.0,) * 6))
+    low = round_config(TYPE2, CH2, rules2=default_rulebase2(w_radius=(0.0,) * 6))
+    high = round_config(TYPE2, CH2, rules2=default_rulebase2(w_radius=(1.0,) * 6))
     net, one = network_from_positions([[0.5, 0.5]], 1.0, (0.0, 0.0)), np.array([0])
     radius_lo, _, _ = compute_radius_chance(net, one, (0.5, 0.5, 0.5), low)
     radius_hi, _, _ = compute_radius_chance(net, one, (0.5, 0.5, 0.5), high)
@@ -145,7 +136,7 @@ def test_radius_clamps_to_r_min_and_r_max():
 
 
 def test_close_high_high_chance_lands_in_very_strong():
-    cfg = round_config(FUZZY, RADIO)
+    cfg = round_config(FUZZY, CH2)
     rb = cfg.rules1
     inputs = (
         peak_point(rb.inputs[0].term("close")),
@@ -188,11 +179,11 @@ def test_kept_type1_outputs_match_a_fresh_evaluation(monkeypatch):
 
 def test_kept_columns_skip_inference_until_the_rule_base_changes(monkeypatch):
     calls = count_stage_calls(monkeypatch)
-    cfg = round_config(FUZZY, RADIO)
+    cfg = round_config(FUZZY, CH2)
     net = deploy(40, 100.0, (50.0, 175.0), seed=7)
     net.energy[:] = np.linspace(0.05, 1.0, net.n)
     ids = np.arange(0, 40, 2)
-    inputs = normalize_inputs(net, ids, threshold_distance(RADIO))
+    inputs = normalize_inputs(net, ids, threshold_distance(CH2))
     first = compute_radius_chance(net, ids, inputs, cfg)
     assert calls["infer_mamdani"] > 0
     calls.clear()
@@ -250,7 +241,7 @@ def test_single_final_collects_all_members():
     net = network_from_positions(
         [(10.0, 10.0), (20.0, 10.0), (30.0, 10.0)], 100.0, (50.0, 175.0)
     )
-    plan = run_protocol_round(net, round_config(LEACH, RADIO), FakeRng([0.01, 0.9, 0.9]), 1)
+    plan = run_protocol_round(net, round_config(LEACH, CH2), FakeRng([0.01, 0.9, 0.9]), 1)
     assert len(plan.clusters) == 1
     assert plan.clusters[0].head == 0
     assert sorted(plan.clusters[0].members) == [1, 2]
@@ -260,7 +251,7 @@ def test_equidistant_member_joins_lower_id():
     net = network_from_positions(
         [(0.0, 0.0), (20.0, 0.0), (10.0, 0.0)], 100.0, (50.0, 175.0)
     )
-    plan = run_protocol_round(net, round_config(LEACH, RADIO), FakeRng([0.01, 0.01, 0.9]), 1)
+    plan = run_protocol_round(net, round_config(LEACH, CH2), FakeRng([0.01, 0.01, 0.9]), 1)
     by_head = {c.head: c for c in plan.clusters}
     assert 2 in by_head[0].members
     assert by_head[1].members == []
@@ -277,7 +268,7 @@ def test_type2_uncovered_node_self_promotes():
         [(0.0, 0.0), (5.0, 0.0), (90.0, 90.0), (90.0, 0.0), (3.0, 0.0)], 100.0, (50.0, 50.0)
     )
     rng = FakeRng([0.99, 0.2, 0.2, 0.2, 0.2])
-    plan = run_protocol_round(net, round_config(params, RADIO), rng, 1)
+    plan = run_protocol_round(net, round_config(params, CH2), rng, 1)
     # finals first, then orphan singletons in ascending id; members in ascending id
     assert [(c.head, c.members) for c in plan.clusters] == [(0, [1, 4]), (2, []), (3, [])]
     assert plan.orphan_fallbacks == 2
@@ -289,7 +280,7 @@ def test_type2_uncovered_node_self_promotes():
 def next_hops(heads, net):
     """build_routes over these head ids: each head's next hop as a position
     in heads, -1 for the sink."""
-    return build_routes(np.array(heads), net, threshold_distance(RADIO)).tolist()
+    return build_routes(np.array(heads), net, threshold_distance(CH2)).tolist()
 
 
 def test_route_direct_within_threshold():
@@ -314,9 +305,9 @@ def test_route_single_head_goes_direct():
 def test_leach_routes_always_direct():
     # both heads lie beyond d0, where the relaying protocols route 0 through 1
     net = network_from_positions([(0.0, 150.0), (0.0, 100.0)], 200.0, (0.0, 0.0))
-    assert (net.bs_dist > threshold_distance(RADIO)).all()
+    assert (net.bs_dist > threshold_distance(CH2)).all()
     assert next_hops([0, 1], net) == [1, -1]
-    plan = run_protocol_round(net, round_config(LEACH, RADIO), FakeRng([0.01, 0.01]), 1)
+    plan = run_protocol_round(net, round_config(LEACH, CH2), FakeRng([0.01, 0.01]), 1)
     assert plan.heads.tolist() == [0, 1]
     assert plan.next_hop.tolist() == [-1, -1]
 
@@ -326,7 +317,7 @@ def test_leach_routes_always_direct():
 
 def test_leach_two_nodes_forced_draw():
     net = network_from_positions([(10.0, 10.0), (20.0, 10.0)], 100.0, (50.0, 175.0))
-    plan = run_protocol_round(net, round_config(LEACH, RADIO), FakeRng([0.01, 0.9]), 1)
+    plan = run_protocol_round(net, round_config(LEACH, CH2), FakeRng([0.01, 0.9]), 1)
     assert len(plan.clusters) == 1
     assert plan.clusters[0].members == [1]
     assert plan.routes == {0: None}
@@ -337,7 +328,7 @@ def test_partition_property_all_protocols():
         net = deploy(60, 100.0, (50.0, 175.0), seed=seed, initial_energy=0.5)
         rng = Xorshift64Star(seed)
         for r in range(1, 16):
-            plan = run_protocol_round(net, round_config(params, RADIO), rng, r)
+            plan = run_protocol_round(net, round_config(params, CH2), rng, r)
             seen = []
             for c in plan.clusters:
                 seen.append(c.head)
@@ -349,53 +340,13 @@ def test_partition_property_all_protocols():
 def test_final_ch_separation_fuzzy():
     net = deploy(80, 100.0, (50.0, 175.0), seed=11, initial_energy=0.5)
     rng = Xorshift64Star(11)
-    cfg = round_config(FUZZY, RADIO)
+    cfg = round_config(FUZZY, CH2)
     for r in range(1, 21):
         plan = run_protocol_round(net, cfg, rng, r)
         chs = [(c.head, c.radius) for c in plan.clusters if c.radius > 0.0]
         for i, (h1, r1) in enumerate(chs):
             for h2, r2 in chs[i + 1 :]:
                 assert net.dist[h1, h2] > min(r1, r2)
-
-
-def test_route_soundness_over_rounds():
-    for params, seed in ((FUZZY, 21), (TYPE2, 22)):
-        net = deploy(80, 100.0, (50.0, 175.0), seed=seed, initial_energy=0.5)
-        rng = Xorshift64Star(seed)
-        cfg = round_config(params, RADIO)
-        for r in range(1, 21):
-            plan = run_protocol_round(net, cfg, rng, r)
-            heads = set(plan.routes)
-            for start in heads:
-                hops = 0
-                cur = start
-                while plan.routes[cur] is not None:
-                    nxt = plan.routes[cur]
-                    assert net.bs_dist[nxt] < net.bs_dist[cur]
-                    cur = nxt
-                    hops += 1
-                    assert hops <= len(heads)
-
-
-def test_unequal_radius_near_vs_far():
-    net = deploy(100, 100.0, (50.0, 175.0), seed=31, initial_energy=0.5)
-    rng = Xorshift64Star(31)
-    cfg = round_config(FUZZY, RADIO)
-    lo = net.bs_dist.min()
-    span = net.bs_dist.max() - lo
-    near, far = [], []
-    for r in range(1, 31):
-        plan = run_protocol_round(net, cfg, rng, r)
-        for c in plan.clusters:
-            if c.radius <= 0.0:
-                continue
-            d = net.bs_dist[c.head]
-            if d <= lo + span / 3:
-                near.append(c.radius)
-            elif d >= lo + 2 * span / 3:
-                far.append(c.radius)
-    assert near and far
-    assert np.mean(near) < np.mean(far)
 
 
 def test_leach_selection_rate_binomial_at_epoch_start():
@@ -471,7 +422,7 @@ def test_leach_energy_per_round_matches_the_closed_form(preset, band):
 def test_control_traffic_can_be_disabled():
     net = deploy(30, 100.0, (50.0, 175.0), seed=2, initial_energy=0.5)
     silent = ProtocolParams(kind="fuzzy_unequal", p=0.05, r_min=10.0, r_max=40.0, control_traffic=False)
-    plan = run_protocol_round(net, round_config(silent, RADIO), Xorshift64Star(2), 1)
+    plan = run_protocol_round(net, round_config(silent, CH2), Xorshift64Star(2), 1)
     assert plan.control_spend.sum() == 0.0
 
 
@@ -538,11 +489,11 @@ def oracle_fuzzy_round(net, params, rng, radio):
 
 def test_fuzzy_round_matches_hand_trace():
     net = deploy(10, 100.0, (50.0, 175.0), seed=77, initial_energy=0.5)
-    plan = run_protocol_round(net, round_config(FUZZY, RADIO), Xorshift64Star(123), 1)
+    plan = run_protocol_round(net, round_config(FUZZY, CH2), Xorshift64Star(123), 1)
     got = {c.head: sorted(c.members) for c in plan.clusters}
 
     oracle_net = deploy(10, 100.0, (50.0, 175.0), seed=77, initial_energy=0.5)
-    expected = oracle_fuzzy_round(oracle_net, FUZZY, Xorshift64Star(123), RADIO)
+    expected = oracle_fuzzy_round(oracle_net, FUZZY, Xorshift64Star(123), CH2)
     assert got == expected
     # frozen golden partition for this topology and seed
     assert got == GOLDEN_PARTITION

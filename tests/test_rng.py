@@ -1,12 +1,12 @@
 """Block draws: Xorshift64Star.uniforms(k) against k random() calls."""
 import pickle
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from fuzzcluster import rng as rng_module
 from fuzzcluster.rng import MASK64, TABLE_STEPS, Xorshift64Star
 
@@ -74,11 +74,6 @@ def test_pickled_generator_carries_no_table():
 
 def test_block_temporaries_stay_below_the_mmap_threshold():
     rng = Xorshift64Star(MASK64)  # 64 set bits: the widest gathers
-    tracemalloc.start()
-    try:
-        rng.uniforms(1000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_peak(rng.uniforms, 1000)
     # states and result (8 KB each) beside one gather of at most the table
     assert peak < 128 * 1024

@@ -4,7 +4,7 @@ from dataclasses import asdict, replace
 
 import pytest
 
-from conftest import plan_from, scenario1_lifetime
+from conftest import CH2, plan_from, scenario1_lifetime
 from fuzzcluster.energy import RadioParams
 from fuzzcluster.fis2 import default_rulebase2
 from fuzzcluster.network import Network, deploy_from_rng, network_from_positions
@@ -18,11 +18,6 @@ from fuzzcluster.simulator import (
     run_simulation,
 )
 
-RADIO = RadioParams(
-    e_elec=50e-9, eps_fs=10e-12, eps_mp=0.0013e-12, e_da=5e-9, packet_bits=4000, ctrl_bits=200
-)
-
-
 def scenario1(kind="leach", **kw):
     """Scenario 1 by hand, for short runs: its e_elec and eps_mp are each an ulp
     from the parsed preset's, whose lifetimes the whole-run tests read."""
@@ -31,7 +26,7 @@ def scenario1(kind="leach", **kw):
         area_side=100.0,
         bs_pos=(50.0, 175.0),
         initial_energy=0.5,
-        radio=RADIO,
+        radio=CH2,
         protocol=ProtocolParams(kind=kind, p=0.05, r_min=10.0, r_max=40.0),
         **kw,
     )
@@ -44,7 +39,7 @@ def test_round_energy_hand_case():
     # head at 40 m from the sink, one member 50 m from the head, control off
     net = network_from_positions([(0.0, 40.0), (0.0, 90.0)], 100.0, (0.0, 0.0))
     plan = plan_from(net, [Cluster(0, [1], 30.0)], {0: None})
-    spend = apply_round_energy(net, plan, RADIO)
+    spend = apply_round_energy(net, plan, CH2)
     assert spend[1] == pytest.approx(3.0e-4, rel=1e-12)  # tx(4000, 50)
     # rx(4000) + agg(4000, 2 signals) + tx(4000, 40)
     assert spend[0] == pytest.approx(2.0e-4 + 4.0e-5 + 2.64e-4, rel=1e-12)
@@ -53,7 +48,7 @@ def test_round_energy_hand_case():
 def test_round_energy_lone_head():
     net = network_from_positions([(0.0, 40.0)], 100.0, (0.0, 0.0))
     plan = plan_from(net, [Cluster(0, [], 30.0)], {0: None})
-    spend = apply_round_energy(net, plan, RADIO)
+    spend = apply_round_energy(net, plan, CH2)
     assert spend[0] == pytest.approx(2.0e-5 + 2.64e-4, rel=1e-12)  # agg(1 signal) + tx
 
 
@@ -63,7 +58,7 @@ def test_round_energy_relay_forwarding():
     plan = plan_from(
         net, [Cluster(0, [], 30.0), Cluster(1, [], 30.0)], {0: 1, 1: None}
     )
-    spend = apply_round_energy(net, plan, RADIO)
+    spend = apply_round_energy(net, plan, CH2)
     tx_60 = 4000 * (50e-9 + 10e-12 * 60.0**2)
     tx_90 = 4000 * 50e-9 + 4000 * 0.0013e-12 * 90.0**4  # 90 m > d0, multipath
     agg = 4000 * 5e-9
@@ -76,7 +71,7 @@ def test_clamp_drains_everything_and_kills():
     net = network_from_positions([(0.0, 40.0), (0.0, 90.0)], 100.0, (0.0, 0.0))
     net.energy[1] = 1e-9
     plan = plan_from(net, [Cluster(0, [1], 30.0)], {0: None})
-    spend = apply_round_energy(net, plan, RADIO)
+    spend = apply_round_energy(net, plan, CH2)
     assert spend[1] == pytest.approx(1e-9, rel=1e-15)
     assert net.energy[1] == 0.0
     assert not net.alive[1]
@@ -88,7 +83,7 @@ def test_spend_matches_residual_delta():
     )
     before = net.total_energy()
     plan = plan_from(net, [Cluster(0, [1, 2], 30.0)], {0: None})
-    spend = apply_round_energy(net, plan, RADIO)
+    spend = apply_round_energy(net, plan, CH2)
     assert spend.sum() == pytest.approx(before - net.total_energy(), rel=1e-12)
 
 
@@ -105,9 +100,9 @@ def test_doubling_packet_bits_doubles_data_spend():
         return run.rounds[0].spent_j
 
     doubled = RadioParams(
-        RADIO.e_elec, RADIO.eps_fs, RADIO.eps_mp, RADIO.e_da, 8000, RADIO.ctrl_bits
+        CH2.e_elec, CH2.eps_fs, CH2.eps_mp, CH2.e_da, 8000, CH2.ctrl_bits
     )
-    assert one_round(doubled) == 2.0 * one_round(RADIO)
+    assert one_round(doubled) == 2.0 * one_round(CH2)
 
 
 # --- lifetime metrics -----------------------------------------------------------
@@ -248,7 +243,7 @@ def _bad_field_cases():
             )
         for field in ("e_elec", "eps_fs", "eps_mp", "e_da"):
             yield pytest.param(
-                lambda kw={**asdict(RADIO), field: v}: RadioParams(**kw), field,
+                lambda kw={**asdict(CH2), field: v}: RadioParams(**kw), field,
                 id=f"RadioParams-{field}-{v}",
             )
     # a finite node outside the field, and a p whose reciprocal overflows
@@ -267,7 +262,7 @@ def _bad_field_cases():
         id="SimConfig-nbr_radius-1e-320",
     )
     yield pytest.param(
-        lambda: replace(scenario1("leach"), radio=replace(RADIO, eps_fs=1e-312, eps_mp=1e18)),
+        lambda: replace(scenario1("leach"), radio=replace(CH2, eps_fs=1e-312, eps_mp=1e18)),
         "eps_mp",
         id="SimConfig-d0-0",
     )

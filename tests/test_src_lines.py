@@ -1,3 +1,4 @@
+import re
 import runpy
 import subprocess
 import sys
@@ -42,3 +43,19 @@ def f():
     # the blank line inside the docstring is a docstring line, the one inside
     # s a code line; lines 5, 7 and 8 are blank
     assert count(text) == dict(lines=14, docstring=4, comment=1, blank=3, code=6)
+
+
+def test_untested_lines_lists_what_the_selection_never_runs():
+    # the selected test raises the duplicate-key error and runs no round
+    selection = "tests/test_config.py::test_duplicate_key_rejected"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "untested_lines.py"), selection, "-q", "-p", "no:cacheprovider"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    count = int(lines[-1].removesuffix(" statements never run"))
+    listed = lines[-1 - count : -1]
+    assert all(re.fullmatch(r"\w+\.py:\d+: \S.*", line) for line in listed), listed
+    assert not any(line.endswith("duplicate key {key!r}\")") for line in listed)
+    assert any(line.endswith(': raise ValueError("no alive nodes")') for line in listed)
