@@ -16,7 +16,6 @@ from .csvio import (
     write_positions_csv,
     write_summary_csv,
 )
-from .protocols import KIND_FUZZY_UNEQUAL, KIND_TYPE2
 from .simulator import run_simulation
 
 
@@ -62,14 +61,14 @@ def main(argv: list[str] | None = None) -> int:
             if args.positions and key == "positions":
                 raise ValueError(f"{args.positions}: {why}") from None
             raise
-        if args.dump_fis_surface and cfg.protocol.kind not in (KIND_FUZZY_UNEQUAL, KIND_TYPE2):
+        if args.dump_fis_surface and cfg.protocol.engine is None:
             raise ConfigError("--dump-fis-surface requires a fuzzy protocol (fuzzy-unequal or type2fl)")
 
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
 
         if args.dump_fis_surface:
-            if cfg.protocol.kind == KIND_FUZZY_UNEQUAL:
+            if cfg.protocol.engine == "type1":
                 write_fis1_surface(cfg.rules1, cfg.coa_samples, out / "fis_surface.csv")
             else:
                 write_fis2_surface(cfg.rules2, out / "fis_surface.csv")

@@ -1,21 +1,13 @@
 """One round of clustering for each protocol.
 
-Three kinds share the same round skeleton (elect provisionals, size and rank
-them, resolve the competition, join members, plan routes):
-
-* ``leach``          -- rotating-threshold election, nearest joining, every
-                        head transmits straight to the sink.
-* ``fuzzy_unequal``  -- type-1 engine sizes a competition radius and a head
-                        chance from (distance, energy, concentration); heads
-                        relay sink-ward through closer heads.
-* ``type2fl``        -- constant-threshold election (draw above T), interval
-                        type-2 engine on (distance, energy), range-limited
-                        joining with orphan self-promotion, same relaying.
+Every kind runs the same round skeleton (elect provisionals, size and rank
+them, resolve the competition, join members, plan routes), and ``PROTOCOLS``
+gives the four choices that tell the kinds apart.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -29,10 +21,18 @@ from .rng import Xorshift64Star
 if TYPE_CHECKING:  # the simulator imports this module
     from .simulator import SimConfig
 
-KIND_LEACH = "leach"
-KIND_FUZZY_UNEQUAL = "fuzzy_unequal"
-KIND_TYPE2 = "type2fl"
-KINDS = (KIND_LEACH, KIND_FUZZY_UNEQUAL, KIND_TYPE2)
+# kind -> (election, engine, join range, relay), all a round reads of a kind.
+# election: "rotating" elects a draw below ch_threshold, "above-p" one above p.
+# engine: "type1" sizes candidates from (distance, energy, concentration),
+# "type2" from (distance, energy); None: no candidate phase, heads announce
+# over r_max. Join range, in units of r_max: a node with no head within it
+# heads its own cluster. relay: heads relay sink-ward through closer heads.
+PROTOCOLS = {
+    "leach": ("rotating", None, math.inf, False),
+    "fuzzy_unequal": ("rotating", "type1", math.inf, True),
+    "type2fl": ("above-p", "type2", 1.0, True),
+}
+KINDS = tuple(PROTOCOLS)
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,11 @@ class ProtocolParams:
     r_max: float
     nbr_radius: float | None = None
     control_traffic: bool = True
+    # derived from kind's row of PROTOCOLS on construction
+    election: str = field(init=False)
+    engine: str | None = field(init=False)
+    join_range: float = field(init=False)
+    relay: bool = field(init=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -54,6 +59,9 @@ class ProtocolParams:
             raise ValueError(f"r_min: must lie in (0, r_max = {self.r_max}), got {self.r_min}")
         if self.nbr_radius is not None and not 0.0 < self.nbr_radius < math.inf:
             raise ValueError(f"nbr_radius: must be positive and finite, got {self.nbr_radius}")
+        election, engine, join, relay = PROTOCOLS[self.kind]
+        # frozen, so the derived fields go into the instance dict directly
+        vars(self).update(election=election, engine=engine, join_range=join * self.r_max, relay=relay)
 
 
 @dataclass
@@ -68,10 +76,10 @@ class RoundPlan:
     """Everything one round decided, priced later by the simulator.
 
     The per-cluster arrays run in cluster order: the finals in competition
-    order, then type2fl orphans in ascending id."""
+    order, then the orphans in ascending id."""
 
     heads: np.ndarray  # head id per cluster
-    radius: np.ndarray  # competition radius in m; 0 for LEACH heads and orphans
+    radius: np.ndarray  # competition radius in m; 0 for orphans and engine-less heads
     sizes: np.ndarray  # member count per cluster
     members: np.ndarray  # member ids, cluster after cluster, ascending in each
     next_hop: np.ndarray  # position in heads of each head's next hop, -1 = sink
@@ -114,16 +122,11 @@ def select_provisional(
     net: Network, params: ProtocolParams, r: int, rng: Xorshift64Star
 ) -> tuple[np.ndarray, bool]:
     """Per-node threshold draw, one block for the alive nodes in ascending id
-    order, giving the ids elected. The kind picks the rule: type2fl elects a
-    draw above the constant p, leach and fuzzy_unequal a draw below the
-    rotating threshold. An empty selection promotes the alive node with the
-    most residual energy."""
+    order, giving the ids that params.election elects. An empty selection
+    promotes the alive node with the most residual energy."""
     alive = np.flatnonzero(net.alive)
     draws = rng.uniforms(len(alive))
-    if params.kind == KIND_TYPE2:
-        selected = alive[draws > params.p]
-    else:
-        selected = alive[draws < ch_threshold(params.p, r)]
+    selected = alive[draws > params.p if params.election == "above-p" else draws < ch_threshold(params.p, r)]
     if len(selected):
         return selected, False
     # argmax returns the first maximum, so equal energies go to the lowest id
@@ -136,11 +139,11 @@ def compute_radius_chance(
     """Map normalized (db, re, conc) to (radius in meters, chance, fell_back).
 
     The inputs are equal-length arrays with one entry per candidate, the
-    distinct node ids of net, sized in one engine call; type2fl reads only db
-    and re, so its conc may be None, and fuzzy_unequal reads the two outputs
-    of rules1 as the radius and the chance, in that order. A point where the
-    engine output is degenerate falls back to 0.5 in both outputs on its own
-    and is flagged.
+    distinct node ids of net, sized in one engine call; the type-2 engine reads
+    only db and re, so its conc may be None, and the type-1 engine reads the
+    two outputs of rules1 as the radius and the chance, in that order. A point
+    where the engine output is degenerate falls back to 0.5 in both outputs on
+    its own and is flagged.
 
     The network keeps each node's last type-1 firing column and outputs, and
     the rule base and sample count they were made with (a new one starts
@@ -152,7 +155,7 @@ def compute_radius_chance(
     so its column often repeats."""
     db, re, conc = inputs
     params = cfg.protocol
-    if params.kind == KIND_TYPE2:
+    if params.engine == "type2":
         r_norm, chance = eval_t2fis(cfg.rules2, db, re)
     else:
         rb, samples = cfg.rules1, cfg.coa_samples
@@ -322,8 +325,8 @@ def run_protocol_round(
     candidate's announcement over its competition radius (ascending id), each
     final head's announcement (competition order), then per cluster, in plan
     order, each member's join request to its head followed by the head's
-    schedule broadcast. LEACH has no candidate phase and announces over
-    r_max."""
+    schedule broadcast. A protocol without an engine has no candidate phase
+    and announces over r_max."""
     if not net.alive.any():
         raise ValueError("no alive nodes")
     params, radio = cfg.protocol, cfg.radio
@@ -331,29 +334,26 @@ def run_protocol_round(
 
     ids, forced = select_provisional(net, params, round_index - 1, rng)
     fis_fallbacks = 0
-    leach = params.kind == KIND_LEACH
 
-    if leach:
+    if params.engine is None:
         finals, radius = ids, np.zeros(len(ids))
         ids, cand_radius = ids[:0], radius[:0]  # no candidate announcements
     else:
-        # type2fl reads only (db, re), so it counts no neighbors
-        inputs = normalize_inputs(net, ids, None if params.kind == KIND_TYPE2 else cfg.neighbor_radius)
+        # only the type-1 engine reads the concentration, so only it counts neighbors
+        inputs = normalize_inputs(net, ids, cfg.neighbor_radius if params.engine == "type1" else None)
         cand_radius, chance, fell_back = compute_radius_chance(net, ids, inputs, cfg)
         fis_fallbacks = int(fell_back.sum())
         won = compete_final_chs(ids, cand_radius, chance, net)
         finals, radius = ids[won], cand_radius[won]
 
-    # type2fl joins none beyond r_max
-    join_range = params.r_max if params.kind == KIND_TYPE2 else np.inf
-    (heads, sizes, members), orphans = assign_members(net, finals, join_range)
+    (heads, sizes, members), orphans = assign_members(net, finals, params.join_range)
     radius = np.concatenate((radius, np.zeros(orphans)))
     k = len(finals)  # the finals' announcements are heads[:k]
 
     control = np.zeros(net.n)
     if params.control_traffic:
-        ranges = np.full(len(heads), params.r_max) if leach else radius
-        # type2fl orphans (radius 0, no members) send no schedule
+        ranges = np.full(len(heads), params.r_max) if params.engine is None else radius
+        # orphans (radius 0, no members) send no schedule
         schedules = np.flatnonzero((sizes > 0) & (ranges > 0.0))
         first = len(ids) + k  # the first cluster's group
         price_control(
@@ -368,8 +368,7 @@ def run_protocol_round(
             join_group=np.repeat(np.arange(first, first + len(heads)), sizes),
         )
 
-    # every LEACH head transmits straight to the sink
-    next_hop = np.full(len(heads), -1, dtype=np.intp) if leach else build_routes(heads, net, d0)
+    next_hop = build_routes(heads, net, d0) if params.relay else np.full(len(heads), -1, dtype=np.intp)
     return RoundPlan(
         heads, radius, sizes, members, next_hop, control, int(forced) + orphans, fis_fallbacks
     )

@@ -6,7 +6,8 @@ decision, one Python addition per message, per member uplink and per hop,
 and the one-distance radio formula. The candidates' radius and chance come
 from a fresh engine call each round, never from what the network keeps.
 The array code must reproduce them bit for bit, so keep this file as it is
-when the package's bookkeeping changes.
+when the package's bookkeeping changes. It reads each kind's choices from
+the kind itself: the oracle that protocols.PROTOCOLS is checked against.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from fuzzcluster.energy import threshold_distance
 from fuzzcluster.fis1 import eval_fis1
 from fuzzcluster.fis2 import eval_t2fis
 from fuzzcluster.network import normalize_inputs
-from fuzzcluster.protocols import KIND_LEACH, KIND_TYPE2, select_provisional
+from fuzzcluster.protocols import select_provisional
 
 
 @dataclass
@@ -53,7 +54,7 @@ def radius_chance_ref(inputs, cfg):
     call, 0.5 in both outputs where the engine output is degenerate."""
     db, re, conc = inputs
     params = cfg.protocol
-    if params.kind == KIND_TYPE2:
+    if params.kind == "type2fl":
         r_norm, chance = eval_t2fis(cfg.rules2, db, re)
     else:
         inputs = {"distance": db, "energy": re, "concentration": conc}
@@ -85,7 +86,7 @@ def assign_members_ref(net, finals, kind, r_max):
     for i in range(net.n):
         if not net.alive[i] or any(i == fid for fid, _, _ in finals):
             continue
-        reach = [c for c in clusters if kind != KIND_TYPE2 or net.dist[i, c.head] <= r_max]
+        reach = [c for c in clusters if kind != "type2fl" or net.dist[i, c.head] <= r_max]
         if reach:
             min(reach, key=lambda c: (net.dist[i, c.head], c.head)).members.append(i)
         else:
@@ -121,7 +122,7 @@ def run_protocol_round_ref(net, cfg, rng, round_index):
     orphan_fallbacks = 1 if forced else 0
     fis_fallbacks = 0
 
-    if params.kind == KIND_LEACH:
+    if params.kind == "leach":
         finals = [(pid, 0.0, 0.0) for pid in provisional_ids]
         announce_range = params.r_max
     else:
@@ -155,7 +156,7 @@ def run_protocol_round_ref(net, cfg, rng, round_index):
         [c.head for c in clusters],
         net,
         threshold_distance(radio),
-        direct_only=params.kind == KIND_LEACH,
+        direct_only=params.kind == "leach",
     )
     return RefPlan(clusters, routes, control, orphan_fallbacks, fis_fallbacks)
 

@@ -186,6 +186,17 @@ def _tiny_rulebase(rules):
     return RuleBase1((x,), (y,), rules)
 
 
+@pytest.mark.parametrize(
+    "rule, side",
+    [(Rule1(("lo", "hi"), ("low",)), "inputs"), (Rule1(("lo",), ("low", "high")), "outputs")],
+    ids=["antecedents", "consequents"],
+)
+def test_rule_of_the_wrong_arity_rejected(rule, side):
+    message = f"rule1.2: rule {rule} arity != 1 {side}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _tiny_rulebase((Rule1(("hi",), ("high",)), rule))
+
+
 def test_no_rule_fires_gives_zero_aggregate():
     rb = _tiny_rulebase((Rule1(("lo",), ("low",)),))
     # "lo" has zero membership at 1.0

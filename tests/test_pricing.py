@@ -22,9 +22,6 @@ from fuzzcluster.fis1 import default_rulebase1
 from fuzzcluster.fis2 import default_rulebase2
 from fuzzcluster.network import BLOCK_ENTRIES, block_rows, deploy_from_rng, network_from_positions
 from fuzzcluster.protocols import (
-    KIND_FUZZY_UNEQUAL,
-    KIND_LEACH,
-    KIND_TYPE2,
     KINDS,
     ProtocolParams,
     assign_members,
@@ -153,7 +150,8 @@ def test_joining_matches_reference(data):
     r_max = data.draw(st.sampled_from([1.0, area / 6, area / 3, area]))  # 1 m: nearly every joiner an orphan
     kind = data.draw(st.sampled_from(KINDS))
     ref, ref_orphans = assign_members_ref(net, [(f, 0.0, 0.0) for f in finals], kind, r_max)
-    join_range = r_max if kind == KIND_TYPE2 else np.inf  # as run_protocol_round picks it
+    # the join range of the kind's row in protocols.PROTOCOLS
+    join_range = ProtocolParams(kind=kind, p=0.05, r_min=r_max / 2, r_max=r_max).join_range
     for rows in (block_rows(n), 2, 1):
         with block_entries(rows * n):
             (heads, sizes, members), orphans = assign_members(net, np.array(finals), join_range)
@@ -205,9 +203,7 @@ def test_one_node_network_prices_as_reference(kind):
         assert same_bits(control, [want])
 
 
-@pytest.mark.parametrize(
-    "kind, r", [(KIND_LEACH, EPOCH_END), (KIND_FUZZY_UNEQUAL, 3), (KIND_TYPE2, 1)]
-)
+@pytest.mark.parametrize("kind, r", [("leach", EPOCH_END), ("fuzzy_unequal", 3), ("type2fl", 1)])
 def test_join_free_blocks_price_as_reference(kind, r):
     # at 1000 nodes the candidate and final announcements fill whole
     # 32-group blocks with no join (type2fl has about 950 candidates); at the
@@ -220,7 +216,7 @@ def test_join_free_blocks_price_as_reference(kind, r):
     params = ProtocolParams(kind=kind, p=0.05, r_min=20.0, r_max=80.0)
     plan, drained, ref, ref_drained = both_rounds(net, params, r, 11, cfg.radio)
     assert_same_round(plan, drained, ref, ref_drained)
-    if kind == KIND_LEACH:
+    if kind == "leach":
         assert not plan.sizes.any()
 
 
@@ -275,7 +271,7 @@ def test_epoch_end_round_with_dead_nodes_beyond_d0(kind, control):
             assert_same_round(plan, drained, ref, ref_drained)
     d0 = threshold_distance(CH2)
     assert max(net.bs_dist[c.head] for c in plan.clusters) > d0
-    if kind == KIND_LEACH:
+    if kind == "leach":
         assert len(plan.clusters) == alive  # every alive node broadcasts
     else:
         assert max(c.radius for c in plan.clusters) > d0
@@ -284,7 +280,7 @@ def test_epoch_end_round_with_dead_nodes_beyond_d0(kind, control):
 
 def test_type2_orphans_send_no_schedule():
     net = network(60, 300.0, 2, dead=(3, 4))
-    params = ProtocolParams(kind=KIND_TYPE2, p=0.05, r_min=5.0, r_max=20.0)
+    params = ProtocolParams(kind="type2fl", p=0.05, r_min=5.0, r_max=20.0)
     plan, drained, ref, ref_drained = both_rounds(net, params, 3, 1, CH3)
     assert_same_round(plan, drained, ref, ref_drained)
     orphans = [c for c in plan.clusters if c.radius == 0.0]
@@ -311,13 +307,13 @@ def test_epoch_end_round_memory_stays_bounded():
     # a candidates x candidates or candidates x n array. The 100-node rounds
     # are priced in one block.
     for preset, kind, n in (
-        ("ch2-scenario2", KIND_FUZZY_UNEQUAL, 1000),
-        ("ch2-scenario1", KIND_FUZZY_UNEQUAL, 100),
-        ("ch3", KIND_TYPE2, 100),
+        ("ch2-scenario2", "fuzzy_unequal", 1000),
+        ("ch2-scenario1", "fuzzy_unequal", 100),
+        ("ch3", "type2fl", 100),
     ):
         cfg = parse_config(preset)
         assert (cfg.protocol.kind, cfg.n) == (kind, n)
-        assert kind == KIND_TYPE2 or ch_threshold(cfg.protocol.p, EPOCH_END - 1) == 1.0
+        assert kind == "type2fl" or ch_threshold(cfg.protocol.p, EPOCH_END - 1) == 1.0
         assert n == 1000 or block_rows(n) >= 3 * n
         rng = Xorshift64Star(1)
         net = deploy_from_rng(cfg.n, cfg.area_side, cfg.bs_pos, rng, cfg.initial_energy)

@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,13 +11,14 @@ from pricing_reference import radius_chance_ref
 from test_bench_contract import count_stage_calls
 from test_golden import WEAK_NODES
 from fuzzcluster import network, protocols
-from fuzzcluster.config import parse_config
+from fuzzcluster.config import PROTOCOL_NAMES, parse_config
 from fuzzcluster.energy import threshold_distance, tx_energy
 from fuzzcluster.fis1 import default_rulebase1, eval_fis1, triangular
 from fuzzcluster.fis2 import default_rulebase2
 from fuzzcluster.network import network_from_positions, normalize_inputs
 from fuzzcluster.protocols import (
-    KIND_TYPE2,
+    KINDS,
+    PROTOCOLS,
     ProtocolParams,
     assign_members,
     build_routes,
@@ -103,12 +106,15 @@ def test_select_draws_past_the_script_raise():
 
 
 @pytest.mark.parametrize(
-    "params, r", [(LEACH, 0), (LEACH, 13), (TYPE2, 0)], ids=["below", "below-r13", "above"]
+    "params, r",
+    [(LEACH, 0), (LEACH, 13), (FUZZY, 7), (TYPE2, 0)],
+    ids=["below", "below-r13", "below-fuzzy-r7", "above"],
 )
 def test_select_matches_one_draw_per_alive_node(params, r):
+    # the rule each kind elects by, stated here apart from protocols.PROTOCOLS
     net = deploy(100, 100.0, (50.0, 175.0), seed=4, initial_energy=0.5)
     net.alive[[0, 1, 17, 50, 98]] = False
-    if params.kind == KIND_TYPE2:
+    if params.kind == "type2fl":
         th, elected = params.p, float.__gt__
     else:
         th, elected = ch_threshold(params.p, r), float.__lt__
@@ -456,6 +462,50 @@ def test_params_validation():
         ProtocolParams(kind="leach", p=1.5, r_min=10.0, r_max=40.0)
     with pytest.raises(ValueError):
         ProtocolParams(kind="leach", p=0.05, r_min=40.0, r_max=10.0)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_replacing_the_kind_derives_its_row(kind):
+    # the four choices follow kind through dataclasses.replace, as the CLI's
+    # --protocol override relies on, and only kind can be set
+    for start in (LEACH, FUZZY, TYPE2):
+        params = dataclasses.replace(start, kind=kind)
+        choices = (params.election, params.engine, params.join_range / params.r_max, params.relay)
+        assert params.kind == kind and choices == PROTOCOLS[kind]
+    with pytest.raises(TypeError, match="engine"):
+        ProtocolParams(kind=kind, p=0.05, r_min=10.0, r_max=40.0, engine="type2")
+    with pytest.raises(ValueError, match="election"):
+        dataclasses.replace(LEACH, kind=kind, election="above-p")
+
+
+def test_round_without_alive_nodes_raises():
+    # the election would otherwise promote the argmax of an all -inf row: dead node 0
+    net = deploy(5, 100.0, (50.0, 175.0), seed=1, initial_energy=0.5)
+    net.alive[:] = False
+    rng = FakeRng([0.5] * 5)
+    with pytest.raises(ValueError, match="^no alive nodes$"):
+        run_protocol_round(net, round_config(LEACH, CH2), rng, 1)
+    assert rng.used == 0
+
+
+def test_only_the_protocol_table_compares_kinds():
+    # what a kind means is read from protocols.PROTOCOLS: no module of the
+    # package compares a kind string or a KIND_* name
+    kinds = {*KINDS, *PROTOCOL_NAMES}
+
+    def names_a_kind(node):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return any(map(names_a_kind, node.elts))
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")
+        return isinstance(node, ast.Constant) and node.value in kinds or name.startswith("KIND_")
+
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(protocols.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Compare) and any(map(names_a_kind, [node.left, *node.comparators]))
+    ]
+    assert found == []
 
 
 # --- golden trace -----------------------------------------------------------------------
