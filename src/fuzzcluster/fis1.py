@@ -498,8 +498,6 @@ T1_TERMS = {
 
 def three_level_terms(labels: Sequence[str]) -> tuple[tuple[str, MembershipFunction], ...]:
     """Shoulder / triangle / shoulder partition of [0, 1] for 3-term inputs."""
-    if len(labels) != 3:
-        raise ValueError("exactly three labels expected")
     return (
         (labels[0], trapezoidal(0.0, 0.0, 0.2, 0.4)),
         (labels[1], triangular(0.2, 0.5, 0.8)),
@@ -508,10 +506,9 @@ def three_level_terms(labels: Sequence[str]) -> tuple[tuple[str, MembershipFunct
 
 
 def even_terms(labels: Sequence[str]) -> tuple[tuple[str, MembershipFunction], ...]:
-    """Evenly spaced triangles over [0, 1] with trapezoidal shoulder terms."""
+    """Evenly spaced triangles over [0, 1] with trapezoidal shoulder terms, for
+    two or more labels."""
     n = len(labels)
-    if n < 2:
-        raise ValueError("need at least two labels")
     s = 1.0 / (n - 1)
     terms: list[tuple[str, MembershipFunction]] = [(labels[0], trapezoidal(0.0, 0.0, s / 2, s))]
     for i in range(1, n - 1):

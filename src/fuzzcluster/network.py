@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 
+from .fis1 import RuleBase1, firing_outputs
 from .rng import Xorshift64Star
 
 # Entries per block of dist rows when building the distance matrix, counting
@@ -58,11 +59,12 @@ def check_deployment(
 
 
 class Network:
-    """Static geometry (positions never move after deployment) plus per-node
-    residual ``energy`` and ``alive`` arrays, indexed by node id and owned by
-    a single simulation run, and two run-scoped caches: ``_neighbors``, the
-    counts that neighbor_count keeps, and ``_fis1``, the last type-1
-    evaluation of each node that protocols.compute_radius_chance keeps."""
+    """Static geometry (positions never move after deployment) plus every
+    per-node value a run carries between rounds, indexed by node id and owned
+    by a single simulation run: residual ``energy``, ``alive``, and two
+    caches that only this module reads or writes: ``_neighbors``, the counts
+    that neighbor_count keeps, and ``_fis1``, the last type-1 outputs of each
+    node that type1_outputs keeps."""
 
     def __init__(
         self,
@@ -81,8 +83,8 @@ class Network:
         self.alive = np.ones(self.n, dtype=bool)
         # neighbor_count's (radius, count per node, alive mask counted at)
         self._neighbors: tuple = (None, None, None)
-        # compute_radius_chance's (rules1, coa_samples, firing column per
-        # node, outputs per node) of each node's last type-1 evaluation
+        # type1_outputs' (rule base, sample count, firing column per node,
+        # outputs per node) of each node's last type-1 evaluation
         self._fis1: tuple = (None, None, None, None)
 
         # a block of rows at a time, one axis after the other, squared and
@@ -156,6 +158,31 @@ def neighbor_count(net: Network, ids: np.typing.ArrayLike, radius: float) -> np.
         counts[rows] -= sign
     net._neighbors = (radius, counts, net.alive.copy())
     return counts[ids]
+
+
+def type1_outputs(net: Network, rb: RuleBase1, samples: int, ids: np.ndarray, fire: np.ndarray) -> np.ndarray:
+    """The outputs of rb, one row per output and one column per id, for the
+    firing columns fire of the distinct ids, as fis1.firing_outputs gives them.
+
+    The network keeps each node's last firing column and outputs, and the rule
+    base and sample count they were made with (a new one starts from none):
+    only the ids whose column differs in any bit from their node's kept one
+    are inferred and defuzzified. An output is a function of its column's bits
+    alone, so a kept output is the one a fresh evaluation would give. A node's
+    energy sits on the flat top of its highest term for much of its life and
+    its concentration saturates at 1, so its column often repeats."""
+    kept_rb, kept_samples, columns, outputs = net._fis1
+    if rb is not kept_rb or samples != kept_samples:
+        columns = np.full((len(fire), net.n), np.nan)  # NaN matches no firing
+        outputs = np.empty((len(rb.outputs), net.n))
+        net._fis1 = (rb, samples, columns, outputs)
+    diff = (columns.take(ids, axis=1).view(np.uint64) != fire.view(np.uint64)).any(axis=0)
+    changed = ids[diff]
+    if len(changed):
+        fire = fire[:, diff]
+        outputs[:, changed] = firing_outputs(rb, fire, samples)
+        columns[:, changed] = fire
+    return outputs.take(ids, axis=1)
 
 
 def expected_count(n: int, area_side: float, radius: float) -> float:

@@ -13,9 +13,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .energy import RadioParams, rx_energy, threshold_distance, tx_energy
-from .fis1 import firing_outputs, term_firings
+from .fis1 import term_firings
 from .fis2 import eval_t2fis
-from .network import Network, block_rows, normalize_inputs
+from .network import Network, block_rows, normalize_inputs, type1_outputs
 from .rng import Xorshift64Star
 
 if TYPE_CHECKING:  # the simulator imports this module
@@ -143,35 +143,15 @@ def compute_radius_chance(
     only db and re, so its conc may be None, and the type-1 engine reads the
     two outputs of rules1 as the radius and the chance, in that order. A point
     where the engine output is degenerate falls back to 0.5 in both outputs on
-    its own and is flagged.
-
-    The network keeps each node's last type-1 firing column and outputs, and
-    the rule base and sample count they were made with (a new one starts
-    from none): only the candidates whose column differs in any bit from
-    their node's kept one are inferred and defuzzified. An output is a
-    function of its column's bits alone, so a kept output is the one a fresh
-    evaluation would give. A node's energy sits on the flat top of its
-    highest term for much of its life and its concentration saturates at 1,
-    so its column often repeats."""
+    its own and is flagged. network.type1_outputs keeps each node's last
+    type-1 outputs between rounds."""
     db, re, conc = inputs
     params = cfg.protocol
     if params.engine == "type2":
         r_norm, chance = eval_t2fis(cfg.rules2, db, re)
     else:
-        rb, samples = cfg.rules1, cfg.coa_samples
-        fire = term_firings(rb, {"distance": db, "energy": re, "concentration": conc})
-        kept_rb, kept_samples, columns, outputs = net._fis1
-        if rb is not kept_rb or samples != kept_samples:
-            columns = np.full((len(fire), net.n), np.nan)  # NaN matches no firing
-            outputs = np.empty((len(rb.outputs), net.n))
-            net._fis1 = (rb, samples, columns, outputs)
-        diff = (columns.take(ids, axis=1).view(np.uint64) != fire.view(np.uint64)).any(axis=0)
-        changed = ids[diff]
-        if len(changed):
-            fire = fire[:, diff]
-            outputs[:, changed] = firing_outputs(rb, fire, samples)
-            columns[:, changed] = fire
-        r_norm, chance = outputs.take(ids, axis=1)
+        fire = term_firings(cfg.rules1, {"distance": db, "energy": re, "concentration": conc})
+        r_norm, chance = type1_outputs(net, cfg.rules1, cfg.coa_samples, ids, fire)
     fallback = np.isnan(r_norm) | np.isnan(chance)
     r_norm = np.where(fallback, 0.5, r_norm)
     chance = np.where(fallback, 0.5, chance)

@@ -1,4 +1,5 @@
 import csv
+import os
 import re
 import subprocess
 import sys
@@ -90,6 +91,24 @@ def test_cli_happy_path(tmp_path, capsys):
     assert "seed=1" in capsys.readouterr().out
 
 
+def test_module_entry_point_writes_what_main_writes(tmp_path):
+    # `python -m fuzzcluster`, as README documents it, in a process of its own
+    argv = ["--preset", "ch3", "--rounds", "2", "--dump-clusters", "--out"]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "fuzzcluster", *argv, str(tmp_path / "m")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("seed=1 protocol=type2fl ")
+    assert run_cli([*argv, str(tmp_path / "main")]) == 0
+    files = ["clusters.csv", "metrics.csv", "positions.csv", "summary.csv"]
+    assert sorted(p.name for p in (tmp_path / "m").iterdir()) == files
+    for name in files:
+        assert (tmp_path / "m" / name).read_bytes() == (tmp_path / "main" / name).read_bytes()
+
+
 def test_cli_unknown_protocol_usage_error():
     with pytest.raises(SystemExit) as exc:
         run_cli(["--preset", "ch2-scenario1", "--protocol", "bogus"])
@@ -144,10 +163,11 @@ def rule_lines(family, table, row, replace):
         ("rule1", RULES_27, 2, {2: "high"}, "rule1: rule table must cover all 27"),
         ("rule2", RULES_9, 4, {0: "nowhere"}, "rule2.4: distance has no term 'nowhere'"),
         ("rule2", RULES_9, 9, {2: "huge"}, "rule2.9: radius has no term 'huge'"),
+        ("rule2", RULES_9, 6, {3: "huge"}, "rule2.6: chance has no term 'huge'"),
         ("rule2", RULES_9, 3, {1: "low"}, "rule2: rule table must cover all 9"),
     ],
     ids=["rule1-antecedent", "rule1-consequent", "rule1-table", "rule2-antecedent",
-         "rule2-consequent", "rule2-table"],
+         "rule2-consequent", "rule2-second-consequent", "rule2-table"],
 )
 def test_cli_bad_rule_line_names_its_key(tmp_path, capsys, family, table, row, replace, message):
     cfg = tmp_path / "rules.cfg"

@@ -19,6 +19,7 @@ from fuzzcluster.fis1 import (
     RADIUS_TERMS,
     ROW_CHUNK,
     RULES_27,
+    DegenerateOutputError,
     LinguisticVariable,
     Rule1,
     RuleBase1,
@@ -27,6 +28,7 @@ from fuzzcluster.fis1 import (
     eval_fis1,
     infer_mamdani,
     membership_patterns,
+    mf_centroid,
     mf_sample,
     term_firings,
     trapezoidal,
@@ -285,6 +287,12 @@ def test_coa_two_equal_lobes():
         np.minimum(0.6, mf_sample(triangular(0.6, 0.7, 0.8), grid)),
     )
     assert defuzz_coa(lobes[None], grid)[0] == pytest.approx(0.5, abs=1e-9)
+
+
+def test_centroid_of_a_set_without_area_raises():
+    # the type-2 consequent weights are centroids, so a point term cannot weigh a rule
+    with pytest.raises(DegenerateOutputError, match=r"^membership function has zero area$"):
+        mf_centroid(trapezoidal(0.5, 0.5, 0.5, 0.5))
 
 
 def test_coa_of_fortran_ordered_samples_matches_c_order():

@@ -163,7 +163,7 @@ def test_kept_type1_outputs_match_a_fresh_evaluation(monkeypatch):
     cfg = dataclasses.replace(cfg, max_rounds=60, energy_overrides=WEAK_NODES)
     assert cfg.protocol.kind == "fuzzy_unequal"
     sizes = {"candidates": 0, "inferred": 0}
-    real, real_outputs = protocols.compute_radius_chance, protocols.firing_outputs
+    real, real_outputs = protocols.compute_radius_chance, network.firing_outputs
 
     def checked(net, ids, inputs, cfg):
         got = real(net, ids, inputs, cfg)
@@ -177,7 +177,7 @@ def test_kept_type1_outputs_match_a_fresh_evaluation(monkeypatch):
         return real_outputs(rb, fire, samples)
 
     monkeypatch.setattr(protocols, "compute_radius_chance", checked)
-    monkeypatch.setattr(protocols, "firing_outputs", counted)
+    monkeypatch.setattr(network, "firing_outputs", counted)
     result = run_simulation(cfg)
     assert len(result.rounds) == 60 and result.fnd == 1
     assert 0 < sizes["inferred"] < sizes["candidates"]
@@ -504,6 +504,19 @@ def test_only_the_protocol_table_compares_kinds():
         for path in sorted(Path(protocols.__file__).parent.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Compare) and any(map(names_a_kind, [node.left, *node.comparators]))
+    ]
+    assert found == []
+
+
+def test_only_the_network_module_touches_its_caches():
+    # network.py owns every per-node value a run carries between rounds: no
+    # other module of the package reads or writes Network's caches
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(network.__file__).parent.glob("*.py"))
+        if path.name != "network.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in ("_neighbors", "_fis1")
     ]
     assert found == []
 

@@ -4,11 +4,12 @@ from dataclasses import asdict, replace
 
 import pytest
 
-from conftest import CH2, plan_from, scenario1_lifetime
+from conftest import CH2, plan_from, preset_config, scenario1_lifetime
+from fuzzcluster.config import PRESETS
 from fuzzcluster.energy import RadioParams
 from fuzzcluster.fis2 import default_rulebase2
 from fuzzcluster.network import Network, deploy_from_rng, network_from_positions
-from fuzzcluster.protocols import Cluster, ProtocolParams
+from fuzzcluster.protocols import KINDS, Cluster, ProtocolParams, run_protocol_round
 from fuzzcluster.rng import Xorshift64Star
 from fuzzcluster.simulator import (
     RoundMetrics,
@@ -190,6 +191,58 @@ def test_round_metrics_are_consistent():
         assert m.ch_count >= 1
         if m.alive:
             assert m.avg_j == pytest.approx(m.total_j / m.alive, rel=1e-12)
+
+
+# --- resuming from a state -------------------------------------------------------
+
+RESUMED_ROUNDS = 40
+
+
+def play(cfg, net, rng, rounds):
+    """Plays the given rounds on net and rng as run_simulation does, stopping
+    once every node is dead, and yields each round and what it left: the
+    bytes of the plan's arrays and of the energy and alive mask after it,
+    and the round's (ch_count, alive, total_j, spent_j)."""
+    for r in rounds:
+        if not net.alive.any():
+            return
+        plan = run_protocol_round(net, cfg, rng, r)
+        drained = apply_round_energy(net, plan, cfg.radio)
+        arrays = (plan.heads, plan.sizes, plan.members, plan.next_hop, plan.radius, plan.control_spend)
+        metrics = (len(plan.heads), int(net.alive.sum()), net.total_energy(), math.fsum(drained.tolist()))
+        yield r, ([a.tobytes() for a in (*arrays, net.energy, net.alive)], metrics)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_a_run_resumed_from_its_state_changes_no_bit(preset, kind):
+    # A run's state at a round start is (round, energy, alive, generator
+    # state): whatever a Network keeps between rounds follows from it. A
+    # fresh network and generator resumed at rounds 2 and 20, and at the
+    # first round after a death, when the kept neighbor counts first lose a
+    # node, play the next 40 rounds as the run did.
+    cfg = preset_config(preset, kind, seed=1)
+    rng = Xorshift64Star(cfg.seed)
+    net = deploy_from_rng(cfg.n, cfg.area_side, cfg.bs_pos, rng, cfg.initial_energy)
+    trace, states, after_death = [], {}, None
+    for r, played in play(cfg, net, rng, range(1, cfg.max_rounds + 1)):
+        trace.append(played)
+        if after_death is None and not net.alive.all():
+            after_death = r + 1
+        if r + 1 in (2, 20, after_death):
+            states[r + 1] = (net.energy.copy(), net.alive.copy(), rng._state)
+        if after_death and r == max(states) + RESUMED_ROUNDS - 1:
+            break
+    assert after_death in states and 20 in states
+    if preset == "ch2-scenario1":  # the run that the lifetime pins cover
+        pinned = scenario1_lifetime(kind, 1).rounds[: len(trace)]
+        assert [m for _, m in trace] == [(m.ch_count, m.alive, m.total_j, m.spent_j) for m in pinned]
+    for start, (energy, alive, state) in states.items():
+        resumed = network_from_positions(net.positions, cfg.area_side, cfg.bs_pos, cfg.initial_energy)
+        resumed.energy[:], resumed.alive[:] = energy, alive
+        rounds = range(start, start + RESUMED_ROUNDS)
+        again = [played for _, played in play(cfg, resumed, Xorshift64Star(state), rounds)]
+        assert again == trace[start - 1 : start - 1 + RESUMED_ROUNDS], start
 
 
 def test_config_validation_errors():
