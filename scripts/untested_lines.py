@@ -4,11 +4,13 @@ this process.
 
 A line tracer limited to the package's files is installed with
 ``sys.settrace`` and ``threading.settrace`` before anything imports the
-package; then ``pytest.main`` runs on the arguments. Every statement of the
-package that no traced line reached is printed as ``module:line: statement``,
-and the last line is their count. Imports are skipped, and so are
-``global``/``nonlocal`` statements and bare constants (docstrings, ``...``),
-which compile to no code. Code that only subprocesses run (``python -m``, a
+package; then ``pytest.main`` runs on the arguments, with
+``--hypothesis-seed=0`` unless they set a seed: the hypothesis tests then
+draw the same examples, so the list is the same every run. Every statement
+of the package that no traced line reached is printed as
+``module:line: statement``, and the last line is their count. Imports are
+skipped, and so are ``global``/``nonlocal`` statements and bare constants
+(docstrings, ``...``), which compile to no code. Code that only subprocesses run (``python -m``, a
 script started by a test) is never traced, so it is listed.
 
 Example:
@@ -71,6 +73,8 @@ def main(argv: list[str]) -> int:
     hits = trace_lines(prefix)
     import pytest  # after the tracer, so that nothing imports the package untraced
 
+    if not any(arg.startswith("--hypothesis-seed") for arg in argv):
+        argv = [*argv, "--hypothesis-seed=0"]
     code = pytest.main(argv)
     sys.settrace(None)
     threading.settrace(None)

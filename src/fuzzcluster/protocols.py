@@ -152,7 +152,7 @@ def compute_radius_chance(
     else:
         fire = term_firings(cfg.rules1, {"distance": db, "energy": re, "concentration": conc})
         r_norm, chance = type1_outputs(net, cfg.rules1, cfg.coa_samples, ids, fire)
-    fallback = np.isnan(r_norm) | np.isnan(chance)
+    fallback = np.isnan(r_norm)  # the engines make NaN in one output NaN in both
     r_norm = np.where(fallback, 0.5, r_norm)
     chance = np.where(fallback, 0.5, chance)
     radius = params.r_min + r_norm * (params.r_max - params.r_min)
@@ -235,39 +235,54 @@ def build_routes(heads: np.ndarray, net: Network, d0: float) -> np.ndarray:
 
 
 def price_control(
-    control: np.ndarray,
     net: Network,
     radio: RadioParams,
-    senders: np.ndarray,
-    ranges: np.ndarray,
-    send_group: np.ndarray,
-    members: np.ndarray,
-    member_heads: np.ndarray,
-    join_group: np.ndarray,
-) -> None:
-    """Add a round's control messages to ``control``, ``block_rows(n)`` groups
-    at a time.
+    candidates: tuple[np.ndarray, np.ndarray],
+    clusters: tuple[np.ndarray, np.ndarray, np.ndarray],
+    announce: np.ndarray,
+    k: int,
+) -> np.ndarray:
+    """Per-node cost in J of a round's control messages, from the round's
+    decisions: the candidates (ids, competition radii), the clusters
+    (heads, sizes, members) as ``assign_members`` gives them, each head's
+    announcement range, and the count k of finals, the first k heads.
 
-    Messages come in numbered groups, sent in ascending group order (both group
-    arrays ascending). In a group, each join costs its member one transmission
-    over its distance to its head and the head one reception; then the group's
-    broadcast (at most one) costs its sender one transmission over its range
-    and every other alive node within that range one reception. Each cost is
-    its own addition to its node, in message order: ``np.add.at`` adds in
-    input order, so the sums round exactly as when the messages are priced one
-    at a time.
+    Messages, in the order they are sent and added to each node: each
+    candidate's announcement over its radius (ascending id), each final's
+    announcement (competition order), then per cluster, in cluster order, each
+    member's join request to its head followed by the head's schedule
+    broadcast; an orphan has no members and sends no schedule. A broadcast
+    costs its sender one transmission over its range and every other alive
+    node within that range one reception; a join costs its member one
+    transmission over its distance to its head and the head one reception.
+    Each cost is its own addition to its node, in message order: ``np.add.at``
+    adds in input order, so the sums round exactly as when the messages are
+    priced one at a time.
 
-    A block without joins costs each node at most one amount per broadcast.
-    It is priced as one row per broadcast, 0.0 where a node pays nothing
-    (which leaves a nonnegative sum as it is), and ``np.add.reduce`` along the
-    rows adds them to ``control`` one row after another. numpy sums a single
-    column pairwise instead, so a 1-node network keeps ``np.add.at``. Summing
-    a phase per node and adding the total would round differently."""
-    n_groups = int(max(send_group.max(initial=-1), join_group.max(initial=-1))) + 1
+    The messages are numbered in groups, one per announcement and one per
+    cluster (its joins, then its schedule), and priced ``block_rows(n)``
+    groups at a time. A block without joins costs each node at most one
+    amount per broadcast. It is priced as one row per broadcast, 0.0 where a
+    node pays nothing (which leaves a nonnegative sum as it is), and
+    ``np.add.reduce`` along the rows adds them to the spend one row after
+    another. numpy sums a single column pairwise instead, so a 1-node network
+    keeps ``np.add.at``. Summing a phase per node and adding the total would
+    round differently."""
+    ids, radii = candidates
+    heads, sizes, members = clusters
+    first = len(ids) + k  # the first cluster's group
+    schedules = np.flatnonzero(sizes)
+    senders = np.concatenate((ids, heads[:k], heads[schedules]))
+    ranges = np.concatenate((radii, announce[:k], announce[schedules]))
+    send_group = np.concatenate((np.arange(first), first + schedules))
+    member_heads = np.repeat(heads, sizes)
+    join_group = np.repeat(np.arange(first, first + len(heads)), sizes)
     bits = radio.ctrl_bits
     rx = rx_energy(radio, bits)
+    control = np.zeros(net.n)
     step = block_rows(net.n)
-    for g in range(0, n_groups, step):
+    # up to the last schedule's group: the orphans after it send nothing
+    for g in range(0, first + int(schedules.max(initial=-1)) + 1, step):
         s0, s1 = np.searchsorted(send_group, (g, g + step))
         j0, j1 = np.searchsorted(join_group, (g, g + step))
         snd, m, h = senders[s0:s1], members[j0:j1], member_heads[j0:j1]
@@ -293,20 +308,15 @@ def price_control(
         nodes = np.concatenate((nodes, m, h))[order]
         cost = np.concatenate((cost, tx[s1 - s0 :], np.full(len(h), rx)))[order]
         np.add.at(control, nodes, cost)
+    return control
 
 
 def run_protocol_round(
     net: Network, cfg: SimConfig, rng: Xorshift64Star, round_index: int
 ) -> RoundPlan:
     """Elect, compete, join and route for one round of the run cfg; prices
-    control traffic but leaves all energy deduction to the simulator.
-
-    Control traffic, in the order it is sent and added to each node: each
-    candidate's announcement over its competition radius (ascending id), each
-    final head's announcement (competition order), then per cluster, in plan
-    order, each member's join request to its head followed by the head's
-    schedule broadcast. A protocol without an engine has no candidate phase
-    and announces over r_max."""
+    control traffic (``price_control``) but leaves all energy deduction to
+    the simulator."""
     if not net.alive.any():
         raise ValueError("no alive nodes")
     params, radio = cfg.protocol, cfg.radio
@@ -328,25 +338,10 @@ def run_protocol_round(
 
     (heads, sizes, members), orphans = assign_members(net, finals, params.join_range)
     radius = np.concatenate((radius, np.zeros(orphans)))
-    k = len(finals)  # the finals' announcements are heads[:k]
-
-    control = np.zeros(net.n)
-    if params.control_traffic:
-        ranges = np.full(len(heads), params.r_max) if params.engine is None else radius
-        # orphans (radius 0, no members) send no schedule
-        schedules = np.flatnonzero((sizes > 0) & (ranges > 0.0))
-        first = len(ids) + k  # the first cluster's group
-        price_control(
-            control,
-            net,
-            radio,
-            senders=np.concatenate((ids, heads[:k], heads[schedules])),
-            ranges=np.concatenate((cand_radius, ranges[:k], ranges[schedules])),
-            send_group=np.concatenate((np.arange(first), first + schedules)),
-            members=members,
-            member_heads=np.repeat(heads, sizes),
-            join_group=np.repeat(np.arange(first, first + len(heads)), sizes),
-        )
+    # the heads of a protocol without an engine announce over r_max
+    announce = np.full(len(heads), params.r_max) if params.engine is None else radius
+    decisions = (ids, cand_radius), (heads, sizes, members), announce, len(finals)
+    control = price_control(net, radio, *decisions) if params.control_traffic else np.zeros(net.n)
 
     next_hop = build_routes(heads, net, d0) if params.relay else np.full(len(heads), -1, dtype=np.intp)
     return RoundPlan(

@@ -191,13 +191,12 @@ def test_one_node_network_prices_as_reference(kind):
     # a round sends at most two broadcasts here; numpy would sum more than
     # eight of them from the one column pairwise, so a join-free block of a
     # 1-node network keeps np.add.at
+    no_clusters = (np.zeros(0, dtype=np.intp),) * 3
     for seed in range(5):
+        # 300 candidates, all node 0, and no cluster
         ranges = np.random.default_rng(seed).uniform(1.0, 400.0, 300)
-        control, want = np.full(1, 1e-3), 1e-3
-        no_joins = np.zeros(0, dtype=np.intp)
-        senders = np.zeros(len(ranges), dtype=np.intp)
-        groups = np.arange(len(ranges))
-        price_control(control, net, CH2, senders, ranges, groups, no_joins, no_joins, no_joins)
+        candidates = np.zeros(len(ranges), dtype=np.intp), ranges
+        control, want = price_control(net, CH2, candidates, no_clusters, np.zeros(0), 0), 0.0
         for d in ranges.tolist():
             want += tx_energy_ref(CH2, CH2.ctrl_bits, d)
         assert same_bits(control, [want])

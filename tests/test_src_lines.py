@@ -2,7 +2,10 @@ import re
 import runpy
 import subprocess
 import sys
+import threading
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "src_lines.py"
@@ -59,3 +62,24 @@ def test_untested_lines_lists_what_the_selection_never_runs():
     assert all(re.fullmatch(r"\w+\.py:\d+: \S.*", line) for line in listed), listed
     assert not any(line.endswith("duplicate key {key!r}\")") for line in listed)
     assert any(line.endswith(': raise ValueError("no alive nodes")') for line in listed)
+
+
+@pytest.mark.parametrize(
+    "argv, passed",
+    [
+        (["-q"], ["-q", "--hypothesis-seed=0"]),
+        (["-q", "--hypothesis-seed=7"], ["-q", "--hypothesis-seed=7"]),
+        (["--hypothesis-seed", "7"], ["--hypothesis-seed", "7"]),
+    ],
+)
+def test_untested_lines_fixes_the_hypothesis_seed_unless_given(argv, passed, monkeypatch, capsys):
+    main = runpy.run_path(str(ROOT / "scripts" / "untested_lines.py"))["main"]
+    calls = []
+    monkeypatch.setattr(pytest, "main", lambda args: calls.append(args) or 0)
+    # the probe's own tracer must not replace the one a probe of the whole
+    # suite runs this test under
+    monkeypatch.setattr(sys, "settrace", lambda f: None)
+    monkeypatch.setattr(threading, "settrace", lambda f: None)
+    assert main(argv) == 0
+    assert calls == [passed]
+    assert capsys.readouterr().out.endswith(" statements never run\n")
