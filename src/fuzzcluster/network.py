@@ -102,14 +102,8 @@ class Network:
         self.positions = pos
         self.bs_dist = np.sqrt(((pos - np.array(self.bs_pos)) ** 2).sum(axis=-1))
         self.d_max = float(self.bs_dist.max())
-        self.positions.setflags(write=False)
-        self.dist.setflags(write=False)
-        self.bs_dist.setflags(write=False)
-
-    def total_energy(self) -> float:
-        # exact summation: round-trip accounting is checked at 1e-12 relative;
-        # fsum reads a list of floats faster than an array's numpy scalars
-        return math.fsum(self.energy.tolist())
+        for a in (self.positions, self.dist, self.bs_dist):
+            a.setflags(write=False)
 
 
 def deploy_from_rng(

@@ -45,9 +45,7 @@ class Xorshift64Star:
     """
 
     def __init__(self, seed: int):
-        self._state = int(seed) & MASK64
-        if self._state == 0:
-            self._state = _ZERO_SEED_PAD
+        self._state = int(seed) & MASK64 or _ZERO_SEED_PAD
 
     def next_u64(self) -> int:
         x = self._state

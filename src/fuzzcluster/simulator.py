@@ -1,10 +1,10 @@
-"""Round loop, energy accounting and lifetime metrics."""
+"""Round loop, run state, energy accounting and lifetime metrics."""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -93,6 +93,37 @@ class SimResult:
     positions: np.ndarray  # (n, 2) deployment the run used, ordered by node id
 
 
+class SimState(NamedTuple):
+    """What a run carries from one round to the next, all a resume needs:
+    round, the next round to play; read-only positions (n x 2), energy and
+    alive by node id; and rng_state, the generator's state. What a Network
+    keeps besides follows from these."""
+
+    round: int
+    positions: np.ndarray
+    energy: np.ndarray
+    alive: np.ndarray
+    rng_state: int
+
+
+def check_state(cfg: SimConfig, state: SimState) -> None:
+    """The rules of a state that a run of cfg resumes from, each raising a
+    ValueError whose message starts with its field."""
+    check_deployment(cfg.n, cfg.area_side, cfg.bs_pos, cfg.initial_energy, state.positions)
+    energy, alive = np.asarray(state.energy, dtype=float), np.asarray(state.alive, dtype=bool)
+    for name, a in (("energy", energy), ("alive", alive)):
+        if a.shape != (cfg.n,):
+            raise ValueError(f"{name}: must hold n = {cfg.n} entries, got shape {a.shape}")
+    if len(bad := np.flatnonzero(~((energy >= 0.0) & (energy < math.inf)))):  # NaN fails too
+        raise ValueError(f"energy: node {bad[0]} must be finite and non-negative, got {energy[bad[0]]}")
+    if len(empty := np.flatnonzero(alive & (energy == 0.0))):
+        raise ValueError(f"alive: node {empty[0]} is alive with no energy")
+    if state.round < 1:
+        raise ValueError(f"round: must be at least 1, got {state.round}")
+    if not 1 <= state.rng_state < 2**64:  # the generator's whole state, never 0
+        raise ValueError(f"rng_state: must lie in [1, 2**64), got {state.rng_state}")
+
+
 def apply_round_energy(net: Network, plan: RoundPlan, radio: RadioParams) -> np.ndarray:
     """Price and deduct one round of traffic. Members pay the uplink, heads pay
     reception, aggregation and their sink-ward hop, relays additionally pay
@@ -160,30 +191,50 @@ def _mean_dissipation(rounds: list[RoundMetrics], upto: int | None, n: int) -> f
     return total / upto
 
 
+def play(cfg: SimConfig, state: SimState | None = None) -> Iterator[tuple[RoundPlan, np.ndarray, SimState]]:
+    """The run's loop: plays rounds from state, or from a fresh deployment
+    with no state, until the network dies or max_rounds elapse, and yields
+    each round's plan, the energy it drained per node and the state after it.
+    A given state is checked before the first round; a yielded one is not.
+    Deterministic in (cfg, seed) and in (cfg, state)."""
+    if state is None:
+        rng, start = Xorshift64Star(cfg.seed), 1
+        if cfg.positions is not None:
+            # burn the deployment draws so replaying a run's own positions file
+            # with its seed reproduces that run exactly
+            rng.uniforms(2 * cfg.n)
+            net = network_from_positions(cfg.positions, cfg.area_side, cfg.bs_pos, cfg.initial_energy)
+        else:
+            net = deploy_from_rng(cfg.n, cfg.area_side, cfg.bs_pos, rng, cfg.initial_energy)
+        net.energy[list(cfg.energy_overrides)] = list(cfg.energy_overrides.values())
+    else:
+        check_state(cfg, state)
+        net = network_from_positions(state.positions, cfg.area_side, cfg.bs_pos, cfg.initial_energy)
+        net.energy[:], net.alive[:] = state.energy, state.alive
+        rng, start = Xorshift64Star(state.rng_state), state.round
+    for r in range(start, cfg.max_rounds + 1):
+        if not net.alive.any():
+            return
+        plan = run_protocol_round(net, cfg, rng, r)
+        drained = apply_round_energy(net, plan, cfg.radio)
+        energy, alive = net.energy.copy(), net.alive.copy()
+        energy.flags.writeable = alive.flags.writeable = False
+        yield plan, drained, SimState(r + 1, net.positions, energy, alive, rng._state)
+
+
 def run_simulation(
     cfg: SimConfig, on_round: Callable[[int, RoundPlan], None] | None = None
 ) -> SimResult:
-    """Deploy once, then select/cluster/route and spend energy each round until
-    the network dies or max_rounds elapse. Deterministic in (cfg, seed)."""
-    rng = Xorshift64Star(cfg.seed)
-    if cfg.positions is not None:
-        # burn the deployment draws so replaying a run's own positions file
-        # with its seed reproduces that run exactly
-        rng.uniforms(2 * cfg.n)
-        net = network_from_positions(cfg.positions, cfg.area_side, cfg.bs_pos, cfg.initial_energy)
-    else:
-        net = deploy_from_rng(cfg.n, cfg.area_side, cfg.bs_pos, rng, cfg.initial_energy)
-    for nid, e in cfg.energy_overrides.items():
-        net.energy[nid] = e
-
+    """Play a run from a fresh deployment, calling on_round(r, plan) once
+    round r is played, and sum up its rounds. Deterministic in (cfg, seed)."""
     rounds: list[RoundMetrics] = []
-    for r in range(1, cfg.max_rounds + 1):
-        plan = run_protocol_round(net, cfg, rng, r)
+    for r, (plan, drained, state) in enumerate(play(cfg), 1):
         if on_round is not None:
             on_round(r, plan)
-        drained = apply_round_energy(net, plan, cfg.radio)
-        alive = int(net.alive.sum())
-        total = net.total_energy()
+        alive = int(state.alive.sum())
+        # exact summation: round-trip accounting is checked at 1e-12 relative;
+        # fsum reads a list of floats faster than an array's numpy scalars
+        total = math.fsum(state.energy.tolist())
         rounds.append(
             RoundMetrics(
                 round=r,
@@ -197,8 +248,6 @@ def run_simulation(
                 spent_j=math.fsum(drained.tolist()),
             )
         )
-        if alive == 0:
-            break
 
     fnd, hnd, lnd = lifetime_metrics(rounds, cfg.n)
     return SimResult(
@@ -210,5 +259,5 @@ def run_simulation(
         hnd_energy=_mean_dissipation(rounds, hnd, cfg.n),
         seed=cfg.seed,
         protocol=cfg.protocol.kind,
-        positions=net.positions,
+        positions=state.positions,
     )

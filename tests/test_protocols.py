@@ -508,17 +508,30 @@ def test_only_the_protocol_table_compares_kinds():
     assert found == []
 
 
+def names_outside(owners, names):
+    """file:line of each attribute, variable or string in src/ that spells
+    one of names, outside the owners' files."""
+    return [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(network.__file__).parent.glob("*.py"))
+        if path.name not in owners
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Attribute) and node.attr in names)
+        or (isinstance(node, ast.Name) and node.id in names)
+        or (isinstance(node, ast.Constant) and node.value in names)
+    ]
+
+
 def test_only_the_network_module_touches_its_caches():
     # network.py owns every per-node value a run carries between rounds: no
     # other module of the package reads or writes Network's caches
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(Path(network.__file__).parent.glob("*.py"))
-        if path.name != "network.py"
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Attribute) and node.attr in ("_neighbors", "_fis1")
-    ]
-    assert found == []
+    assert names_outside({"network.py"}, ("_neighbors", "_fis1")) == []
+
+
+def test_only_the_generator_and_the_run_loop_touch_the_generator_state():
+    # rng.py owns the generator's state, and simulator.play alone reads it,
+    # into SimState.rng_state
+    assert names_outside({"rng.py", "simulator.py"}, ("_state",)) == []
 
 
 # --- golden trace -----------------------------------------------------------------------

@@ -35,8 +35,12 @@ def test_library_use_block_runs(capsys):
     code = python_block("## Library use")
     assert "from fuzzcluster import run_simulation" in code
     exec(compile(code, f"{README.name} (Library use)", "exec"), {"__name__": "readme"})
-    fnd, hnd, lnd = capsys.readouterr().out.split()
-    assert 0 < int(fnd) <= int(hnd) <= int(lnd)
+    # a capped run, whose rounds relay, then its second half resumed from the
+    # state kept before round 31, ending on the run's last total energy
+    capped, resumed = capsys.readouterr().out.splitlines()
+    played, relayed = map(int, capped.split())
+    assert played == 60 and relayed > 0
+    assert resumed == "31 61 True"
 
 
 # key families the parser matches by prefix rather than by name

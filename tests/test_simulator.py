@@ -1,21 +1,24 @@
 import math
 import re
 from dataclasses import asdict, replace
+from itertools import islice
 
 import pytest
 
 from conftest import CH2, plan_from, preset_config, scenario1_lifetime
+from fuzzcluster import simulator
 from fuzzcluster.config import PRESETS
 from fuzzcluster.energy import RadioParams
 from fuzzcluster.fis2 import default_rulebase2
 from fuzzcluster.network import Network, deploy_from_rng, network_from_positions
-from fuzzcluster.protocols import KINDS, Cluster, ProtocolParams, run_protocol_round
+from fuzzcluster.protocols import KINDS, Cluster, ProtocolParams
 from fuzzcluster.rng import Xorshift64Star
 from fuzzcluster.simulator import (
     RoundMetrics,
     SimConfig,
     apply_round_energy,
     lifetime_metrics,
+    play,
     run_simulation,
 )
 
@@ -82,10 +85,10 @@ def test_spend_matches_residual_delta():
     net = network_from_positions(
         [(0.0, 40.0), (0.0, 90.0), (30.0, 40.0)], 100.0, (0.0, 0.0)
     )
-    before = net.total_energy()
+    before = math.fsum(net.energy)
     plan = plan_from(net, [Cluster(0, [1, 2], 30.0)], {0: None})
     spend = apply_round_energy(net, plan, CH2)
-    assert spend.sum() == pytest.approx(before - net.total_energy(), rel=1e-12)
+    assert spend.sum() == pytest.approx(before - math.fsum(net.energy), rel=1e-12)
 
 
 def test_doubling_packet_bits_doubles_data_spend():
@@ -198,51 +201,92 @@ def test_round_metrics_are_consistent():
 RESUMED_ROUNDS = 40
 
 
-def play(cfg, net, rng, rounds):
-    """Plays the given rounds on net and rng as run_simulation does, stopping
-    once every node is dead, and yields each round and what it left: the
-    bytes of the plan's arrays and of the energy and alive mask after it,
-    and the round's (ch_count, alive, total_j, spent_j)."""
-    for r in rounds:
-        if not net.alive.any():
-            return
-        plan = run_protocol_round(net, cfg, rng, r)
-        drained = apply_round_energy(net, plan, cfg.radio)
-        arrays = (plan.heads, plan.sizes, plan.members, plan.next_hop, plan.radius, plan.control_spend)
-        metrics = (len(plan.heads), int(net.alive.sum()), net.total_energy(), math.fsum(drained.tolist()))
-        yield r, ([a.tobytes() for a in (*arrays, net.energy, net.alive)], metrics)
+def footprint(plan, drained, state):
+    """The bytes of a round's plan arrays and of the state it left, and the
+    round's (ch_count, alive, total_j, spent_j), as run_simulation reads them."""
+    arrays = (plan.heads, plan.sizes, plan.members, plan.next_hop, plan.radius, plan.control_spend)
+    alive, total = int(state.alive.sum()), math.fsum(state.energy.tolist())
+    metrics = (len(plan.heads), alive, total, math.fsum(drained.tolist()))
+    kept = [a.tobytes() for a in (*arrays, state.positions, state.energy, state.alive)]
+    return (state.round, state.rng_state, kept), metrics
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_a_run_resumed_from_its_state_changes_no_bit(preset, kind):
-    # A run's state at a round start is (round, energy, alive, generator
-    # state): whatever a Network keeps between rounds follows from it. A
-    # fresh network and generator resumed at rounds 2 and 20, and at the
+    # A run resumed from the state play yielded at rounds 2 and 20, and at the
     # first round after a death, when the kept neighbor counts first lose a
-    # node, play the next 40 rounds as the run did.
+    # node, plays the next 40 rounds as the run did: whatever a Network keeps
+    # between rounds follows from the state.
     cfg = preset_config(preset, kind, seed=1)
-    rng = Xorshift64Star(cfg.seed)
-    net = deploy_from_rng(cfg.n, cfg.area_side, cfg.bs_pos, rng, cfg.initial_energy)
     trace, states, after_death = [], {}, None
-    for r, played in play(cfg, net, rng, range(1, cfg.max_rounds + 1)):
-        trace.append(played)
-        if after_death is None and not net.alive.all():
-            after_death = r + 1
-        if r + 1 in (2, 20, after_death):
-            states[r + 1] = (net.energy.copy(), net.alive.copy(), rng._state)
-        if after_death and r == max(states) + RESUMED_ROUNDS - 1:
+    for plan, drained, state in play(cfg):
+        trace.append(footprint(plan, drained, state))
+        if after_death is None and not state.alive.all():
+            after_death = state.round
+        if state.round in (2, 20, after_death):
+            states[state.round] = state
+        if after_death and state.round == max(states) + RESUMED_ROUNDS:
             break
     assert after_death in states and 20 in states
     if preset == "ch2-scenario1":  # the run that the lifetime pins cover
         pinned = scenario1_lifetime(kind, 1).rounds[: len(trace)]
         assert [m for _, m in trace] == [(m.ch_count, m.alive, m.total_j, m.spent_j) for m in pinned]
-    for start, (energy, alive, state) in states.items():
-        resumed = network_from_positions(net.positions, cfg.area_side, cfg.bs_pos, cfg.initial_energy)
-        resumed.energy[:], resumed.alive[:] = energy, alive
-        rounds = range(start, start + RESUMED_ROUNDS)
-        again = [played for _, played in play(cfg, resumed, Xorshift64Star(state), rounds)]
+    for start, state in states.items():
+        again = [footprint(*played) for played in islice(play(cfg, state), RESUMED_ROUNDS)]
         assert again == trace[start - 1 : start - 1 + RESUMED_ROUNDS], start
+
+
+def test_yielded_states_are_read_only_and_kept():
+    # node 3 dies in round 1, so the alive masks differ from round to round too
+    cfg = scenario1("fuzzy_unequal", max_rounds=30, seed=3, energy_overrides={3: 1e-6})
+    states, copies = [], []
+    for _, _, state in play(cfg):
+        states.append(state)
+        copies.append([a.copy() for a in (state.positions, state.energy, state.alive)])
+        for a in (state.positions, state.energy, state.alive):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[1]
+        with pytest.raises(AttributeError):
+            state.round = 1
+    assert [s.round for s in states] == list(range(2, 32))
+    assert not states[0].alive[3]
+    for state, copy in zip(states, copies):  # later rounds changed none of them
+        for a, kept in zip((state.positions, state.energy, state.alive), copy):
+            assert a.tobytes() == kept.tobytes()
+
+
+def _bad_state_cases():
+    """(field, edit): play must refuse edit(a good state) with a ValueError
+    that starts with 'field:'."""
+    def at(name, node, value):
+        def edit(state):
+            a = getattr(state, name).copy()
+            a[node] = value
+            return state._replace(**{name: a})
+        return edit
+
+    for name in ("positions", "energy", "alive"):
+        short = lambda s, name=name: s._replace(**{name: getattr(s, name)[:-1]})
+        yield pytest.param(name, short, id=f"{name}-short")
+    for v in (math.nan, math.inf, -1e-9):
+        yield pytest.param("energy", at("energy", 5, v), id=f"energy-{v}")
+    yield pytest.param("alive", at("energy", 5, 0.0), id="alive-with-no-energy")
+    yield pytest.param("positions", at("positions", 5, (150.0, 50.0)), id="positions-outside")
+    yield pytest.param("round", lambda s: s._replace(round=0), id="round-0")
+    for v in (0, 2**64, -1):
+        yield pytest.param("rng_state", lambda s, v=v: s._replace(rng_state=v), id=f"rng_state-{v}")
+
+
+@pytest.mark.parametrize("field,edit", _bad_state_cases())
+def test_a_bad_state_is_refused_before_any_round(field, edit, monkeypatch):
+    cfg = scenario1("leach", max_rounds=3, seed=2)
+    bad = edit(next(play(cfg))[2])  # the state after round 1, edited
+    played = []
+    monkeypatch.setattr(simulator, "run_protocol_round", lambda *args: played.append(args))
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        next(play(cfg, bad))
+    assert played == []
 
 
 def test_config_validation_errors():
